@@ -141,7 +141,7 @@ def cmd_detect(args) -> int:
     detected, res = detect_once(G, spec, planted, seed=seed)
     os.makedirs(args.out, exist_ok=True)
     stem = os.path.join(args.out, args.name)
-    write_membership(stem + ".membership", detected)
+    write_membership(stem + ".membership", detected, id_map)
     atomic_write_text(stem + ".result.json", json.dumps(res.to_dict(), indent=1) + "\n")
     print(f"detected {detected.k} communities (seed {seed})")
     for key, val in res.to_dict().items():

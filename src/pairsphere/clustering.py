@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import LowRankTerm, PairVector, _clamp_cos
+from .geometry import _POLE_AXIS_SQ_RTOL, LowRankTerm, PairVector, _clamp_cos
 from .pairs import num_pairs
 
 
@@ -124,7 +124,8 @@ def pearson_correlation(C: Partition, T: Partition) -> float:
                 "correlation undefined for the singleton or one-cluster partition"
             )
     num = pc.m_ct * pc.N - pc.m_c * pc.m_t
-    den = math.sqrt(pc.m_c * (pc.N - pc.m_c)) * math.sqrt(pc.m_t * (pc.N - pc.m_t))
+    # one square root of the exact integer product: identical partitions give 1.0
+    den = math.sqrt(pc.m_c * (pc.N - pc.m_c) * pc.m_t * (pc.N - pc.m_t))
     return num / den
 
 
@@ -202,7 +203,7 @@ def query_correlation_distance(q: PairVector, C: Partition) -> float:
         raise DegeneratePartitionError("correlation undefined for a trivial partition")
     norm_sq = q.norm() ** 2
     off_sq = norm_sq - q.total() ** 2 / q.N
-    if norm_sq == 0.0 or off_sq <= 1e-14 * norm_sq:
+    if norm_sq == 0.0 or off_sq <= _POLE_AXIS_SQ_RTOL * norm_sq:
         raise DegeneratePartitionError("query lies on the pole axis")
     lq = math.acos(_clamp_cos(-q.total() / (q.norm() * math.sqrt(q.N))))
     lc = partition_latitude(C)
@@ -214,11 +215,16 @@ def query_correlation_distance(q: PairVector, C: Partition) -> float:
 # -- membership file format ----------------------------------------------------
 
 
-def write_membership(path, C: Partition) -> None:
-    """One line per node: `<node_id> <label>` with canonical integer labels."""
+def write_membership(path, C: Partition, id_map: dict | None = None) -> None:
+    """One line per node: `<node_id> <label>` with canonical integer labels.
+
+    Node ids are the dense ids 0..n-1, or the external tokens of an id_map
+    (token -> dense id, as returned by `read_edges`).
+    """
     from ._util import atomic_write_text
 
-    lines = [f"{i} {int(C.membership[i])}" for i in range(C.n)]
+    names = {i: tok for tok, i in id_map.items()} if id_map is not None else range(C.n)
+    lines = [f"{names[i]} {int(C.membership[i])}" for i in range(C.n)]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -182,43 +182,42 @@ def walk_distribution(
 
 
 def write_edges(path, G: Graph) -> None:
-    """One `<u> <v>` line per edge."""
+    """One `<u> <v>` line per edge, then one `<u>` line per isolated node."""
     lines = [f"{int(u)} {int(v)}" for u, v in G.edges]
+    lines += [str(int(u)) for u in np.flatnonzero(G.degrees == 0)]
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 def read_edges(path) -> tuple[Graph, dict | None]:
     """Read an edge list; `#` comments ignored.
 
-    Node ids that are 0-based contiguous integers are used directly; any other
-    tokens are mapped to dense ids in file order and the mapping is returned.
+    A line is an edge `<u> <v>` or a node with no edges `<u>`. Node ids that
+    are 0-based contiguous integers are used directly; any other tokens are
+    mapped to dense ids in file order and the mapping is returned.
     """
-    tokens: list[tuple[str, str]] = []
+    tokens: list[list[str]] = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
             parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected '<u> <v>'")
-            tokens.append((parts[0], parts[1]))
+            if len(parts) > 2:
+                raise ValueError(f"{path}:{lineno}: expected '<u> <v>' or '<u>'")
+            tokens.append(parts)
     if not tokens:
         raise ValueError(f"{path}: no edges")
-    as_int = True
     try:
-        ints = [(int(u), int(v)) for u, v in tokens]
+        ints = [[int(u) for u in parts] for parts in tokens]
     except ValueError:
-        as_int = False
-    if as_int:
-        flat = {u for uv in ints for u in uv}
-        lo, hi = min(flat), max(flat)
-        if lo == 0 and flat == set(range(hi + 1)):
-            return Graph.from_edges(hi + 1, ints), None
+        ints = None
+    if ints is not None:
+        flat = {u for parts in ints for u in parts}
+        if flat == set(range(len(flat))):
+            return Graph.from_edges(len(flat), [p for p in ints if len(p) == 2]), None
     id_map: dict[str, int] = {}
-    mapped = []
-    for u, v in tokens:
-        iu = id_map.setdefault(u, len(id_map))
-        iv = id_map.setdefault(v, len(id_map))
-        mapped.append((iu, iv))
+    for parts in tokens:
+        for u in parts:
+            id_map.setdefault(u, len(id_map))
+    mapped = [(id_map[p[0]], id_map[p[1]]) for p in tokens if len(p) == 2]
     return Graph.from_edges(len(id_map), mapped), id_map

@@ -44,10 +44,3 @@ def pair_members(ids, n: int):
     row_start = i * (2 * n - i - 1) // 2
     j = ids - row_start + i + 1
     return i, j
-
-
-def normalize_pairs(i, j):
-    """Return (lo, hi) arrays so that lo < hi elementwise."""
-    i = np.asarray(i, dtype=np.int64)
-    j = np.asarray(j, dtype=np.int64)
-    return np.minimum(i, j), np.maximum(i, j)

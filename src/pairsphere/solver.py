@@ -4,9 +4,9 @@ Minimizing the angular distance to a query equals maximizing the inner
 product with the clustering vector, which decomposes over node pairs. The
 local-move solver is a greedy relabeling scheme over that objective: sweeps
 of best-gain single-node moves, followed by aggregation of communities into
-supernodes, repeated until nothing improves. The sparse-plus-low-rank query
-structure keeps each relabeling linear in the node's sparse support plus one
-aggregate per rank-one term and candidate community.
+supernodes, repeated until nothing improves. Each node visit builds the gain
+over every community slot, O(n + K*n) for K rank-one terms, and moves the node
+to the best slot; a sweep over n nodes therefore costs O(n^2).
 
 For small instances an exhaustive enumerator over set partitions provides an
 exact reference optimum.
@@ -38,22 +38,15 @@ class SolverConfig:
     """Tunables for the local-move solver.
 
     epsilon defaults to 1e-12 * |q| * sqrt(N) (guards against move cycling
-    from round-off); screening_threshold defaults to 4 * sqrt(n).
+    from round-off).
     """
 
     epsilon: float | None = None
     max_sweeps: int = 1000
-    screening_threshold: int | None = None
-    screen_top: int = 8
     exact_cap: int = 12
     max_cycles: int = 50
     restarts: int = 1  # independent seeded runs; best objective wins
     debug_checks: bool = False
-
-    def screen_limit(self, n: int) -> int:
-        if self.screening_threshold is not None:
-            return self.screening_threshold
-        return int(4 * math.sqrt(n))
 
 
 class _Instance:
@@ -104,7 +97,7 @@ class SolverState:
     vector of the current membership.
     """
 
-    def __init__(self, inst: _Instance, membership: np.ndarray, screen_limit: int | None = None):
+    def __init__(self, inst: _Instance, membership: np.ndarray):
         self.inst = inst
         n = inst.n
         self.membership = np.asarray(membership, dtype=np.int64).copy()
@@ -114,8 +107,6 @@ class SolverState:
         self.U = np.zeros((len(inst.coefs), n))
         for k in range(len(inst.coefs)):
             self.U[k] = np.bincount(self.membership, weights=inst.factors[k], minlength=n)
-        self.n_comms = int(np.count_nonzero(self.sizes))
-        self.screen_limit = screen_limit if screen_limit is not None else int(4 * math.sqrt(n))
         self.objective = self._alignment()
 
     @classmethod
@@ -139,26 +130,13 @@ class SolverState:
         intra += inst.constant * float(szf @ (szf - 1.0)) / 2.0
         return 2.0 * intra - inst.total
 
-    def community_weight(self, i: int, a: int) -> float:
-        """W_i(a) = sum of q_ij over j in community a, j != i."""
-        inst = self.inst
-        lo, hi = inst.indptr[i], inst.indptr[i + 1]
-        nbrs = inst.nbr[lo:hi]
-        w = float(inst.wts[lo:hi][self.membership[nbrs] == a].sum())
-        in_a = 1.0 if self.membership[i] == a else 0.0
-        for k in range(len(inst.coefs)):
-            f = inst.factors[k][i]
-            w += inst.coefs[k] * f * (self.U[k][a] - in_a * f)
-        w += inst.constant * (float(self.sizes[a]) - in_a)
-        return w
-
 
 def move_gain(state: SolverState, i: int, target: int) -> float:
     """Objective change from relabeling node i into `target` (2*(W_in - W_out))."""
-    cur = int(state.membership[i])
-    if target == cur:
+    if target == int(state.membership[i]):
         return 0.0
-    return 2.0 * (state.community_weight(i, target) - state.community_weight(i, cur))
+    W, w_cur = _node_gain_vector(state, i)
+    return 2.0 * (float(W[target]) - w_cur)
 
 
 def _apply_move(state: SolverState, i: int, target: int, gain: float) -> None:
@@ -166,10 +144,6 @@ def _apply_move(state: SolverState, i: int, target: int, gain: float) -> None:
     state.membership[i] = target
     state.sizes[cur] -= 1
     state.sizes[target] += 1
-    if state.sizes[cur] == 0:
-        state.n_comms -= 1
-    if state.sizes[target] == 1:
-        state.n_comms += 1
     if len(state.inst.coefs):
         state.U[:, cur] -= state.inst.factors[:, i]
         state.U[:, target] += state.inst.factors[:, i]
@@ -177,7 +151,8 @@ def _apply_move(state: SolverState, i: int, target: int, gain: float) -> None:
 
 
 def _node_gain_vector(state: SolverState, i: int) -> tuple[np.ndarray, float]:
-    """W_i over all community slots (empty slots read 0 = fresh community)."""
+    """W_i(a) = sum of q_ij over j in slot a, j != i, for every slot a at once
+    (empty slots read 0 = fresh community). Also returns W_i of i's own slot."""
     inst = state.inst
     n = inst.n
     if len(inst.coefs):
@@ -201,37 +176,18 @@ def _node_gain_vector(state: SolverState, i: int) -> tuple[np.ndarray, float]:
     return W, float(W[cur])
 
 
-def _sweep(state: SolverState, order: np.ndarray, eps: float, allow_screen: bool, top: int) -> int:
+def _sweep(state: SolverState, order: np.ndarray, eps: float) -> int:
     """One pass of best-gain relabelings; returns the number of moves.
 
-    With screening active (many communities), only the communities of sparse
-    neighbors, the top slots by rank-one score, the current community and one
-    fresh slot are considered as targets.
+    Each node moves to the argmax of its gain vector over all slots (ties to
+    the lowest slot) when that beats staying by more than eps.
     """
     moves = 0
-    inst = state.inst
     half_eps = eps / 2.0
     for i in order:
         W, w_cur = _node_gain_vector(state, i)
-        if allow_screen and state.n_comms > state.screen_limit:
-            lo, hi = inst.indptr[i], inst.indptr[i + 1]
-            parts = [state.membership[inst.nbr[lo:hi]]]
-            if top < W.size:
-                parts.append(np.argpartition(W, -top)[-top:].astype(np.int64))
-            else:
-                parts.append(np.arange(W.size, dtype=np.int64))
-            extras = [int(state.membership[i])]
-            empty = int(np.argmin(state.sizes))
-            if state.sizes[empty] == 0:
-                extras.append(empty)
-            parts.append(np.asarray(extras, dtype=np.int64))
-            cand = np.unique(np.concatenate(parts))
-            local = W[cand]
-            pos = int(np.argmax(local))
-            best, w_best = int(cand[pos]), float(local[pos])
-        else:
-            best = int(np.argmax(W))
-            w_best = float(W[best])
+        best = int(np.argmax(W))
+        w_best = float(W[best])
         if w_best - w_cur > half_eps:
             _apply_move(state, int(i), best, 2.0 * (w_best - w_cur))
             moves += 1
@@ -239,28 +195,15 @@ def _sweep(state: SolverState, order: np.ndarray, eps: float, allow_screen: bool
 
 
 def _local_moves(state: SolverState, rng, cfg: SolverConfig, eps: float) -> int:
-    """Sweeps until no single-node move improves. When the final quiet sweep
-    ran under screening, one unrestricted sweep verifies exhaustive local
-    optimality (and resumes sweeping if it finds a move)."""
+    """Sweeps until one sweep makes no move: no single-node relabel then
+    improves by more than eps."""
     total_moves = 0
-    sweeps = 0
-    while True:
-        if sweeps >= cfg.max_sweeps:
-            warnings.warn("sweep cap reached before local convergence")
-            break
-        screened = state.n_comms > state.screen_limit
-        moves = _sweep(state, rng.permutation(state.inst.n), eps, True, cfg.screen_top)
-        sweeps += 1
-        total_moves += moves
-        if moves:
-            continue
-        if not screened:
-            break
-        moves = _sweep(state, rng.permutation(state.inst.n), eps, False, cfg.screen_top)
-        sweeps += 1
+    for _ in range(cfg.max_sweeps):
+        moves = _sweep(state, rng.permutation(state.inst.n), eps)
         total_moves += moves
         if moves == 0:
-            break
+            return total_moves
+    warnings.warn("sweep cap reached before local convergence")
     return total_moves
 
 
@@ -349,7 +292,7 @@ def louvain_project(q: PairVector, seed: int = 0, config: SolverConfig | None = 
 
 def _project_once(inst: _Instance, q: PairVector, rng, cfg: SolverConfig, eps: float) -> SolverState:
     n = inst.n
-    state = SolverState(inst, np.arange(n), cfg.screen_limit(n))
+    state = SolverState(inst, np.arange(n))
     cycles = 0
     while True:
         cycles += 1
@@ -368,7 +311,7 @@ def _project_once(inst: _Instance, q: PairVector, rng, cfg: SolverConfig, eps: f
             if coarse.n == level_inst.n:
                 break  # nothing left to merge at this granularity
             node_to_level = compact if node_to_level is None else compact[node_to_level]
-            cstate = SolverState(coarse, np.arange(coarse.n), cfg.screen_limit(coarse.n))
+            cstate = SolverState(coarse, np.arange(coarse.n))
             moved = _local_moves(cstate, rng, cfg, eps)
             if not moved:
                 break
@@ -376,7 +319,7 @@ def _project_once(inst: _Instance, q: PairVector, rng, cfg: SolverConfig, eps: f
             node_memb = cstate.membership[node_to_level]
             level_inst, level_memb = coarse, cstate.membership
         if gained > 0.0:
-            state = SolverState(inst, node_memb, cfg.screen_limit(n))
+            state = SolverState(inst, node_memb)
         if cfg.debug_checks:
             drift = abs(SolverState(inst, state.membership).objective - state.objective)
             if drift > 1e-6 * max(1.0, abs(state.objective)):
@@ -432,15 +375,14 @@ def exact_project(q: PairVector, cap: int | None = None) -> Partition:
 
 def max_single_move_gain(q: PairVector, C: Partition) -> float:
     """Largest objective gain any single-node relabel could achieve from C,
-    checked against every community plus a fresh singleton."""
+    checked against every community plus a fresh singleton. An empty slot is
+    the fresh singleton (W = 0); with no empty slot every node is a singleton,
+    and its own slot already gives that move."""
     state = SolverState.from_partition(q, C)
     best = 0.0
     for i in range(q.n):
         W, w_cur = _node_gain_vector(state, i)
-        gain = 2.0 * (float(W.max()) - w_cur)
-        if state.n_comms == q.n:
-            gain = max(gain, -2.0 * w_cur)  # no empty slot in W; fresh community has W=0
-        best = max(best, gain)
+        best = max(best, 2.0 * (float(W.max()) - w_cur))
     return best
 
 

@@ -118,6 +118,36 @@ def test_detect_isolated_node_domain_error(tmp_path, capsys):
     assert "isolated" in capsys.readouterr().err
 
 
+def test_generate_detect_roundtrip_with_isolated_nodes(tmp_path):
+    run(["generate", "--family", "ppm", "--n", "100", "--k", "5", "--lin", "2",
+         "--lout", "1", "--seed", "2", "--out", str(tmp_path), "--name", "g"])
+    G, mapping = read_edges(tmp_path / "g.edges")
+    assert (G.n, mapping) == (100, None)
+    assert (G.degrees == 0).any()
+    code = run(["detect", "--graph", str(tmp_path / "g.edges"),
+                "--planted", str(tmp_path / "g.membership"),
+                "--method", "cl-modularity", "--gamma", "1", "--heuristic", "exact",
+                "--seed", "0", "--out", str(tmp_path), "--name", "det"])
+    assert code == 0
+
+
+def test_detect_writes_token_ids(tmp_path, capsys):
+    edges = tmp_path / "tok.edges"
+    edges.write_text("a b\nb c\na c\nx y\ny z\nx z\n")
+    planted = tmp_path / "tok.membership"
+    planted.write_text("a p\nb p\nc p\nx q\ny q\nz q\n")
+    code = run(["detect", "--graph", str(edges), "--method", "er-modularity", "--gamma", "1",
+                "--planted", str(planted), "--seed", "3", "--out", str(tmp_path), "--name", "det"])
+    assert code == 0
+    lines = (tmp_path / "det.membership").read_text().splitlines()
+    assert [line.split()[0] for line in lines] == list("abcxyz")
+    capsys.readouterr()
+    code = run(["evaluate", "--graph", str(edges), "--membership", str(tmp_path / "det.membership"),
+                "--planted", str(planted)])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["rho"] == 1.0
+
+
 def test_detect_seed_printed_when_omitted(tmp_path, capsys):
     edges, _ = _two_triangles(tmp_path)
     code = run(["detect", "--graph", str(edges), "--method", "er-modularity",

@@ -19,6 +19,7 @@ from pairsphere.clustering import (
     relative_granularity_error,
     write_membership,
 )
+from pairsphere.generators import ring_of_cliques
 from pairsphere.geometry import correlation_distance, inner, latitude
 
 from helpers import (
@@ -118,6 +119,11 @@ def test_pearson_self_symmetry_and_errors():
         pearson_correlation(Partition.singletons(5), C := Partition(np.array([0, 0, 1, 1, 2])))
     with pytest.raises(DegeneratePartitionError):
         pearson_correlation(C, Partition.one_cluster(5))
+
+
+def test_pearson_identical_partitions_exactly_one():
+    _, T = ring_of_cliques(25, 5)
+    assert pearson_correlation(T, T) == 1.0
 
 
 def test_pearson_matches_meridian_angle():

@@ -208,6 +208,25 @@ def test_edge_file_roundtrip(tmp_path):
     assert np.array_equal(back.edges, G.edges)
 
 
+def test_edge_file_roundtrip_keeps_isolated_nodes(tmp_path):
+    G = Graph.from_edges(5, [(0, 1), (1, 4)])  # nodes 2 and 3 have no edges
+    path = tmp_path / "iso.edges"
+    write_edges(path, G)
+    back, mapping = read_edges(path)
+    assert mapping is None
+    assert back.n == 5
+    assert np.array_equal(back.edges, G.edges)
+
+
+def test_edge_file_single_token_node(tmp_path):
+    path = tmp_path / "tok_iso.edges"
+    path.write_text("alice bob\ncarol\n")
+    G, mapping = read_edges(path)
+    assert (G.n, G.m) == (3, 1)
+    assert mapping == {"alice": 0, "bob": 1, "carol": 2}
+    assert G.degrees.tolist() == [1, 1, 0]
+
+
 def test_edge_file_token_mapping(tmp_path):
     path = tmp_path / "tok.edges"
     path.write_text("# comment\nalice bob\nbob carol\n")
