@@ -11,10 +11,9 @@ Usage: python scripts/ring_demo.py [--s 5] [--kmax 60]
 import argparse
 import sys
 
-from pairsphere.clustering import pearson_correlation, relative_granularity_error
 from pairsphere.generators import ring_of_cliques
-from pairsphere.queries import LATITUDE_RULES, apply_granularity_heuristic, er_modularity_query
-from pairsphere.solver import louvain_project
+from pairsphere.queries import LATITUDE_RULES, QuerySpec
+from pairsphere.tune import detect_once
 
 
 def main() -> int:
@@ -32,16 +31,12 @@ def main() -> int:
     k = 5
     while k <= args.kmax:
         G, T = ring_of_cliques(k, args.s)
-        q = er_modularity_query(G, args.gamma)
-        raw = louvain_project(q, seed=args.seed)
-        print(
-            f"{k:>4} {pearson_correlation(raw, T):>9.4f} "
-            f"{relative_granularity_error(raw, T):>+9.4f}",
-            end="",
-        )
+        _, raw = detect_once(G, QuerySpec("er-modularity", gamma=args.gamma), T, seed=args.seed)
+        print(f"{k:>4} {raw.rho:>9.4f} {raw.granularity_error:>+9.4f}", end="")
         for rule in LATITUDE_RULES:
-            fixed = louvain_project(apply_granularity_heuristic(q, T, rule=rule), seed=args.seed)
-            print(f" {pearson_correlation(fixed, T):>18.4f}", end="")
+            spec = QuerySpec("er-modularity", gamma=args.gamma, heuristic="exact", rule=rule)
+            _, fixed = detect_once(G, spec, T, seed=args.seed)
+            print(f" {fixed.rho:>18.4f}", end="")
         print()
         k += 5
     return 0

@@ -8,11 +8,13 @@ projection solver, benchmark generators, and an experiment/tuning harness.
 """
 
 from .clustering import (
+    DetectionResult,
     Partition,
     PairCounts,
     as_pair_vector,
     corclust_agreement,
     corclust_disagreement,
+    evaluate,
     pair_counts,
     partition_latitude,
     pearson_correlation,
@@ -62,10 +64,8 @@ from .queries import (
     rule_latitude,
 )
 from .solver import (
-    DetectionResult,
     SolverConfig,
     SolverState,
-    evaluate,
     exact_project,
     louvain_project,
     max_single_move_gain,

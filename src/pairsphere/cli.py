@@ -33,6 +33,7 @@ import json
 import os
 import secrets
 import sys
+from dataclasses import asdict
 
 from ._util import atomic_write_text
 from .clustering import pearson_correlation, read_membership, write_membership
@@ -142,9 +143,9 @@ def cmd_detect(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     stem = os.path.join(args.out, args.name)
     write_membership(stem + ".membership", detected, id_map)
-    atomic_write_text(stem + ".result.json", json.dumps(res.to_dict(), indent=1) + "\n")
+    atomic_write_text(stem + ".result.json", json.dumps(asdict(res), indent=1) + "\n")
     print(f"detected {detected.k} communities (seed {seed})")
-    for key, val in res.to_dict().items():
+    for key, val in asdict(res).items():
         if val is not None and key not in ("seed",):
             print(f"  {key} = {val:.6g}" if isinstance(val, float) else f"  {key} = {val}")
     return 0

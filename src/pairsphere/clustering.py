@@ -13,7 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _POLE_AXIS_SQ_RTOL, LowRankTerm, PairVector, _clamp_cos
+from .geometry import (
+    DegenerateVectorError,
+    LowRankTerm,
+    PairVector,
+    _clamp_cos,
+    _require_off_axis,
+    _vertex_angle,
+    latitude,
+)
 from .pairs import num_pairs
 
 
@@ -197,19 +205,79 @@ def query_angular_distance(q: PairVector, C: Partition) -> float:
 
 
 def query_correlation_distance(q: PairVector, C: Partition) -> float:
-    """Meridian angle between a query vector and a clustering vector."""
+    """Meridian angle between a query vector and a clustering vector: the law
+    of cosines of `geometry.correlation_distance`, with the clustering's
+    latitude and angular distance taken from exact pair counts."""
     m_c = C.intra_pairs()
     if m_c == 0 or m_c == C.N:
         raise DegeneratePartitionError("correlation undefined for a trivial partition")
-    norm_sq = q.norm() ** 2
-    off_sq = norm_sq - q.total() ** 2 / q.N
-    if norm_sq == 0.0 or off_sq <= _POLE_AXIS_SQ_RTOL * norm_sq:
-        raise DegeneratePartitionError("query lies on the pole axis")
-    lq = math.acos(_clamp_cos(-q.total() / (q.norm() * math.sqrt(q.N))))
-    lc = partition_latitude(C)
-    da = query_angular_distance(q, C)
-    c = (math.cos(da) - math.cos(lq) * math.cos(lc)) / (math.sin(lq) * math.sin(lc))
-    return math.acos(_clamp_cos(c))
+    try:
+        _require_off_axis(q)
+    except DegenerateVectorError as exc:
+        raise DegeneratePartitionError("query lies on the pole axis") from exc
+    return _vertex_angle(latitude(q), partition_latitude(C), query_angular_distance(q, C))
+
+
+# -- detection metrics ---------------------------------------------------------
+
+
+@dataclass
+class DetectionResult:
+    """Detected-partition metrics; fields are None when a metric is undefined.
+    Field order is the key order of the JSON result."""
+
+    rho: float | None = None
+    latitude_C: float | None = None
+    latitude_T: float | None = None
+    d_a_qC: float | None = None
+    d_a_qT: float | None = None
+    d_cc_qT: float | None = None
+    granularity_error: float | None = None
+    excess_ratio: float | None = None
+    seed: int | None = None
+    solve_ms: float | None = None
+    query_ms: float | None = None
+
+
+def evaluate(
+    q: PairVector,
+    detected: Partition,
+    planted: Partition | None = None,
+    *,
+    seed: int | None = None,
+    solve_ms: float | None = None,
+    query_ms: float | None = None,
+) -> DetectionResult:
+    """All quality metrics for a detected partition, against the query and
+    (when given) the planted partition. Degenerate metrics come back as None."""
+    res = DetectionResult(seed=seed, solve_ms=solve_ms, query_ms=query_ms)
+    res.latitude_C = partition_latitude(detected)
+    try:
+        res.d_a_qC = query_angular_distance(q, detected)
+    except ValueError:
+        pass
+    if planted is None:
+        return res
+    res.latitude_T = partition_latitude(planted)
+    try:
+        res.rho = pearson_correlation(detected, planted)
+    except DegeneratePartitionError:
+        pass
+    try:
+        res.granularity_error = relative_granularity_error(detected, planted)
+    except DegeneratePartitionError:
+        pass
+    try:
+        res.d_a_qT = query_angular_distance(q, planted)
+    except ValueError:
+        pass
+    try:
+        res.d_cc_qT = query_correlation_distance(q, planted)
+    except (ValueError, DegeneratePartitionError):
+        pass
+    if res.d_a_qC is not None and res.d_a_qT is not None and res.d_a_qT > 0:
+        res.excess_ratio = res.d_a_qC / res.d_a_qT - 1.0
+    return res
 
 
 # -- membership file format ----------------------------------------------------

@@ -302,9 +302,13 @@ def correlation_distance(x: PairVector, y: PairVector) -> float:
     """
     _require_off_axis(x)
     _require_off_axis(y)
-    lx, ly = latitude(x), latitude(y)
-    da = angular_distance(x, y)
-    c = (math.cos(da) - math.cos(lx) * math.cos(ly)) / (math.sin(lx) * math.sin(ly))
+    return _vertex_angle(latitude(x), latitude(y), angular_distance(x, y))
+
+
+def _vertex_angle(a: float, b: float, g: float) -> float:
+    """Angle between the sides a and b of a spherical triangle whose third
+    side is g (spherical law of cosines)."""
+    c = (math.cos(g) - math.cos(a) * math.cos(b)) / (math.sin(a) * math.sin(b))
     return math.acos(_clamp_cos(c))
 
 
@@ -314,9 +318,7 @@ def spherical_angle(x: PairVector, r: PairVector, y: PairVector) -> float:
     b = angular_distance(y, r)
     if math.sin(a) <= 1e-7 or math.sin(b) <= 1e-7:
         raise DegenerateVectorError("spherical angle undefined at coincident/antipodal points")
-    g = angular_distance(x, y)
-    c = (math.cos(g) - math.cos(a) * math.cos(b)) / (math.sin(a) * math.sin(b))
-    return math.acos(_clamp_cos(c))
+    return _vertex_angle(a, b, angular_distance(x, y))
 
 
 def parallel_projection(x: PairVector, lam: float) -> PairVector:

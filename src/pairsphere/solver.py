@@ -20,15 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import (
-    DegeneratePartitionError,
-    Partition,
-    partition_latitude,
-    pearson_correlation,
-    query_angular_distance,
-    query_correlation_distance,
-    relative_granularity_error,
-)
+from .clustering import Partition, query_alignment
 from .geometry import PairVector
 from .pairs import pair_id, pair_members
 
@@ -43,7 +35,6 @@ class SolverConfig:
 
     epsilon: float | None = None
     max_sweeps: int = 1000
-    exact_cap: int = 12
     max_cycles: int = 50
     restarts: int = 1  # independent seeded runs; best objective wins
     debug_checks: bool = False
@@ -94,10 +85,11 @@ class SolverState:
     For every rank-one term k and community slot a, U[k, a] holds the sum of
     the term's factor over the slot's members; sizes[a] carries the constant
     term. The tracked objective is the inner product with the clustering
-    vector of the current membership.
+    vector of the current membership: the caller passes its starting value,
+    and moves add their gains.
     """
 
-    def __init__(self, inst: _Instance, membership: np.ndarray):
+    def __init__(self, inst: _Instance, membership: np.ndarray, objective: float):
         self.inst = inst
         n = inst.n
         self.membership = np.asarray(membership, dtype=np.int64).copy()
@@ -107,28 +99,13 @@ class SolverState:
         self.U = np.zeros((len(inst.coefs), n))
         for k in range(len(inst.coefs)):
             self.U[k] = np.bincount(self.membership, weights=inst.factors[k], minlength=n)
-        self.objective = self._alignment()
+        self.objective = objective
 
     @classmethod
     def from_partition(cls, q: PairVector, C: Partition) -> "SolverState":
         if q.n != C.n:
             raise ValueError("dimension mismatch between query and partition")
-        return cls(_Instance.from_pair_vector(q), C.membership)
-
-    def _alignment(self) -> float:
-        inst = self.inst
-        memb = self.membership
-        intra = 0.0
-        if inst.nbr.size:
-            heads = np.repeat(np.arange(inst.n), np.diff(inst.indptr))
-            same = memb[heads] == memb[inst.nbr]
-            intra += float(inst.wts[same].sum()) / 2.0  # both directions stored
-        for k in range(len(inst.coefs)):
-            u = inst.factors[k]
-            intra += inst.coefs[k] * (float(self.U[k] @ self.U[k]) - float(u @ u)) / 2.0
-        szf = self.sizes.astype(np.float64)
-        intra += inst.constant * float(szf @ (szf - 1.0)) / 2.0
-        return 2.0 * intra - inst.total
+        return cls(_Instance.from_pair_vector(q), C.membership, query_alignment(q, C))
 
 
 def move_gain(state: SolverState, i: int, target: int) -> float:
@@ -291,8 +268,7 @@ def louvain_project(q: PairVector, seed: int = 0, config: SolverConfig | None = 
 
 
 def _project_once(inst: _Instance, q: PairVector, rng, cfg: SolverConfig, eps: float) -> SolverState:
-    n = inst.n
-    state = SolverState(inst, np.arange(n))
+    state = SolverState(inst, np.arange(inst.n), -inst.total)  # singletons: no intra pair
     cycles = 0
     while True:
         cycles += 1
@@ -311,7 +287,7 @@ def _project_once(inst: _Instance, q: PairVector, rng, cfg: SolverConfig, eps: f
             if coarse.n == level_inst.n:
                 break  # nothing left to merge at this granularity
             node_to_level = compact if node_to_level is None else compact[node_to_level]
-            cstate = SolverState(coarse, np.arange(coarse.n))
+            cstate = SolverState(coarse, np.arange(coarse.n), 0.0)  # coarse levels track gains only
             moved = _local_moves(cstate, rng, cfg, eps)
             if not moved:
                 break
@@ -319,9 +295,9 @@ def _project_once(inst: _Instance, q: PairVector, rng, cfg: SolverConfig, eps: f
             node_memb = cstate.membership[node_to_level]
             level_inst, level_memb = coarse, cstate.membership
         if gained > 0.0:
-            state = SolverState(inst, node_memb)
+            state = SolverState(inst, node_memb, state.objective + gained)
         if cfg.debug_checks:
-            drift = abs(SolverState(inst, state.membership).objective - state.objective)
+            drift = abs(query_alignment(q, Partition(state.membership)) - state.objective)
             if drift > 1e-6 * max(1.0, abs(state.objective)):
                 raise AssertionError(f"tracked objective drifted by {drift:.3e}")
         if state.objective - obj_before <= eps:
@@ -329,14 +305,13 @@ def _project_once(inst: _Instance, q: PairVector, rng, cfg: SolverConfig, eps: f
     return state
 
 
-def exact_project(q: PairVector, cap: int | None = None) -> Partition:
+def exact_project(q: PairVector, cap: int = 12) -> Partition:
     """Exhaustive optimum over all set partitions, enumerated as
     restricted-growth strings. Ties break toward the lexicographically
-    smallest canonical membership. Feasible only for small n."""
+    smallest canonical membership. Feasible only for small n (at most cap)."""
     n = q.n
-    limit = cap if cap is not None else SolverConfig().exact_cap
-    if n > limit:
-        raise ValueError(f"exact projection capped at n={limit} (got n={n})")
+    if n > cap:
+        raise ValueError(f"exact projection capped at n={cap} (got n={n})")
     Q = np.zeros((n, n))
     if n >= 2:
         iu, ju = np.triu_indices(n, k=1)
@@ -385,78 +360,3 @@ def max_single_move_gain(q: PairVector, C: Partition) -> float:
         best = max(best, 2.0 * (float(W.max()) - w_cur))
     return best
 
-
-# -- evaluation -----------------------------------------------------------------
-
-
-@dataclass
-class DetectionResult:
-    """Detected-partition metrics; fields are None when a metric is undefined."""
-
-    d_a_qC: float | None = None
-    latitude_C: float | None = None
-    rho: float | None = None
-    latitude_T: float | None = None
-    d_a_qT: float | None = None
-    d_cc_qT: float | None = None
-    granularity_error: float | None = None
-    excess_ratio: float | None = None
-    seed: int | None = None
-    solve_ms: float | None = None
-    query_ms: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "rho": self.rho,
-            "latitude_C": self.latitude_C,
-            "latitude_T": self.latitude_T,
-            "d_a_qC": self.d_a_qC,
-            "d_a_qT": self.d_a_qT,
-            "d_cc_qT": self.d_cc_qT,
-            "granularity_error": self.granularity_error,
-            "excess_ratio": self.excess_ratio,
-            "seed": self.seed,
-            "solve_ms": self.solve_ms,
-            "query_ms": self.query_ms,
-        }
-
-
-def evaluate(
-    q: PairVector,
-    detected: Partition,
-    planted: Partition | None = None,
-    *,
-    seed: int | None = None,
-    solve_ms: float | None = None,
-    query_ms: float | None = None,
-) -> DetectionResult:
-    """All quality metrics for a detected partition, against the query and
-    (when given) the planted partition. Degenerate metrics come back as None."""
-    res = DetectionResult(seed=seed, solve_ms=solve_ms, query_ms=query_ms)
-    res.latitude_C = partition_latitude(detected)
-    try:
-        res.d_a_qC = query_angular_distance(q, detected)
-    except ValueError:
-        pass
-    if planted is None:
-        return res
-    res.latitude_T = partition_latitude(planted)
-    try:
-        res.rho = pearson_correlation(detected, planted)
-    except DegeneratePartitionError:
-        pass
-    try:
-        res.granularity_error = relative_granularity_error(detected, planted)
-    except DegeneratePartitionError:
-        pass
-    try:
-        res.d_a_qT = query_angular_distance(q, planted)
-    except ValueError:
-        pass
-    try:
-        res.d_cc_qT = query_correlation_distance(q, planted)
-    except (ValueError, DegeneratePartitionError):
-        pass
-    if res.d_a_qC is not None and res.d_a_qT is not None and res.d_a_qT > 0:
-        res.excess_ratio = res.d_a_qC / res.d_a_qT - 1.0
-    return res

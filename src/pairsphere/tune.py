@@ -14,16 +14,23 @@ import json
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from ._util import atomic_write_text, derive_seed
-from .clustering import Partition, partition_latitude, query_correlation_distance
+from .clustering import (
+    DegeneratePartitionError,
+    DetectionResult,
+    Partition,
+    evaluate,
+    partition_latitude,
+    query_correlation_distance,
+)
 from .generators import GeneratorSpec, generate
 from .graph import Graph
 from .queries import QuerySpec, build_base_query, build_query
-from .solver import DetectionResult, SolverConfig, evaluate, louvain_project
+from .solver import SolverConfig, louvain_project
 
 RESULT_COLUMNS = [
     "query",
@@ -84,7 +91,7 @@ class RunRow:
             n_isolated=self.n_isolated,
         )
         if self.result is not None:
-            for key, val in self.result.to_dict().items():
+            for key, val in asdict(self.result).items():
                 if key in rec and key != "seed":
                     rec[key] = val
         return rec
@@ -98,7 +105,11 @@ def detect_once(
     solver: SolverConfig | None = None,
     base=None,
 ) -> tuple[Partition, DetectionResult]:
-    """Build the query, project it, and evaluate the detected partition."""
+    """Build the query, project it, and evaluate the detected partition.
+
+    A given `base` (the spec's query before granularity handling) is used
+    instead of building it; query_ms then times only the correction.
+    """
     t0 = time.perf_counter()
     q = build_query(G, spec, planted, base=base)
     t1 = time.perf_counter()
@@ -169,15 +180,8 @@ def _run_sample(args) -> list[RunRow]:
                 t0 = time.perf_counter()
                 base_cache[key] = (build_base_query(G, spec), time.perf_counter() - t0)
             base, base_secs = base_cache[key]
-            t0 = time.perf_counter()
-            q = build_query(G, spec, T, base=base)
-            build_secs = base_secs + (time.perf_counter() - t0)
-            t1 = time.perf_counter()
-            detected = louvain_project(q, seed=seed, config=plan.solver)
-            solve_secs = time.perf_counter() - t1
-            res = evaluate(
-                q, detected, T, seed=seed, query_ms=build_secs * 1e3, solve_ms=solve_secs * 1e3
-            )
+            _, res = detect_once(G, spec, T, seed=seed, solver=plan.solver, base=base)
+            res.query_ms += base_secs * 1e3  # row's query time: base plus correction
             rows.append(
                 RunRow(spec.label, sample, seed, result=res,
                        connected=connected, n_isolated=n_isolated)
@@ -325,8 +329,6 @@ class GridSearchPlan:
     workers: int = 1
     rule: str = "corrected"
     solver: SolverConfig = field(default_factory=SolverConfig)
-    # winner = max median rho, ties broken by max mean rho, then grid order
-    selection: str = "median_rho,mean_rho"
 
     def __post_init__(self):
         if not self.cj_grid or not self.cd_grid:
@@ -353,61 +355,55 @@ class GridSearchResult:
     train_rhos: list[float]
 
 
-def _grid_training_samples(plan: GridSearchPlan):
-    from .generators import load_external
-    from .graph import adjacency_vector, degree_product_vector, jaccard_vector
+def _grid_sources(plan: GridSearchPlan, files, size: int, key: str) -> list[tuple[Graph, Partition]]:
+    """(graph, planted) pairs: the given external files, else `size` samples
+    of the plan's generator."""
+    if files:
+        from .generators import load_external
 
-    if plan.train_files:
-        sources = [load_external(e, m) for e, m in plan.train_files]
-    else:
-        sources = [
-            generate(plan.generator, derive_seed(plan.master_seed, "train", idx))
-            for idx in range(plan.train_size)
-        ]
-    samples = []
-    for idx, (G, T) in enumerate(sources):
-        samples.append(
-            {
-                "adj": adjacency_vector(G),
-                "jac": jaccard_vector(G),
-                "deg": degree_product_vector(G),
-                "T": T,
-                "seed": derive_seed(plan.master_seed, "train-solve", idx),
-            }
-        )
-    return samples
+        return [load_external(e, m) for e, m in files]
+    return [generate(plan.generator, derive_seed(plan.master_seed, key, i)) for i in range(size)]
+
+
+def _grid_spec(c_j: float, c_d: float, rule: str) -> QuerySpec:
+    return QuerySpec("linear", c_j=c_j, c_d=c_d, heuristic="exact", rule=rule)
+
+
+def _grid_rho(G: Graph, spec: QuerySpec, T: Partition, seed: int, solver, base=None) -> float:
+    """rho of one detection; a trivial detected partition has none and fails."""
+    _, res = detect_once(G, spec, T, seed=seed, solver=solver, base=base)
+    if res.rho is None:
+        raise DegeneratePartitionError("correlation undefined for a trivial partition")
+    return res.rho
 
 
 def _train_worker(args):
     """All grid cells for one training sample; one task per sample keeps
-    pickling overhead proportional to the sample count."""
-    sample, cj_grid, cd_grid, rule, solver = args
-    from .clustering import pearson_correlation
+    pickling overhead proportional to the sample count. The sample's
+    adjacency, Jaccard and degree-product vectors are built once, and each
+    cell's base query is combined from them."""
+    G, T, seed, cj_grid, cd_grid, rule, solver = args
     from .geometry import combine
-    from .queries import apply_granularity_heuristic
+    from .graph import adjacency_vector, degree_product_vector, jaccard_vector
 
+    adj, jac, deg = adjacency_vector(G), jaccard_vector(G), degree_product_vector(G)
     out = []
     for c_j in cj_grid:
         for c_d in cd_grid:
-            parts = [(1.0, sample["adj"])]
-            if c_j:
-                parts.append((c_j, sample["jac"]))
-            if c_d:
-                parts.append((c_d, sample["deg"]))
-            q = combine(parts)
-            q = apply_granularity_heuristic(q, sample["T"], rule=rule)
-            detected = louvain_project(q, seed=sample["seed"], config=solver)
-            out.append(pearson_correlation(detected, sample["T"]))
+            base = combine([(1.0, adj), (c_j, jac), (c_d, deg)])
+            out.append(_grid_rho(G, _grid_spec(c_j, c_d, rule), T, seed, solver, base))
     return out
 
 
 def grid_search(plan: GridSearchPlan) -> GridSearchResult:
     """Evaluate the corrected linear-combination query on every grid cell over
     a shared training set; re-evaluate the winner on the validation set."""
-    from .clustering import pearson_correlation
-
-    samples = _grid_training_samples(plan)
-    tasks = [(s, plan.cj_grid, plan.cd_grid, plan.rule, plan.solver) for s in samples]
+    train = _grid_sources(plan, plan.train_files, plan.train_size, "train")
+    tasks = [
+        (G, T, derive_seed(plan.master_seed, "train-solve", idx),
+         plan.cj_grid, plan.cd_grid, plan.rule, plan.solver)
+        for idx, (G, T) in enumerate(train)
+    ]
     if plan.workers > 1:
         with ProcessPoolExecutor(max_workers=plan.workers) as pool:
             per_sample = list(pool.map(_train_worker, tasks))
@@ -430,27 +426,14 @@ def grid_search(plan: GridSearchPlan) -> GridSearchResult:
                 len(cell_rhos),
             )
             cells.append(cell)
+            # winner = max median rho, ties broken by max mean rho, then grid order
             if best is None or (cell.median_rho, cell.mean_rho) > (best.median_rho, best.mean_rho):
                 best, best_rhos = cell, cell_rhos
-    # validation
-    from .generators import load_external
-
-    val_rhos: list[float] = []
-    if plan.val_files:
-        val_sets = [load_external(e, m) for e, m in plan.val_files]
-    else:
-        val_sets = [
-            generate(plan.generator, derive_seed(plan.master_seed, "val", i))
-            for i in range(plan.val_size)
-        ]
-    for i, (G, T) in enumerate(val_sets):
-        spec = QuerySpec(
-            "linear", c_j=best.c_j, c_d=best.c_d, heuristic="exact", rule=plan.rule
-        )
-        detected, _ = detect_once(
-            G, spec, T, seed=derive_seed(plan.master_seed, "val-solve", i), solver=plan.solver
-        )
-        val_rhos.append(pearson_correlation(detected, T))
+    spec = _grid_spec(best.c_j, best.c_d, plan.rule)
+    val_rhos = [
+        _grid_rho(G, spec, T, derive_seed(plan.master_seed, "val-solve", i), plan.solver)
+        for i, (G, T) in enumerate(_grid_sources(plan, plan.val_files, plan.val_size, "val"))
+    ]
     return GridSearchResult(
         best=best,
         cells=cells,

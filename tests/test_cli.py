@@ -71,6 +71,17 @@ def test_detect_two_triangles(tmp_path):
     assert res["solve_ms"] is not None
 
 
+def test_detect_result_json_key_order(tmp_path):
+    edges, planted = _two_triangles(tmp_path)
+    run(["detect", "--graph", str(edges), "--method", "er-modularity", "--planted", str(planted),
+         "--seed", "3", "--out", str(tmp_path), "--name", "det"])
+    res = json.loads((tmp_path / "det.result.json").read_text())
+    assert list(res) == [
+        "rho", "latitude_C", "latitude_T", "d_a_qC", "d_a_qT", "d_cc_qT",
+        "granularity_error", "excess_ratio", "seed", "solve_ms", "query_ms",
+    ]
+
+
 def test_detect_markov_equals_cl_gamma1(tmp_path):
     run(["generate", "--family", "ppm", "--n", "80", "--k", "4", "--lin", "6",
          "--lout", "1", "--seed", "5", "--out", str(tmp_path), "--name", "g"])

@@ -15,6 +15,7 @@ from pairsphere.clustering import (
     pearson_correlation,
     query_alignment,
     query_angular_distance,
+    query_correlation_distance,
     read_membership,
     relative_granularity_error,
     write_membership,
@@ -199,6 +200,16 @@ def test_query_angular_distance_consistency():
     assert query_angular_distance(q, C) == pytest.approx(
         angular_distance(q, as_pair_vector(C)), abs=1e-10
     )
+
+
+def test_query_correlation_distance_matches_pair_vector_route():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        q = random_sl_vector(rng, 14)
+        C = Partition(nontrivial_membership(rng, 14))
+        assert query_correlation_distance(q, C) == pytest.approx(
+            correlation_distance(q, as_pair_vector(C)), abs=1e-10
+        )
 
 
 @settings(max_examples=30, deadline=None)

@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from pairsphere.clustering import Partition, query_alignment
+from pairsphere.clustering import Partition, evaluate, query_alignment
 from pairsphere.geometry import PairVector
 from pairsphere.graph import Graph
 from pairsphere.queries import er_modularity_query
 from pairsphere.solver import (
     SolverConfig,
     SolverState,
-    evaluate,
     exact_project,
     louvain_project,
     max_single_move_gain,

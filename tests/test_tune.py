@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from pairsphere import tune
+from pairsphere.clustering import DegeneratePartitionError, Partition
 from pairsphere.generators import GeneratorSpec
 from pairsphere.queries import QuerySpec
 from pairsphere.tune import (
@@ -156,6 +158,38 @@ def test_grid_selection_tie_break_deterministic():
     # winner maximizes (median, mean) in grid order
     key = max((c.median_rho, c.mean_rho) for c in a.cells)
     assert (a.best.median_rho, a.best.mean_rho) == key
+
+
+def _singletons_after(monkeypatch, real_calls):
+    """Make tune's solver return singletons once `real_calls` solves ran."""
+    solve = tune.louvain_project
+    calls = []
+
+    def patched(q, *args, **kwargs):
+        calls.append(q.n)
+        if len(calls) > real_calls:
+            return Partition.singletons(q.n)
+        return solve(q, *args, **kwargs)
+
+    monkeypatch.setattr(tune, "louvain_project", patched)
+
+
+@pytest.mark.parametrize("real_calls", [0, 2], ids=["training", "validation"])
+def test_grid_undefined_rho_raises(monkeypatch, real_calls):
+    # a trivial detected partition has no rho: a training cell (first solve)
+    # or a validation sample (after the 2 training solves) raises, never
+    # puts None into the medians
+    _singletons_after(monkeypatch, real_calls)
+    plan = GridSearchPlan(
+        generator=GeneratorSpec("ppm", n=30, k=3, lambda_in=6, lambda_out=1),
+        cj_grid=[0.5],
+        cd_grid=[-1.0],
+        train_size=2,
+        val_size=1,
+        master_seed=4,
+    )
+    with pytest.raises(DegeneratePartitionError):
+        grid_search(plan)
 
 
 def test_grid_outputs(tmp_path):
