@@ -39,7 +39,6 @@ from .geometry import (
 )
 from .graph import (
     Graph,
-    WalkDistribution,
     adjacency_vector,
     degree_product_vector,
     jaccard_vector,

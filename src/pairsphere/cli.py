@@ -297,16 +297,19 @@ def cmd_grid_search(args) -> int:
     grid = cfg["grid"] if "grid" in cfg else {}
     if grid:
         _require_keys(grid, {"cj", "cd", "train_size", "val_size", "workers", "rule"}, "grid")
-    plan = GridSearchPlan(
-        generator=gen,
-        cj_grid=_parse_grid(grid["cj"]) if "cj" in grid else default_cj_grid(),
-        cd_grid=_parse_grid(grid["cd"]) if "cd" in grid else default_cd_grid(),
-        train_size=int(grid.get("train_size", 15)),
-        val_size=int(grid.get("val_size", 20)),
-        master_seed=seed,
-        workers=args.workers or int(grid.get("workers", 1)),
-        rule=grid.get("rule", "corrected"),
-    )
+    try:
+        plan = GridSearchPlan(
+            generator=gen,
+            cj_grid=_parse_grid(grid["cj"]) if "cj" in grid else default_cj_grid(),
+            cd_grid=_parse_grid(grid["cd"]) if "cd" in grid else default_cd_grid(),
+            train_size=int(grid.get("train_size", 15)),
+            val_size=int(grid.get("val_size", 20)),
+            master_seed=seed,
+            workers=args.workers or int(grid.get("workers", 1)),
+            rule=grid.get("rule", "corrected"),
+        )
+    except ValueError as exc:
+        raise UsageError(f"[grid] {exc}") from exc
     result = grid_search(plan)
     paths = write_grid_outputs(result, args.out)
     print(

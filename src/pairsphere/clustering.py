@@ -18,7 +18,7 @@ from .geometry import (
     LowRankTerm,
     PairVector,
     _clamp_cos,
-    _require_off_axis,
+    _off_axis_norm,
     _vertex_angle,
     latitude,
 )
@@ -212,7 +212,7 @@ def query_correlation_distance(q: PairVector, C: Partition) -> float:
     if m_c == 0 or m_c == C.N:
         raise DegeneratePartitionError("correlation undefined for a trivial partition")
     try:
-        _require_off_axis(q)
+        _off_axis_norm(q)
     except DegenerateVectorError as exc:
         raise DegeneratePartitionError("query lies on the pole axis") from exc
     return _vertex_angle(latitude(q), partition_latitude(C), query_angular_distance(q, C))

@@ -113,20 +113,6 @@ class PairVector:
         return cls(n, ids, vals, tuple(terms), constant)
 
     @classmethod
-    def from_pair_arrays(cls, n: int, ii, jj, vals, terms=(), constant: float = 0.0) -> "PairVector":
-        """Build from parallel (i, j, value) arrays; duplicate pairs are summed."""
-        ii = np.asarray(ii, dtype=np.int64)
-        jj = np.asarray(jj, dtype=np.int64)
-        vals = np.asarray(vals, dtype=np.float64)
-        if np.any(ii == jj):
-            raise IndexError("self-pair in sparse entries")
-        lo, hi = np.minimum(ii, jj), np.maximum(ii, jj)
-        ids = pair_id(lo, hi, n)
-        uniq, inv = np.unique(ids, return_inverse=True)
-        summed = np.bincount(inv, weights=vals, minlength=uniq.size)
-        return cls(n, uniq, summed, tuple(terms), constant)
-
-    @classmethod
     def constant_vector(cls, n: int, c: float) -> "PairVector":
         """The vector with every pair entry equal to c (c=1 gives the coarse pole)."""
         return cls(n, np.empty(0, np.int64), np.empty(0), (), c)
@@ -256,11 +242,6 @@ def inner(x: PairVector, y: PairVector) -> float:
     return acc
 
 
-def norm(x: PairVector) -> float:
-    """Euclidean length."""
-    return x.norm()
-
-
 def angular_distance(x: PairVector, y: PairVector) -> float:
     """Angle arccos(<x,y>/(|x||y|)) in [0, pi]."""
     nx, ny = x.norm(), y.norm()
@@ -282,16 +263,13 @@ def spherical_coords(x: PairVector) -> SphericalCoords:
 
 
 def _off_axis_norm(x: PairVector) -> float:
-    """Norm of the component orthogonal to the all-ones direction."""
-    sq = x.norm() ** 2 - x.total() ** 2 / x.N
-    return math.sqrt(max(sq, 0.0))
-
-
-def _require_off_axis(x: PairVector) -> None:
+    """Norm of the component orthogonal to the all-ones direction; raises
+    DegenerateVectorError when x lies on the pole axis (a multiple of all-ones)."""
     norm_sq = x.norm() ** 2
     off_sq = norm_sq - x.total() ** 2 / x.N
     if norm_sq == 0.0 or off_sq <= _POLE_AXIS_SQ_RTOL * norm_sq:
         raise DegenerateVectorError("vector lies on the pole axis (multiple of all-ones)")
+    return math.sqrt(off_sq)
 
 
 def correlation_distance(x: PairVector, y: PairVector) -> float:
@@ -300,8 +278,8 @@ def correlation_distance(x: PairVector, y: PairVector) -> float:
     Computed from the angular distance and the two latitudes via the
     hyperspherical law of cosines anchored at the fine pole.
     """
-    _require_off_axis(x)
-    _require_off_axis(y)
+    _off_axis_norm(x)  # raises on the pole axis
+    _off_axis_norm(y)
     return _vertex_angle(latitude(x), latitude(y), angular_distance(x, y))
 
 
@@ -330,10 +308,8 @@ def parallel_projection(x: PairVector, lam: float) -> PairVector:
     """
     if not 0.0 < lam < math.pi:
         raise ValueError("target latitude must lie strictly between 0 and pi")
-    _require_off_axis(x)
+    alpha = math.sin(lam) * math.sqrt(x.N) / _off_axis_norm(x)
     mu = x.total() / x.N
-    centered_norm = _off_axis_norm(x)
-    alpha = math.sin(lam) * math.sqrt(x.N) / centered_norm
     terms = tuple(LowRankTerm(alpha * t.coef, t.factor) for t in x.terms)
     const = alpha * (x.constant - mu) - math.cos(lam)
     return PairVector(x.n, x.pair_ids, alpha * x.values, terms, const)

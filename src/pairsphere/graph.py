@@ -29,18 +29,10 @@ class Graph:
     def __post_init__(self):
         self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
         self.m = int(self.edges.shape[0])
-        self.degrees = np.zeros(self.n, dtype=np.int64)
-        if self.m:
-            np.add.at(self.degrees, self.edges[:, 0], 1)
-            np.add.at(self.degrees, self.edges[:, 1], 1)
-        # CSR neighbor structure over both directions
         heads = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
         tails = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
-        order = np.lexsort((tails, heads))
-        self._adj_tails = tails[order]
-        self._adj_ptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.add.at(self._adj_ptr, heads + 1, 1)
-        np.cumsum(self._adj_ptr, out=self._adj_ptr)
+        self._adj = sp.csr_matrix((np.ones(2 * self.m), (heads, tails)), shape=(self.n, self.n))
+        self.degrees = np.diff(self._adj.indptr).astype(np.int64)
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -66,26 +58,11 @@ class Graph:
         return num_pairs(self.n)
 
     def neighbors(self, i: int) -> np.ndarray:
-        return self._adj_tails[self._adj_ptr[i] : self._adj_ptr[i + 1]]
+        return self._adj.indices[self._adj.indptr[i] : self._adj.indptr[i + 1]]
 
     def adjacency_csr(self) -> sp.csr_matrix:
-        if self.m == 0:
-            return sp.csr_matrix((self.n, self.n))
-        row = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
-        col = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
-        data = np.ones(2 * self.m)
-        return sp.csr_matrix((data, (row, col)), shape=(self.n, self.n))
-
-
-@dataclass(eq=False)
-class WalkDistribution:
-    """Pair weights of the symmetric matrix diag(s) P^t plus the stationary law s."""
-
-    n: int
-    t: int
-    pair_ids: np.ndarray
-    weights: np.ndarray
-    stationary: np.ndarray
+        """Symmetric 0/1 adjacency matrix; shared, so callers must not modify it."""
+        return self._adj
 
 
 def adjacency_vector(G: Graph) -> PairVector:
@@ -118,12 +95,13 @@ def jaccard_vector(G: Graph) -> PairVector:
 
 def walk_distribution(
     G: Graph, t: int, dense_threshold: float = 0.5, isolated: str = "error"
-) -> WalkDistribution:
+) -> PairVector:
     """Random-walk co-occurrence weights after t steps.
 
     Computes diag(s) P^t for the simple random walk (P_ij = 1/d_i on edges,
-    s = d/(2m)) and returns its upper-triangle pair weights. The matrix is
-    symmetric for undirected graphs, so symmetrization only cancels round-off.
+    s = d/(2m)) and returns its upper-triangle pair weights as a sparse pair
+    vector. The matrix is symmetric for undirected graphs, so symmetrization
+    only cancels round-off.
     Sparse propagation switches to dense when P^t exceeds the given fill
     fraction of all n^2 cells.
 
@@ -175,7 +153,7 @@ def walk_distribution(
         ii, jj, vals = Msym.row[mask], Msym.col[mask], Msym.data[mask]
     ids = pair_id(ii.astype(np.int64), jj.astype(np.int64), G.n)
     order = np.argsort(ids)
-    return WalkDistribution(G.n, t, ids[order], vals[order], s)
+    return PairVector(G.n, ids[order], vals[order])
 
 
 # -- edge-list file format -----------------------------------------------------

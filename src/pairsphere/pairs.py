@@ -23,24 +23,9 @@ def pair_id(i, j, n: int):
 
 
 def pair_members(ids, n: int):
-    """Invert pair_id: return (i, j) arrays for flat pair ids."""
+    """Invert pair_id: return (i, j) arrays for flat pair ids, in any order."""
     ids = np.asarray(ids, dtype=np.int64)
-    # first guess from the quadratic formula, then fix rounding at row borders
-    i = ((2 * n - 1) - np.sqrt((2 * n - 1) ** 2 - 8.0 * ids)) // 2
-    i = i.astype(np.int64)
-    i = np.clip(i, 0, n - 2)
-    row_start = i * (2 * n - i - 1) // 2
-    too_far = row_start > ids
-    while np.any(too_far):
-        i[too_far] -= 1
-        row_start = i * (2 * n - i - 1) // 2
-        too_far = row_start > ids
-    row_end = (i + 1) * (2 * n - i - 2) // 2
-    too_near = row_end <= ids
-    while np.any(too_near):
-        i[too_near] += 1
-        row_end = (i + 1) * (2 * n - i - 2) // 2
-        too_near = row_end <= ids
-    row_start = i * (2 * n - i - 1) // 2
-    j = ids - row_start + i + 1
-    return i, j
+    rows = np.arange(n - 1, dtype=np.int64)
+    row_start = pair_id(rows, rows + 1, n)
+    i = np.searchsorted(row_start, ids, side="right") - 1
+    return i, ids - row_start[i] + i + 1

@@ -48,10 +48,11 @@ def er_modularity_latitude(G: Graph, gamma: float) -> float:
 
 
 def markov_stability_query(G: Graph, t: int, isolated: str = "error") -> PairVector:
-    """Pair weights of diag(s) P^t minus the rank-one outer product of s."""
+    """Pair weights of diag(s) P^t minus the rank-one outer product of the
+    stationary law s = d/(2m), which is 0 on isolated nodes."""
     walk = walk_distribution(G, t, isolated=isolated)
-    term = LowRankTerm(-1.0, walk.stationary)
-    return PairVector(G.n, walk.pair_ids, walk.weights, (term,))
+    term = LowRankTerm(-1.0, G.degrees / (2.0 * G.m))
+    return PairVector(G.n, walk.pair_ids, walk.values, (term,))
 
 
 def correlation_clustering_query(w_plus: dict, w_minus: dict, n: int) -> PairVector:
@@ -268,6 +269,8 @@ class QuerySpec:
             self.c_j,
             self.c_d,
             self.c_1,
+            tuple(sorted(self.w_plus.items())),
+            tuple(sorted(self.w_minus.items())),
         )
 
 

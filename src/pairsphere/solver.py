@@ -19,10 +19,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .clustering import Partition, query_alignment
 from .geometry import PairVector
-from .pairs import pair_id, pair_members
+from .pairs import pair_id
 
 
 @dataclass
@@ -45,7 +46,7 @@ class _Instance:
 
     def __init__(self, n, indptr, nbr, wts, coefs, factors, constant, total):
         self.n = n
-        self.indptr = indptr  # CSR over nodes, both directions of each sparse pair
+        self.indptr = indptr  # CSR rows of the symmetric sparse part
         self.nbr = nbr
         self.wts = wts
         self.coefs = coefs  # (K,)
@@ -56,27 +57,20 @@ class _Instance:
     @classmethod
     def from_pair_vector(cls, q: PairVector) -> "_Instance":
         n = q.n
-        if q.pair_ids.size:
-            ii, jj = q.sparse_members()
-            indptr, tails, vals = _build_csr(n, ii, jj, q.values)
-        else:
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            tails = np.empty(0, np.int64)
-            vals = np.empty(0)
+        ii, jj = q.sparse_members()
+        indptr, tails, vals = _build_csr(n, ii, jj, q.values)
         coefs = np.array([t.coef for t in q.terms])
         factors = np.stack([t.factor for t in q.terms]) if q.terms else np.empty((0, n))
         return cls(n, indptr, tails, vals, coefs, factors, q.constant, q.total())
 
 
 def _build_csr(n, ii, jj, values):
-    heads = np.concatenate([ii, jj])
-    tails = np.concatenate([jj, ii])
-    vals = np.concatenate([values, values])
-    order = np.argsort(heads, kind="stable")
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, heads + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return indptr, tails[order], vals[order]
+    """Rows of the symmetric n x n matrix holding each value at (i, j) and
+    (j, i); repeated pairs are summed. Index arrays come back as int64, which
+    the per-visit slicing and fancy indexing read without a cast."""
+    U = sp.csr_array((values, (ii, jj)), shape=(n, n))
+    A = U + U.T
+    return A.indptr.astype(np.int64), A.indices.astype(np.int64), A.data
 
 
 class SolverState:
@@ -196,29 +190,12 @@ def _aggregate(inst: _Instance, membership: np.ndarray) -> tuple[_Instance, np.n
     labels, compact = np.unique(membership, return_inverse=True)
     compact = compact.astype(np.int64)
     k = labels.size
-    if inst.nbr.size:
-        heads = np.repeat(np.arange(inst.n), np.diff(inst.indptr))
-        keep = heads < inst.nbr  # each sparse pair once
-        ai = compact[heads[keep]]
-        bj = compact[inst.nbr[keep]]
-        vals = inst.wts[keep]
-        cross = ai != bj
-        if np.any(cross):
-            lo = np.minimum(ai[cross], bj[cross])
-            hi = np.maximum(ai[cross], bj[cross])
-            ids = pair_id(lo, hi, k)
-            uniq, inv = np.unique(ids, return_inverse=True)
-            summed = np.bincount(inv, weights=vals[cross], minlength=uniq.size)
-            s_ii, s_jj = pair_members(uniq, k)
-            indptr, tails, cvals = _build_csr(k, s_ii, s_jj, summed)
-        else:
-            indptr = np.zeros(k + 1, dtype=np.int64)
-            tails = np.empty(0, np.int64)
-            cvals = np.empty(0)
-    else:
-        indptr = np.zeros(k + 1, dtype=np.int64)
-        tails = np.empty(0, np.int64)
-        cvals = np.empty(0)
+    heads = np.repeat(np.arange(inst.n), np.diff(inst.indptr))
+    keep = heads < inst.nbr  # each sparse pair once
+    ai = compact[heads[keep]]
+    bj = compact[inst.nbr[keep]]
+    cross = ai != bj
+    indptr, tails, cvals = _build_csr(k, ai[cross], bj[cross], inst.wts[keep][cross])
     coefs = list(inst.coefs)
     factors = [np.bincount(compact, weights=inst.factors[t], minlength=k) for t in range(len(coefs))]
     if inst.constant != 0.0:

@@ -335,6 +335,8 @@ class GridSearchPlan:
             raise ValueError("grids must be non-empty")
         if self.train_size < 1 and not self.train_files:
             raise ValueError("need at least one training sample")
+        if self.val_size < 1 and not self.val_files:
+            raise ValueError("need at least one validation sample")
 
 
 @dataclass
@@ -351,7 +353,7 @@ class GridSearchResult:
     best: GridCell
     cells: list[GridCell]
     validation_rhos: list[float]
-    validation_median: float | None
+    validation_median: float
     train_rhos: list[float]
 
 
@@ -438,7 +440,7 @@ def grid_search(plan: GridSearchPlan) -> GridSearchResult:
         best=best,
         cells=cells,
         validation_rhos=val_rhos,
-        validation_median=float(statistics.median(val_rhos)) if val_rhos else None,
+        validation_median=float(statistics.median(val_rhos)),
         train_rhos=best_rhos,
     )
 

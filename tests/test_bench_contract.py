@@ -56,3 +56,13 @@ def test_grid_search_call_routing(monkeypatch):
         assert cell.median_rho == statistics.median(vals)
         assert cell.mean_rho == statistics.fmean(vals)
     assert rhos[plan.train_size * cells:] == res.validation_rhos
+
+
+def test_walk_result_has_pair_ids():
+    """The traced markov-batch run counts walk pairs from the return value of
+    queries.walk_distribution through its `.pair_ids`."""
+    from pairsphere import queries
+    from pairsphere.graph import Graph
+
+    out = queries.walk_distribution(Graph.from_edges(3, [(0, 1), (1, 2)]), 2)
+    assert out.pair_ids.tolist() == [1]  # two steps on the path 0-1-2 link only 0 and 2

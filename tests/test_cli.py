@@ -290,6 +290,16 @@ def test_grid_search_subcommand(tmp_path, capsys):
     assert "best cell" in capsys.readouterr().out
 
 
+def test_grid_search_without_validation_samples_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(GRID_CFG.replace("val_size = 1", "val_size = 0"))
+    out_dir = tmp_path / "gout"
+    code = run(["grid-search", "--config", str(cfg), "--out", str(out_dir), "--seed", "2"])
+    assert code == 2
+    assert "validation" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_ring_demo_runs(tmp_path, capsys):
     code = run(["ring-demo", "--k", "6", "--s", "4", "--seed", "1"])
     assert code == 0

@@ -14,6 +14,7 @@ from pairsphere.graph import (
 )
 from pairsphere.geometry import latitude
 from pairsphere.pairs import pair_members
+from pairsphere.queries import markov_stability_query
 
 from helpers import dense_adjacency, dense_of, random_graph_edges
 
@@ -24,6 +25,14 @@ def test_graph_basics():
     assert G.degrees.tolist() == [1, 2, 2, 1]
     assert sorted(G.neighbors(1).tolist()) == [0, 2]
     assert int(G.degrees.sum()) == 2 * G.m
+
+
+def test_graph_without_edges():
+    G = Graph.from_edges(3, [])
+    assert G.degrees.tolist() == [0, 0, 0]
+    assert all(G.neighbors(i).size == 0 for i in range(3))
+    A = G.adjacency_csr()
+    assert A.shape == (3, 3) and A.nnz == 0
 
 
 def test_graph_dedup_and_self_loops():
@@ -118,8 +127,8 @@ def test_jaccard_brute_force():
 def test_walk_single_edge():
     G = Graph.from_edges(2, [(0, 1)])
     w = walk_distribution(G, 1)
-    assert w.stationary.tolist() == [0.5, 0.5]
-    assert w.weights.tolist() == [0.5]
+    assert w.values.tolist() == [0.5]
+    assert markov_stability_query(G, 1).terms[0].factor.tolist() == [0.5, 0.5]
 
 
 def test_walk_t1_reduces_to_edges_over_2m():
@@ -131,7 +140,7 @@ def test_walk_t1_reduces_to_edges_over_2m():
     w = walk_distribution(G, 1)
     ii, jj = pair_members(w.pair_ids, 9)
     A = dense_adjacency(9, G.edges)
-    for a, b, val in zip(ii, jj, w.weights):
+    for a, b, val in zip(ii, jj, w.values):
         assert val == pytest.approx(A[a, b] / (2.0 * G.m), rel=1e-12)
 
 
@@ -151,7 +160,7 @@ def test_walk_matches_dense_matrix_power(t):
     ref = 0.5 * (M + M.T)
     dense = np.zeros((11, 11))
     ii, jj = pair_members(w.pair_ids, 11)
-    dense[ii, jj] = w.weights
+    dense[ii, jj] = w.values
     for a in range(11):
         for b in range(a + 1, 11):
             assert dense[a, b] == pytest.approx(ref[a, b], abs=1e-12)
@@ -178,7 +187,7 @@ def test_walk_dense_switch_matches_sparse():
     w_sparse = walk_distribution(G, 4, dense_threshold=1.0)
     w_dense = walk_distribution(G, 4, dense_threshold=0.0)
     assert np.array_equal(w_sparse.pair_ids, w_dense.pair_ids)
-    np.testing.assert_allclose(w_sparse.weights, w_dense.weights, atol=1e-13)
+    np.testing.assert_allclose(w_sparse.values, w_dense.values, atol=1e-13)
 
 
 def test_walk_isolated_node():
@@ -186,8 +195,8 @@ def test_walk_isolated_node():
     with pytest.raises(ValueError, match="isolated"):
         walk_distribution(G, 1)
     w = walk_distribution(G, 1, isolated="zero")
-    assert w.stationary[2] == 0.0
-    assert w.weights.tolist() == [0.5]
+    assert w.values.tolist() == [0.5]
+    assert markov_stability_query(G, 1, isolated="zero").terms[0].factor.tolist() == [0.5, 0.5, 0.0]
     with pytest.raises(ValueError):
         walk_distribution(G, 0)
 
@@ -196,7 +205,7 @@ def test_walk_bipartite_finite_t_allowed():
     # a 4-cycle is bipartite (periodic); finite t is still well-defined
     G = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     w = walk_distribution(G, 2)
-    assert w.weights.size > 0
+    assert w.values.size > 0
 
 
 def test_edge_file_roundtrip(tmp_path):

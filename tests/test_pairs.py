@@ -15,6 +15,12 @@ def test_roundtrip_enumeration(n):
     assert list(zip(ii.tolist(), jj.tolist())) == expected
     back = pair_id(ii, jj, n)
     assert np.array_equal(back, ids)
+    # unsorted ids, and the last id of every row (where a row-border slip shows)
+    rows = np.arange(n - 1)
+    for extra in (np.random.default_rng(n).permutation(ids), pair_id(rows, np.full(n - 1, n - 1), n)):
+        ii, jj = pair_members(extra, n)
+        assert np.all(ii < jj)
+        assert np.array_equal(pair_id(ii, jj, n), extra)
 
 
 @given(st.integers(min_value=2, max_value=3000), st.data())

@@ -10,13 +10,15 @@ from pairsphere.queries import er_modularity_query
 from pairsphere.solver import (
     SolverConfig,
     SolverState,
+    _aggregate,
+    _Instance,
     exact_project,
     louvain_project,
     max_single_move_gain,
     move_gain,
 )
 
-from helpers import all_partitions, random_membership, random_sl_vector
+from helpers import all_partitions, dense_of, random_membership, random_sl_vector
 
 
 def _random_query(rng, n, density=0.35):
@@ -243,3 +245,40 @@ def test_evaluate_excess_sign():
     worse = Partition(np.array([0, 0, 1, 1, 2, 2]))
     res = evaluate(q, worse, T)
     assert res.excess_ratio > 0  # detected is farther from the query than planted
+
+
+# -- aggregation -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("case", ["random", "shared-pairs", "no-sparse-part"])
+def test_aggregate_matches_dense_block_sums(case):
+    """Every coarse pair (a, b), a != b, holds the sum of the fine entries
+    between supernodes a and b; the coarse rows hold no self entry."""
+    rng = np.random.default_rng(["random", "shared-pairs", "no-sparse-part"].index(case))
+    for _ in range(15):
+        n = int(rng.integers(2, 13))
+        density = {"random": 0.4, "shared-pairs": 1.0, "no-sparse-part": 0.0}[case]
+        q = random_sl_vector(rng, n, sparse_density=density)
+        if case == "shared-pairs":  # at most 3 supernodes: many fine pairs per coarse pair
+            memb = rng.integers(0, 3, size=n)
+        else:
+            memb = random_membership(rng, n)
+        coarse, compact = _aggregate(_Instance.from_pair_vector(q), memb)
+        k = coarse.n
+        assert coarse.constant == 0.0
+        fine = np.zeros((n, n))
+        iu, ju = np.triu_indices(n, k=1)
+        fine[iu, ju] = dense_of(q)
+        fine += fine.T
+        H = np.zeros((n, k))
+        H[np.arange(n), compact] = 1.0
+        ref = H.T @ fine @ H
+        got = np.einsum("t,ta,tb->ab", coarse.coefs, coarse.factors, coarse.factors)
+        for a in range(k):
+            lo, hi = coarse.indptr[a], coarse.indptr[a + 1]
+            assert not np.any(coarse.nbr[lo:hi] == a)
+            np.add.at(got[a], coarse.nbr[lo:hi], coarse.wts[lo:hi])
+        off = ~np.eye(k, dtype=bool)
+        np.testing.assert_allclose(got[off], ref[off], rtol=0, atol=1e-12)
+        if case == "no-sparse-part":
+            assert coarse.nbr.size == 0
