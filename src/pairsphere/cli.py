@@ -259,9 +259,12 @@ def cmd_experiment(args) -> int:
     exp = cfg["experiment"] if "experiment" in cfg else {}
     if exp:
         _require_keys(exp, {"repeats", "workers"}, "experiment")
-    repeats = int(exp.get("repeats", 1))
-    workers = args.workers or int(exp.get("workers", 1))
-    plan = ExperimentPlan(gen, queries, repeats=repeats, master_seed=seed, workers=workers)
+    try:
+        repeats = int(exp.get("repeats", 1))
+        workers = args.workers or int(exp.get("workers", 1))
+        plan = ExperimentPlan(gen, queries, repeats=repeats, master_seed=seed, workers=workers)
+    except ValueError as exc:
+        raise UsageError(f"[experiment] {exc}") from exc
     result = run_experiment(plan)
     paths = write_experiment_outputs(result, args.out)
     _print_summary(result.summary)

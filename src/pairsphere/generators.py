@@ -55,6 +55,10 @@ class GeneratorSpec:
             raise ValueError("expected degrees must be nonnegative")
         if self.delta <= 1 or self.tau <= 1:
             raise ValueError("power-law exponents must exceed 1")
+        if self.family == "ppm":
+            _ppm_probabilities(self)
+        elif self.family == "dcppm":
+            _block_size(self.n, self.k)
 
     def to_flat(self) -> dict:
         out = {"family": self.family}
@@ -136,24 +140,36 @@ def _sample_inter_pairs(rng, n: int, p: float, membership: np.ndarray) -> np.nda
 # -- families --------------------------------------------------------------------
 
 
-def _equal_blocks(n: int, k: int) -> Partition:
+def _block_size(n: int, k: int | None) -> int:
+    """Size of each of k equal communities over n nodes."""
     if k is None or k < 1 or n % k != 0:
         raise ValueError("community count must divide the node count")
     s = n // k
     if s < 2:
         raise ValueError("communities need at least two nodes")
-    return Partition(np.repeat(np.arange(k), s))
+    return s
+
+
+def _equal_blocks(n: int, k: int) -> Partition:
+    return Partition(np.repeat(np.arange(k), _block_size(n, k)))
+
+
+def _ppm_probabilities(spec: GeneratorSpec) -> tuple[float, float]:
+    """Block probabilities of a ppm spec, each checked to lie in [0, 1]."""
+    s = _block_size(spec.n, spec.k)
+    p_in = spec.lambda_in / (s - 1)
+    p_out = spec.lambda_out / (spec.n - s) if spec.n > s else 0.0
+    for name, p in (("p_in", p_in), ("p_out", p_out)):
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"{name}={p:.4g} outside [0, 1]; adjust the expected degrees")
+    return p_in, p_out
 
 
 def generate_ppm(spec: GeneratorSpec, seed) -> tuple[Graph, Partition]:
     """Equal-size planted partition: p_in = lambda_in/(s-1), p_out = lambda_out/(n-s)."""
     T = _equal_blocks(spec.n, spec.k)
     s = spec.n // spec.k
-    p_in = spec.lambda_in / (s - 1)
-    p_out = spec.lambda_out / (spec.n - s) if spec.n > s else 0.0
-    for name, p in (("p_in", p_in), ("p_out", p_out)):
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"{name}={p:.4g} outside [0, 1]; adjust the expected degrees")
+    p_in, p_out = _ppm_probabilities(spec)
     rng = rng_from(seed, "ppm")
     parts = [
         _sample_block_pairs(rng, np.arange(a * s, (a + 1) * s), p_in) for a in range(spec.k)

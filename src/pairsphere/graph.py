@@ -1,9 +1,9 @@
 """Undirected graphs and the pair vectors derived from them.
 
 Provides the adjacency vector, the degree-product vector, the neighborhood
-Jaccard vector, and t-step random-walk co-occurrence weights. Matrix powers
-use sparse propagation with a density guard that switches to dense once the
-walk matrix fills up.
+Jaccard vector, and t-step random-walk co-occurrence weights. Every result is
+computed with sparse products and holds only its nonzero pairs; no n x n
+array is ever allocated.
 """
 
 from __future__ import annotations
@@ -93,17 +93,14 @@ def jaccard_vector(G: Graph) -> PairVector:
     return PairVector(G.n, ids[order], (shared / union)[order])
 
 
-def walk_distribution(
-    G: Graph, t: int, dense_threshold: float = 0.5, isolated: str = "error"
-) -> PairVector:
+def walk_distribution(G: Graph, t: int, isolated: str = "error") -> PairVector:
     """Random-walk co-occurrence weights after t steps.
 
     Computes diag(s) P^t for the simple random walk (P_ij = 1/d_i on edges,
     s = d/(2m)) and returns its upper-triangle pair weights as a sparse pair
-    vector. The matrix is symmetric for undirected graphs, so symmetrization
-    only cancels round-off.
-    Sparse propagation switches to dense when P^t exceeds the given fill
-    fraction of all n^2 cells.
+    vector. With Y = P^(t//2), diag(s) P^t = Y^T C Y / (2m), where C is the
+    adjacency A for odd t and the degree matrix D for even t; that product is
+    symmetric by construction, so only its strict upper triangle is kept.
 
     Isolated nodes leave P without a defined row; by default they raise.
     isolated="zero" instead assigns them zero stationary mass, which is the
@@ -125,35 +122,14 @@ def walk_distribution(
     inv_deg = np.zeros(G.n)
     np.divide(1.0, G.degrees, out=inv_deg, where=G.degrees > 0)
     P = (sp.diags(inv_deg) @ A).tocsr()
-    Pt = P
-    dense = None
-    p_dense = None
-    for _ in range(t - 1):
-        if dense is None:
-            Pt = Pt @ P
-            if Pt.nnz > dense_threshold * G.n * G.n:
-                dense = Pt.toarray()
-        else:
-            if p_dense is None:
-                p_dense = P.toarray()
-            dense = dense @ p_dense
-    s = G.degrees / (2.0 * G.m)
-    if dense is not None:
-        M = dense * s[:, None]
-        W = 0.5 * (M + M.T)
-        iu, ju = np.triu_indices(G.n, k=1)
-        vals = W[iu, ju]
-        keep = vals != 0.0
-        ii, jj, vals = iu[keep], ju[keep], vals[keep]
-    else:
-        M = (sp.diags(s) @ Pt).tocoo()
-        Msym = 0.5 * (M + M.T)
-        Msym = Msym.tocoo()
-        mask = Msym.row < Msym.col
-        ii, jj, vals = Msym.row[mask], Msym.col[mask], Msym.data[mask]
-    ids = pair_id(ii.astype(np.int64), jj.astype(np.int64), G.n)
-    order = np.argsort(ids)
-    return PairVector(G.n, ids[order], vals[order])
+    Y = sp.identity(G.n, format="csr")
+    for _ in range(t // 2):
+        Y = Y @ P
+    C = A if t % 2 else sp.diags(G.degrees.astype(np.float64))
+    W = sp.triu(Y.T @ (C @ Y), k=1, format="csr") / (2.0 * G.m)
+    W.sort_indices()
+    rows = np.repeat(np.arange(G.n), np.diff(W.indptr))
+    return PairVector(G.n, pair_id(rows, W.indices, G.n), W.data)
 
 
 # -- edge-list file format -----------------------------------------------------

@@ -240,6 +240,8 @@ class QuerySpec:
             raise ValueError("resolution parameter must be nonnegative")
         if self.heuristic == "fixed" and (self.lam_t is None or self.theta is None):
             raise ValueError("fixed heuristic mode needs lam_t and theta")
+        if self.heuristic == "means" and self.pilots < 1:
+            raise ValueError("means heuristic mode needs at least one pilot sample")
 
     @property
     def label(self) -> str:

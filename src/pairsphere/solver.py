@@ -26,17 +26,17 @@ from .geometry import PairVector
 from .pairs import pair_id
 
 
+# A move must gain more than EPS_SCALE * |q| * sqrt(N) (guards against move
+# cycling from round-off); the sweep and cycle caps end a solve with a warning.
+EPS_SCALE = 1e-12
+MAX_SWEEPS = 1000
+MAX_CYCLES = 50
+
+
 @dataclass
 class SolverConfig:
-    """Tunables for the local-move solver.
+    """Tunables for the local-move solver."""
 
-    epsilon defaults to 1e-12 * |q| * sqrt(N) (guards against move cycling
-    from round-off).
-    """
-
-    epsilon: float | None = None
-    max_sweeps: int = 1000
-    max_cycles: int = 50
     restarts: int = 1  # independent seeded runs; best objective wins
     debug_checks: bool = False
 
@@ -165,11 +165,11 @@ def _sweep(state: SolverState, order: np.ndarray, eps: float) -> int:
     return moves
 
 
-def _local_moves(state: SolverState, rng, cfg: SolverConfig, eps: float) -> int:
+def _local_moves(state: SolverState, rng, eps: float) -> int:
     """Sweeps until one sweep makes no move: no single-node relabel then
     improves by more than eps."""
     total_moves = 0
-    for _ in range(cfg.max_sweeps):
+    for _ in range(MAX_SWEEPS):
         moves = _sweep(state, rng.permutation(state.inst.n), eps)
         total_moves += moves
         if moves == 0:
@@ -231,7 +231,7 @@ def louvain_project(q: PairVector, seed: int = 0, config: SolverConfig | None = 
     n = q.n
     if n == 1:
         return Partition(np.zeros(1, dtype=np.int64))
-    eps = cfg.epsilon if cfg.epsilon is not None else 1e-12 * q.norm() * math.sqrt(q.N)
+    eps = EPS_SCALE * q.norm() * math.sqrt(q.N)
     inst = _Instance.from_pair_vector(q)
     best_obj = -math.inf
     best_memb = None
@@ -249,11 +249,11 @@ def _project_once(inst: _Instance, q: PairVector, rng, cfg: SolverConfig, eps: f
     cycles = 0
     while True:
         cycles += 1
-        if cycles > cfg.max_cycles:
+        if cycles > MAX_CYCLES:
             warnings.warn("cycle cap reached before convergence")
             break
         obj_before = state.objective
-        _local_moves(state, rng, cfg, eps)
+        _local_moves(state, rng, eps)
         # aggregation hierarchy on top of the node-level solution
         node_memb = state.membership.copy()
         node_to_level = None  # node -> current-level supernode
@@ -265,7 +265,7 @@ def _project_once(inst: _Instance, q: PairVector, rng, cfg: SolverConfig, eps: f
                 break  # nothing left to merge at this granularity
             node_to_level = compact if node_to_level is None else compact[node_to_level]
             cstate = SolverState(coarse, np.arange(coarse.n), 0.0)  # coarse levels track gains only
-            moved = _local_moves(cstate, rng, cfg, eps)
+            moved = _local_moves(cstate, rng, eps)
             if not moved:
                 break
             gained += cstate.objective

@@ -30,7 +30,7 @@ from .clustering import (
 from .generators import GeneratorSpec, generate
 from .graph import Graph
 from .queries import QuerySpec, build_base_query, build_query
-from .solver import SolverConfig, louvain_project
+from .solver import louvain_project
 
 RESULT_COLUMNS = [
     "query",
@@ -61,7 +61,6 @@ class ExperimentPlan:
     repeats: int = 1
     master_seed: int = 0
     workers: int = 1
-    solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
         if self.repeats < 1:
@@ -102,7 +101,6 @@ def detect_once(
     spec: QuerySpec,
     planted: Partition | None = None,
     seed: int = 0,
-    solver: SolverConfig | None = None,
     base=None,
 ) -> tuple[Partition, DetectionResult]:
     """Build the query, project it, and evaluate the detected partition.
@@ -113,7 +111,7 @@ def detect_once(
     t0 = time.perf_counter()
     q = build_query(G, spec, planted, base=base)
     t1 = time.perf_counter()
-    detected = louvain_project(q, seed=seed, config=solver)
+    detected = louvain_project(q, seed=seed)
     t2 = time.perf_counter()
     res = evaluate(
         q,
@@ -180,7 +178,7 @@ def _run_sample(args) -> list[RunRow]:
                 t0 = time.perf_counter()
                 base_cache[key] = (build_base_query(G, spec), time.perf_counter() - t0)
             base, base_secs = base_cache[key]
-            _, res = detect_once(G, spec, T, seed=seed, solver=plan.solver, base=base)
+            _, res = detect_once(G, spec, T, seed=seed, base=base)
             res.query_ms += base_secs * 1e3  # row's query time: base plus correction
             rows.append(
                 RunRow(spec.label, sample, seed, result=res,
@@ -328,7 +326,6 @@ class GridSearchPlan:
     master_seed: int = 0
     workers: int = 1
     rule: str = "corrected"
-    solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
         if not self.cj_grid or not self.cd_grid:
@@ -371,9 +368,9 @@ def _grid_spec(c_j: float, c_d: float, rule: str) -> QuerySpec:
     return QuerySpec("linear", c_j=c_j, c_d=c_d, heuristic="exact", rule=rule)
 
 
-def _grid_rho(G: Graph, spec: QuerySpec, T: Partition, seed: int, solver, base=None) -> float:
+def _grid_rho(G: Graph, spec: QuerySpec, T: Partition, seed: int, base=None) -> float:
     """rho of one detection; a trivial detected partition has none and fails."""
-    _, res = detect_once(G, spec, T, seed=seed, solver=solver, base=base)
+    _, res = detect_once(G, spec, T, seed=seed, base=base)
     if res.rho is None:
         raise DegeneratePartitionError("correlation undefined for a trivial partition")
     return res.rho
@@ -384,7 +381,7 @@ def _train_worker(args):
     pickling overhead proportional to the sample count. The sample's
     adjacency, Jaccard and degree-product vectors are built once, and each
     cell's base query is combined from them."""
-    G, T, seed, cj_grid, cd_grid, rule, solver = args
+    G, T, seed, cj_grid, cd_grid, rule = args
     from .geometry import combine
     from .graph import adjacency_vector, degree_product_vector, jaccard_vector
 
@@ -393,7 +390,7 @@ def _train_worker(args):
     for c_j in cj_grid:
         for c_d in cd_grid:
             base = combine([(1.0, adj), (c_j, jac), (c_d, deg)])
-            out.append(_grid_rho(G, _grid_spec(c_j, c_d, rule), T, seed, solver, base))
+            out.append(_grid_rho(G, _grid_spec(c_j, c_d, rule), T, seed, base))
     return out
 
 
@@ -403,7 +400,7 @@ def grid_search(plan: GridSearchPlan) -> GridSearchResult:
     train = _grid_sources(plan, plan.train_files, plan.train_size, "train")
     tasks = [
         (G, T, derive_seed(plan.master_seed, "train-solve", idx),
-         plan.cj_grid, plan.cd_grid, plan.rule, plan.solver)
+         plan.cj_grid, plan.cd_grid, plan.rule)
         for idx, (G, T) in enumerate(train)
     ]
     if plan.workers > 1:
@@ -433,7 +430,7 @@ def grid_search(plan: GridSearchPlan) -> GridSearchResult:
                 best, best_rhos = cell, cell_rhos
     spec = _grid_spec(best.c_j, best.c_d, plan.rule)
     val_rhos = [
-        _grid_rho(G, spec, T, derive_seed(plan.master_seed, "val-solve", i), plan.solver)
+        _grid_rho(G, spec, T, derive_seed(plan.master_seed, "val-solve", i))
         for i, (G, T) in enumerate(_grid_sources(plan, plan.val_files, plan.val_size, "val"))
     ]
     return GridSearchResult(

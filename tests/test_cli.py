@@ -262,6 +262,28 @@ def test_experiment_missing_config_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("n = 40\nk = 4\nlambda_in = 6", "n = 6\nk = 2\nlambda_in = 3", "p_in"),
+        ("k = 4", "k = 3", "divide"),
+        ("heuristic = exact", "heuristic = means:0", "pilot"),
+        ("repeats = 2", "repeats = 0", "repeats"),
+        ("repeats = 2", "repeats = two", "[experiment]"),
+    ],
+    ids=["p_in-above-1", "k-not-dividing-n", "means-without-pilots", "repeats-0", "repeats-not-int"],
+)
+def test_experiment_config_that_cannot_run_exit_2(tmp_path, capsys, old, new, message):
+    cfg = tmp_path / "bad.cfg"
+    assert old in EXPERIMENT_CFG
+    cfg.write_text(EXPERIMENT_CFG.replace(old, new))
+    out_dir = tmp_path / "o"
+    code = run(["experiment", "--config", str(cfg), "--out", str(out_dir), "--seed", "1"])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 GRID_CFG = """
 [generator]
 family = ppm

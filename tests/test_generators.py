@@ -26,6 +26,15 @@ def test_spec_validation():
         GeneratorSpec("ring")
     with pytest.raises(ValueError):
         GeneratorSpec("ppm", n=10, delta=0.5)
+    # rejected up front, before any sample would fail
+    with pytest.raises(ValueError, match="p_in"):
+        GeneratorSpec("ppm", n=6, k=2, lambda_in=3)
+    with pytest.raises(ValueError, match="divide"):
+        GeneratorSpec("ppm", n=40, k=3)
+    with pytest.raises(ValueError, match="divide"):
+        GeneratorSpec("dcppm", n=40, k=3)
+    with pytest.raises(ValueError, match="divide"):
+        GeneratorSpec("ppm", n=40)
 
 
 def test_bernoulli_skipping_distribution():

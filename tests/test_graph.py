@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from pairsphere.graph import (
     walk_distribution,
     write_edges,
 )
+from pairsphere.generators import GeneratorSpec, generate
 from pairsphere.geometry import latitude
 from pairsphere.pairs import pair_members
 from pairsphere.queries import markov_stability_query
@@ -144,7 +146,7 @@ def test_walk_t1_reduces_to_edges_over_2m():
         assert val == pytest.approx(A[a, b] / (2.0 * G.m), rel=1e-12)
 
 
-@pytest.mark.parametrize("t", [1, 2, 3, 5])
+@pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
 def test_walk_matches_dense_matrix_power(t):
     rng = np.random.default_rng(17 + t)
     while True:
@@ -182,14 +184,6 @@ def test_walk_symmetry_check():
         assert np.abs(M - M.T).max() < 1e-12
 
 
-def test_walk_dense_switch_matches_sparse():
-    G = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)])
-    w_sparse = walk_distribution(G, 4, dense_threshold=1.0)
-    w_dense = walk_distribution(G, 4, dense_threshold=0.0)
-    assert np.array_equal(w_sparse.pair_ids, w_dense.pair_ids)
-    np.testing.assert_allclose(w_sparse.values, w_dense.values, atol=1e-13)
-
-
 def test_walk_isolated_node():
     G = Graph.from_edges(3, [(0, 1)])
     with pytest.raises(ValueError, match="isolated"):
@@ -199,6 +193,44 @@ def test_walk_isolated_node():
     assert markov_stability_query(G, 1, isolated="zero").terms[0].factor.tolist() == [0.5, 0.5, 0.0]
     with pytest.raises(ValueError):
         walk_distribution(G, 0)
+
+
+@pytest.mark.parametrize("t", [3, 4])
+def test_walk_isolated_zero_matches_subgraph(t):
+    # node 10 is isolated; its weights vanish and every other pair equals the
+    # walk on the 10-node subgraph without it
+    rng = np.random.default_rng(31 + t)
+    while True:
+        edges = random_graph_edges(rng, 10, 0.35)
+        G = Graph.from_edges(11, edges)
+        if np.all(G.degrees[:10] > 0):
+            break
+    w = walk_distribution(G, t, isolated="zero")
+    A = dense_adjacency(10, G.edges)
+    P = A / A.sum(axis=1)[:, None]
+    s = A.sum(axis=1) / A.sum()
+    ref = np.zeros((11, 11))
+    ref[:10, :10] = np.diag(s) @ np.linalg.matrix_power(P, t)
+    dense = np.zeros((11, 11))
+    dense[pair_members(w.pair_ids, 11)] = w.values
+    iu = np.triu_indices(11, k=1)
+    np.testing.assert_allclose(dense[iu], ref[iu], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("t", [4, 5])
+def test_walk_peak_memory_bounded_by_result(t):
+    # the walk allocates O(result), never an n x n array: at n=1000 the
+    # traced peak stays within 5x the bytes of the returned ids and values
+    G, _ = generate(GeneratorSpec("ppm", n=1000, k=50), 1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        w = walk_distribution(G, t, isolated="zero")
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * (w.pair_ids.nbytes + w.values.nbytes)
 
 
 def test_walk_bipartite_finite_t_allowed():

@@ -318,6 +318,8 @@ def test_query_spec_validation():
         QuerySpec("markov", t=0)
     with pytest.raises(ValueError):
         QuerySpec("er-modularity", heuristic="fixed")
+    with pytest.raises(ValueError, match="pilot"):
+        QuerySpec("markov", heuristic="means", pilots=0)
     spec = QuerySpec("markov", t=2, heuristic="exact")
     assert "markov" in spec.label and "t=2" in spec.label
 
