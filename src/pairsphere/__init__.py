@@ -63,7 +63,6 @@ from .queries import (
     rule_latitude,
 )
 from .solver import (
-    SolverConfig,
     SolverState,
     exact_project,
     louvain_project,

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: generate, detect, evaluate, experiment, grid-search, ring-demo.
-Exit codes: 0 success, 1 domain error (bad data/degenerate inputs), 2 usage or
-config error. Every subcommand honors --seed; omitting it draws one and prints
-it so any run can be reproduced after the fact.
+Exit codes: 0 success, 1 domain error (bad data/degenerate inputs, or an
+experiment whose every run failed), 2 usage or config error. Every subcommand
+honors --seed; omitting it draws one and prints it so any run can be
+reproduced after the fact.
 
 Experiment/grid-search plans are flat `key = value` config files with sections
 (configparser syntax). Schema:
@@ -269,6 +270,9 @@ def cmd_experiment(args) -> int:
     paths = write_experiment_outputs(result, args.out)
     _print_summary(result.summary)
     print(f"rows: {len(result.rows)} -> {paths['csv']}")
+    if all(row.error for row in result.rows):  # outputs kept: the error column says why
+        print(f"error: every run failed; see the error column of {paths['csv']}", file=sys.stderr)
+        return 1
     return 0
 
 

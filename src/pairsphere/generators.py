@@ -47,8 +47,7 @@ class GeneratorSpec:
             raise ValueError(f"unknown generator family {self.family!r}")
         if self.family != "external":
             if self.family == "ring":
-                if self.k is None or self.s is None:
-                    raise ValueError("ring needs k and s")
+                _check_ring(self.k, self.s)
             elif self.n < 2:
                 raise ValueError("need at least two nodes")
         if self.lambda_in < 0 or self.lambda_out < 0:
@@ -148,6 +147,11 @@ def _block_size(n: int, k: int | None) -> int:
     if s < 2:
         raise ValueError("communities need at least two nodes")
     return s
+
+
+def _check_ring(k: int | None, s: int | None) -> None:
+    if k is None or s is None or k < 3 or s < 2:
+        raise ValueError("ring of cliques needs k >= 3 and s >= 2")
 
 
 def _equal_blocks(n: int, k: int) -> Partition:
@@ -282,8 +286,7 @@ def generate_dcppm(spec: GeneratorSpec, seed) -> tuple[Graph, Partition]:
 
 def ring_of_cliques(k: int, s: int) -> tuple[Graph, Partition]:
     """k cliques of size s, consecutive cliques joined by one edge (a cycle)."""
-    if k < 3 or s < 2:
-        raise ValueError("ring of cliques needs k >= 3 and s >= 2")
+    _check_ring(k, s)
     edges = []
     for c in range(k):
         base = c * s

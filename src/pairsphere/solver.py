@@ -5,8 +5,9 @@ product with the clustering vector, which decomposes over node pairs. The
 local-move solver is a greedy relabeling scheme over that objective: sweeps
 of best-gain single-node moves, followed by aggregation of communities into
 supernodes, repeated until nothing improves. Each node visit builds the gain
-over every community slot, O(n + K*n) for K rank-one terms, and moves the node
-to the best slot; a sweep over n nodes therefore costs O(n^2).
+over every community slot, O(n + K*n) for K rank-one terms (a nonzero
+constant c is one of them, c * 11^T), and moves the node to the best slot; a
+sweep over n nodes therefore costs O(n^2).
 
 For small instances an exhaustive enumerator over set partitions provides an
 exact reference optimum.
@@ -22,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .clustering import Partition, query_alignment
-from .geometry import PairVector
+from .geometry import PairVector, _smooth_terms_with_constant
 from .pairs import pair_id
 
 
@@ -34,34 +35,33 @@ MAX_CYCLES = 50
 
 
 @dataclass
-class SolverConfig:
-    """Tunables for the local-move solver."""
-
-    restarts: int = 1  # independent seeded runs; best objective wins
-    debug_checks: bool = False
-
-
 class _Instance:
-    """A query vector unpacked into solver-friendly arrays."""
+    """A query vector unpacked into solver-friendly arrays: CSR rows of the
+    symmetric sparse part, and the smooth part as K rank-one terms
+    coefs[k] * factors[k] factors[k]^T."""
 
-    def __init__(self, n, indptr, nbr, wts, coefs, factors, constant, total):
-        self.n = n
-        self.indptr = indptr  # CSR rows of the symmetric sparse part
-        self.nbr = nbr
-        self.wts = wts
-        self.coefs = coefs  # (K,)
-        self.factors = factors  # (K, n)
-        self.constant = constant
-        self.total = total  # sum of all pair entries
+    n: int
+    indptr: np.ndarray
+    nbr: np.ndarray
+    wts: np.ndarray
+    coefs: np.ndarray  # (K,)
+    factors: np.ndarray  # (K, n)
 
     @classmethod
     def from_pair_vector(cls, q: PairVector) -> "_Instance":
         n = q.n
         ii, jj = q.sparse_members()
         indptr, tails, vals = _build_csr(n, ii, jj, q.values)
-        coefs = np.array([t.coef for t in q.terms])
-        factors = np.stack([t.factor for t in q.terms]) if q.terms else np.empty((0, n))
-        return cls(n, indptr, tails, vals, coefs, factors, q.constant, q.total())
+        terms = list(_smooth_terms_with_constant(q))  # a constant c is the term c * 11^T, last
+        coefs = np.array([c for c, _ in terms], dtype=np.float64)
+        factors = np.array([u for _, u in terms], dtype=np.float64).reshape(len(terms), n)
+        return cls(n, indptr, tails, vals, coefs, factors)
+
+
+def _slot_sums(factors: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """(K, k) sums of every factor row over the nodes carrying each label."""
+    sums = [np.bincount(labels, weights=f, minlength=k) for f in factors]
+    return np.array(sums).reshape(len(factors), k)
 
 
 def _build_csr(n, ii, jj, values):
@@ -77,10 +77,9 @@ class SolverState:
     """Mutable solve state: membership plus per-community aggregates.
 
     For every rank-one term k and community slot a, U[k, a] holds the sum of
-    the term's factor over the slot's members; sizes[a] carries the constant
-    term. The tracked objective is the inner product with the clustering
-    vector of the current membership: the caller passes its starting value,
-    and moves add their gains.
+    the term's factor over the slot's members. The tracked objective is the
+    inner product with the clustering vector of the current membership: the
+    caller passes its starting value, and moves add their gains.
     """
 
     def __init__(self, inst: _Instance, membership: np.ndarray, objective: float):
@@ -89,10 +88,7 @@ class SolverState:
         self.membership = np.asarray(membership, dtype=np.int64).copy()
         if self.membership.shape != (n,):
             raise ValueError("membership must assign every node")
-        self.sizes = np.bincount(self.membership, minlength=n).astype(np.int64)
-        self.U = np.zeros((len(inst.coefs), n))
-        for k in range(len(inst.coefs)):
-            self.U[k] = np.bincount(self.membership, weights=inst.factors[k], minlength=n)
+        self.U = _slot_sums(inst.factors, self.membership, n)
         self.objective = objective
 
     @classmethod
@@ -113,11 +109,8 @@ def move_gain(state: SolverState, i: int, target: int) -> float:
 def _apply_move(state: SolverState, i: int, target: int, gain: float) -> None:
     cur = int(state.membership[i])
     state.membership[i] = target
-    state.sizes[cur] -= 1
-    state.sizes[target] += 1
-    if len(state.inst.coefs):
-        state.U[:, cur] -= state.inst.factors[:, i]
-        state.U[:, target] += state.inst.factors[:, i]
+    state.U[:, cur] -= state.inst.factors[:, i]
+    state.U[:, target] += state.inst.factors[:, i]
     state.objective += gain
 
 
@@ -125,25 +118,15 @@ def _node_gain_vector(state: SolverState, i: int) -> tuple[np.ndarray, float]:
     """W_i(a) = sum of q_ij over j in slot a, j != i, for every slot a at once
     (empty slots read 0 = fresh community). Also returns W_i of i's own slot."""
     inst = state.inst
-    n = inst.n
-    if len(inst.coefs):
-        li = inst.coefs * inst.factors[:, i]
-        W = li @ state.U
-    else:
-        li = None
-        W = np.zeros(n)
-    if inst.constant != 0.0:
-        W = W + inst.constant * state.sizes
+    li = inst.coefs * inst.factors[:, i]
+    W = li @ state.U
     lo, hi = inst.indptr[i], inst.indptr[i + 1]
     if hi > lo:
         W = W + np.bincount(
-            state.membership[inst.nbr[lo:hi]], weights=inst.wts[lo:hi], minlength=n
+            state.membership[inst.nbr[lo:hi]], weights=inst.wts[lo:hi], minlength=inst.n
         )
     cur = int(state.membership[i])
-    self_term = inst.constant
-    if li is not None:
-        self_term += float(li @ inst.factors[:, i])
-    W[cur] -= self_term
+    W[cur] -= float(li @ inst.factors[:, i])
     return W, float(W[cur])
 
 
@@ -182,7 +165,7 @@ def _aggregate(inst: _Instance, membership: np.ndarray) -> tuple[_Instance, np.n
     """Collapse communities to supernodes.
 
     Sparse entries sum between supernode pairs; rank-one factors sum within
-    supernodes; the constant becomes a rank-one term over supernode sizes.
+    supernodes, so an all-ones factor counts each supernode's members.
     Pairs inside a supernode contribute a fixed amount that is dropped, so
     coarse-level gains equal fine-level gains. Returns the coarse instance
     and the fine-node -> supernode map.
@@ -196,25 +179,13 @@ def _aggregate(inst: _Instance, membership: np.ndarray) -> tuple[_Instance, np.n
     bj = compact[inst.nbr[keep]]
     cross = ai != bj
     indptr, tails, cvals = _build_csr(k, ai[cross], bj[cross], inst.wts[keep][cross])
-    coefs = list(inst.coefs)
-    factors = [np.bincount(compact, weights=inst.factors[t], minlength=k) for t in range(len(coefs))]
-    if inst.constant != 0.0:
-        coefs.append(inst.constant)
-        factors.append(np.bincount(compact, minlength=k).astype(np.float64))
-    coarse = _Instance(
-        k,
-        indptr,
-        tails,
-        cvals,
-        np.asarray(coefs),
-        np.stack(factors) if factors else np.empty((0, k)),
-        0.0,
-        0.0,  # coarse total unused: coarse objectives track gains only
-    )
+    coarse = _Instance(k, indptr, tails, cvals, inst.coefs, _slot_sums(inst.factors, compact, k))
     return coarse, compact
 
 
-def louvain_project(q: PairVector, seed: int = 0, config: SolverConfig | None = None) -> Partition:
+def louvain_project(
+    q: PairVector, seed: int = 0, *, restarts: int = 1, debug_checks: bool = False
+) -> Partition:
     """Greedy local-move projection.
 
     Starts from singletons; sweeps best-gain single-node relabelings in a
@@ -223,11 +194,11 @@ def louvain_project(q: PairVector, seed: int = 0, config: SolverConfig | None = 
     cycle until the objective stops improving. The returned partition admits
     no improving single-node relabel at the finest level.
 
-    config.restarts > 1 runs that many independent greedy passes (seed streams
+    restarts > 1 runs that many independent greedy passes (seed streams
     derived from the given seed) and keeps the best objective; the result is
-    still deterministic for a fixed seed.
+    still deterministic for a fixed seed. debug_checks compares the tracked
+    objective with a full re-evaluation after every cycle.
     """
-    cfg = config or SolverConfig()
     n = q.n
     if n == 1:
         return Partition(np.zeros(1, dtype=np.int64))
@@ -235,17 +206,17 @@ def louvain_project(q: PairVector, seed: int = 0, config: SolverConfig | None = 
     inst = _Instance.from_pair_vector(q)
     best_obj = -math.inf
     best_memb = None
-    for r in range(max(1, cfg.restarts)):
-        rng = np.random.default_rng([seed, r] if cfg.restarts > 1 else seed)
-        state = _project_once(inst, q, rng, cfg, eps)
+    for r in range(max(1, restarts)):
+        rng = np.random.default_rng([seed, r] if restarts > 1 else seed)
+        state = _project_once(inst, q, rng, debug_checks, eps)
         if state.objective > best_obj:
             best_obj = state.objective
             best_memb = state.membership
     return Partition(best_memb)
 
 
-def _project_once(inst: _Instance, q: PairVector, rng, cfg: SolverConfig, eps: float) -> SolverState:
-    state = SolverState(inst, np.arange(inst.n), -inst.total)  # singletons: no intra pair
+def _project_once(inst: _Instance, q: PairVector, rng, debug_checks: bool, eps: float) -> SolverState:
+    state = SolverState(inst, np.arange(inst.n), -q.total())  # singletons: no intra pair
     cycles = 0
     while True:
         cycles += 1
@@ -273,7 +244,7 @@ def _project_once(inst: _Instance, q: PairVector, rng, cfg: SolverConfig, eps: f
             level_inst, level_memb = coarse, cstate.membership
         if gained > 0.0:
             state = SolverState(inst, node_memb, state.objective + gained)
-        if cfg.debug_checks:
+        if debug_checks:
             drift = abs(query_alignment(q, Partition(state.membership)) - state.objective)
             if drift > 1e-6 * max(1.0, abs(state.objective)):
                 raise AssertionError(f"tracked objective drifted by {drift:.3e}")

@@ -210,16 +210,9 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentResult:
             per_sample = list(pool.map(_run_sample, tasks))
     else:
         per_sample = [_run_sample(t) for t in tasks]
+    # both paths keep sample order, and each sample's rows come in query order
     rows = [row for sample_rows in per_sample for row in sample_rows]
-    rows.sort(key=lambda r: (r.sample, _query_order(queries, r.query)))
     return ExperimentResult(rows, summarize(rows))
-
-
-def _query_order(queries, label):
-    for idx, spec in enumerate(queries):
-        if spec.label == label:
-            return idx
-    return len(queries)
 
 
 def _boxplot(values: list[float]) -> dict:

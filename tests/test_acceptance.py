@@ -47,7 +47,7 @@ from pairsphere.queries import (
     heuristic_latitude,
     markov_stability_query,
 )
-from pairsphere.solver import SolverConfig, exact_project, louvain_project, max_single_move_gain
+from pairsphere.solver import exact_project, louvain_project, max_single_move_gain
 from pairsphere.tune import ExperimentPlan, GridSearchPlan, grid_search, run_experiment
 
 from helpers import (
@@ -286,7 +286,6 @@ def test_criterion_06_local_optimality():
 
 def test_criterion_07_exact_oracle_bound():
     rng = np.random.default_rng(0)
-    cfg = SolverConfig(restarts=5)
     hits = 0
     checked = 0
     worst_ratio = math.inf
@@ -294,7 +293,7 @@ def test_criterion_07_exact_oracle_bound():
         n = int(rng.integers(4, 9))
         q = random_sl_vector(rng, n, sparse_density=0.35)
         best = exact_project(q)
-        got = louvain_project(q, seed=trial, config=cfg)
+        got = louvain_project(q, seed=trial, restarts=5)
         ob = query_alignment(q, best)
         og = query_alignment(q, got)
         assert og <= ob + 1e-9

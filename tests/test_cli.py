@@ -270,8 +270,10 @@ def test_experiment_missing_config_exit_2(tmp_path, capsys):
         ("heuristic = exact", "heuristic = means:0", "pilot"),
         ("repeats = 2", "repeats = 0", "repeats"),
         ("repeats = 2", "repeats = two", "[experiment]"),
+        ("family = ppm\nn = 40\nk = 4", "family = ring\nk = 2\ns = 4", "k >= 3"),
     ],
-    ids=["p_in-above-1", "k-not-dividing-n", "means-without-pilots", "repeats-0", "repeats-not-int"],
+    ids=["p_in-above-1", "k-not-dividing-n", "means-without-pilots", "repeats-0", "repeats-not-int",
+         "ring-k-below-3"],
 )
 def test_experiment_config_that_cannot_run_exit_2(tmp_path, capsys, old, new, message):
     cfg = tmp_path / "bad.cfg"
@@ -282,6 +284,25 @@ def test_experiment_config_that_cannot_run_exit_2(tmp_path, capsys, old, new, me
     assert code == 2
     assert message in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def test_experiment_where_every_run_fails_exit_1(tmp_path, capsys):
+    # no 30-node sample can hold this inter-community rate (p_out > 1), which
+    # depends on the sampled community sizes, so only generation can tell
+    cfg = tmp_path / "doomed.cfg"
+    cfg.write_text(
+        "[generator]\nfamily = hppm\nn = 30\nlambda_in = 2\nlambda_out = 40\n"
+        "s_min = 10\ns_max = 15\n\n[query ms1]\nmethod = markov\nt = 1\nisolated = zero\n"
+    )
+    out_dir = tmp_path / "o"
+    code = run(["experiment", "--config", str(cfg), "--out", str(out_dir), "--seed", "1"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "runs=1 errors=1" in captured.out
+    assert "every run failed" in captured.err
+    rows = (out_dir / "results.csv").read_text().splitlines()
+    assert len(rows) == 2
+    assert "generate:" in rows[1]
 
 
 GRID_CFG = """

@@ -35,6 +35,10 @@ def test_spec_validation():
         GeneratorSpec("dcppm", n=40, k=3)
     with pytest.raises(ValueError, match="divide"):
         GeneratorSpec("ppm", n=40)
+    with pytest.raises(ValueError, match="k >= 3"):
+        GeneratorSpec("ring", k=2, s=4)
+    with pytest.raises(ValueError, match="s >= 2"):
+        GeneratorSpec("ring", k=3, s=1)
 
 
 def test_bernoulli_skipping_distribution():

@@ -8,7 +8,6 @@ from pairsphere.geometry import PairVector
 from pairsphere.graph import Graph
 from pairsphere.queries import er_modularity_query
 from pairsphere.solver import (
-    SolverConfig,
     SolverState,
     _aggregate,
     _Instance,
@@ -59,7 +58,7 @@ def test_move_gain_matches_full_reevaluation():
         after_memb = C.membership.copy()
         after_memb[i] = target if target < C.k else C.k
         after = query_alignment(q, Partition(after_memb))
-        tgt_slot = target if target < C.k else int(np.argmin(state.sizes))
+        tgt_slot = target if target < C.k else int(np.argmin(np.bincount(state.membership, minlength=15)))
         got = move_gain(state, i, tgt_slot)
         assert got == pytest.approx(after - before, rel=1e-9, abs=1e-9)
 
@@ -114,12 +113,11 @@ def test_local_optimality_moderate_size():
 
 def test_objective_beats_or_equals_exact_sample():
     rng = np.random.default_rng(6)
-    cfg = SolverConfig(restarts=5)
     hits = 0
     for trial in range(20):
         q = _random_query(rng, 7)
         best = exact_project(q)
-        got = louvain_project(q, seed=trial, config=cfg)
+        got = louvain_project(q, seed=trial, restarts=5)
         obj_best = query_alignment(q, best)
         obj_got = query_alignment(q, got)
         assert obj_got <= obj_best + 1e-9
@@ -134,8 +132,8 @@ def test_restarts_deterministic_and_not_worse():
     rng = np.random.default_rng(60)
     q = _random_query(rng, 25)
     single = louvain_project(q, seed=4)
-    multi = louvain_project(q, seed=4, config=SolverConfig(restarts=4))
-    again = louvain_project(q, seed=4, config=SolverConfig(restarts=4))
+    multi = louvain_project(q, seed=4, restarts=4)
+    again = louvain_project(q, seed=4, restarts=4)
     assert multi == again
     assert query_alignment(q, multi) >= query_alignment(q, single) - 1e-12
 
@@ -143,7 +141,7 @@ def test_restarts_deterministic_and_not_worse():
 def test_debug_checks_pass():
     rng = np.random.default_rng(7)
     q = _random_query(rng, 30)
-    louvain_project(q, seed=1, config=SolverConfig(debug_checks=True))
+    louvain_project(q, seed=1, debug_checks=True)
 
 
 def test_aggregation_exactness():
@@ -156,7 +154,7 @@ def test_aggregation_exactness():
         edges.append((8 * blk, 8 * blk + 4))
     G = Graph.from_edges(24, edges)
     q = er_modularity_query(G, 0.4)
-    C = louvain_project(q, seed=9, config=SolverConfig(debug_checks=True))
+    C = louvain_project(q, seed=9, debug_checks=True)
     state = SolverState.from_partition(q, C)
     assert state.objective == pytest.approx(query_alignment(q, C), rel=1e-10)
 
@@ -167,6 +165,23 @@ def test_local_optimality_sparse_query():
     C = louvain_project(q, seed=0)
     eps = 1e-12 * q.norm() * math.sqrt(q.N)
     assert max_single_move_gain(q, C) <= eps
+
+
+def test_purely_sparse_query_has_no_smooth_terms():
+    # no rank-one term and no constant: K = 0, so every visit's smooth gain is
+    # the empty product li @ U, the zero vector
+    rng = np.random.default_rng(12)
+    for trial in range(15):
+        n = int(rng.integers(4, 9))
+        q = random_sl_vector(rng, n, sparse_density=0.5, n_terms=0, with_constant=False)
+        assert _Instance.from_pair_vector(q).factors.shape == (0, n)
+        C = louvain_project(q, seed=trial, restarts=5, debug_checks=True)
+        eps = 1e-12 * q.norm() * math.sqrt(q.N)
+        assert max_single_move_gain(q, C) <= eps
+        obj_best = query_alignment(q, exact_project(q))
+        obj_got = query_alignment(q, C)
+        assert obj_got <= obj_best + 1e-9
+        assert obj_got >= 0.9 * obj_best - 1e-9
 
 
 # -- exact projection ---------------------------------------------------------------
@@ -265,7 +280,6 @@ def test_aggregate_matches_dense_block_sums(case):
             memb = random_membership(rng, n)
         coarse, compact = _aggregate(_Instance.from_pair_vector(q), memb)
         k = coarse.n
-        assert coarse.constant == 0.0
         fine = np.zeros((n, n))
         iu, ju = np.triu_indices(n, k=1)
         fine[iu, ju] = dense_of(q)

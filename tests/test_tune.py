@@ -46,8 +46,14 @@ def test_smoke_two_rows():
 def test_reproducible_tables_and_worker_invariance():
     plan_a = _tiny_plan(repeats=4, master_seed=11, workers=1)
     plan_b = _tiny_plan(repeats=4, master_seed=11, workers=2)
-    csv_a = rows_to_csv(run_experiment(plan_a).rows, drop_timing=True)
-    csv_b = rows_to_csv(run_experiment(plan_b).rows, drop_timing=True)
+    rows_a = run_experiment(plan_a).rows
+    rows_b = run_experiment(plan_b).rows
+    # rows come samples x specs, in plan order, at any worker count
+    order = [(s, spec.label) for s in range(4) for spec in plan_a.queries]
+    assert [(r.sample, r.query) for r in rows_a] == order
+    assert [(r.sample, r.query) for r in rows_b] == order
+    csv_a = rows_to_csv(rows_a, drop_timing=True)
+    csv_b = rows_to_csv(rows_b, drop_timing=True)
     assert csv_a == csv_b
     csv_c = rows_to_csv(run_experiment(_tiny_plan(repeats=4, master_seed=12)).rows, drop_timing=True)
     assert csv_a != csv_c
