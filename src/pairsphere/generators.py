@@ -6,7 +6,8 @@ Families:
   hppm  -- power-law community sizes; per-community intra rate, global inter
            rate normalized to keep the expected outside-degree at lambda_out.
   dcppm -- equal communities, heavy-tailed node weights; pair probabilities
-           proportional to weight products (expected degree tracks the weight).
+           proportional to weight products, clipped at 1, so hubs fall well
+           short of their weight in degree (see README, "DCPPM degrees").
   ring  -- deterministic ring of k cliques of size s, joined by single edges.
 
 Uniform-probability pair blocks are sampled in O(expected edges) by geometric

@@ -4,10 +4,10 @@ Minimizing the angular distance to a query equals maximizing the inner
 product with the clustering vector, which decomposes over node pairs. The
 local-move solver is a greedy relabeling scheme over that objective: sweeps
 of best-gain single-node moves, followed by aggregation of communities into
-supernodes, repeated until nothing improves. Each node visit builds the gain
-over every community slot, O(n + K*n) for K rank-one terms (a nonzero
-constant c is one of them, c * 11^T), and moves the node to the best slot; a
-sweep over n nodes therefore costs O(n^2).
+supernodes, repeated until nothing improves. A node visit builds the gain
+over the k live communities plus one empty slot, O(K*k + deg i) for K
+rank-one terms (a nonzero constant c is one of them, c * 11^T); only the
+first sweep, from n singletons, still costs O(n^2).
 
 For small instances an exhaustive enumerator over set partitions provides an
 exact reference optimum.
@@ -38,7 +38,7 @@ MAX_CYCLES = 50
 class _Instance:
     """A query vector unpacked into solver-friendly arrays: CSR rows of the
     symmetric sparse part, and the smooth part as K rank-one terms
-    coefs[k] * factors[k] factors[k]^T."""
+    coefs[k] * factors[k] factors[k]^T, plus per-node rows for the visits."""
 
     n: int
     indptr: np.ndarray
@@ -46,6 +46,13 @@ class _Instance:
     wts: np.ndarray
     coefs: np.ndarray  # (K,)
     factors: np.ndarray  # (K, n)
+
+    def __post_init__(self):
+        # row i: coefs * factors[:, i]; i's self term; i's (neighbours, weights) views
+        self.scaled = np.ascontiguousarray((self.coefs[:, None] * self.factors).T)
+        self.self_terms = np.array([s @ f for s, f in zip(self.scaled, self.factors.T)])
+        cuts = self.indptr[1:-1]
+        self.rows = list(zip(np.split(self.nbr, cuts), np.split(self.wts, cuts)))
 
     @classmethod
     def from_pair_vector(cls, q: PairVector) -> "_Instance":
@@ -76,19 +83,19 @@ def _build_csr(n, ii, jj, values):
 class SolverState:
     """Mutable solve state: membership plus per-community aggregates.
 
-    For every rank-one term k and community slot a, U[k, a] holds the sum of
-    the term's factor over the slot's members. The tracked objective is the
-    inner product with the clustering vector of the current membership: the
-    caller passes its starting value, and moves add their gains.
+    For every rank-one term k and compact slot a, U[k, a] holds the sum of the
+    term's factor over the slot's members; the last slot is empty and zero.
+    The tracked objective is the inner product with the clustering vector of
+    the current membership: the caller passes its starting value, and moves
+    add their gains.
     """
 
     def __init__(self, inst: _Instance, membership: np.ndarray, objective: float):
         self.inst = inst
-        n = inst.n
-        self.membership = np.asarray(membership, dtype=np.int64).copy()
-        if self.membership.shape != (n,):
+        labels, self.membership = np.unique(membership, return_inverse=True)
+        if self.membership.shape != (inst.n,):
             raise ValueError("membership must assign every node")
-        self.U = _slot_sums(inst.factors, self.membership, n)
+        self.U = _slot_sums(inst.factors, self.membership, labels.size + 1)
         self.objective = objective
 
     @classmethod
@@ -108,6 +115,8 @@ def move_gain(state: SolverState, i: int, target: int) -> float:
 
 def _apply_move(state: SolverState, i: int, target: int, gain: float) -> None:
     cur = int(state.membership[i])
+    if target == state.U.shape[1] - 1:  # the empty slot goes live: append a new one
+        state.U = np.pad(state.U, ((0, 0), (0, 1)))
     state.membership[i] = target
     state.U[:, cur] -= state.inst.factors[:, i]
     state.U[:, target] += state.inst.factors[:, i]
@@ -116,35 +125,35 @@ def _apply_move(state: SolverState, i: int, target: int, gain: float) -> None:
 
 def _node_gain_vector(state: SolverState, i: int) -> tuple[np.ndarray, float]:
     """W_i(a) = sum of q_ij over j in slot a, j != i, for every slot a at once
-    (empty slots read 0 = fresh community). Also returns W_i of i's own slot."""
+    (the empty last slot reads 0: a fresh community). Also returns W_i(own)."""
     inst = state.inst
-    li = inst.coefs * inst.factors[:, i]
-    W = li @ state.U
-    lo, hi = inst.indptr[i], inst.indptr[i + 1]
-    if hi > lo:
-        W = W + np.bincount(
-            state.membership[inst.nbr[lo:hi]], weights=inst.wts[lo:hi], minlength=inst.n
-        )
+    W = inst.scaled[i] @ state.U
+    nbr, wts = inst.rows[i]
+    W += np.bincount(state.membership[nbr], weights=wts, minlength=W.size)
     cur = int(state.membership[i])
-    W[cur] -= float(li @ inst.factors[:, i])
+    W[cur] -= inst.self_terms[i]
     return W, float(W[cur])
 
 
 def _sweep(state: SolverState, order: np.ndarray, eps: float) -> int:
     """One pass of best-gain relabelings; returns the number of moves.
 
-    Each node moves to the argmax of its gain vector over all slots (ties to
-    the lowest slot) when that beats staying by more than eps.
+    Each node moves to the argmax of its gain vector (ties to the lowest slot,
+    so a live W = 0 beats the fresh last slot) when that beats staying by more
+    than eps. The sweep ends by relabelling slots to the live communities, in
+    label order with their sums kept, plus one empty slot last.
     """
     moves = 0
     half_eps = eps / 2.0
-    for i in order:
+    for i in order.tolist():
         W, w_cur = _node_gain_vector(state, i)
         best = int(np.argmax(W))
         w_best = float(W[best])
         if w_best - w_cur > half_eps:
-            _apply_move(state, int(i), best, 2.0 * (w_best - w_cur))
+            _apply_move(state, i, best, 2.0 * (w_best - w_cur))
             moves += 1
+    labels, state.membership = np.unique(state.membership, return_inverse=True)
+    state.U = np.pad(state.U[:, labels], ((0, 0), (0, 1)))
     return moves
 
 
@@ -171,7 +180,6 @@ def _aggregate(inst: _Instance, membership: np.ndarray) -> tuple[_Instance, np.n
     and the fine-node -> supernode map.
     """
     labels, compact = np.unique(membership, return_inverse=True)
-    compact = compact.astype(np.int64)
     k = labels.size
     heads = np.repeat(np.arange(inst.n), np.diff(inst.indptr))
     keep = heads < inst.nbr  # each sparse pair once
@@ -197,22 +205,17 @@ def louvain_project(
     restarts > 1 runs that many independent greedy passes (seed streams
     derived from the given seed) and keeps the best objective; the result is
     still deterministic for a fixed seed. debug_checks compares the tracked
-    objective with a full re-evaluation after every cycle.
+    objective and the slot table with fresh recomputations after every cycle.
     """
-    n = q.n
-    if n == 1:
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
+    if q.n == 1:
         return Partition(np.zeros(1, dtype=np.int64))
     eps = EPS_SCALE * q.norm() * math.sqrt(q.N)
     inst = _Instance.from_pair_vector(q)
-    best_obj = -math.inf
-    best_memb = None
-    for r in range(max(1, restarts)):
-        rng = np.random.default_rng([seed, r] if restarts > 1 else seed)
-        state = _project_once(inst, q, rng, debug_checks, eps)
-        if state.objective > best_obj:
-            best_obj = state.objective
-            best_memb = state.membership
-    return Partition(best_memb)
+    rngs = (np.random.default_rng([seed, r] if restarts > 1 else seed) for r in range(restarts))
+    states = (_project_once(inst, q, rng, debug_checks, eps) for rng in rngs)
+    return Partition(max(states, key=lambda state: state.objective).membership)  # first best wins
 
 
 def _project_once(inst: _Instance, q: PairVector, rng, debug_checks: bool, eps: float) -> SolverState:
@@ -248,6 +251,10 @@ def _project_once(inst: _Instance, q: PairVector, rng, debug_checks: bool, eps: 
             drift = abs(query_alignment(q, Partition(state.membership)) - state.objective)
             if drift > 1e-6 * max(1.0, abs(state.objective)):
                 raise AssertionError(f"tracked objective drifted by {drift:.3e}")
+            fresh = _slot_sums(inst.factors, state.membership, state.U.shape[1])
+            scale = np.abs(inst.factors).sum(axis=1, keepdims=True)  # bounds every slot sum
+            if state.U[:, -1].any() or np.any(np.abs(state.U - fresh) > 1e-9 * scale):
+                raise AssertionError("slot table drifted from the membership")
         if state.objective - obj_before <= eps:
             break
     return state
@@ -298,9 +305,7 @@ def exact_project(q: PairVector, cap: int = 12) -> Partition:
 
 def max_single_move_gain(q: PairVector, C: Partition) -> float:
     """Largest objective gain any single-node relabel could achieve from C,
-    checked against every community plus a fresh singleton. An empty slot is
-    the fresh singleton (W = 0); with no empty slot every node is a singleton,
-    and its own slot already gives that move."""
+    checked against every community plus a fresh singleton (the empty slot)."""
     state = SolverState.from_partition(q, C)
     best = 0.0
     for i in range(q.n):

@@ -1,21 +1,28 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from pairsphere import solver
 from pairsphere.clustering import Partition, evaluate, query_alignment
+from pairsphere.generators import GeneratorSpec, generate
 from pairsphere.geometry import PairVector
 from pairsphere.graph import Graph
-from pairsphere.queries import er_modularity_query
+from pairsphere.queries import QuerySpec, er_modularity_query
 from pairsphere.solver import (
     SolverState,
     _aggregate,
+    _apply_move,
     _Instance,
+    _node_gain_vector,
+    _sweep,
     exact_project,
     louvain_project,
     max_single_move_gain,
     move_gain,
 )
+from pairsphere.tune import detect_once
 
 from helpers import all_partitions, dense_of, random_membership, random_sl_vector
 
@@ -69,6 +76,86 @@ def test_state_objective_matches_alignment():
     C = Partition(random_membership(rng, 12))
     state = SolverState.from_partition(q, C)
     assert state.objective == pytest.approx(query_alignment(q, C), rel=1e-10)
+
+
+# -- compact slot table -------------------------------------------------------------
+
+QUERY_KINDS = {
+    "sparse-only": dict(n_terms=0, with_constant=False),
+    "constant-only": dict(n_terms=0, with_constant=True),
+    "mixed": dict(n_terms=2, with_constant=True),
+}
+
+
+def _assert_compact(state):
+    live = np.unique(state.membership).size
+    assert state.membership.max() == live - 1
+    assert state.U.shape == (state.inst.factors.shape[0], live + 1)
+    assert not state.U[:, -1].any()
+
+
+@pytest.mark.parametrize("kind", QUERY_KINDS)
+def test_slot_table_holds_live_communities_plus_one_empty_slot(kind):
+    rng = np.random.default_rng(list(QUERY_KINDS).index(kind))
+    for trial in range(10):
+        n = int(rng.integers(5, 30))
+        q = random_sl_vector(rng, n, sparse_density=0.3, **QUERY_KINDS[kind])
+        C = Partition(random_membership(rng, n))
+        state = SolverState.from_partition(q, C)
+        _assert_compact(state)
+        eps = 1e-12 * q.norm() * math.sqrt(q.N)
+        while _sweep(state, rng.permutation(n), eps):
+            _assert_compact(state)
+            assert state.objective == pytest.approx(
+                query_alignment(q, Partition(state.membership)), rel=1e-9, abs=1e-9
+            )
+        _assert_compact(state)
+
+
+def test_move_into_empty_slot_appends_a_zero_column():
+    rng = np.random.default_rng(20)
+    q = random_sl_vector(rng, 8, n_terms=2)
+    state = SolverState.from_partition(q, Partition(np.array([0, 0, 0, 1, 1, 2, 2, 2])))
+    fresh = state.U.shape[1] - 1
+    assert fresh == 3
+    _apply_move(state, 0, fresh, move_gain(state, 0, fresh))
+    assert state.U.shape[1] == 5
+    assert not state.U[:, -1].any()
+    np.testing.assert_array_equal(state.U[:, fresh], state.inst.factors[:, 0])
+    assert state.objective == pytest.approx(query_alignment(q, Partition(state.membership)), rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", QUERY_KINDS)
+def test_node_gain_vector_matches_dense_on_every_slot(kind):
+    rng = np.random.default_rng(30 + list(QUERY_KINDS).index(kind))
+    for _ in range(10):
+        n = int(rng.integers(3, 12))
+        q = random_sl_vector(rng, n, sparse_density=0.4, **QUERY_KINDS[kind])
+        Q = np.zeros((n, n))
+        iu, ju = np.triu_indices(n, k=1)
+        Q[iu, ju] = dense_of(q)
+        Q += Q.T
+        state = SolverState.from_partition(q, Partition(random_membership(rng, n)))
+        k = state.U.shape[1]  # live slots plus the empty last one
+        for i in range(n):
+            W, w_cur = _node_gain_vector(state, i)
+            ref = np.bincount(state.membership, weights=Q[i], minlength=k)  # Q[i, i] = 0
+            np.testing.assert_allclose(W, ref, rtol=1e-9, atol=1e-12)
+            assert ref[-1] == 0.0 and w_cur == W[state.membership[i]]
+
+
+@pytest.mark.parametrize("slot", [0, -1])
+def test_debug_checks_catch_a_drifted_slot_table(monkeypatch, slot):
+    local_moves = solver._local_moves
+
+    def drifting(state, rng, eps):
+        moves = local_moves(state, rng, eps)
+        state.U[:, slot] += 1e-12 if slot == -1 else 1e-6  # the empty slot must stay exactly 0
+        return moves
+
+    monkeypatch.setattr(solver, "_local_moves", drifting)
+    with pytest.raises(AssertionError, match="slot table"):
+        louvain_project(PairVector.constant_vector(6, -1.0), seed=0, debug_checks=True)
 
 
 # -- louvain ----------------------------------------------------------------------
@@ -138,6 +225,13 @@ def test_restarts_deterministic_and_not_worse():
     assert query_alignment(q, multi) >= query_alignment(q, single) - 1e-12
 
 
+def test_restarts_below_one_rejected():
+    q = PairVector.constant_vector(4, 1.0)
+    for restarts in (0, -2):
+        with pytest.raises(ValueError, match="restarts must be at least 1"):
+            louvain_project(q, seed=0, restarts=restarts)
+
+
 def test_debug_checks_pass():
     rng = np.random.default_rng(7)
     q = _random_query(rng, 30)
@@ -182,6 +276,27 @@ def test_purely_sparse_query_has_no_smooth_terms():
         obj_got = query_alignment(q, C)
         assert obj_got <= obj_best + 1e-9
         assert obj_got >= 0.9 * obj_best - 1e-9
+
+
+# Membership SHA-1s of detect_once at n=400 (generator seed 1, solver seed 3),
+# recorded before the compact slot table replaced the n-slot one.
+PINNED_PARTITIONS = [
+    ("ppm", "cl-modularity", "exact", "a919c13b23e361bef2ae4a57188dbc6435a0b06f"),
+    ("hppm", "cl-modularity", "exact", "1a937616a7829e3279c323fd5787ffa65f255c9c"),
+    ("dcppm", "cl-modularity", "exact", "e44382aec2f45cf897fae7666dd0d1179c13f8b2"),
+    ("ppm", "markov", "exact", "c5c99a0a400cf984907b43af4dd6509872833d18"),
+    ("hppm", "markov", "exact", "4d0901256e502104e046e29b216a4e237d34fd45"),
+    ("ppm", "cl-modularity", "off", "496d2faec6269ab27f9e8bd98bccab66ba600330"),
+]
+
+
+def test_partitions_pinned():
+    for family, method, heuristic, sha in PINNED_PARTITIONS:
+        G, T = generate(GeneratorSpec(family, n=400, k=None if family == "hppm" else 20), 1)
+        spec = QuerySpec(method, t=2, isolated="zero", heuristic=heuristic)
+        C, _ = detect_once(G, spec, T, seed=3)
+        got = hashlib.sha1(C.membership.astype("<i8").tobytes()).hexdigest()
+        assert got == sha, (family, method, heuristic)
 
 
 # -- exact projection ---------------------------------------------------------------
