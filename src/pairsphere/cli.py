@@ -21,6 +21,10 @@ Experiment/grid-search plans are flat `key = value` config files with sections
   [grid]                cj = <start:stop:step>, cd = <start:stop:step>,
                         train_size, val_size, workers, rule
 
+Unset keys and flags take the defaults of the dataclass they fill: GeneratorSpec
+([generator], generate), QuerySpec ([query], detect), ExperimentPlan
+([experiment]) and GridSearchPlan ([grid]).
+
 Detection results are written as JSON with keys rho, latitude_C, latitude_T,
 d_a_qC, d_a_qT, d_cc_qT, granularity_error, excess_ratio, seed, solve_ms,
 query_ms.
@@ -31,10 +35,11 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import os
 import secrets
 import sys
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields, replace
 
 from ._util import atomic_write_text
 from .clustering import pearson_correlation, read_membership, write_membership
@@ -44,8 +49,6 @@ from .queries import LATITUDE_RULES, METHODS, QuerySpec
 from .tune import (
     ExperimentPlan,
     GridSearchPlan,
-    default_cd_grid,
-    default_cj_grid,
     detect_once,
     grid_search,
     run_experiment,
@@ -84,44 +87,56 @@ def _parse_heuristic(text: str) -> dict:
     raise UsageError(f"unknown heuristic mode {text!r}")
 
 
-def _query_spec_from_args(args) -> QuerySpec:
-    heur = _parse_heuristic(args.heuristic)
-    if heur["heuristic"] == "means":
-        raise UsageError("means mode needs a generator; use the experiment subcommand")
-    if heur["heuristic"] == "exact" and args.planted is None:
-        raise UsageError("--heuristic exact needs --planted <membership file>")
-    return QuerySpec(
-        method=args.method,
-        gamma=args.gamma,
-        t=args.t,
-        p_in=args.pin,
-        p_out=args.pout,
-        c_j=args.cj,
-        c_d=args.cd,
-        c_1=args.c1,
-        rule=args.latitude_rule,
-        **heur,
-    )
+_CONVERTERS = {"int": int, "float": float, "str": str}
 
 
-def _generator_spec_from_args(args) -> GeneratorSpec:
-    return GeneratorSpec(
-        family=args.family,
-        n=args.n,
-        k=args.k,
-        s=args.s,
-        lambda_in=args.lin,
-        lambda_out=args.lout,
-        delta=args.delta,
-        s_min=args.smin,
-        s_max=args.smax,
-        tau=args.tau,
-    )
+def _read_spec(cls, given: dict, section: str | None = None, exclude=(), **fixed):
+    """`cls(**fixed, **given)`: a field set in neither keeps its dataclass default.
+
+    `given` maps field names to flag values (section None) or to the text of a
+    config section's keys, converted by the field's annotation (int, float,
+    str or X | None); `heuristic` text expands by _parse_heuristic. A key that
+    is not a field of `cls`, or is in `exclude`, is a usage error, and so is a
+    ValueError while reading a section; a flag's ValueError passes through.
+    """
+    types = {f.name: f.type for f in fields(cls) if f.name not in exclude}
+    kwargs = dict(fixed)
+    try:
+        for key, value in given.items():
+            if key not in types:
+                raise UsageError(f"unknown config key [{section}] {key}")
+            if key == "heuristic":
+                kwargs.update(_parse_heuristic(value))
+            elif isinstance(value, str):
+                kwargs[key] = _CONVERTERS[types[key].removesuffix(" | None")](value)
+            else:
+                kwargs[key] = value
+        for f in fields(cls):
+            if f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
+                raise UsageError(f"missing config key [{section}] {f.name}")
+        return cls(**kwargs)
+    except ValueError as exc:
+        if section is None:
+            raise
+        raise UsageError(f"[{section}] {exc}") from exc
+
+
+def _flags(args, cls, exclude=()) -> dict:
+    """The flags given on the command line that fill fields of `cls`."""
+    return {
+        f.name: getattr(args, f.name)
+        for f in fields(cls)
+        if f.name not in exclude and getattr(args, f.name, None) is not None
+    }
+
+
+def _section(cfg, name: str) -> dict:
+    return dict(cfg[name]) if name in cfg else {}
 
 
 def cmd_generate(args) -> int:
     seed = _resolve_seed(args)
-    spec = _generator_spec_from_args(args)
+    spec = _read_spec(GeneratorSpec, _flags(args, GeneratorSpec))
     G, T = generate(spec, seed)
     os.makedirs(args.out, exist_ok=True)
     stem = os.path.join(args.out, args.name)
@@ -135,7 +150,11 @@ def cmd_generate(args) -> int:
 
 def cmd_detect(args) -> int:
     seed = _resolve_seed(args)
-    spec = _query_spec_from_args(args)
+    if (args.heuristic or "").startswith("means"):
+        raise UsageError("means mode needs a generator; use the experiment subcommand")
+    if args.heuristic == "exact" and args.planted is None:
+        raise UsageError("--heuristic exact needs --planted <membership file>")
+    spec = _read_spec(QuerySpec, _flags(args, QuerySpec, exclude=("name",)))  # --name: output stem
     G, id_map = read_edges(args.graph)
     planted = None
     if args.planted:
@@ -169,72 +188,22 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _require_keys(section, allowed, context):
-    for key in section:
-        if key not in allowed:
-            raise UsageError(f"unknown config key [{context}] {key}")
-
-
 def _generator_from_config(cfg) -> GeneratorSpec:
     if "generator" not in cfg:
         raise UsageError("config needs a [generator] section")
-    g = cfg["generator"]
-    allowed = {
-        "family", "n", "k", "s", "lambda_in", "lambda_out",
-        "delta", "s_min", "s_max", "tau", "edge_file", "membership_file",
-    }
-    _require_keys(g, allowed, "generator")
-    try:
-        return GeneratorSpec(
-            family=g.get("family", "ppm"),
-            n=g.getint("n", 0),
-            k=g.getint("k") if "k" in g else None,
-            s=g.getint("s") if "s" in g else None,
-            lambda_in=g.getfloat("lambda_in", 6.0),
-            lambda_out=g.getfloat("lambda_out", 2.0),
-            delta=g.getfloat("delta", 2.5),
-            s_min=g.getint("s_min", 10),
-            s_max=g.getint("s_max", 100),
-            tau=g.getfloat("tau", 2.5),
-            edge_file=g.get("edge_file", None),
-            membership_file=g.get("membership_file", None),
-        )
-    except ValueError as exc:
-        raise UsageError(f"[generator] {exc}") from exc
+    return _read_spec(GeneratorSpec, _section(cfg, "generator"), "generator")
+
+
+# QuerySpec fields a [query] section cannot set: `heuristic` and the header set them
+_QUERY_EXCLUDED = ("w_plus", "w_minus", "lam_t", "theta", "pilots", "name")
 
 
 def _queries_from_config(cfg) -> list[QuerySpec]:
-    out = []
-    for name in cfg.sections():
-        if not name.startswith("query"):
-            continue
-        sec = cfg[name]
-        allowed = {
-            "method", "gamma", "t", "isolated", "p_in", "p_out",
-            "c_a", "c_j", "c_d", "c_1", "heuristic", "rule",
-        }
-        _require_keys(sec, allowed, name)
-        heur_text = sec.get("heuristic", "off")
-        try:
-            heur = _parse_heuristic(heur_text)
-            spec = QuerySpec(
-                method=sec.get("method", ""),
-                gamma=sec.getfloat("gamma", 1.0),
-                t=sec.getint("t", 1),
-                isolated=sec.get("isolated", "error"),
-                p_in=sec.getfloat("p_in") if "p_in" in sec else None,
-                p_out=sec.getfloat("p_out") if "p_out" in sec else None,
-                c_a=sec.getfloat("c_a", 1.0),
-                c_j=sec.getfloat("c_j", 0.0),
-                c_d=sec.getfloat("c_d", 0.0),
-                c_1=sec.getfloat("c_1", 0.0),
-                rule=sec.get("rule", "corrected"),
-                name=name.split(None, 1)[1] if " " in name else name,
-                **heur,
-            )
-        except ValueError as exc:
-            raise UsageError(f"[{name}] {exc}") from exc
-        out.append(spec)
+    out = [
+        _read_spec(QuerySpec, _section(cfg, sec), sec, _QUERY_EXCLUDED, name=sec.split(None, 1)[-1])
+        for sec in cfg.sections()
+        if sec.startswith("query")
+    ]
     if not out:
         raise UsageError("config needs at least one [query <name>] section")
     return out
@@ -257,15 +226,11 @@ def cmd_experiment(args) -> int:
     cfg = _read_config(args.config)
     gen = _generator_from_config(cfg)
     queries = _queries_from_config(cfg)
-    exp = cfg["experiment"] if "experiment" in cfg else {}
-    if exp:
-        _require_keys(exp, {"repeats", "workers"}, "experiment")
-    try:
-        repeats = int(exp.get("repeats", 1))
-        workers = args.workers or int(exp.get("workers", 1))
-        plan = ExperimentPlan(gen, queries, repeats=repeats, master_seed=seed, workers=workers)
-    except ValueError as exc:
-        raise UsageError(f"[experiment] {exc}") from exc
+    exp = {**_section(cfg, "experiment"), **_flags(args, ExperimentPlan)}  # --workers wins
+    plan = _read_spec(
+        ExperimentPlan, exp, "experiment", ("generator", "queries", "master_seed"),
+        generator=gen, queries=queries, master_seed=seed,
+    )
     result = run_experiment(plan)
     paths = write_experiment_outputs(result, args.out)
     _print_summary(result.summary)
@@ -293,7 +258,7 @@ def _parse_grid(text: str) -> list[float]:
         raise UsageError(f"grid spec {text!r} must be <start:stop:step>") from exc
     if step <= 0 or stop < start:
         raise UsageError(f"bad grid range {text!r}")
-    count = int(round((stop - start) / step)) + 1
+    count = math.floor((stop - start) / step + 1e-9) + 1  # no value past stop
     return [round(start + i * step, 10) for i in range(count)]
 
 
@@ -301,22 +266,13 @@ def cmd_grid_search(args) -> int:
     seed = _resolve_seed(args)
     cfg = _read_config(args.config)
     gen = _generator_from_config(cfg)
-    grid = cfg["grid"] if "grid" in cfg else {}
-    if grid:
-        _require_keys(grid, {"cj", "cd", "train_size", "val_size", "workers", "rule"}, "grid")
-    try:
-        plan = GridSearchPlan(
-            generator=gen,
-            cj_grid=_parse_grid(grid["cj"]) if "cj" in grid else default_cj_grid(),
-            cd_grid=_parse_grid(grid["cd"]) if "cd" in grid else default_cd_grid(),
-            train_size=int(grid.get("train_size", 15)),
-            val_size=int(grid.get("val_size", 20)),
-            master_seed=seed,
-            workers=args.workers or int(grid.get("workers", 1)),
-            rule=grid.get("rule", "corrected"),
-        )
-    except ValueError as exc:
-        raise UsageError(f"[grid] {exc}") from exc
+    grid = {**_section(cfg, "grid"), **_flags(args, GridSearchPlan)}  # --workers wins
+    ranges = {f"{key}_grid": _parse_grid(grid.pop(key)) for key in ("cj", "cd") if key in grid}
+    plan = _read_spec(
+        GridSearchPlan, grid, "grid",
+        ("generator", "cj_grid", "cd_grid", "train_files", "val_files", "master_seed"),
+        generator=gen, master_seed=seed, **ranges,
+    )
     result = grid_search(plan)
     paths = write_grid_outputs(result, args.out)
     print(
@@ -334,11 +290,10 @@ def cmd_ring_demo(args) -> int:
 
     G, T = ring_of_cliques(args.k, args.s)
     print(f"ring of cliques: k={args.k} s={args.s} -> n={G.n}, m={G.m}")
-    rows = []
-    raw = QuerySpec("er-modularity", gamma=args.gamma)
-    rows.append(("raw gamma=%g" % args.gamma, *_ring_run(G, T, raw, seed)))
+    raw = QuerySpec("er-modularity", **_flags(args, QuerySpec))
+    rows = [(f"raw gamma={raw.gamma:g}", *_ring_run(G, T, raw, seed))]
     for rule in LATITUDE_RULES:
-        spec = QuerySpec("er-modularity", gamma=args.gamma, heuristic="exact", rule=rule)
+        spec = replace(raw, heuristic="exact", rule=rule)
         rows.append((rule, *_ring_run(G, T, spec, seed)))
     print(f"{'query':<16} {'rho':>8} {'gran_err':>10} {'k_detected':>10}")
     for name, rho, gerr, k in rows:
@@ -359,15 +314,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="sample a benchmark graph with a planted partition")
     gen.add_argument("--family", required=True, choices=["ppm", "hppm", "dcppm", "ring"])
-    gen.add_argument("--n", type=int, default=0)
-    gen.add_argument("--k", type=int, default=None)
-    gen.add_argument("--s", type=int, default=None)
-    gen.add_argument("--lin", type=float, default=6.0, help="expected intra-community degree")
-    gen.add_argument("--lout", type=float, default=2.0, help="expected inter-community degree")
-    gen.add_argument("--delta", type=float, default=2.5)
-    gen.add_argument("--smin", type=int, default=10)
-    gen.add_argument("--smax", type=int, default=100)
-    gen.add_argument("--tau", type=float, default=2.5)
+    gen.add_argument("--n", type=int)
+    gen.add_argument("--k", type=int)
+    gen.add_argument("--s", type=int)
+    gen.add_argument("--lin", dest="lambda_in", type=float, help="expected intra-community degree")
+    gen.add_argument("--lout", dest="lambda_out", type=float, help="expected inter-community degree")
+    gen.add_argument("--delta", type=float)
+    gen.add_argument("--smin", dest="s_min", type=int)
+    gen.add_argument("--smax", dest="s_max", type=int)
+    gen.add_argument("--tau", type=float)
     gen.add_argument("--seed", type=int, default=None)
     gen.add_argument("--out", default=".")
     gen.add_argument("--name", default="sample")
@@ -376,16 +331,16 @@ def build_parser() -> argparse.ArgumentParser:
     det = sub.add_parser("detect", help="detect communities in a graph file")
     det.add_argument("--graph", required=True)
     det.add_argument("--method", required=True, choices=[m for m in METHODS if m != "cc"])
-    det.add_argument("--gamma", type=float, default=1.0)
-    det.add_argument("--t", type=int, default=1)
-    det.add_argument("--pin", type=float, default=None)
-    det.add_argument("--pout", type=float, default=None)
-    det.add_argument("--cj", type=float, default=0.0)
-    det.add_argument("--cd", type=float, default=0.0)
-    det.add_argument("--c1", type=float, default=0.0)
+    det.add_argument("--gamma", type=float)
+    det.add_argument("--t", type=int)
+    det.add_argument("--pin", dest="p_in", type=float)
+    det.add_argument("--pout", dest="p_out", type=float)
+    det.add_argument("--cj", dest="c_j", type=float)
+    det.add_argument("--cd", dest="c_d", type=float)
+    det.add_argument("--c1", dest="c_1", type=float)
     det.add_argument("--planted", default=None, help="membership file with the reference partition")
-    det.add_argument("--heuristic", default="off", help="off | exact | fixed:<lat>,<theta> | means:<k>")
-    det.add_argument("--latitude-rule", default="corrected", choices=list(LATITUDE_RULES))
+    det.add_argument("--heuristic", help="off | exact | fixed:<lat>,<theta> | means:<k>")
+    det.add_argument("--latitude-rule", dest="rule", choices=list(LATITUDE_RULES))
     det.add_argument("--seed", type=int, default=None)
     det.add_argument("--out", default=".")
     det.add_argument("--name", default="detected")
@@ -414,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     ring = sub.add_parser("ring-demo", help="granularity-fix strategies on the ring of cliques")
     ring.add_argument("--k", type=int, default=20)
     ring.add_argument("--s", type=int, default=5)
-    ring.add_argument("--gamma", type=float, default=1.0)
+    ring.add_argument("--gamma", type=float)
     ring.add_argument("--seed", type=int, default=None)
     ring.set_defaults(func=cmd_ring_demo)
 

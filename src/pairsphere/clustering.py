@@ -76,12 +76,6 @@ class Partition:
         """Number of same-community pairs, as an exact Python int."""
         return sum(int(s) * (int(s) - 1) // 2 for s in self.sizes)
 
-    def communities(self) -> list[list[int]]:
-        out = [[] for _ in range(self.k)]
-        for i, a in enumerate(self.membership):
-            out[a].append(i)
-        return out
-
     def __eq__(self, other):
         return isinstance(other, Partition) and np.array_equal(self.membership, other.membership)
 

@@ -30,7 +30,7 @@ from .pairs import num_pairs, pair_members
 class GeneratorSpec:
     """Declarative description of a generator instance."""
 
-    family: str
+    family: str = "ppm"
     n: int = 0
     k: int | None = None
     s: int | None = None
@@ -59,6 +59,8 @@ class GeneratorSpec:
             _ppm_probabilities(self)
         elif self.family == "dcppm":
             _block_size(self.n, self.k)
+        elif self.family == "hppm" and not 2 <= self.s_min <= self.s_max:
+            raise ValueError("community sizes need 2 <= s_min <= s_max")
 
     def to_flat(self) -> dict:
         out = {"family": self.family}

@@ -9,7 +9,7 @@ solver stays near-linear in the sparse support.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -202,6 +202,10 @@ METHODS = ("er-modularity", "cl-modularity", "markov", "ppm", "cc", "linear")
 HEURISTIC_MODES = ("off", "exact", "fixed", "means")
 
 
+# QuerySpec fields that only steer granularity handling or label the query
+_HANDLING_FIELDS = ("heuristic", "lam_t", "theta", "pilots", "rule", "name")
+
+
 @dataclass
 class QuerySpec:
     """Declarative description of a query mapping plus granularity handling."""
@@ -259,21 +263,10 @@ class QuerySpec:
         return " ".join(bits)
 
     def base_key(self) -> tuple:
-        """Cache key identifying the query before granularity handling."""
-        return (
-            self.method,
-            self.gamma,
-            self.t,
-            self.isolated,
-            self.p_in,
-            self.p_out,
-            self.c_a,
-            self.c_j,
-            self.c_d,
-            self.c_1,
-            tuple(sorted(self.w_plus.items())),
-            tuple(sorted(self.w_minus.items())),
-        )
+        """Cache key identifying the query before granularity handling: every
+        field but the handling's and the name, dicts as sorted item tuples."""
+        values = (getattr(self, f.name) for f in fields(self) if f.name not in _HANDLING_FIELDS)
+        return tuple(tuple(sorted(v.items())) if isinstance(v, dict) else v for v in values)
 
 
 def build_base_query(G: Graph, spec: QuerySpec) -> PairVector:

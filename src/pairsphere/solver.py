@@ -147,7 +147,7 @@ def _sweep(state: SolverState, order: np.ndarray, eps: float) -> int:
     half_eps = eps / 2.0
     for i in order.tolist():
         W, w_cur = _node_gain_vector(state, i)
-        best = int(np.argmax(W))
+        best = int(W.argmax())
         w_best = float(W[best])
         if w_best - w_cur > half_eps:
             _apply_move(state, i, best, 2.0 * (w_best - w_cur))

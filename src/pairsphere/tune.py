@@ -344,7 +344,6 @@ class GridSearchResult:
     cells: list[GridCell]
     validation_rhos: list[float]
     validation_median: float
-    train_rhos: list[float]
 
 
 def _grid_sources(plan: GridSearchPlan, files, size: int, key: str) -> list[tuple[Graph, Partition]]:
@@ -403,8 +402,6 @@ def grid_search(plan: GridSearchPlan) -> GridSearchResult:
         per_sample = [_train_worker(t) for t in tasks]
     rho_matrix = np.asarray(per_sample)  # (samples, cells)
     cells = []
-    best = None
-    best_rhos = None
     pos = 0
     for c_j in plan.cj_grid:
         for c_d in plan.cd_grid:
@@ -418,9 +415,8 @@ def grid_search(plan: GridSearchPlan) -> GridSearchResult:
                 len(cell_rhos),
             )
             cells.append(cell)
-            # winner = max median rho, ties broken by max mean rho, then grid order
-            if best is None or (cell.median_rho, cell.mean_rho) > (best.median_rho, best.mean_rho):
-                best, best_rhos = cell, cell_rhos
+    # winner = max median rho, ties broken by max mean rho, then grid order
+    best = max(cells, key=lambda cell: (cell.median_rho, cell.mean_rho))
     spec = _grid_spec(best.c_j, best.c_d, plan.rule)
     val_rhos = [
         _grid_rho(G, spec, T, derive_seed(plan.master_seed, "val-solve", i))
@@ -431,7 +427,6 @@ def grid_search(plan: GridSearchPlan) -> GridSearchResult:
         cells=cells,
         validation_rhos=val_rhos,
         validation_median=float(statistics.median(val_rhos)),
-        train_rhos=best_rhos,
     )
 
 

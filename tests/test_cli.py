@@ -2,9 +2,12 @@ import json
 
 import pytest
 
+from pairsphere import cli
 from pairsphere.cli import main
 from pairsphere.clustering import read_membership
+from pairsphere.generators import GeneratorSpec, generate
 from pairsphere.graph import read_edges
+from pairsphere.queries import QuerySpec
 
 
 def run(argv):
@@ -39,6 +42,16 @@ def test_generate_ring_fixture(tmp_path):
     assert code == 0
     G, _ = read_edges(tmp_path / "ring.edges")
     assert (G.n, G.m) == (40, 10 * 6 + 10)
+
+
+def test_generate_meta_takes_spec_defaults(tmp_path):
+    code = run(["generate", "--family", "hppm", "--n", "200", "--seed", "3",
+                "--out", str(tmp_path), "--name", "h"])
+    assert code == 0
+    spec = GeneratorSpec("hppm", n=200)
+    G, T = generate(spec, 3)
+    meta = dict(spec.to_flat(), seed=3, n=G.n, m=G.m, communities=T.k)
+    assert (tmp_path / "h.meta").read_text() == "".join(f"{k} = {v}\n" for k, v in meta.items())
 
 
 def test_generate_bad_params_exit_code(tmp_path, capsys):
@@ -95,6 +108,22 @@ def test_detect_markov_equals_cl_gamma1(tmp_path):
     a = (tmp_path / "m1.membership").read_text()
     b = (tmp_path / "c1.membership").read_text()
     assert a == b
+
+
+def test_detect_flags_not_given_keep_spec_defaults(tmp_path, monkeypatch):
+    edges, _ = _two_triangles(tmp_path)
+    specs = []
+    real = cli.detect_once
+    monkeypatch.setattr(cli, "detect_once", lambda G, spec, *a, **kw: specs.append(spec) or real(G, spec, *a, **kw))
+    code = run(["detect", "--graph", str(edges), "--method", "er-modularity",
+                "--seed", "0", "--out", str(tmp_path), "--name", "stem"])
+    assert code == 0 and (tmp_path / "stem.membership").exists()
+    assert specs == [QuerySpec("er-modularity")]  # --name is the output stem, not spec.name
+    run(["detect", "--graph", str(edges), "--method", "linear", "--cj", "0.5", "--cd", "-1",
+         "--c1", "0.2", "--latitude-rule", "min-distance", "--heuristic", "fixed:1.2,0.5",
+         "--seed", "0", "--out", str(tmp_path)])
+    assert specs[1] == QuerySpec("linear", c_j=0.5, c_d=-1.0, c_1=0.2, rule="min-distance",
+                                 heuristic="fixed", lam_t=1.2, theta=0.5)
 
 
 def test_detect_exact_heuristic_needs_planted(tmp_path, capsys):
@@ -271,9 +300,13 @@ def test_experiment_missing_config_exit_2(tmp_path, capsys):
         ("repeats = 2", "repeats = 0", "repeats"),
         ("repeats = 2", "repeats = two", "[experiment]"),
         ("family = ppm\nn = 40\nk = 4", "family = ring\nk = 2\ns = 4", "k >= 3"),
+        ("family = ppm\nn = 40\nk = 4", "family = hppm\nn = 40\ns_min = 30\ns_max = 10",
+         "[generator] community sizes need 2 <= s_min <= s_max"),
+        ("repeats = 2", "repeats = 2\nseed = 3", "[experiment] seed"),
+        ("t = 1\nisolated = zero\nheuristic", "t = 1\npilots = 3\nheuristic", "[query ms1fix] pilots"),
     ],
     ids=["p_in-above-1", "k-not-dividing-n", "means-without-pilots", "repeats-0", "repeats-not-int",
-         "ring-k-below-3"],
+         "ring-k-below-3", "hppm", "experiment-unknown-key", "query-pilots-key"],
 )
 def test_experiment_config_that_cannot_run_exit_2(tmp_path, capsys, old, new, message):
     cfg = tmp_path / "bad.cfg"
@@ -331,6 +364,36 @@ def test_grid_search_subcommand(tmp_path, capsys):
     assert lines[0] == "c_j,c_d,median_rho,mean_rho,n_runs"
     assert len(lines) == 1 + 4
     assert "best cell" in capsys.readouterr().out
+
+
+def test_grid_search_range_stops_at_its_end(tmp_path):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(GRID_CFG.replace("cj = 0:0.5:0.5", "cj = 0:0.9:0.6"))
+    out_dir = tmp_path / "gout"
+    code = run(["grid-search", "--config", str(cfg), "--out", str(out_dir), "--seed", "2"])
+    assert code == 0
+    rows = (out_dir / "heatmap.csv").read_text().strip().splitlines()[1:]
+    assert sorted({float(row.split(",")[0]) for row in rows}) == [0.0, 0.6]
+
+
+@pytest.mark.parametrize(
+    "text, values",
+    [("0:1:0.6", [0.0, 0.6]), ("0:0.3:0.1", [0.0, 0.1, 0.2, 0.3]), ("1:1:0.5", [1.0]),
+     ("0:1:0.1", [round(0.1 * i, 10) for i in range(11)]),
+     ("-6:0:0.5", [round(-6.0 + 0.5 * i, 10) for i in range(13)])],
+)
+def test_parse_grid(text, values):
+    assert cli._parse_grid(text) == values
+
+
+def test_grid_search_unknown_key_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(GRID_CFG + "cj_grid = 0:1:0.5\n")
+    out_dir = tmp_path / "gout"
+    code = run(["grid-search", "--config", str(cfg), "--out", str(out_dir), "--seed", "2"])
+    assert code == 2
+    assert "unknown config key [grid] cj_grid" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_grid_search_without_validation_samples_exit_2(tmp_path, capsys):

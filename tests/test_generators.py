@@ -39,6 +39,11 @@ def test_spec_validation():
         GeneratorSpec("ring", k=2, s=4)
     with pytest.raises(ValueError, match="s >= 2"):
         GeneratorSpec("ring", k=3, s=1)
+    for s_min, s_max in ((50, 10), (0, 10), (1, 10)):
+        with pytest.raises(ValueError, match="s_min"):
+            GeneratorSpec("hppm", n=200, s_min=s_min, s_max=s_max)
+    GeneratorSpec("hppm", n=200, s_min=2, s_max=2)
+    assert GeneratorSpec(n=40, k=4).family == "ppm"
 
 
 def test_bernoulli_skipping_distribution():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -322,6 +323,26 @@ def test_query_spec_validation():
         QuerySpec("markov", heuristic="means", pilots=0)
     spec = QuerySpec("markov", t=2, heuristic="exact")
     assert "markov" in spec.label and "t=2" in spec.label
+
+
+def test_base_key_covers_every_field_but_granularity_handling():
+    base = QuerySpec("markov")
+    changes = {
+        "method": "cl-modularity", "gamma": 2.0, "t": 3, "isolated": "zero", "p_in": 0.5,
+        "p_out": 0.1, "c_a": 2.0, "c_j": 0.5, "c_d": -1.0, "c_1": 0.3,
+        "w_plus": {"adj": 1.0}, "w_minus": {"jac": 1.0},
+        "heuristic": "exact", "lam_t": 1.0, "theta": 0.5, "pilots": 3, "rule": "min-distance",
+        "name": "x",
+    }
+    assert set(changes) == {f.name for f in dataclasses.fields(QuerySpec)}
+    handling = {"heuristic", "lam_t", "theta", "pilots", "rule", "name"}
+    for name, value in changes.items():
+        changed = dataclasses.replace(base, **{name: value}).base_key() != base.base_key()
+        assert changed == (name not in handling), name
+    a = QuerySpec("linear", w_plus={"adj": 1.0, "jac": 2.0})
+    b = QuerySpec("linear", w_plus={"jac": 2.0, "adj": 1.0})
+    assert a.base_key() == b.base_key()
+    hash(a.base_key())
 
 
 def test_build_query_dispatch_and_heuristic():
