@@ -218,6 +218,8 @@ def _read_config(path) -> configparser.ConfigParser:
         raise UsageError(f"cannot read config: {exc}") from exc
     except configparser.Error as exc:
         raise UsageError(f"malformed config: {exc}") from exc
+    if cfg.defaults():  # configparser would copy these keys into every section
+        raise UsageError(f"[DEFAULT] is not supported; set {', '.join(cfg.defaults())} in its own section")
     return cfg
 
 

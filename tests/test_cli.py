@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -289,6 +293,27 @@ def test_experiment_malformed_config_exit_2(tmp_path, capsys):
 def test_experiment_missing_config_exit_2(tmp_path, capsys):
     code = run(["experiment", "--config", str(tmp_path / "nope.cfg"), "--seed", "1"])
     assert code == 2
+
+
+def test_experiment_default_section_exit_2(tmp_path, capsys):
+    shipped = Path(__file__).resolve().parents[1] / "configs" / "ppm_markov_quick.cfg"
+    cfg = tmp_path / "defaults.cfg"
+    cfg.write_text("[DEFAULT]\nworkers = 1\n\n" + shipped.read_text())
+    out_dir = tmp_path / "o"
+    code = run(["experiment", "--config", str(cfg), "--out", str(out_dir), "--seed", "1"])
+    assert code == 2
+    assert "[DEFAULT] is not supported; set workers in its own section" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_python_dash_m_runs_from_a_checkout():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pairsphere", "--help"], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "grid-search" in proc.stdout
 
 
 @pytest.mark.parametrize(

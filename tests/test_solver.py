@@ -7,14 +7,15 @@ import pytest
 from pairsphere import solver
 from pairsphere.clustering import Partition, evaluate, query_alignment
 from pairsphere.generators import GeneratorSpec, generate
-from pairsphere.geometry import PairVector
+from pairsphere.geometry import LowRankTerm, PairVector
 from pairsphere.graph import Graph
-from pairsphere.queries import QuerySpec, er_modularity_query
+from pairsphere.queries import QuerySpec, build_query, er_modularity_query
 from pairsphere.solver import (
     SolverState,
     _aggregate,
     _apply_move,
     _Instance,
+    _local_moves,
     _node_gain_vector,
     _sweep,
     exact_project,
@@ -297,6 +298,123 @@ def test_partitions_pinned():
         C, _ = detect_once(G, spec, T, seed=3)
         got = hashlib.sha1(C.membership.astype("<i8").tobytes()).hexdigest()
         assert got == sha, (family, method, heuristic)
+
+
+# -- dirty-set sweeps --------------------------------------------------------------
+
+
+def _sign_rule_query(rng, n):
+    """Random query under the sign rule: sparse values of both signs, rank-one
+    terms with coef <= 0 and factors >= 0, constant <= 0."""
+    pairs = {}
+    density = rng.uniform(0.02, 0.2)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                pairs[(i, j)] = rng.normal()
+    terms = tuple(
+        LowRankTerm(-rng.exponential(0.02), rng.exponential(size=n)) for _ in range(rng.integers(0, 3))
+    )
+    return PairVector.from_pairs(n, pairs, terms, -rng.exponential(0.1))
+
+
+def _seeded_sign_rule_query(seed):
+    rng = np.random.default_rng(seed)
+    return _sign_rule_query(rng, int(rng.integers(20, 201)))
+
+
+def _ppm200():
+    return generate(GeneratorSpec("ppm", n=200, k=10), 1)
+
+
+SIGN_RULE_SPECS = [
+    QuerySpec("cl-modularity", heuristic="exact"),
+    QuerySpec("er-modularity", heuristic="exact"),
+    QuerySpec("ppm", p_in=0.3, p_out=0.05, heuristic="exact"),
+] + [QuerySpec("markov", t=t, isolated="zero", heuristic=h) for t in range(1, 6) for h in ("off", "exact")]
+
+
+@pytest.mark.parametrize("spec", SIGN_RULE_SPECS, ids=lambda spec: spec.label)
+def test_sign_rule_holds_for_graph_queries(spec):
+    G, T = _ppm200()
+    assert _Instance.from_pair_vector(build_query(G, spec, T)).sign_rule
+
+
+def test_sign_rule_fails_for_positive_smooth_parts():
+    u = np.linspace(0.5, 1.5, 6)
+    assert _Instance.from_pair_vector(PairVector.from_pairs(6, {(0, 1): 1.0}, (LowRankTerm(-1.0, u),), -0.1)).sign_rule
+    assert not _Instance.from_pair_vector(PairVector.constant_vector(6, 0.5)).sign_rule
+    assert not _Instance.from_pair_vector(PairVector.from_pairs(6, {}, (LowRankTerm(0.2, u),))).sign_rule
+    assert not _Instance.from_pair_vector(PairVector.from_pairs(6, {}, (LowRankTerm(-0.2, u - 1.0),))).sign_rule
+
+
+def test_coarse_instance_keeps_the_sign_rule():
+    G, T = _ppm200()
+    inst = _Instance.from_pair_vector(build_query(G, QuerySpec("cl-modularity", heuristic="exact"), T))
+    coarse, _ = _aggregate(inst, T.membership)
+    assert inst.sign_rule and coarse.sign_rule and coarse.n == T.k
+
+
+def _fine_level_counts(q, seed):
+    state = SolverState(_Instance.from_pair_vector(q), np.arange(q.n), -q.total(), check_skips=True)
+    _local_moves(state, np.random.default_rng(seed), 1e-12 * q.norm() * math.sqrt(q.N))
+    return state.visits, state.skipped
+
+
+def test_visit_counters_skip_only_under_the_sign_rule():
+    G, T = generate(GeneratorSpec("ppm", n=400, k=20), 1)
+    visits, skipped = _fine_level_counts(build_query(G, QuerySpec("cl-modularity", heuristic="exact"), T), 3)
+    assert skipped > 0 and visits > 0
+    G, T = _ppm200()
+    q = build_query(G, QuerySpec("linear", c_j=0.0, c_d=-6.0, heuristic="exact"), T)
+    assert q.constant > 0.6  # the corrected constant breaks the rule
+    visits, skipped = _fine_level_counts(q, 3)
+    assert skipped == 0 and visits % q.n == 0 and visits >= 2 * q.n
+
+
+def test_dirty_set_solves_are_locally_optimal():
+    rng = np.random.default_rng(40)
+    for trial in range(12):
+        q = _sign_rule_query(rng, int(rng.integers(20, 201)))
+        assert _Instance.from_pair_vector(q).sign_rule
+        C = louvain_project(q, seed=trial, debug_checks=True)
+        assert max_single_move_gain(q, C) <= 1e-12 * q.norm() * math.sqrt(q.N)
+
+
+def test_debug_checks_catch_a_dropped_mark(monkeypatch):
+    """Without the marks for nodes with a row neighbour in the slot the mover
+    left, some skipped visit would have moved."""
+    q = _seeded_sign_rule_query(22)
+    louvain_project(q, seed=22, debug_checks=True)
+
+    def without_b_neighbours(state, j, c):
+        state.dirty_view[state.inst.rows[j][0]] = 1
+        state.dirty_view[state.membership == c] = 1
+
+    monkeypatch.setattr(solver, "_mark_dirty", without_b_neighbours)
+    with pytest.raises(AssertionError, match="would move"):
+        louvain_project(q, seed=22, debug_checks=True)
+
+
+def _merged_members_only(inst, before, after):
+    owner = np.zeros(before.max() + 1, dtype=np.int64)
+    owner[before] = after
+    return (np.bincount(owner) >= 2)[after]
+
+
+@pytest.mark.parametrize(
+    "seed, marks",
+    [(0, lambda inst, before, after: np.zeros(inst.n, dtype=bool)), (8, _merged_members_only)],
+    ids=["no-marks", "no-neighbour-marks"],
+)
+def test_debug_checks_catch_dropped_merge_marks(monkeypatch, seed, marks):
+    """After coarse levels merge communities, the fine level must revisit the
+    merged communities' members and their row neighbours."""
+    q = _seeded_sign_rule_query(seed)
+    louvain_project(q, seed=seed, debug_checks=True)
+    monkeypatch.setattr(solver, "_merge_marks", marks)
+    with pytest.raises(AssertionError, match="would move"):
+        louvain_project(q, seed=seed, debug_checks=True)
 
 
 # -- exact projection ---------------------------------------------------------------
