@@ -43,7 +43,7 @@ from dataclasses import MISSING, asdict, fields, replace
 
 from ._util import atomic_write_text
 from .clustering import pearson_correlation, read_membership, write_membership
-from .generators import GeneratorSpec, generate
+from .generators import GeneratorSpec, generate, ring_of_cliques
 from .graph import read_edges, write_edges
 from .queries import LATITUDE_RULES, METHODS, QuerySpec
 from .tune import (
@@ -223,17 +223,19 @@ def _read_config(path) -> configparser.ConfigParser:
     return cfg
 
 
+def _experiment_plan(path, flags: dict, seed: int) -> ExperimentPlan:
+    """The plan of an experiment config; `flags` (--workers) win over its keys."""
+    cfg = _read_config(path)
+    exp = {**_section(cfg, "experiment"), **flags}
+    return _read_spec(
+        ExperimentPlan, exp, "experiment", ("generator", "queries", "master_seed"),
+        generator=_generator_from_config(cfg), queries=_queries_from_config(cfg), master_seed=seed,
+    )
+
+
 def cmd_experiment(args) -> int:
     seed = _resolve_seed(args)
-    cfg = _read_config(args.config)
-    gen = _generator_from_config(cfg)
-    queries = _queries_from_config(cfg)
-    exp = {**_section(cfg, "experiment"), **_flags(args, ExperimentPlan)}  # --workers wins
-    plan = _read_spec(
-        ExperimentPlan, exp, "experiment", ("generator", "queries", "master_seed"),
-        generator=gen, queries=queries, master_seed=seed,
-    )
-    result = run_experiment(plan)
+    result = run_experiment(_experiment_plan(args.config, _flags(args, ExperimentPlan), seed))
     paths = write_experiment_outputs(result, args.out)
     _print_summary(result.summary)
     print(f"rows: {len(result.rows)} -> {paths['csv']}")
@@ -264,18 +266,22 @@ def _parse_grid(text: str) -> list[float]:
     return [round(start + i * step, 10) for i in range(count)]
 
 
-def cmd_grid_search(args) -> int:
-    seed = _resolve_seed(args)
-    cfg = _read_config(args.config)
+def _grid_plan(path, flags: dict, seed: int) -> GridSearchPlan:
+    """The plan of a grid-search config; `flags` (--workers) win over its keys."""
+    cfg = _read_config(path)
     gen = _generator_from_config(cfg)
-    grid = {**_section(cfg, "grid"), **_flags(args, GridSearchPlan)}  # --workers wins
+    grid = {**_section(cfg, "grid"), **flags}
     ranges = {f"{key}_grid": _parse_grid(grid.pop(key)) for key in ("cj", "cd") if key in grid}
-    plan = _read_spec(
+    return _read_spec(
         GridSearchPlan, grid, "grid",
         ("generator", "cj_grid", "cd_grid", "train_files", "val_files", "master_seed"),
         generator=gen, master_seed=seed, **ranges,
     )
-    result = grid_search(plan)
+
+
+def cmd_grid_search(args) -> int:
+    seed = _resolve_seed(args)
+    result = grid_search(_grid_plan(args.config, _flags(args, GridSearchPlan), seed))
     paths = write_grid_outputs(result, args.out)
     print(
         f"best cell: c_j={result.best.c_j:g} c_d={result.best.c_d:g} "
@@ -288,8 +294,6 @@ def cmd_grid_search(args) -> int:
 
 def cmd_ring_demo(args) -> int:
     seed = _resolve_seed(args)
-    from .generators import ring_of_cliques
-
     G, T = ring_of_cliques(args.k, args.s)
     print(f"ring of cliques: k={args.k} s={args.s} -> n={G.n}, m={G.m}")
     raw = QuerySpec("er-modularity", **_flags(args, QuerySpec))

@@ -157,10 +157,6 @@ def _check_ring(k: int | None, s: int | None) -> None:
         raise ValueError("ring of cliques needs k >= 3 and s >= 2")
 
 
-def _equal_blocks(n: int, k: int) -> Partition:
-    return Partition(np.repeat(np.arange(k), _block_size(n, k)))
-
-
 def _ppm_probabilities(spec: GeneratorSpec) -> tuple[float, float]:
     """Block probabilities of a ppm spec, each checked to lie in [0, 1]."""
     s = _block_size(spec.n, spec.k)
@@ -172,18 +168,24 @@ def _ppm_probabilities(spec: GeneratorSpec) -> tuple[float, float]:
     return p_in, p_out
 
 
+def _planted_graph(rng, sizes, lambda_in: float, p_out: float) -> tuple[Graph, Partition]:
+    """Consecutive communities of the given sizes: each block at
+    p_in = min(1, lambda_in/(s-1)), then every inter-community pair at p_out."""
+    T = Partition(np.repeat(np.arange(len(sizes)), sizes))
+    bounds = np.cumsum([0, *sizes]).tolist()
+    parts = [
+        _sample_block_pairs(rng, np.arange(a, b), min(lambda_in / (b - a - 1), 1.0))
+        for a, b in zip(bounds[:-1], bounds[1:])
+    ]
+    parts.append(_sample_inter_pairs(rng, T.n, p_out, T.membership))
+    return Graph.from_edges(T.n, np.concatenate(parts)), T
+
+
 def generate_ppm(spec: GeneratorSpec, seed) -> tuple[Graph, Partition]:
     """Equal-size planted partition: p_in = lambda_in/(s-1), p_out = lambda_out/(n-s)."""
-    T = _equal_blocks(spec.n, spec.k)
-    s = spec.n // spec.k
-    p_in, p_out = _ppm_probabilities(spec)
-    rng = rng_from(seed, "ppm")
-    parts = [
-        _sample_block_pairs(rng, np.arange(a * s, (a + 1) * s), p_in) for a in range(spec.k)
-    ]
-    parts.append(_sample_inter_pairs(rng, spec.n, p_out, T.membership))
-    edges = np.concatenate(parts) if parts else np.empty((0, 2), np.int64)
-    return Graph.from_edges(spec.n, edges), T
+    _, p_out = _ppm_probabilities(spec)
+    sizes = [spec.n // spec.k] * spec.k
+    return _planted_graph(rng_from(seed, "ppm"), sizes, spec.lambda_in, p_out)
 
 
 def _powerlaw_sizes(rng, n: int, delta: float, s_min: int, s_max: int) -> np.ndarray:
@@ -213,25 +215,15 @@ def generate_hppm(spec: GeneratorSpec, seed) -> tuple[Graph, Partition]:
     """Power-law community sizes; p_in depends on the community size, the
     uniform p_out is normalized so outside-degrees average lambda_out."""
     rng = rng_from(seed, "hppm")
-    sizes = _powerlaw_sizes(rng, spec.n, spec.delta, spec.s_min, spec.s_max)
-    T = Partition(np.repeat(np.arange(sizes.size), sizes))
-    m_t = T.intra_pairs()
+    sizes = _powerlaw_sizes(rng, spec.n, spec.delta, spec.s_min, spec.s_max).tolist()
+    m_t = sum(num_pairs(s) for s in sizes)
     N = num_pairs(spec.n)
     if N == m_t:
         raise ValueError("planted partition leaves no inter-community pairs")
     p_out = spec.n * spec.lambda_out / (2.0 * (N - m_t))
     if p_out > 1.0:
         raise ValueError(f"p_out={p_out:.4g} exceeds 1; lambda_out too large for these sizes")
-    parts = []
-    offset = 0
-    for s in sizes:
-        members = np.arange(offset, offset + s)
-        p_in = min(spec.lambda_in / (s - 1), 1.0) if s > 1 else 0.0
-        parts.append(_sample_block_pairs(rng, members, p_in))
-        offset += s
-    parts.append(_sample_inter_pairs(rng, spec.n, p_out, T.membership))
-    edges = np.concatenate(parts)
-    return Graph.from_edges(spec.n, edges), T
+    return _planted_graph(rng, sizes, spec.lambda_in, p_out)
 
 
 def _pareto_weights(rng, n: int, tau: float, mean: float) -> np.ndarray:
@@ -246,8 +238,8 @@ def generate_dcppm(spec: GeneratorSpec, seed) -> tuple[Graph, Partition]:
     """Degree-corrected planted partition: heavy-tailed node weights, pair
     probabilities proportional to weight products (clipped at 1; the number
     of clipped pairs is recorded on the returned graph as `prob_clips`)."""
-    T = _equal_blocks(spec.n, spec.k)
-    s = spec.n // spec.k
+    s = _block_size(spec.n, spec.k)
+    T = Partition(np.repeat(np.arange(spec.k), s))
     rng = rng_from(seed, "dcppm")
     lam = spec.lambda_in + spec.lambda_out
     if lam <= 0:

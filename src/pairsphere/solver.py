@@ -74,8 +74,8 @@ class _Instance:
         # row i: coefs * factors[:, i]; i's self term; i's (neighbours, weights) views
         self.scaled = np.ascontiguousarray((self.coefs[:, None] * self.factors).T)
         self.self_terms = np.array([s @ f for s, f in zip(self.scaled, self.factors.T)])
-        cuts = self.indptr[1:-1]
-        self.rows = list(zip(np.split(self.nbr, cuts), np.split(self.wts, cuts)))
+        b = self.indptr.tolist()  # plain slices: np.split costs ~5x more per row
+        self.rows = [(self.nbr[s:e], self.wts[s:e]) for s, e in zip(b[:-1], b[1:])]
         self.sign_rule = bool(np.all(self.coefs <= 0.0) and np.all(self.factors >= 0.0))
 
     @classmethod

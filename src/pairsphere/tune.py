@@ -278,15 +278,15 @@ def _fmt(val):
     return val
 
 
-def write_experiment_outputs(result: ExperimentResult, out_dir, stem: str = "results") -> dict:
-    """Write results CSV + JSON mirror + summary; returns the file paths."""
+def write_experiment_outputs(result: ExperimentResult, out_dir) -> dict:
+    """Write results.csv, its JSON mirror and results_summary.json; returns the file paths."""
     import os
 
     os.makedirs(out_dir, exist_ok=True)
     paths = {
-        "csv": os.path.join(out_dir, f"{stem}.csv"),
-        "json": os.path.join(out_dir, f"{stem}.json"),
-        "summary": os.path.join(out_dir, f"{stem}_summary.json"),
+        "csv": os.path.join(out_dir, "results.csv"),
+        "json": os.path.join(out_dir, "results.json"),
+        "summary": os.path.join(out_dir, "results_summary.json"),
     }
     atomic_write_text(paths["csv"], rows_to_csv(result.rows))
     atomic_write_text(paths["json"], json.dumps(result.records(), indent=1))

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -304,6 +305,31 @@ def test_experiment_default_section_exit_2(tmp_path, capsys):
     assert code == 2
     assert "[DEFAULT] is not supported; set workers in its own section" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.name)
+def test_shipped_config_builds_its_plan(path):
+    text = path.read_text()
+    if "[grid]" in text:
+        command, plan = "grid-search", cli._grid_plan(path, {}, seed=0)
+        assert plan.cj_grid and plan.cd_grid
+    else:
+        command, plan = "experiment", cli._experiment_plan(path, {}, seed=0)
+        assert plan.queries
+    assert f"# Run: pairsphere {command} --config configs/{path.name} " in text
+
+
+def test_markov_configs_differ_only_in_the_generator():
+    ppm = cli._experiment_plan(CONFIGS / "ppm_markov.cfg", {}, seed=0)
+    for family, k in (("hppm", None), ("dcppm", 50)):
+        plan = cli._experiment_plan(CONFIGS / f"{family}_markov.cfg", {}, seed=0)
+        assert plan.generator == GeneratorSpec(family, n=1000, k=k)
+        assert replace(plan, generator=ppm.generator) == ppm
+    names = [f"{kind}_t{t}" for t in range(1, 6) for kind in ("raw", "fix")]
+    assert [q.name for q in ppm.queries] == names
 
 
 def test_python_dash_m_runs_from_a_checkout():
