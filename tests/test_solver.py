@@ -279,25 +279,40 @@ def test_purely_sparse_query_has_no_smooth_terms():
         assert obj_got >= 0.9 * obj_best - 1e-9
 
 
-# Membership SHA-1s of detect_once at n=400 (generator seed 1, solver seed 3),
-# recorded before the compact slot table replaced the n-slot one.
+# Membership SHA-1s of detect_once (generator seed 1, solver seed 3). The six
+# n=400 pins were recorded before the compact slot table replaced the n-slot
+# one; all of them satisfy the sign rule. The linear query's corrected constant
+# is positive, so it breaks the rule and its solve visits every node in every
+# sweep.
 PINNED_PARTITIONS = [
-    ("ppm", "cl-modularity", "exact", "a919c13b23e361bef2ae4a57188dbc6435a0b06f"),
-    ("hppm", "cl-modularity", "exact", "1a937616a7829e3279c323fd5787ffa65f255c9c"),
-    ("dcppm", "cl-modularity", "exact", "e44382aec2f45cf897fae7666dd0d1179c13f8b2"),
-    ("ppm", "markov", "exact", "c5c99a0a400cf984907b43af4dd6509872833d18"),
-    ("hppm", "markov", "exact", "4d0901256e502104e046e29b216a4e237d34fd45"),
-    ("ppm", "cl-modularity", "off", "496d2faec6269ab27f9e8bd98bccab66ba600330"),
+    (
+        GeneratorSpec(family, n=400, k=None if family == "hppm" else 20),
+        QuerySpec(method, t=2, isolated="zero", heuristic=heuristic),
+        sha,
+    )
+    for family, method, heuristic, sha in [
+        ("ppm", "cl-modularity", "exact", "a919c13b23e361bef2ae4a57188dbc6435a0b06f"),
+        ("hppm", "cl-modularity", "exact", "1a937616a7829e3279c323fd5787ffa65f255c9c"),
+        ("dcppm", "cl-modularity", "exact", "e44382aec2f45cf897fae7666dd0d1179c13f8b2"),
+        ("ppm", "markov", "exact", "c5c99a0a400cf984907b43af4dd6509872833d18"),
+        ("hppm", "markov", "exact", "4d0901256e502104e046e29b216a4e237d34fd45"),
+        ("ppm", "cl-modularity", "off", "496d2faec6269ab27f9e8bd98bccab66ba600330"),
+    ]
+] + [
+    (
+        GeneratorSpec("ppm", n=200, k=10),
+        QuerySpec("linear", c_j=0.0, c_d=-6.0, heuristic="exact"),
+        "af8c595db02e31d68ed824b8b1be8f7b55332495",
+    ),
 ]
 
 
 def test_partitions_pinned():
-    for family, method, heuristic, sha in PINNED_PARTITIONS:
-        G, T = generate(GeneratorSpec(family, n=400, k=None if family == "hppm" else 20), 1)
-        spec = QuerySpec(method, t=2, isolated="zero", heuristic=heuristic)
+    for gen, spec, sha in PINNED_PARTITIONS:
+        G, T = generate(gen, 1)
         C, _ = detect_once(G, spec, T, seed=3)
         got = hashlib.sha1(C.membership.astype("<i8").tobytes()).hexdigest()
-        assert got == sha, (family, method, heuristic)
+        assert got == sha, (gen.family, spec.label)
 
 
 # -- dirty-set sweeps --------------------------------------------------------------
