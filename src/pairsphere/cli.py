@@ -294,18 +294,19 @@ def cmd_grid_search(args) -> int:
 
 def cmd_ring_demo(args) -> int:
     seed = _resolve_seed(args)
-    G, T = ring_of_cliques(args.k, args.s)
-    print(f"ring of cliques: k={args.k} s={args.s} -> n={G.n}, m={G.m}")
     raw = QuerySpec("er-modularity", **_flags(args, QuerySpec))
-    rows = [(f"raw gamma={raw.gamma:g}", *_ring_run(G, T, raw, seed))]
-    for rule in LATITUDE_RULES:
-        spec = replace(raw, heuristic="exact", rule=rule)
-        rows.append((rule, *_ring_run(G, T, spec, seed)))
-    print(f"{'query':<16} {'rho':>8} {'gran_err':>10} {'k_detected':>10}")
-    for name, rho, gerr, k in rows:
-        rho_s = f"{rho:.4f}" if rho is not None else "n/a"
-        gerr_s = f"{gerr:+.4f}" if gerr is not None else "n/a"
-        print(f"{name:<16} {rho_s:>8} {gerr_s:>10} {k:>10}")
+    rings = [(k, *ring_of_cliques(k, args.s)) for k in args.k]  # a bad k fails before any output
+    for k, G, T in rings:
+        print(f"ring of cliques: k={k} s={args.s} -> n={G.n}, m={G.m}")
+        rows = [(f"raw gamma={raw.gamma:g}", *_ring_run(G, T, raw, seed))]
+        for rule in LATITUDE_RULES:
+            spec = replace(raw, heuristic="exact", rule=rule)
+            rows.append((rule, *_ring_run(G, T, spec, seed)))
+        print(f"{'query':<16} {'rho':>8} {'gran_err':>10} {'k_detected':>10}")
+        for name, rho, gerr, k_detected in rows:
+            rho_s = f"{rho:.4f}" if rho is not None else "n/a"
+            gerr_s = f"{gerr:+.4f}" if gerr is not None else "n/a"
+            print(f"{name:<16} {rho_s:>8} {gerr_s:>10} {k_detected:>10}")
     return 0
 
 
@@ -373,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     gs.set_defaults(func=cmd_grid_search)
 
     ring = sub.add_parser("ring-demo", help="granularity-fix strategies on the ring of cliques")
-    ring.add_argument("--k", type=int, default=20)
+    ring.add_argument("--k", type=int, nargs="+", default=[20], help="one or more clique counts, run in order")
     ring.add_argument("--s", type=int, default=5)
     ring.add_argument("--gamma", type=float)
     ring.add_argument("--seed", type=int, default=None)

@@ -173,3 +173,36 @@ def same_ranking(key1, key2, tol1=None, tol2=None) -> bool:
     s1 = np.where(np.abs(d1) <= tol1, 0, np.sign(d1))
     s2 = np.where(np.abs(d2) <= tol2, 0, np.sign(d2))
     return bool(np.all(s1 == s2))
+
+
+# -- the solver's sweep as a loop of per-visit calls ---------------------------------
+
+
+def reference_sweep(state, order, eps) -> int:
+    """solver._sweep written as one call per visit: _node_gain_vector for
+    the gains, _apply_move for each move, the same dirty-set skips and marks,
+    and an np.unique relabel at the end. The solver's sweep binds its arrays
+    once and relabels with a cumulative count; both must give the same bits."""
+    from pairsphere import solver
+
+    moves = skipped = 0
+    half_eps = eps / 2.0
+    for i in order.tolist():
+        if state.tracking:
+            if not state.dirty[i]:
+                skipped += 1
+                continue
+            state.dirty[i] = 0
+        W, w_cur = solver._node_gain_vector(state, i)
+        best = int(W.argmax())
+        w_best = float(W[best])
+        if w_best - w_cur > half_eps:
+            if state.tracking:
+                solver._mark_dirty(state, i, best)
+            solver._apply_move(state, i, best, 2.0 * (w_best - w_cur))
+            moves += 1
+    state.visits += order.size - skipped
+    state.skipped += skipped
+    labels, state.membership = np.unique(state.membership, return_inverse=True)
+    state.U = np.pad(state.U[:, labels], ((0, 0), (0, 1)))
+    return moves

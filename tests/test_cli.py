@@ -462,3 +462,18 @@ def test_ring_demo_runs(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "match-planted" in out and "rho" in out
+
+
+def test_ring_demo_several_k_print_each_block_in_order(capsys):
+    outs = []
+    for ks in (["5", "10"], ["5"], ["10"]):
+        assert run(["ring-demo", "--k", *ks, "--s", "5", "--seed", "7"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] + outs[2]
+    assert outs[0].count("ring of cliques") == 2
+
+
+def test_ring_demo_bad_k_fails_before_any_output(capsys):
+    assert run(["ring-demo", "--k", "5", "2", "--seed", "7"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "k >= 3" in captured.err

@@ -25,7 +25,7 @@ from pairsphere.solver import (
 )
 from pairsphere.tune import detect_once
 
-from helpers import all_partitions, dense_of, random_membership, random_sl_vector
+from helpers import all_partitions, dense_of, random_membership, random_sl_vector, reference_sweep
 
 
 def _random_query(rng, n, density=0.35):
@@ -143,6 +143,67 @@ def test_node_gain_vector_matches_dense_on_every_slot(kind):
             ref = np.bincount(state.membership, weights=Q[i], minlength=k)  # Q[i, i] = 0
             np.testing.assert_allclose(W, ref, rtol=1e-9, atol=1e-12)
             assert ref[-1] == 0.0 and w_cur == W[state.membership[i]]
+
+
+@pytest.mark.parametrize("K", range(6))
+def test_node_gain_vector_keeps_the_bits_of_the_matmul_form(K):
+    """np.dot of a row view with the slot table gives the bits of the
+    (n, K) matrix's row @ U, on fresh, grown and relabelled tables."""
+    rng = np.random.default_rng(60 + K)
+    for trial in range(6):
+        n = int(rng.integers(4, 40))
+        terms = tuple(LowRankTerm(rng.normal(), rng.normal(size=n)) for _ in range(K))
+        pairs = {(i, j): rng.normal() for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3}
+        q = PairVector.from_pairs(n, pairs, terms, 0.0)
+        state = SolverState.from_partition(q, Partition(random_membership(rng, n)))
+        scaled = np.ascontiguousarray((state.inst.coefs[:, None] * state.inst.factors).T)
+        for sweep in range(3):
+            for i in range(n):
+                W, w_cur = _node_gain_vector(state, i)
+                nbr, wts = state.inst.rows[i]
+                ref = scaled[i] @ state.U
+                ref += np.bincount(state.membership[nbr], weights=wts, minlength=ref.size)
+                cur = int(state.membership[i])
+                ref[cur] -= scaled[i] @ state.inst.factors[:, i]
+                assert W.tobytes() == ref.tobytes() and w_cur == float(ref[cur])
+            _sweep(state, rng.permutation(n), 0.0)
+
+
+@pytest.mark.parametrize("tracking", [False, True], ids=["full", "tracking"])
+@pytest.mark.parametrize("kind", QUERY_KINDS)
+def test_sweep_matches_the_per_visit_reference(kind, tracking):
+    """_sweep against helpers.reference_sweep, sweep after sweep: the same
+    moves, membership, slot table, objective, counters and marks, bit for
+    bit, with the empty slot going live along the way."""
+    rng = np.random.default_rng(70 + 2 * list(QUERY_KINDS).index(kind) + tracking)
+    grew = skipped = 0
+    for trial in range(8):
+        n = int(rng.integers(5, 40))
+        q = random_sl_vector(rng, n, sparse_density=0.3, **QUERY_KINDS[kind])
+        start = random_membership(rng, n, k_max=4) if trial % 2 else np.arange(n)
+        inst, eps = _Instance.from_pair_vector(q), 1e-12 * q.norm() * math.sqrt(q.N)
+        new, ref = (SolverState(inst, start, query_alignment(q, Partition(start))) for _ in range(2))
+        if tracking:
+            marks = rng.random(n) < 0.5
+            for state in (new, ref):
+                state.tracking = True
+                state.dirty_view[:] = marks
+        for _ in range(30):
+            live = new.U.shape[1] - 1
+            order = rng.permutation(n)
+            moves = _sweep(new, order, eps)
+            assert reference_sweep(ref, order, eps) == moves
+            assert new.membership.dtype == ref.membership.dtype
+            assert new.membership.tobytes() == ref.membership.tobytes()
+            assert new.U.shape == ref.U.shape and new.U.tobytes() == ref.U.tobytes()
+            assert new.objective == ref.objective
+            assert (new.visits, new.skipped, new.dirty) == (ref.visits, ref.skipped, ref.dirty)
+            grew += new.U.shape[1] - 1 > live
+            if moves == 0:
+                break
+        skipped += new.skipped
+    assert grew > 0
+    assert (skipped > 0) == tracking
 
 
 @pytest.mark.parametrize("slot", [0, -1])
