@@ -11,6 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from pairsphere import solver
 from pairsphere.geometry import LowRankTerm, PairVector
 
 
@@ -183,8 +184,6 @@ def reference_sweep(state, order, eps) -> int:
     the gains, _apply_move for each move, the same dirty-set skips and marks,
     and an np.unique relabel at the end. The solver's sweep binds its arrays
     once and relabels with a cumulative count; both must give the same bits."""
-    from pairsphere import solver
-
     moves = skipped = 0
     half_eps = eps / 2.0
     for i in order.tolist():
