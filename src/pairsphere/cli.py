@@ -13,7 +13,7 @@ Experiment/grid-search plans are flat `key = value` config files with sections
                         lambda_in, lambda_out, delta, s_min, s_max, tau,
                         edge_file, membership_file
   [experiment]          repeats, workers (the master seed comes from --seed)
-  [query <name>]        method = er-modularity|cl-modularity|markov|ppm|cc|linear
+  [query <name>]        method = er-modularity|cl-modularity|markov|ppm|linear
                         gamma, t, isolated = error|zero, p_in, p_out,
                         c_a, c_j, c_d, c_1,
                         heuristic = off|exact|fixed:<lat>,<theta>|means:<pilots>,

@@ -90,14 +90,9 @@ class PairVector:
 
     @classmethod
     def from_pairs(cls, n: int, weights, terms=(), constant: float = 0.0) -> "PairVector":
-        """Build from {(i, j): w} mapping or an iterable of (i, j, w) triples."""
-        items = weights.items() if hasattr(weights, "items") else list(weights)
+        """Build from a {(i, j): w} mapping."""
         ids, vals = [], []
-        for key in items:
-            if len(key) == 2:
-                (i, j), w = key
-            else:
-                i, j, w = key
+        for (i, j), w in weights.items():
             if i == j or not (0 <= i < n and 0 <= j < n):
                 raise IndexError(f"invalid pair ({i}, {j}) for n={n}")
             if i > j:

@@ -242,6 +242,10 @@ class QuerySpec:
             raise ValueError("isolated must be 'error' or 'zero'")
         if self.method in ("er-modularity", "cl-modularity") and self.gamma < 0:
             raise ValueError("resolution parameter must be nonnegative")
+        if self.method == "ppm" and not all(p is not None and 0.0 < p < 1.0 for p in (self.p_in, self.p_out)):
+            raise ValueError("ppm method needs p_in and p_out strictly inside (0, 1)")
+        if self.method == "cc" and not (self.w_plus or self.w_minus):
+            raise ValueError("cc method needs at least one weight in w_plus or w_minus")
         if self.heuristic == "fixed" and (self.lam_t is None or self.theta is None):
             raise ValueError("fixed heuristic mode needs lam_t and theta")
         if self.heuristic == "means" and self.pilots < 1:
@@ -278,8 +282,6 @@ def build_base_query(G: Graph, spec: QuerySpec) -> PairVector:
     if spec.method == "markov":
         return markov_stability_query(G, spec.t, isolated=spec.isolated)
     if spec.method == "ppm":
-        if spec.p_in is None or spec.p_out is None:
-            raise ValueError("ppm method needs p_in and p_out")
         return binary_ppm_query(G, spec.p_in, spec.p_out)
     if spec.method == "cc":
         return correlation_clustering_query(spec.w_plus, spec.w_minus, G.n)

@@ -2,17 +2,17 @@
 
 Minimizing the angular distance to a query equals maximizing the inner
 product with the clustering vector, which decomposes over node pairs. The
-local-move solver is a greedy relabeling scheme over that objective: sweeps
-of best-gain single-node moves, followed by aggregation of communities into
-supernodes, repeated until nothing improves. A node visit builds the gain
-over the k live communities plus one empty slot: a gemv of the node's K
-scaled factors with the K x k slot table (K rank-one terms; a nonzero
-constant c is one of them, c * 11^T), one bincount of its sparse row by slot,
-a self-term subtraction, an argmax and three scalar reads. Sweeps take about
-3.7 us per visit at n=200 (linear grid-search queries) and 5.8 us at n=2000
-(cl-modularity and markov t=2) on a 2-vCPU Xeon, against 6.0 and 7.5 us when
-each visit looked up its arrays on the state. Only the first sweep, from n
-singletons, still costs O(n^2).
+local-move solver is a greedy relabeling scheme over that objective: each
+cycle sweeps best-gain single-node moves, then builds coarse levels, each
+sweeping supernodes made of the communities below, and cycles repeat until
+nothing improves. A node visit builds the gain over the k live communities
+plus one empty slot: a gemv of the node's K scaled factors with the K x k
+slot table (K rank-one terms; a nonzero constant c is one of them,
+c * 11^T), one bincount of its sparse row by slot, a self-term subtraction,
+an argmax and three scalar reads. Sweeps take about 3.7 us per visit at
+n=200 (linear grid-search queries) and 5.8 us at n=2000 (cl-modularity and
+markov t=2) on a 2-vCPU Xeon. Only the first sweep, from n singletons,
+still costs O(n^2).
 
 Dirty-set sweeps skip visits that provably cannot move. The skip is exact
 under the sign rule: every rank-one coefficient (the constant's included) is
@@ -64,9 +64,9 @@ MAX_CYCLES = 50
 @dataclass
 class _Instance:
     """A query vector unpacked into solver-friendly arrays: CSR rows of the
-    symmetric sparse part, and the smooth part as K rank-one terms
-    coefs[k] * factors[k] factors[k]^T, plus per-node rows for the visits.
-    sign_rule tells whether every pair outside the sparse rows is <= 0."""
+    symmetric sparse part (heads: the row of each entry), the smooth part as K
+    rank-one terms coefs[k] * factors[k] factors[k]^T, and per-node rows for
+    the visits. sign_rule: is every pair outside the sparse rows <= 0."""
 
     n: int
     indptr: np.ndarray
@@ -83,6 +83,7 @@ class _Instance:
         self.self_terms = [(s @ f).item() for s, f in zip(scaled, self.factors.T)]
         b = self.indptr.tolist()  # plain slices: np.split costs ~5x more per row
         self.rows = [(self.nbr[s:e], self.wts[s:e]) for s, e in zip(b[:-1], b[1:])]
+        self.heads = np.repeat(np.arange(self.n), np.diff(self.indptr))
         self.sign_rule = bool(np.all(self.coefs <= 0.0) and np.all(self.factors >= 0.0))
 
     @classmethod
@@ -185,8 +186,7 @@ def _merge_marks(inst: _Instance, before: np.ndarray, after: np.ndarray) -> np.n
     owner = np.zeros(before.max() + 1, dtype=np.int64)
     owner[before] = after
     hit = (np.bincount(owner) >= 2)[after]
-    heads = np.repeat(np.arange(inst.n), np.diff(inst.indptr))
-    hit[heads[hit[inst.nbr]]] = True
+    hit[inst.heads[hit[inst.nbr]]] = True
     return hit
 
 
@@ -283,25 +283,39 @@ def _local_moves(state: SolverState, rng, eps: float) -> int:
     return total_moves
 
 
-def _aggregate(inst: _Instance, membership: np.ndarray) -> tuple[_Instance, np.ndarray]:
-    """Collapse communities to supernodes.
+def _aggregate(inst: _Instance, membership: np.ndarray) -> _Instance:
+    """Collapse communities to supernodes; the labels must be compact (0..k-1,
+    each used), as every sweep leaves them, and label a becomes supernode a.
 
     Sparse entries sum between supernode pairs; rank-one factors sum within
     supernodes, so an all-ones factor counts each supernode's members.
     Pairs inside a supernode contribute a fixed amount that is dropped, so
-    coarse-level gains equal fine-level gains. Returns the coarse instance
-    and the fine-node -> supernode map.
+    coarse-level gains equal fine-level gains.
     """
-    labels, compact = np.unique(membership, return_inverse=True)
-    k = labels.size
-    heads = np.repeat(np.arange(inst.n), np.diff(inst.indptr))
-    keep = heads < inst.nbr  # each sparse pair once
-    ai = compact[heads[keep]]
-    bj = compact[inst.nbr[keep]]
+    k = int(membership.max()) + 1
+    keep = inst.heads < inst.nbr  # each sparse pair once
+    ai = membership[inst.heads[keep]]
+    bj = membership[inst.nbr[keep]]
     cross = ai != bj
     indptr, tails, cvals = _build_csr(k, ai[cross], bj[cross], inst.wts[keep][cross])
-    coarse = _Instance(k, indptr, tails, cvals, inst.coefs, _slot_sums(inst.factors, compact, k))
-    return coarse, compact
+    return _Instance(k, indptr, tails, cvals, inst.coefs, _slot_sums(inst.factors, membership, k))
+
+
+def _coarsen(inst: _Instance, memb: np.ndarray, rng, eps: float, debug_checks: bool) -> tuple[np.ndarray, float]:
+    """Coarse levels on a fine solution `memb` (compact labels): each level
+    aggregates the communities of the one below and runs local moves on the
+    supernodes, until a level has nothing to merge or no move. Returns the
+    fine membership reached and the levels' summed gain (0.0 if none moved)."""
+    gain = 0.0
+    level = memb  # the current level's membership; memb maps fine nodes to its labels
+    while (coarse := _aggregate(inst, level)).n < inst.n:
+        state = SolverState(coarse, np.arange(coarse.n), 0.0, debug_checks)  # coarse levels track gains only
+        if not _local_moves(state, rng, eps):
+            break
+        gain += state.objective
+        inst, level = coarse, state.membership
+        memb = level[memb]
+    return memb, gain
 
 
 def louvain_project(
@@ -311,7 +325,7 @@ def louvain_project(
 
     Starts from singletons; sweeps best-gain single-node relabelings in a
     seeded random order (fresh shuffle per sweep, ties to the lowest slot),
-    aggregates communities into supernodes and recurses, and repeats the whole
+    then builds coarse levels of supernodes (see _coarsen), and repeats the
     cycle until the objective stops improving. The returned partition admits
     no improving single-node relabel at the finest level.
 
@@ -323,8 +337,6 @@ def louvain_project(
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
-    if q.n == 1:
-        return Partition(np.zeros(1, dtype=np.int64))
     eps = EPS_SCALE * q.norm() * math.sqrt(q.N)
     inst = _Instance.from_pair_vector(q)
     rngs = (np.random.default_rng([seed, r] if restarts > 1 else seed) for r in range(restarts))
@@ -334,31 +346,10 @@ def louvain_project(
 
 def _project_once(inst: _Instance, q: PairVector, rng, debug_checks: bool, eps: float) -> SolverState:
     state = SolverState(inst, np.arange(inst.n), -q.total(), debug_checks)  # singletons: no intra pair
-    cycles = 0
-    while True:
-        cycles += 1
-        if cycles > MAX_CYCLES:
-            warnings.warn("cycle cap reached before convergence")
-            break
+    for _ in range(MAX_CYCLES):
         obj_before = state.objective
         _local_moves(state, rng, eps)
-        # aggregation hierarchy on top of the node-level solution
-        node_memb = state.membership.copy()
-        node_to_level = None  # node -> current-level supernode
-        level_inst, level_memb = inst, state.membership
-        gained = 0.0
-        while True:
-            coarse, compact = _aggregate(level_inst, level_memb)
-            if coarse.n == level_inst.n:
-                break  # nothing left to merge at this granularity
-            node_to_level = compact if node_to_level is None else compact[node_to_level]
-            cstate = SolverState(coarse, np.arange(coarse.n), 0.0, debug_checks)  # coarse levels track gains only
-            moved = _local_moves(cstate, rng, eps)
-            if not moved:
-                break
-            gained += cstate.objective
-            node_memb = cstate.membership[node_to_level]
-            level_inst, level_memb = coarse, cstate.membership
+        node_memb, gained = _coarsen(inst, state.membership, rng, eps, debug_checks)
         if gained > 0.0:  # the fine level carries its dirty set over the merges
             merged = SolverState(inst, node_memb, state.objective + gained, debug_checks)
             merged.tracking = state.tracking
@@ -373,7 +364,8 @@ def _project_once(inst: _Instance, q: PairVector, rng, debug_checks: bool, eps: 
             if state.U[:, -1].any() or np.any(np.abs(state.U - fresh) > 1e-9 * scale):
                 raise AssertionError("slot table drifted from the membership")
         if state.objective - obj_before <= eps:
-            break
+            return state
+    warnings.warn("cycle cap reached before convergence")
     return state
 
 

@@ -355,9 +355,13 @@ def test_python_dash_m_runs_from_a_checkout():
          "[generator] community sizes need 2 <= s_min <= s_max"),
         ("repeats = 2", "repeats = 2\nseed = 3", "[experiment] seed"),
         ("t = 1\nisolated = zero\nheuristic", "t = 1\npilots = 3\nheuristic", "[query ms1fix] pilots"),
+        ("method = markov\nt = 1\nisolated = zero\n\n", "method = ppm\np_out = 0.1\n\n",
+         "[query ms1] ppm method needs p_in and p_out"),
+        ("method = markov\nt = 1\nisolated = zero\n\n", "method = cc\n\n", "[query ms1] cc method needs"),
     ],
     ids=["p_in-above-1", "k-not-dividing-n", "means-without-pilots", "repeats-0", "repeats-not-int",
-         "ring-k-below-3", "hppm", "experiment-unknown-key", "query-pilots-key"],
+         "ring-k-below-3", "hppm", "experiment-unknown-key", "query-pilots-key", "ppm-without-p_in",
+         "cc-without-weights"],
 )
 def test_experiment_config_that_cannot_run_exit_2(tmp_path, capsys, old, new, message):
     cfg = tmp_path / "bad.cfg"

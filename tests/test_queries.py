@@ -321,6 +321,12 @@ def test_query_spec_validation():
         QuerySpec("er-modularity", heuristic="fixed")
     with pytest.raises(ValueError, match="pilot"):
         QuerySpec("markov", heuristic="means", pilots=0)
+    for p_in, p_out in ((None, 0.1), (0.3, None), (1.0, 0.1), (0.3, 0.0)):
+        with pytest.raises(ValueError, match="strictly inside"):
+            QuerySpec("ppm", p_in=p_in, p_out=p_out)
+    with pytest.raises(ValueError, match="cc method"):
+        QuerySpec("cc")
+    assert QuerySpec("cc", w_minus={(0, 1): 1.0}).w_minus
     spec = QuerySpec("markov", t=2, heuristic="exact")
     assert "markov" in spec.label and "t=2" in spec.label
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -89,9 +90,11 @@ QUERY_KINDS = {
 
 
 def _assert_compact(state):
-    live = np.unique(state.membership).size
-    assert state.membership.max() == live - 1
-    assert state.U.shape == (state.inst.factors.shape[0], live + 1)
+    """Labels 0..k-1, each used (what _aggregate relies on), and a slot table
+    of the k live slots plus one empty slot."""
+    k = state.U.shape[1] - 1
+    np.testing.assert_array_equal(np.unique(state.membership), np.arange(k))
+    assert state.U.shape[0] == state.inst.factors.shape[0]
     assert not state.U[:, -1].any()
 
 
@@ -174,7 +177,8 @@ def test_node_gain_vector_keeps_the_bits_of_the_matmul_form(K):
 def test_sweep_matches_the_per_visit_reference(kind, tracking):
     """_sweep against helpers.reference_sweep, sweep after sweep: the same
     moves, membership, slot table, objective, counters and marks, bit for
-    bit, with the empty slot going live along the way."""
+    bit, with the empty slot going live along the way; every sweep leaves
+    compact labels."""
     rng = np.random.default_rng(70 + 2 * list(QUERY_KINDS).index(kind) + tracking)
     grew = skipped = 0
     for trial in range(8):
@@ -198,6 +202,7 @@ def test_sweep_matches_the_per_visit_reference(kind, tracking):
             assert new.U.shape == ref.U.shape and new.U.tobytes() == ref.U.tobytes()
             assert new.objective == ref.objective
             assert (new.visits, new.skipped, new.dirty) == (ref.visits, ref.skipped, ref.dirty)
+            _assert_compact(new)
             grew += new.U.shape[1] - 1 > live
             if moves == 0:
                 break
@@ -247,8 +252,13 @@ def test_determinism_and_seed_sensitivity():
 
 
 def test_single_node():
-    q = PairVector.constant_vector(1, 0.0)
-    assert louvain_project(q, seed=0).n == 1
+    """One node goes through the general path and stays a singleton."""
+    queries = [PairVector.constant_vector(1, c) for c in (-1.0, 0.0, 1.0)]
+    queries.append(PairVector.from_pairs(1, {}, (LowRankTerm(0.7, np.array([1.5])),)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for q in queries:
+            assert louvain_project(q, seed=0, debug_checks=True).membership.tolist() == [0]
 
 
 def test_local_optimality_moderate_size():
@@ -427,7 +437,7 @@ def test_sign_rule_fails_for_positive_smooth_parts():
 def test_coarse_instance_keeps_the_sign_rule():
     G, T = _ppm200()
     inst = _Instance.from_pair_vector(build_query(G, QuerySpec("cl-modularity", heuristic="exact"), T))
-    coarse, _ = _aggregate(inst, T.membership)
+    coarse = _aggregate(inst, T.membership)  # Partition labels are compact
     assert inst.sign_rule and coarse.sign_rule and coarse.n == T.k
 
 
@@ -587,14 +597,15 @@ def test_aggregate_matches_dense_block_sums(case):
             memb = rng.integers(0, 3, size=n)
         else:
             memb = random_membership(rng, n)
-        coarse, compact = _aggregate(_Instance.from_pair_vector(q), memb)
+        memb = np.unique(memb, return_inverse=True)[1]  # compact labels, as every sweep leaves them
+        coarse = _aggregate(_Instance.from_pair_vector(q), memb)
         k = coarse.n
         fine = np.zeros((n, n))
         iu, ju = np.triu_indices(n, k=1)
         fine[iu, ju] = dense_of(q)
         fine += fine.T
         H = np.zeros((n, k))
-        H[np.arange(n), compact] = 1.0
+        H[np.arange(n), memb] = 1.0
         ref = H.T @ fine @ H
         got = np.einsum("t,ta,tb->ab", coarse.coefs, coarse.factors, coarse.factors)
         for a in range(k):
