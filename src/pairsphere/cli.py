@@ -97,7 +97,7 @@ def _read_spec(cls, given: dict, section: str | None = None, exclude=(), **fixed
     config section's keys, converted by the field's annotation (int, float,
     str or X | None); `heuristic` text expands by _parse_heuristic. A key that
     is not a field of `cls`, or is in `exclude`, is a usage error, and so is a
-    ValueError while reading a section; a flag's ValueError passes through.
+    ValueError while reading the flags or a section.
     """
     types = {f.name: f.type for f in fields(cls) if f.name not in exclude}
     kwargs = dict(fixed)
@@ -116,9 +116,7 @@ def _read_spec(cls, given: dict, section: str | None = None, exclude=(), **fixed
                 raise UsageError(f"missing config key [{section}] {f.name}")
         return cls(**kwargs)
     except ValueError as exc:
-        if section is None:
-            raise
-        raise UsageError(f"[{section}] {exc}") from exc
+        raise UsageError(f"[{section}] {exc}" if section else str(exc)) from exc
 
 
 def _flags(args, cls, exclude=()) -> dict:
@@ -294,7 +292,7 @@ def cmd_grid_search(args) -> int:
 
 def cmd_ring_demo(args) -> int:
     seed = _resolve_seed(args)
-    raw = QuerySpec("er-modularity", **_flags(args, QuerySpec))
+    raw = _read_spec(QuerySpec, _flags(args, QuerySpec), method="er-modularity")
     rings = [(k, *ring_of_cliques(k, args.s)) for k in args.k]  # a bad k fails before any output
     for k, G, T in rings:
         print(f"ring of cliques: k={k} s={args.s} -> n={G.n}, m={G.m}")

@@ -163,7 +163,14 @@ class PairVector:
 
     def scaled(self, a: float) -> "PairVector":
         terms = tuple(LowRankTerm(a * t.coef, t.factor) for t in self.terms)
-        return PairVector(self.n, self.pair_ids, a * self.values, terms, a * self.constant)
+        return self._on_same_support(a * self.values, terms, a * self.constant)
+
+    def _on_same_support(self, values, terms, constant) -> "PairVector":
+        """A vector over the same sparse pairs, carrying the cached (i, j) members."""
+        out = PairVector(self.n, self.pair_ids, values, terms, constant)
+        if "ij" in self._cache:
+            out._cache["ij"] = self._cache["ij"]
+        return out
 
 
 def combine(parts) -> PairVector:
@@ -307,4 +314,4 @@ def parallel_projection(x: PairVector, lam: float) -> PairVector:
     mu = x.total() / x.N
     terms = tuple(LowRankTerm(alpha * t.coef, t.factor) for t in x.terms)
     const = alpha * (x.constant - mu) - math.cos(lam)
-    return PairVector(x.n, x.pair_ids, alpha * x.values, terms, const)
+    return x._on_same_support(alpha * x.values, terms, const)

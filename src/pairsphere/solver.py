@@ -34,6 +34,16 @@ marks and adds the members of every merged community and their row
 neighbours. The visit order and every computed visit are unchanged, so the
 partition is the same as with full sweeps.
 
+Each level keeps its sparse part twice: as CSR rows for the visits and as a
+list of its pairs, each once (i < j). A coarse level maps the list below
+through the community labels and drops the pairs inside a supernode. When its
+k supernodes give k * (k - 1) at most the CSR entry count of the level below,
+one bincount sums the pairs into a dense k x k block, no larger than that
+level, whose nonzeros in row order are the coarse rows and list; otherwise
+scipy sums them, as it builds the fine level's rows. The block adds the fine
+pairs of one supernode pair in list order, scipy in the order of its unstable
+index sort, so coarse values are not bit-guaranteed to match between paths.
+
 For small instances an exhaustive enumerator over set partitions provides an
 exact reference optimum.
 """
@@ -64,14 +74,18 @@ MAX_CYCLES = 50
 @dataclass
 class _Instance:
     """A query vector unpacked into solver-friendly arrays: CSR rows of the
-    symmetric sparse part (heads: the row of each entry), the smooth part as K
-    rank-one terms coefs[k] * factors[k] factors[k]^T, and per-node rows for
-    the visits. sign_rule: is every pair outside the sparse rows <= 0."""
+    symmetric sparse part, the same pairs once each as a list (pi < pj, with
+    value pv), the smooth part as K rank-one terms coefs[k] * factors[k]
+    factors[k]^T, and per-node rows for the visits. sign_rule: is every pair
+    outside the sparse rows <= 0."""
 
     n: int
     indptr: np.ndarray
     nbr: np.ndarray
     wts: np.ndarray
+    pi: np.ndarray
+    pj: np.ndarray
+    pv: np.ndarray
     coefs: np.ndarray  # (K,)
     factors: np.ndarray  # (K, n)
 
@@ -83,18 +97,21 @@ class _Instance:
         self.self_terms = [(s @ f).item() for s, f in zip(scaled, self.factors.T)]
         b = self.indptr.tolist()  # plain slices: np.split costs ~5x more per row
         self.rows = [(self.nbr[s:e], self.wts[s:e]) for s, e in zip(b[:-1], b[1:])]
-        self.heads = np.repeat(np.arange(self.n), np.diff(self.indptr))
         self.sign_rule = bool(np.all(self.coefs <= 0.0) and np.all(self.factors >= 0.0))
 
     @classmethod
     def from_pair_vector(cls, q: PairVector) -> "_Instance":
         n = q.n
         ii, jj = q.sparse_members()
-        indptr, tails, vals = _build_csr(n, ii, jj, q.values)
+        vals = q.values
+        if not vals.all():  # U + U.T drops explicit zeros from the rows: drop them from the list too
+            nz = vals != 0.0
+            ii, jj, vals = ii[nz], jj[nz], vals[nz]
+        indptr, tails, wts = _build_csr(n, ii, jj, vals)
         terms = list(_smooth_terms_with_constant(q))  # a constant c is the term c * 11^T, last
         coefs = np.array([c for c, _ in terms], dtype=np.float64)
         factors = np.array([u for _, u in terms], dtype=np.float64).reshape(len(terms), n)
-        return cls(n, indptr, tails, vals, coefs, factors)
+        return cls(n, indptr, tails, wts, ii, jj, vals, coefs, factors)
 
 
 def _slot_sums(factors: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
@@ -185,8 +202,10 @@ def _merge_marks(inst: _Instance, before: np.ndarray, after: np.ndarray) -> np.n
     has W <= 0 on every merged slot; its best gain over staying cannot rise."""
     owner = np.zeros(before.max() + 1, dtype=np.int64)
     owner[before] = after
-    hit = (np.bincount(owner) >= 2)[after]
-    hit[inst.heads[hit[inst.nbr]]] = True
+    merged = (np.bincount(owner) >= 2)[after]
+    hit = merged.copy()
+    hit[inst.pi[merged[inst.pj]]] = True
+    hit[inst.pj[merged[inst.pi]]] = True
     return hit
 
 
@@ -291,14 +310,31 @@ def _aggregate(inst: _Instance, membership: np.ndarray) -> _Instance:
     supernodes, so an all-ones factor counts each supernode's members.
     Pairs inside a supernode contribute a fixed amount that is dropped, so
     coarse-level gains equal fine-level gains.
+
+    The level's pair list, mapped through the labels, gives the coarse pairs.
+    One bincount sums them into a dense k x k block when k * (k - 1) is at
+    most the level's CSR entry count (the block is then no larger than the
+    level), _build_csr otherwise; zero sums are dropped. Coarse values are not
+    bit-guaranteed: the block adds the fine pairs of one supernode pair in list
+    order, scipy in the order its unstable index sort leaves.
     """
     k = int(membership.max()) + 1
-    keep = inst.heads < inst.nbr  # each sparse pair once
-    ai = membership[inst.heads[keep]]
-    bj = membership[inst.nbr[keep]]
+    ai, bj = membership[inst.pi], membership[inst.pj]
     cross = ai != bj
-    indptr, tails, cvals = _build_csr(k, ai[cross], bj[cross], inst.wts[keep][cross])
-    return _Instance(k, indptr, tails, cvals, inst.coefs, _slot_sums(inst.factors, membership, k))
+    ai, bj, w = ai[cross], bj[cross], inst.pv[cross]
+    if k * (k - 1) <= inst.nbr.size:
+        M = np.bincount(ai * k + bj, w, k * k).reshape(k, k)
+        M = (M + M.T).ravel()
+        flat = np.flatnonzero(M)
+        indptr = np.searchsorted(flat, np.arange(k + 1) * k)
+        heads, tails = np.divmod(flat, k)
+        cvals = M[flat]
+    else:
+        indptr, tails, cvals = _build_csr(k, ai, bj, w)
+        heads = np.repeat(np.arange(k), np.diff(indptr))
+    up = heads < tails
+    factors = _slot_sums(inst.factors, membership, k)
+    return _Instance(k, indptr, tails, cvals, heads[up], tails[up], cvals[up], inst.coefs, factors)
 
 
 def _coarsen(inst: _Instance, memb: np.ndarray, rng, eps: float, debug_checks: bool) -> tuple[np.ndarray, float]:

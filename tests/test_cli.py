@@ -60,10 +60,12 @@ def test_generate_meta_takes_spec_defaults(tmp_path):
 
 
 def test_generate_bad_params_exit_code(tmp_path, capsys):
+    out = tmp_path / "out"
     code = run(["generate", "--family", "ppm", "--n", "10", "--k", "3",
-                "--seed", "0", "--out", str(tmp_path)])
-    assert code == 1
-    assert "error" in capsys.readouterr().err
+                "--seed", "0", "--out", str(out)])
+    assert code == 2
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _two_triangles(tmp_path):
@@ -144,6 +146,18 @@ def test_detect_means_mode_is_usage_error(tmp_path, capsys):
     code = run(["detect", "--graph", str(edges), "--method", "markov",
                 "--heuristic", "means:5", "--seed", "0", "--out", str(tmp_path)])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "flags", [["--method", "ppm"], ["--method", "markov", "--t", "0"]], ids=["ppm-without-pin", "t-0"]
+)
+def test_detect_flag_breaking_a_spec_rule_is_usage_error(tmp_path, capsys, flags):
+    edges, _ = _two_triangles(tmp_path)
+    out = tmp_path / "out"
+    code = run(["detect", "--graph", str(edges), *flags, "--seed", "0", "--out", str(out)])
+    assert code == 2
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_detect_isolated_node_domain_error(tmp_path, capsys):
@@ -481,3 +495,9 @@ def test_ring_demo_bad_k_fails_before_any_output(capsys):
     assert run(["ring-demo", "--k", "5", "2", "--seed", "7"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "k >= 3" in captured.err
+
+
+def test_ring_demo_bad_gamma_is_usage_error(capsys):
+    assert run(["ring-demo", "--k", "5", "--gamma", "-1", "--seed", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "usage error" in captured.err

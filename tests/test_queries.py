@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from pairsphere import geometry
 from pairsphere.clustering import Partition, partition_latitude, query_alignment, query_angular_distance, query_correlation_distance
 from pairsphere.geometry import latitude
 from pairsphere.graph import Graph
@@ -270,6 +271,25 @@ def test_apply_heuristic_fixed_values():
     assert latitude(out) == pytest.approx(heuristic_latitude(0.9, 0.3), abs=1e-12)
     with pytest.raises(ValueError):
         apply_granularity_heuristic(q)
+
+
+def test_corrected_query_keeps_the_sparse_members(monkeypatch):
+    """Scaling and parallel projection keep the sparse pairs, so the vectors
+    they return carry the cached (i, j) members: no second id inversion."""
+    rng = np.random.default_rng(13)
+    G = _random_graph(rng, 12, 0.4)
+    T = Partition(nontrivial_membership(rng, 12))
+    q = build_query(G, QuerySpec("markov", t=2), T)
+    members = q.sparse_members()
+    outs = [build_query(G, QuerySpec("markov", t=2, heuristic="exact"), T), q.scaled(2.0)]
+
+    def inverted_again(ids, n):
+        raise AssertionError("pair ids inverted again")
+
+    monkeypatch.setattr(geometry, "pair_members", inverted_again)
+    for out in outs:
+        got = out.sparse_members()
+        assert all(np.array_equal(a, b) for a, b in zip(got, members))
 
 
 def test_positive_scaling_leaves_argmin_unchanged():

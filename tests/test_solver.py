@@ -18,6 +18,7 @@ from pairsphere.solver import (
     _Instance,
     _local_moves,
     _node_gain_vector,
+    _project_once,
     _sweep,
     exact_project,
     louvain_project,
@@ -584,22 +585,41 @@ def test_evaluate_excess_sign():
 # -- aggregation -----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("case", ["random", "shared-pairs", "no-sparse-part"])
+AGGREGATE_CASES = ["random", "shared-pairs", "no-sparse-part", "near-singletons"]
+# which side of the dense-block rule k * (k - 1) <= CSR entries each case's draws reach
+AGGREGATE_PATHS = {"random": {True, False}, "shared-pairs": {True}, "no-sparse-part": {True, False}, "near-singletons": {False}}
+
+
+def _assert_pair_list_is_upper_triangle(inst):
+    heads = np.repeat(np.arange(inst.n), np.diff(inst.indptr))
+    up = heads < inst.nbr
+    for got, want in zip((inst.pi, inst.pj, inst.pv), (heads[up], inst.nbr[up], inst.wts[up])):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("case", AGGREGATE_CASES)
 def test_aggregate_matches_dense_block_sums(case):
     """Every coarse pair (a, b), a != b, holds the sum of the fine entries
-    between supernodes a and b; the coarse rows hold no self entry."""
-    rng = np.random.default_rng(["random", "shared-pairs", "no-sparse-part"].index(case))
+    between supernodes a and b; the coarse rows hold no self entry, and the
+    pair list holds the rows' upper triangle. A dense block gives the rows
+    _build_csr gives, with values equal to round-off."""
+    rng = np.random.default_rng(AGGREGATE_CASES.index(case))
+    paths = set()
     for _ in range(15):
-        n = int(rng.integers(2, 13))
-        density = {"random": 0.4, "shared-pairs": 1.0, "no-sparse-part": 0.0}[case]
+        n = int(rng.integers(6 if case == "near-singletons" else 2, 13))
+        density = {"shared-pairs": 1.0, "no-sparse-part": 0.0}.get(case, 0.4)
         q = random_sl_vector(rng, n, sparse_density=density)
         if case == "shared-pairs":  # at most 3 supernodes: many fine pairs per coarse pair
             memb = rng.integers(0, 3, size=n)
+        elif case == "near-singletons":  # one merged pair: too many supernodes for a block
+            memb = np.minimum(np.arange(n), n - 2)
         else:
             memb = random_membership(rng, n)
         memb = np.unique(memb, return_inverse=True)[1]  # compact labels, as every sweep leaves them
-        coarse = _aggregate(_Instance.from_pair_vector(q), memb)
+        inst = _Instance.from_pair_vector(q)
+        coarse = _aggregate(inst, memb)
         k = coarse.n
+        paths.add(k * (k - 1) <= inst.nbr.size)
         fine = np.zeros((n, n))
         iu, ju = np.triu_indices(n, k=1)
         fine[iu, ju] = dense_of(q)
@@ -614,5 +634,56 @@ def test_aggregate_matches_dense_block_sums(case):
             np.add.at(got[a], coarse.nbr[lo:hi], coarse.wts[lo:hi])
         off = ~np.eye(k, dtype=bool)
         np.testing.assert_allclose(got[off], ref[off], rtol=0, atol=1e-12)
+        _assert_pair_list_is_upper_triangle(inst)
+        _assert_pair_list_is_upper_triangle(coarse)
+        ai, bj = memb[inst.pi], memb[inst.pj]
+        cross = ai != bj
+        indptr, nbr, wts = solver._build_csr(k, ai[cross], bj[cross], inst.pv[cross])
+        assert np.array_equal(coarse.indptr, indptr) and np.array_equal(coarse.nbr, nbr)
+        np.testing.assert_allclose(coarse.wts, wts, rtol=1e-12, atol=0)
         if case == "no-sparse-part":
             assert coarse.nbr.size == 0
+    assert paths == AGGREGATE_PATHS[case]
+
+
+def test_explicit_zero_pairs_are_left_out():
+    """A sparse pair stored as 0.0 is in neither the rows nor the pair list,
+    so it marks no neighbour: the solve visits and skips exactly as without it."""
+    rng = np.random.default_rng(31)
+    n = 60
+    q = _sign_rule_query(rng, n)
+    ii, jj = q.sparse_members()
+    pairs = {(int(i), int(j)): v for i, j, v in zip(ii, jj, q.values) if (i, j) != (0, 1)}
+    absent = [(int(i), int(j)) for i, j in zip(*np.triu_indices(n, k=1)) if (int(i), int(j)) not in pairs]
+    zeros = {pair: 0.0 for pair in [(0, 1)] + [absent[i] for i in rng.choice(len(absent), 40, replace=False)]}
+    without = PairVector.from_pairs(n, pairs, q.terms, q.constant)
+    with_zeros = PairVector.from_pairs(n, {**pairs, **zeros}, q.terms, q.constant)
+    states = []
+    for v in (without, with_zeros):
+        inst = _Instance.from_pair_vector(v)
+        assert inst.sign_rule and inst.pv.all() and inst.pi.size == len(pairs)
+        states.append(_project_once(inst, v, np.random.default_rng(4), True, 1e-12 * v.norm() * math.sqrt(v.N)))
+    a, b = states
+    assert a.skipped > 0
+    assert np.array_equal(a.membership, b.membership) and (a.visits, a.skipped) == (b.visits, b.skipped)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_merge_marks_match_a_dense_reference(seed):
+    """The members of every community made of two or more old ones, and every
+    node with a nonzero sparse entry towards one of them."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(10, 40))
+    q = random_sl_vector(rng, n, sparse_density=0.15)
+    before = np.unique(rng.integers(0, n // 3, size=n), return_inverse=True)[1]
+    owner = np.arange(before.max() + 1)
+    a, b = rng.choice(owner.size, 2, replace=False)
+    owner[b] = a  # two old communities merge, every other one stays
+    after = np.unique(owner[before], return_inverse=True)[1]
+    A = np.zeros((n, n))
+    iu, ju = np.triu_indices(n, k=1)
+    A[iu, ju] = dense_of(PairVector(n, q.pair_ids, q.values))  # the sparse part alone
+    A += A.T
+    merged = np.array([np.unique(before[after == after[i]]).size >= 2 for i in range(n)])
+    want = merged | (A[:, merged] != 0).any(axis=1)
+    assert np.array_equal(solver._merge_marks(_Instance.from_pair_vector(q), before, after), want)

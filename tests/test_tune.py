@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,11 +113,11 @@ def test_outputs_written_atomically(tmp_path):
     plan = _tiny_plan(repeats=2, master_seed=1)
     result = run_experiment(plan)
     paths = write_experiment_outputs(result, tmp_path)
-    header = open(paths["csv"]).readline().strip().split(",")
+    header = Path(paths["csv"]).read_text().splitlines()[0].split(",")
     assert header[:4] == ["query", "sample", "seed", "error"]
-    records = json.load(open(paths["json"]))
+    records = json.loads(Path(paths["json"]).read_text())
     assert len(records) == 4
-    assert json.load(open(paths["summary"]))
+    assert json.loads(Path(paths["summary"]).read_text())
 
 
 def test_detect_once_runs():
@@ -224,7 +225,7 @@ def test_grid_outputs(tmp_path):
     )
     res = grid_search(plan)
     paths = write_grid_outputs(res, tmp_path)
-    report = json.load(open(paths["report"]))
+    report = json.loads(Path(paths["report"]).read_text())
     assert "best_c_j" in report and "validation_median_rho" in report
 
 
