@@ -240,8 +240,8 @@ class QuerySpec:
             raise ValueError("walk length must be at least 1")
         if self.isolated not in ("error", "zero"):
             raise ValueError("isolated must be 'error' or 'zero'")
-        if self.method in ("er-modularity", "cl-modularity") and self.gamma < 0:
-            raise ValueError("resolution parameter must be nonnegative")
+        if self.method in ("er-modularity", "cl-modularity") and not (math.isfinite(self.gamma) and self.gamma >= 0):
+            raise ValueError("resolution parameter must be finite and nonnegative")
         if self.method == "ppm" and not all(p is not None and 0.0 < p < 1.0 for p in (self.p_in, self.p_out)):
             raise ValueError("ppm method needs p_in and p_out strictly inside (0, 1)")
         if self.method == "cc" and not (self.w_plus or self.w_minus):

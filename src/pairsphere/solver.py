@@ -6,13 +6,24 @@ local-move solver is a greedy relabeling scheme over that objective: each
 cycle sweeps best-gain single-node moves, then builds coarse levels, each
 sweeping supernodes made of the communities below, and cycles repeat until
 nothing improves. A node visit builds the gain over the k live communities
-plus one empty slot: a gemv of the node's K scaled factors with the K x k
-slot table (K rank-one terms; a nonzero constant c is one of them,
-c * 11^T), one bincount of its sparse row by slot, a self-term subtraction,
-an argmax and three scalar reads. Sweeps take about 3.7 us per visit at
-n=200 (linear grid-search queries) and 5.8 us at n=2000 (cl-modularity and
-markov t=2) on a 2-vCPU Xeon. Only the first sweep, from n singletons,
-still costs O(n^2).
+plus one empty slot: the node's K scaled factors times the K x k slot table
+(K rank-one terms; a nonzero constant c is one of them, c * 11^T), its
+sparse row's weights summed by slot, a self-term subtraction and an argmax.
+Only the first sweep, from n singletons, still costs O(n^2).
+
+A sweep's visits run in one call to a C kernel, _sweep.c, compiled on first
+use and cached (see _load_kernel); where it cannot be built or loaded, a
+numpy loop runs them instead. SWEEP_KERNEL names the kernel that runs ("c"
+or "numpy"), and SWEEP_KERNEL_REASON says why the numpy one does. The two
+give the same bits because both follow one summation rule: the rank-one
+part is W = 0 + s_1 U_1 + s_2 U_2 + ..., added in term order with every
+product rounded on its own (no fused multiply-add); the row sums are added
+to it and the self term, summed by the same rule, is subtracted. A BLAS
+gemv follows no fixed order and differs in the last bit. On a 2-vCPU Xeon,
+sweeps take about 0.6 us per visit in C and 8 us in numpy at n=200 (linear
+grid-search queries), and 1.8 us and 20 us at n=2000 (cl-modularity and
+markov t=2): sweep time over visits, each solve's fastest of 5 interleaved
+runs.
 
 Dirty-set sweeps skip visits that provably cannot move. The skip is exact
 under the sign rule: every rank-one coefficient (the constant's included) is
@@ -50,9 +61,18 @@ exact reference optimum.
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import math
+import os
+import shutil
+import subprocess
+import sysconfig
+import tempfile
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -70,14 +90,25 @@ MAX_SWEEPS = 1000
 TRACK_BELOW = 0.1
 MAX_CYCLES = 50
 
+# The compiled sweep: _sweep.c built with these flags (-ffp-contract=off keeps
+# every product and sum rounded on its own, as numpy rounds them).
+_SOURCE = Path(__file__).with_name("_sweep.c")
+_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+_KERNEL_ARGS = (  # pairsphere_sweep's parameters, as _sweep.c lists them
+    (ctypes.c_int64,) * 2 + (ctypes.c_void_p,) * 6 + (ctypes.c_int64,) + (ctypes.c_void_p,) * 2
+    + (ctypes.c_int64,) + (ctypes.c_void_p,) * 2 + (ctypes.c_int32,) * 2 + (ctypes.c_double,)
+    + (ctypes.c_void_p,) * 2
+)
+_kernel = None  # (sweep function or None, reason), set by _sweep_kernel on first use
+
 
 @dataclass
 class _Instance:
     """A query vector unpacked into solver-friendly arrays: CSR rows of the
     symmetric sparse part, the same pairs once each as a list (pi < pj, with
     value pv), the smooth part as K rank-one terms coefs[k] * factors[k]
-    factors[k]^T, and per-node rows for the visits. sign_rule: is every pair
-    outside the sparse rows <= 0."""
+    factors[k]^T, and per-node views for the numpy sweep. sign_rule: is every
+    pair outside the sparse rows <= 0."""
 
     n: int
     indptr: np.ndarray
@@ -90,14 +121,43 @@ class _Instance:
     factors: np.ndarray  # (K, n)
 
     def __post_init__(self):
-        # per node i, built once: coefs * factors[:, i] (a row view), its self
-        # term as a float and its (neighbours, weights) row views
-        scaled = np.ascontiguousarray((self.coefs[:, None] * self.factors).T)
-        self.scaled = list(scaled)
-        self.self_terms = [(s @ f).item() for s, f in zip(scaled, self.factors.T)]
-        b = self.indptr.tolist()  # plain slices: np.split costs ~5x more per row
-        self.rows = [(self.nbr[s:e], self.wts[s:e]) for s, e in zip(b[:-1], b[1:])]
+        # the compiled sweep reads these through raw pointers
+        self.indptr, self.nbr = (np.ascontiguousarray(a, dtype=np.int64) for a in (self.indptr, self.nbr))
+        self.wts, self.coefs, self.factors = (
+            np.ascontiguousarray(a, dtype=np.float64) for a in (self.wts, self.coefs, self.factors)
+        )
+        if self.factors.shape != (self.coefs.size, self.n) or self.indptr.shape != (self.n + 1,):
+            raise ValueError("factors must be (K, n) and indptr (n + 1,)")
+        if not self.nbr.size == self.wts.size == self.indptr[-1]:
+            raise ValueError("the rows must hold indptr[-1] neighbours and weights")
         self.sign_rule = bool(np.all(self.coefs <= 0.0) and np.all(self.factors >= 0.0))
+
+    # Built on first use: the compiled sweep reads the arrays through their
+    # addresses, and only the numpy sweep, move_gain and the oracles read the
+    # per-node views.
+
+    @cached_property
+    def addresses(self) -> tuple:
+        """Addresses of coefs, factors, indptr, nbr and wts, for the compiled
+        sweep; the instance holds the arrays."""
+        return tuple(a.ctypes.data for a in (self.coefs, self.factors, self.indptr, self.nbr, self.wts))
+
+    @cached_property
+    def scaled(self) -> list:
+        """Per node i, the row view coefs * factors[:, i]."""
+        return list(np.ascontiguousarray((self.coefs[:, None] * self.factors).T))
+
+    @cached_property
+    def self_terms(self) -> list:
+        """Per node i, sum_k coefs[k] * factors[k, i]^2 as a float, summed in
+        term order (the rule _gains follows)."""
+        return (self.coefs[:, None] * self.factors * self.factors).sum(0).tolist()
+
+    @cached_property
+    def rows(self) -> list:
+        """Per node i, its (neighbours, weights) row views."""
+        b = self.indptr.tolist()  # plain slices: np.split costs ~5x more per row
+        return [(self.nbr[s:e], self.wts[s:e]) for s, e in zip(b[:-1], b[1:])]
 
     @classmethod
     def from_pair_vector(cls, q: PairVector) -> "_Instance":
@@ -171,16 +231,6 @@ def move_gain(state: SolverState, i: int, target: int) -> float:
     return 2.0 * (float(W[target]) - w_cur)
 
 
-def _apply_move(state: SolverState, i: int, target: int, gain: float) -> None:
-    cur = int(state.membership[i])
-    if target == state.U.shape[1] - 1:  # the empty slot goes live: append a new one
-        state.U = np.concatenate((state.U, np.zeros((state.U.shape[0], 1))), axis=1)
-    state.membership[i] = target
-    state.U[:, cur] -= state.inst.factors[:, i]
-    state.U[:, target] += state.inst.factors[:, i]
-    state.objective += gain
-
-
 def _mark_dirty(state: SolverState, j: int, c: int) -> None:
     """Mark the nodes whose best gain over staying can rise when node j moves
     from its slot b to slot c: j's row neighbours (their sparse sums changed),
@@ -212,8 +262,10 @@ def _merge_marks(inst: _Instance, before: np.ndarray, after: np.ndarray) -> np.n
 def _gains(srow, U, memb, nbr, wts, cur: int, self_term: float) -> np.ndarray:
     """W_i(a) = sum of q_ij over j in slot a, j != i, for every slot a at once
     (the empty last slot reads 0: a fresh community), from node i's row of
-    scaled factors, its (neighbours, weights) row, its slot and its self term."""
-    W = srow.dot(U)  # np.dot without its dispatch layer: the bits of scaled[i] @ U
+    scaled factors, its (neighbours, weights) row, its slot and its self term.
+    The rank-one part is summed in term order, as the compiled sweep sums it
+    (a BLAS gemv may reorder or fuse it and differ in the last bit)."""
+    W = (srow[:, None] * U).sum(0)
     W += np.bincount(memb[nbr], wts, W.size)
     W[cur] -= self_term
     return W
@@ -234,21 +286,78 @@ def _sweep(state: SolverState, order: np.ndarray, eps: float) -> int:
     so a live W = 0 beats the fresh last slot) when that beats staying by more
     than eps. While the state is tracking, a node not marked dirty since its
     last visit is skipped, and each move marks the nodes it can affect. The
-    sweep ends by relabelling slots to the live communities, in label order
-    with their sums kept, plus one empty slot last.
+    visits run in the compiled kernel when it loaded, in _visit_numpy
+    otherwise; both give the same bits. The sweep ends by relabelling slots to
+    the live communities, in label order with their sums kept, plus one empty
+    slot last.
+    """
+    kernel = _sweep_kernel()
+    if kernel is None:
+        moves, skipped, U = _visit_numpy(state, order, eps / 2.0)
+    else:
+        moves, skipped, U = _visit_c(kernel, state, order, eps / 2.0)
+    state.visits += order.size - skipped
+    state.skipped += skipped
+    live = np.bincount(state.membership, minlength=U.shape[1]) > 0
+    live[-1] = True  # the empty last slot stays, zero
+    state.membership = (np.cumsum(live) - 1)[state.membership]
+    state.U = U[:, live]
+    return moves
 
-    A visit is _gains (one gemv of the node's K scaled factors with the
-    K x k slot table, one bincount of its row's weights by slot, one
-    self-term subtraction), an argmax and three .item() reads. The per-node
-    handles and the state's arrays are bound to locals once per sweep, and a
-    move updates the table in place; only a move into the empty slot copies
-    it, to append a new empty slot.
+
+def _visit_c(kernel, state: SolverState, order: np.ndarray, half_eps: float) -> tuple[int, int, np.ndarray]:
+    """The visits of _sweep in _sweep.c; returns the moves, the visits skipped
+    and the slot table, whose used columns are the old ones plus one per move
+    into the empty slot. A visit makes at most one move, so k + len(order)
+    columns (rounded up to the kernel's blocks of 4) have room for all of
+    them."""
+    if not order.size:
+        return 0, 0, state.U
+    inst = state.inst
+    order = np.ascontiguousarray(order, dtype=np.int64)
+    memb = state.membership = np.ascontiguousarray(state.membership, dtype=np.int64)
+    K, k = state.U.shape
+    ld = -(-(k + order.size) // 4) * 4
+    buf = np.zeros((K + 1) * ld + K)  # the table, then the kernel's work space
+    U = buf[: K * ld].reshape(K, ld)
+    U[:, :k] = state.U
+    info = np.array([k, 0, 0], dtype=np.int64)
+    objective = np.array([state.objective])
+    table = _address(buf)
+    moves = kernel(
+        inst.n, K, *inst.addresses, _address(order), order.size, _address(memb), table, ld, _address(info),
+        _address(state.dirty), state.tracking, state.check_skips, half_eps, _address(objective),
+        table + U.nbytes,
+    )
+    if moves == -1:
+        raise AssertionError(f"skipped node {info[2]} would move")
+    if moves == -2:
+        raise ValueError(f"sweep order holds {info[2]}, not a node of 0..{inst.n - 1}")
+    state.objective = objective.item()
+    return moves, info.item(1), U[:, : info.item(0)]
+
+
+def _address(a) -> int:
+    """The address of a writable, C-contiguous, non-empty buffer (about a
+    third of the cost of ndarray.ctypes.data)."""
+    return ctypes.addressof(ctypes.c_char.from_buffer(a))
+
+
+def _visit_numpy(state: SolverState, order: np.ndarray, half_eps: float) -> tuple[int, int, np.ndarray]:
+    """The visits of _sweep in numpy, the reference for _sweep.c; returns the
+    moves, the visits skipped and the slot table.
+
+    A visit is _gains (the node's K scaled factors times the K x k slot
+    table, summed over the terms, one bincount of its row's weights by slot,
+    one self-term subtraction), an argmax and three .item() reads. The
+    per-node handles and the state's arrays are bound to locals once per
+    sweep, and a move updates the table in place; only a move into the empty
+    slot copies it, to append a new empty slot.
     """
     inst = state.inst
     scaled, rows, self_terms, factors = inst.scaled, inst.rows, inst.self_terms, inst.factors
     memb, U = state.membership, state.U
     dirty, tracking, check_skips = state.dirty, state.tracking, state.check_skips
-    half_eps = eps / 2.0
     moves = skipped = 0
     for i in order.tolist():
         if tracking:
@@ -276,13 +385,7 @@ def _sweep(state: SolverState, order: np.ndarray, eps: float) -> int:
             U[:, best] += f
             state.objective += 2.0 * (w_best - w_cur)
             moves += 1
-    state.visits += order.size - skipped
-    state.skipped += skipped
-    live = np.bincount(memb, minlength=U.shape[1]) > 0
-    live[-1] = True  # the empty last slot stays, zero
-    state.membership = (np.cumsum(live) - 1)[memb]
-    state.U = U[:, live]
-    return moves
+    return moves, skipped, U
 
 
 def _local_moves(state: SolverState, rng, eps: float) -> int:
@@ -458,3 +561,93 @@ def max_single_move_gain(q: PairVector, C: Partition) -> float:
         best = max(best, 2.0 * (float(W.max()) - w_cur))
     return best
 
+
+def _kernel_path() -> Path:
+    """Where the compiled sweep is cached: $XDG_CACHE_HOME/pairsphere (default
+    ~/.cache/pairsphere), under a name carrying the sha256 of the source, the
+    flags and the platform."""
+    key = hashlib.sha256(_SOURCE.read_bytes())
+    key.update(" ".join(_CFLAGS).encode() + b"\0" + sysconfig.get_platform().encode())
+    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "pairsphere"
+    return cache / f"sweep-{key.hexdigest()[:32]}.so"
+
+
+def _compile(lib: Path) -> str:
+    """Build _sweep.c into lib; returns "" or why not. The library gets the
+    sha256 of its bytes appended (the loader ignores trailing bytes), and it
+    is written to a temp file that os.replace moves into place, so processes
+    compiling at once each leave a whole library."""
+    cc = shutil.which("cc")
+    if cc is None:
+        return "no C compiler (cc) on PATH"
+    try:
+        lib.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=lib.parent)
+    except OSError as exc:
+        return f"cache not writable: {exc}"
+    os.close(fd)
+    try:
+        proc = subprocess.run(
+            [cc, *_CFLAGS, "-o", tmp, str(_SOURCE)], capture_output=True, text=True, errors="replace", timeout=120
+        )
+        if proc.returncode != 0:
+            return (proc.stderr.strip().splitlines() or [f"{cc} exited with {proc.returncode}"])[0]
+        body = Path(tmp).read_bytes()
+        with open(tmp, "ab") as f:
+            f.write(hashlib.sha256(body).digest())
+        os.chmod(tmp, 0o700)
+        os.replace(tmp, lib)
+        return ""
+    except (OSError, subprocess.SubprocessError) as exc:
+        return f"cannot compile: {exc}"
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _load_kernel() -> tuple:
+    """(the compiled sweep function, "") or (None, why the numpy sweep runs).
+
+    A process that finds the library loads it; otherwise it compiles it
+    first. A library or cache directory that another user owns, or that group
+    or others can write, is not loaded, nor is a library whose bytes do not
+    end with their own sha256 (mapping a truncated library can kill the
+    process with SIGBUS)."""
+    try:
+        lib = _kernel_path()
+        if not lib.exists() and (reason := _compile(lib)):
+            return None, reason
+        for path in (lib.parent, lib):
+            st = path.stat()
+            if st.st_uid != os.getuid():
+                return None, f"{path} belongs to another user"
+            if st.st_mode & 0o022:
+                return None, f"{path} is writable by group or others"
+        data = lib.read_bytes()
+        if data[-32:] != hashlib.sha256(data[:-32]).digest():
+            return None, f"{lib} is damaged: its bytes do not end with their sha256"
+        fn = ctypes.CDLL(str(lib)).pairsphere_sweep
+    except (OSError, RuntimeError) as exc:  # RuntimeError: Path.home() without a home
+        return None, f"cannot load the compiled sweep: {exc}"
+    fn.argtypes = _KERNEL_ARGS
+    fn.restype = ctypes.c_int64
+    return fn, ""
+
+
+def _sweep_kernel():
+    """The compiled sweep function, or None where the numpy sweep runs."""
+    global _kernel
+    if _kernel is None:
+        _kernel = _load_kernel()
+    return _kernel[0]
+
+
+def __getattr__(name: str):
+    """SWEEP_KERNEL ("c" or "numpy") names the sweep that runs, and
+    SWEEP_KERNEL_REASON says why the numpy one does ("" for "c")."""
+    if name == "SWEEP_KERNEL":
+        return "numpy" if _sweep_kernel() is None else "c"
+    if name == "SWEEP_KERNEL_REASON":
+        _sweep_kernel()
+        return _kernel[1]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

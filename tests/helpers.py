@@ -179,11 +179,24 @@ def same_ranking(key1, key2, tol1=None, tol2=None) -> bool:
 # -- the solver's sweep as a loop of per-visit calls ---------------------------------
 
 
+def apply_move(state, i: int, target: int, gain: float) -> None:
+    """Relabel node i into slot `target` and add `gain` to the objective; a
+    move into the empty last slot appends a new empty slot."""
+    cur = int(state.membership[i])
+    if target == state.U.shape[1] - 1:
+        state.U = np.concatenate((state.U, np.zeros((state.U.shape[0], 1))), axis=1)
+    state.membership[i] = target
+    state.U[:, cur] -= state.inst.factors[:, i]
+    state.U[:, target] += state.inst.factors[:, i]
+    state.objective += gain
+
+
 def reference_sweep(state, order, eps) -> int:
     """solver._sweep written as one call per visit: _node_gain_vector for
-    the gains, _apply_move for each move, the same dirty-set skips and marks,
+    the gains, apply_move for each move, the same dirty-set skips and marks,
     and an np.unique relabel at the end. The solver's sweep binds its arrays
-    once and relabels with a cumulative count; both must give the same bits."""
+    once (or visits in the compiled kernel) and relabels with a cumulative
+    count; both must give the same bits."""
     moves = skipped = 0
     half_eps = eps / 2.0
     for i in order.tolist():
@@ -198,7 +211,7 @@ def reference_sweep(state, order, eps) -> int:
         if w_best - w_cur > half_eps:
             if state.tracking:
                 solver._mark_dirty(state, i, best)
-            solver._apply_move(state, i, best, 2.0 * (w_best - w_cur))
+            apply_move(state, i, best, 2.0 * (w_best - w_cur))
             moves += 1
     state.visits += order.size - skipped
     state.skipped += skipped

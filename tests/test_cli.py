@@ -149,14 +149,17 @@ def test_detect_means_mode_is_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flags", [["--method", "ppm"], ["--method", "markov", "--t", "0"]], ids=["ppm-without-pin", "t-0"]
+    "flags",
+    [["--method", "ppm"], ["--method", "markov", "--t", "0"], ["--method", "cl-modularity", "--gamma", "nan"]],
+    ids=["ppm-without-pin", "t-0", "gamma-nan"],
 )
 def test_detect_flag_breaking_a_spec_rule_is_usage_error(tmp_path, capsys, flags):
-    edges, _ = _two_triangles(tmp_path)
+    """Exit 2 before the graph is read: the graph path does not exist."""
     out = tmp_path / "out"
-    code = run(["detect", "--graph", str(edges), *flags, "--seed", "0", "--out", str(out)])
+    code = run(["detect", "--graph", str(tmp_path / "missing.edges"), *flags, "--seed", "0", "--out", str(out)])
     assert code == 2
-    assert "usage error" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == "" and "usage error" in captured.err
     assert not out.exists()
 
 
@@ -498,6 +501,7 @@ def test_ring_demo_bad_k_fails_before_any_output(capsys):
 
 
 def test_ring_demo_bad_gamma_is_usage_error(capsys):
-    assert run(["ring-demo", "--k", "5", "--gamma", "-1", "--seed", "7"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and "usage error" in captured.err
+    for gamma in ("-1", "nan"):
+        assert run(["ring-demo", "--k", "5", "--gamma", gamma, "--seed", "7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "usage error" in captured.err

@@ -344,6 +344,10 @@ def test_query_spec_validation():
     for p_in, p_out in ((None, 0.1), (0.3, None), (1.0, 0.1), (0.3, 0.0)):
         with pytest.raises(ValueError, match="strictly inside"):
             QuerySpec("ppm", p_in=p_in, p_out=p_out)
+    for method in ("er-modularity", "cl-modularity"):
+        for gamma in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                QuerySpec(method, gamma=gamma)
     with pytest.raises(ValueError, match="cc method"):
         QuerySpec("cc")
     assert QuerySpec("cc", w_minus={(0, 1): 1.0}).w_minus

@@ -1,6 +1,9 @@
 import hashlib
 import math
+import shutil
+import subprocess
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +17,6 @@ from pairsphere.queries import QuerySpec, build_query, er_modularity_query
 from pairsphere.solver import (
     SolverState,
     _aggregate,
-    _apply_move,
     _Instance,
     _local_moves,
     _node_gain_vector,
@@ -27,7 +29,7 @@ from pairsphere.solver import (
 )
 from pairsphere.tune import detect_once
 
-from helpers import all_partitions, dense_of, random_membership, random_sl_vector, reference_sweep
+from helpers import all_partitions, apply_move, dense_of, random_membership, random_sl_vector, reference_sweep
 
 
 def _random_query(rng, n, density=0.35):
@@ -123,7 +125,7 @@ def test_move_into_empty_slot_appends_a_zero_column():
     state = SolverState.from_partition(q, Partition(np.array([0, 0, 0, 1, 1, 2, 2, 2])))
     fresh = state.U.shape[1] - 1
     assert fresh == 3
-    _apply_move(state, 0, fresh, move_gain(state, 0, fresh))
+    apply_move(state, 0, fresh, move_gain(state, 0, fresh))
     assert state.U.shape[1] == 5
     assert not state.U[:, -1].any()
     np.testing.assert_array_equal(state.U[:, fresh], state.inst.factors[:, 0])
@@ -151,8 +153,9 @@ def test_node_gain_vector_matches_dense_on_every_slot(kind):
 
 @pytest.mark.parametrize("K", range(6))
 def test_node_gain_vector_keeps_the_bits_of_the_matmul_form(K):
-    """np.dot of a row view with the slot table gives the bits of the
-    (n, K) matrix's row @ U, on fresh, grown and relabelled tables."""
+    """The gains keep the bits of the (n, K) matrix's row times U summed over
+    the terms in order, from 0.0 and with no fused multiply-add (the rule
+    _sweep.c follows), on fresh, grown and relabelled tables."""
     rng = np.random.default_rng(60 + K)
     for trial in range(6):
         n = int(rng.integers(4, 40))
@@ -165,51 +168,93 @@ def test_node_gain_vector_keeps_the_bits_of_the_matmul_form(K):
             for i in range(n):
                 W, w_cur = _node_gain_vector(state, i)
                 nbr, wts = state.inst.rows[i]
-                ref = scaled[i] @ state.U
+                ref, self_term = np.zeros(state.U.shape[1]), 0.0
+                for k in range(K):
+                    ref += scaled[i, k] * state.U[k]
+                    self_term += scaled[i, k] * state.inst.factors[k, i]
                 ref += np.bincount(state.membership[nbr], weights=wts, minlength=ref.size)
                 cur = int(state.membership[i])
-                ref[cur] -= scaled[i] @ state.inst.factors[:, i]
+                ref[cur] -= self_term
                 assert W.tobytes() == ref.tobytes() and w_cur == float(ref[cur])
             _sweep(state, rng.permutation(n), 0.0)
 
 
+@pytest.fixture
+def sweep_kernels(monkeypatch):
+    """Iterates over the sweep kernels, selecting each in turn: the compiled
+    one where it loaded, then the numpy one (by replacing the module's kernel
+    handle, which is no user option)."""
+
+    def each():
+        if solver.SWEEP_KERNEL == "c":
+            yield "c"
+        monkeypatch.setattr(solver, "_kernel", (None, "the numpy sweep, selected by a test"))
+        assert solver.SWEEP_KERNEL == "numpy"
+        yield "numpy"
+
+    return each
+
+
 @pytest.mark.parametrize("tracking", [False, True], ids=["full", "tracking"])
 @pytest.mark.parametrize("kind", QUERY_KINDS)
-def test_sweep_matches_the_per_visit_reference(kind, tracking):
-    """_sweep against helpers.reference_sweep, sweep after sweep: the same
-    moves, membership, slot table, objective, counters and marks, bit for
-    bit, with the empty slot going live along the way; every sweep leaves
-    compact labels."""
-    rng = np.random.default_rng(70 + 2 * list(QUERY_KINDS).index(kind) + tracking)
-    grew = skipped = 0
-    for trial in range(8):
-        n = int(rng.integers(5, 40))
-        q = random_sl_vector(rng, n, sparse_density=0.3, **QUERY_KINDS[kind])
-        start = random_membership(rng, n, k_max=4) if trial % 2 else np.arange(n)
-        inst, eps = _Instance.from_pair_vector(q), 1e-12 * q.norm() * math.sqrt(q.N)
-        new, ref = (SolverState(inst, start, query_alignment(q, Partition(start))) for _ in range(2))
-        if tracking:
-            marks = rng.random(n) < 0.5
-            for state in (new, ref):
-                state.tracking = True
-                state.dirty_view[:] = marks
-        for _ in range(30):
-            live = new.U.shape[1] - 1
-            order = rng.permutation(n)
-            moves = _sweep(new, order, eps)
-            assert reference_sweep(ref, order, eps) == moves
-            assert new.membership.dtype == ref.membership.dtype
-            assert new.membership.tobytes() == ref.membership.tobytes()
-            assert new.U.shape == ref.U.shape and new.U.tobytes() == ref.U.tobytes()
-            assert new.objective == ref.objective
-            assert (new.visits, new.skipped, new.dirty) == (ref.visits, ref.skipped, ref.dirty)
-            _assert_compact(new)
-            grew += new.U.shape[1] - 1 > live
-            if moves == 0:
-                break
-        skipped += new.skipped
-    assert grew > 0
-    assert (skipped > 0) == tracking
+def test_sweep_matches_the_per_visit_reference(kind, tracking, sweep_kernels):
+    """_sweep on each kernel against helpers.reference_sweep, sweep after
+    sweep: the same moves, membership, slot table, objective, counters and
+    marks, bit for bit, with the empty slot going live along the way; every
+    sweep leaves compact labels."""
+    for kernel in sweep_kernels():
+        rng = np.random.default_rng(70 + 2 * list(QUERY_KINDS).index(kind) + tracking)
+        grew = skipped = 0
+        for trial in range(8):
+            n = int(rng.integers(5, 40))
+            q = random_sl_vector(rng, n, sparse_density=0.3, **QUERY_KINDS[kind])
+            start = random_membership(rng, n, k_max=4) if trial % 2 else np.arange(n)
+            inst, eps = _Instance.from_pair_vector(q), 1e-12 * q.norm() * math.sqrt(q.N)
+            new, ref = (SolverState(inst, start, query_alignment(q, Partition(start))) for _ in range(2))
+            if tracking:
+                marks = rng.random(n) < 0.5
+                for state in (new, ref):
+                    state.tracking = True
+                    state.dirty_view[:] = marks
+            for _ in range(30):
+                live = new.U.shape[1] - 1
+                order = rng.permutation(n)
+                moves = _sweep(new, order, eps)
+                assert reference_sweep(ref, order, eps) == moves
+                assert new.membership.dtype == ref.membership.dtype
+                assert new.membership.tobytes() == ref.membership.tobytes()
+                assert new.U.shape == ref.U.shape and new.U.tobytes() == ref.U.tobytes()
+                assert new.objective == ref.objective
+                assert (new.visits, new.skipped, new.dirty) == (ref.visits, ref.skipped, ref.dirty)
+                _assert_compact(new)
+                grew += new.U.shape[1] - 1 > live
+                if moves == 0:
+                    break
+            skipped += new.skipped
+        assert grew > 0
+        assert (skipped > 0) == tracking
+
+
+def test_sweep_ties_go_to_the_lowest_slot(sweep_kernels):
+    """With weights of +-1 and no rank-one part, gains tie exactly, between
+    slots that hold a row neighbour of the node and slots that do not; each
+    kernel breaks every tie to the lowest slot, as numpy's argmax does."""
+    for kernel in sweep_kernels():
+        rng = np.random.default_rng(90)
+        for trial in range(20):
+            n = int(rng.integers(5, 30))
+            pairs = {(i, j): rng.choice([-1.0, 1.0]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4}
+            q = PairVector.from_pairs(n, pairs)
+            start = random_membership(rng, n, k_max=4)
+            inst = _Instance.from_pair_vector(q)
+            new, ref = (SolverState(inst, start, query_alignment(q, Partition(start))) for _ in range(2))
+            for _ in range(10):
+                order = rng.permutation(n)
+                moves = _sweep(new, order, 0.0)
+                assert reference_sweep(ref, order, 0.0) == moves
+                assert new.membership.tobytes() == ref.membership.tobytes() and new.objective == ref.objective
+                if moves == 0:
+                    break
 
 
 @pytest.mark.parametrize("slot", [0, -1])
@@ -379,12 +424,13 @@ PINNED_PARTITIONS = [
 ]
 
 
-def test_partitions_pinned():
-    for gen, spec, sha in PINNED_PARTITIONS:
-        G, T = generate(gen, 1)
-        C, _ = detect_once(G, spec, T, seed=3)
-        got = hashlib.sha1(C.membership.astype("<i8").tobytes()).hexdigest()
-        assert got == sha, (gen.family, spec.label)
+def test_partitions_pinned(sweep_kernels):
+    for kernel in sweep_kernels():
+        for gen, spec, sha in PINNED_PARTITIONS:
+            G, T = generate(gen, 1)
+            C, _ = detect_once(G, spec, T, seed=3)
+            got = hashlib.sha1(C.membership.astype("<i8").tobytes()).hexdigest()
+            assert got == sha, (kernel, gen.family, spec.label)
 
 
 # -- dirty-set sweeps --------------------------------------------------------------
@@ -470,7 +516,9 @@ def test_dirty_set_solves_are_locally_optimal():
 
 def test_debug_checks_catch_a_dropped_mark(monkeypatch):
     """Without the marks for nodes with a row neighbour in the slot the mover
-    left, some skipped visit would have moved."""
+    left, some skipped visit would have moved. The marks are replaced in the
+    numpy sweep's _mark_dirty, so this runs on the numpy kernel."""
+    monkeypatch.setattr(solver, "_kernel", (None, "the numpy sweep, selected by a test"))
     q = _seeded_sign_rule_query(22)
     louvain_project(q, seed=22, debug_checks=True)
 
@@ -481,6 +529,35 @@ def test_debug_checks_catch_a_dropped_mark(monkeypatch):
     monkeypatch.setattr(solver, "_mark_dirty", without_b_neighbours)
     with pytest.raises(AssertionError, match="would move"):
         louvain_project(q, seed=22, debug_checks=True)
+
+
+def test_compiled_sweep_checks_its_skips(monkeypatch):
+    """With every mark cleared while a node can still move, the compiled
+    sweep's check_skips finds the skipped visit that would move."""
+    if solver.SWEEP_KERNEL != "c":
+        pytest.skip(f"no compiled sweep: {solver.SWEEP_KERNEL_REASON}")
+    q = _seeded_sign_rule_query(22)
+    louvain_project(q, seed=22, debug_checks=True)
+    local_moves = solver._local_moves
+
+    def unmarked(state, rng, eps):
+        state.tracking = True  # from singletons, some node can still move
+        state.dirty_view[:] = 0
+        return local_moves(state, rng, eps)
+
+    monkeypatch.setattr(solver, "_local_moves", unmarked)
+    with pytest.raises(AssertionError, match="would move"):
+        louvain_project(q, seed=22, debug_checks=True)
+
+
+def test_compiled_sweep_rejects_an_order_outside_the_nodes():
+    if solver.SWEEP_KERNEL != "c":
+        pytest.skip(f"no compiled sweep: {solver.SWEEP_KERNEL_REASON}")
+    q = _seeded_sign_rule_query(5)
+    state = SolverState(_Instance.from_pair_vector(q), np.arange(q.n), -q.total())
+    for bad in (q.n, -1):
+        with pytest.raises(ValueError, match="not a node"):
+            _sweep(state, np.array([0, bad]), 0.0)
 
 
 def _merged_members_only(inst, before, after):
@@ -502,6 +579,82 @@ def test_debug_checks_catch_dropped_merge_marks(monkeypatch, seed, marks):
     monkeypatch.setattr(solver, "_merge_marks", marks)
     with pytest.raises(AssertionError, match="would move"):
         louvain_project(q, seed=seed, debug_checks=True)
+
+
+# -- the compiled sweep's loader ---------------------------------------------------
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc) on PATH")
+
+
+@pytest.fixture
+def kernel_cache(tmp_path, monkeypatch):
+    """An empty cache directory for the compiled sweep."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    return tmp_path / "pairsphere"
+
+
+def test_sweep_source_ships_next_to_the_solver():
+    assert Path(solver.__file__).with_name("_sweep.c").is_file()
+
+
+@needs_cc
+def test_a_second_load_reuses_the_library(kernel_cache, monkeypatch):
+    kernel, reason = solver._load_kernel()
+    assert kernel is not None and reason == ""
+    assert solver._kernel_path().parent == kernel_cache and kernel_cache.stat().st_mode & 0o077 == 0
+
+    def no_compiler(*args, **kwargs):
+        raise AssertionError("the compiler ran again")
+
+    monkeypatch.setattr(subprocess, "run", no_compiler)
+    kernel, reason = solver._load_kernel()
+    assert kernel is not None and reason == ""
+
+
+def test_without_a_compiler_the_numpy_sweep_gives_the_same_partitions(kernel_cache, monkeypatch):
+    G, T = _ppm200()
+    specs = [QuerySpec("cl-modularity", heuristic="exact"), QuerySpec("linear", c_j=0.0, c_d=-6.0, heuristic="exact")]
+    default = [detect_once(G, spec, T, seed=3)[0] for spec in specs]  # on the kernel this process loaded
+    monkeypatch.setattr(shutil, "which", lambda *args, **kwargs: None)
+    loaded = solver._load_kernel()
+    assert loaded == (None, "no C compiler (cc) on PATH")
+    monkeypatch.setattr(solver, "_kernel", loaded)
+    assert (solver.SWEEP_KERNEL, solver.SWEEP_KERNEL_REASON) == ("numpy", loaded[1])
+    assert [detect_once(G, spec, T, seed=3)[0] for spec in specs] == default
+
+
+@needs_cc
+def test_a_cache_that_cannot_be_written_falls_back_to_numpy(tmp_path, monkeypatch):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+    kernel, reason = solver._load_kernel()
+    assert kernel is None and reason.startswith("cache not writable")
+
+
+@needs_cc
+@pytest.mark.parametrize("target", ["directory", "library"])
+def test_a_library_others_can_write_is_not_loaded(kernel_cache, target):
+    assert solver._load_kernel()[0] is not None
+    (kernel_cache if target == "directory" else solver._kernel_path()).chmod(0o720)
+    kernel, reason = solver._load_kernel()
+    assert kernel is None and "writable by group or others" in reason
+
+
+@needs_cc
+def test_a_truncated_library_is_not_loaded(tmp_path, monkeypatch):
+    """Checked before it is mapped: most cuts would kill the process with
+    SIGBUS. The truncated copy sits at a path this process never loaded."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "whole"))
+    assert solver._load_kernel()[0] is not None
+    whole = solver._kernel_path().read_bytes()
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cut"))
+    lib = solver._kernel_path()
+    lib.parent.mkdir(mode=0o700, parents=True)
+    lib.write_bytes(whole[: len(whole) // 2])
+    lib.chmod(0o700)
+    kernel, reason = solver._load_kernel()
+    assert kernel is None and "damaged" in reason
 
 
 # -- exact projection ---------------------------------------------------------------
