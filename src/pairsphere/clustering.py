@@ -74,10 +74,17 @@ class Partition:
 
     def intra_pairs(self) -> int:
         """Number of same-community pairs, as an exact Python int."""
-        return sum(int(s) * (int(s) - 1) // 2 for s in self.sizes)
+        return _pairs_within(self.sizes)
 
     def __eq__(self, other):
         return isinstance(other, Partition) and np.array_equal(self.membership, other.membership)
+
+
+def _pairs_within(counts: np.ndarray) -> int:
+    """sum of c * (c - 1) / 2 over the counts, as a Python int; int64 is exact
+    while n * (n - 1) fits it, n being the counts' total (below 3e9)."""
+    c = counts.astype(np.int64)
+    return int((c * (c - 1) // 2).sum())
 
 
 def _canonicalize(labels: np.ndarray) -> np.ndarray:
@@ -112,8 +119,7 @@ def pair_counts(C: Partition, T: Partition) -> PairCounts:
     if C.n != T.n:
         raise ValueError("partitions are over different node sets")
     joint = C.membership * np.int64(T.k) + T.membership
-    cells = np.bincount(joint)
-    m_ct = sum(int(c) * (int(c) - 1) // 2 for c in cells if c > 1)
+    m_ct = _pairs_within(np.bincount(joint))
     return PairCounts(C.intra_pairs(), T.intra_pairs(), m_ct, C.N)
 
 

@@ -9,7 +9,8 @@ nothing improves. A node visit builds the gain over the k live communities
 plus one empty slot: the node's K scaled factors times the K x k slot table
 (K rank-one terms; a nonzero constant c is one of them, c * 11^T), its
 sparse row's weights summed by slot, a self-term subtraction and an argmax.
-Only the first sweep, from n singletons, still costs O(n^2).
+Under the narrow rule (below) the compiled sweep evaluates only a short
+row's candidate slots, so a visit costs O(row), not O(k).
 
 A sweep's visits run in one call to a C kernel, _sweep.c, compiled on first
 use and cached (see _load_kernel); where it cannot be built or loaded, a
@@ -21,9 +22,9 @@ product rounded on its own (no fused multiply-add); the row sums are added
 to it and the self term, summed by the same rule, is subtracted. A BLAS
 gemv follows no fixed order and differs in the last bit. On a 2-vCPU Xeon,
 sweeps take about 0.6 us per visit in C and 8 us in numpy at n=200 (linear
-grid-search queries), and 1.8 us and 20 us at n=2000 (cl-modularity and
-markov t=2): sweep time over visits, each solve's fastest of 5 interleaved
-runs.
+grid-search queries), and 0.5 us and 20 us at n=2000 (cl-modularity and
+markov t=2; 1.5 us in C scanning every slot): sweep time over visits, each
+solve's fastest of 5 runs.
 
 Dirty-set sweeps skip visits that provably cannot move. The skip is exact
 under the sign rule: every rank-one coefficient (the constant's included) is
@@ -44,6 +45,27 @@ is visited. When coarse levels merge communities, the fine level keeps its
 marks and adds the members of every merged community and their row
 neighbours. The visit order and every computed visit are unchanged, so the
 partition is the same as with full sweeps.
+
+Narrow visits. _Instance.narrow_rule holds when the sign rule does and the
+last term has a coefficient c < 0 and positive integer factors, whose slot
+sums are then exact member counts: a negative query constant (factor 1, the
+supernode sizes at coarse levels), or raw cl-modularity's degree term on a
+graph without isolated nodes. Under it, the compiled sweep computes W for
+node i only at its candidate slots (those of its row neighbours, its own and
+the empty last one) whenever 4 * (row + 2) < the slots in use. Any other
+live slot a holds W(a) <= c * f_i * count(a) < 0 = W(empty), so it can be
+neither the argmax nor tied with it; each candidate's W is the same ordered
+sum, ties go to the lowest slot, and every move keeps its bits. Two bounds
+keep that true in floating point. Round-off can leave a slot sum of factors
+>= 0 just below zero: the kernel tracks how far, and a visit whose bound
+could lift a non-candidate to 0 scans every slot. A slot emptied during the
+sweep holds W of about 0: while one exists, a narrow top that does not beat
+their bound is redone as a full scan. debug_checks checks every narrow visit
+against a full scan, and SolverState.narrow counts them. The numpy sweep
+always scans every slot. On the 2-vCPU Xeon, PPM cl-modularity solves (the
+whole solve, min of 3 runs) take 0.03 s at n=8k, 0.14 s at 32k (4.15 s
+without narrow visits) and 1.05 s at 100k; markov t=2 takes 0.04, 0.30 and
+1.46 s (2.90 s at 32k without).
 
 Each level keeps its sparse part twice: as CSR rows for the visits and as a
 list of its pairs, each once (i < j). A coarse level maps the list below
@@ -94,7 +116,10 @@ MAX_CYCLES = 50
 # every product and sum rounded on its own, as numpy rounds them).
 _SOURCE = Path(__file__).with_name("_sweep.c")
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
-_KERNEL_ARGS = (  # pairsphere_sweep's parameters, as _sweep.c lists them
+# pairsphere_sweep's parameters, as _sweep.c lists them. Keep them under 20:
+# with 20, each call left a 200-byte block that only a gc pass freed
+# (tracemalloc), which raised grid-desk's peak RSS by about 0.4 MB.
+_KERNEL_ARGS = (
     (ctypes.c_int64,) * 2 + (ctypes.c_void_p,) * 6 + (ctypes.c_int64,) + (ctypes.c_void_p,) * 2
     + (ctypes.c_int64,) + (ctypes.c_void_p,) * 2 + (ctypes.c_int32,) * 2 + (ctypes.c_double,)
     + (ctypes.c_void_p,) * 2
@@ -108,7 +133,10 @@ class _Instance:
     symmetric sparse part, the same pairs once each as a list (pi < pj, with
     value pv), the smooth part as K rank-one terms coefs[k] * factors[k]
     factors[k]^T, and per-node views for the numpy sweep. sign_rule: is every
-    pair outside the sparse rows <= 0."""
+    pair outside the sparse rows <= 0. narrow_rule: does the sign rule hold
+    with a last term of coefficient < 0 and positive integer factors (such as
+    the query constant: ones, summed to supernode sizes at coarse levels), so
+    that the compiled sweep may visit a node's candidate slots only."""
 
     n: int
     indptr: np.ndarray
@@ -131,6 +159,11 @@ class _Instance:
         if not self.nbr.size == self.wts.size == self.indptr[-1]:
             raise ValueError("the rows must hold indptr[-1] neighbours and weights")
         self.sign_rule = bool(np.all(self.coefs <= 0.0) and np.all(self.factors >= 0.0))
+        counts = self.factors[-1] if self.coefs.size else None
+        self.narrow_rule = bool(
+            self.sign_rule and counts is not None and self.coefs[-1] < 0.0 and np.all(counts >= 1.0)
+            and np.all(counts == np.floor(counts)) and counts.sum() < 2.0**53
+        )
 
     # Built on first use: the compiled sweep reads the arrays through their
     # addresses, and only the numpy sweep, move_gain and the oracles read the
@@ -198,8 +231,10 @@ class SolverState:
     the current membership: the caller passes its starting value, and moves
     add their gains. dirty[i] is set while node i may have an improving move
     (every node until the sweeps start tracking); visits and skipped count
-    the node visits made and skipped, and check_skips evaluates every skipped
-    visit and asserts that it would not move.
+    the node visits made and skipped, and narrow the visits that scanned only
+    their candidate slots (compiled sweep only). check_skips evaluates every
+    skipped visit and asserts that it would not move, and checks every narrow
+    visit against a scan of every slot.
     """
 
     def __init__(self, inst: _Instance, membership: np.ndarray, objective: float, check_skips: bool = False):
@@ -215,6 +250,7 @@ class SolverState:
         self.check_skips = check_skips
         self.visits = 0
         self.skipped = 0
+        self.narrow = 0
 
     @classmethod
     def from_partition(cls, q: PairVector, C: Partition) -> "SolverState":
@@ -308,9 +344,9 @@ def _sweep(state: SolverState, order: np.ndarray, eps: float) -> int:
 def _visit_c(kernel, state: SolverState, order: np.ndarray, half_eps: float) -> tuple[int, int, np.ndarray]:
     """The visits of _sweep in _sweep.c; returns the moves, the visits skipped
     and the slot table, whose used columns are the old ones plus one per move
-    into the empty slot. A visit makes at most one move, so k + len(order)
-    columns (rounded up to the kernel's blocks of 4) have room for all of
-    them."""
+    into the empty slot, and adds the narrow visits to state.narrow. A visit
+    makes at most one move, so k + len(order) columns (rounded up to the
+    kernel's blocks of 4) have room for all of them."""
     if not order.size:
         return 0, 0, state.U
     inst = state.inst
@@ -318,10 +354,10 @@ def _visit_c(kernel, state: SolverState, order: np.ndarray, half_eps: float) -> 
     memb = state.membership = np.ascontiguousarray(state.membership, dtype=np.int64)
     K, k = state.U.shape
     ld = -(-(k + order.size) // 4) * 4
-    buf = np.zeros((K + 1) * ld + K)  # the table, then the kernel's work space
+    buf = np.zeros((K + 3) * ld + 2 * K)  # the table, then the kernel's work: B, S, neg, cand, mark
     U = buf[: K * ld].reshape(K, ld)
     U[:, :k] = state.U
-    info = np.array([k, 0, 0], dtype=np.int64)
+    info = np.array([k, 0, 0, inst.narrow_rule], dtype=np.int64)
     objective = np.array([state.objective])
     table = _address(buf)
     moves = kernel(
@@ -333,7 +369,10 @@ def _visit_c(kernel, state: SolverState, order: np.ndarray, half_eps: float) -> 
         raise AssertionError(f"skipped node {info[2]} would move")
     if moves == -2:
         raise ValueError(f"sweep order holds {info[2]}, not a node of 0..{inst.n - 1}")
+    if moves == -3:
+        raise AssertionError(f"narrow visit of node {info[2]} differs from the full scan")
     state.objective = objective.item()
+    state.narrow += info.item(3)
     return moves, info.item(1), U[:, : info.item(0)]
 
 

@@ -38,8 +38,10 @@ def dense_partition_vector(membership) -> np.ndarray:
     return np.where(membership[iu] == membership[ju], 1.0, -1.0)
 
 
-def random_sl_vector(rng, n, sparse_density=0.3, n_terms=2, with_constant=True) -> PairVector:
-    """Random sparse-plus-low-rank vector for property tests."""
+def random_sl_vector(rng, n, sparse_density=0.3, n_terms=2, with_constant=True, sign_rule=False) -> PairVector:
+    """Random sparse-plus-low-rank vector for property tests. With sign_rule,
+    the same draws give rank-one coefficients and a constant <= 0 and factors
+    >= 0 (the solver's sign rule)."""
     pairs = {}
     for i in range(n):
         for j in range(i + 1, n):
@@ -49,6 +51,9 @@ def random_sl_vector(rng, n, sparse_density=0.3, n_terms=2, with_constant=True) 
         LowRankTerm(rng.normal(), rng.normal(size=n)) for _ in range(rng.integers(0, n_terms + 1))
     )
     const = rng.normal() * 0.5 if with_constant else 0.0
+    if sign_rule:
+        terms = tuple(LowRankTerm(-abs(t.coef), np.abs(t.factor)) for t in terms)
+        const = -abs(const)
     return PairVector.from_pairs(n, pairs, terms, const)
 
 

@@ -104,6 +104,16 @@ def test_pair_counts_against_enumeration():
         assert pair_counts(Partition(mc), Partition(mt)).m_ct == m_ct
 
 
+def test_pair_counts_exact_at_scale():
+    """One cluster of 200,000 nodes: every count is N = 19,999,900,000 exactly,
+    a Python int (past 2^32, where a float32 or int32 sum would be wrong)."""
+    C = Partition.one_cluster(200_000)
+    pc = pair_counts(C, C)
+    assert C.intra_pairs() == C.N == 200_000 * 199_999 // 2
+    assert (pc.m_c, pc.m_t, pc.m_ct, pc.N) == (C.N,) * 4
+    assert all(type(m) is int for m in (pc.m_c, pc.m_t, pc.m_ct))
+
+
 def test_pearson_plug_in_example():
     C = Partition.from_communities(5, [[0, 1, 2], [3, 4]])
     T = Partition.from_communities(5, [[0, 1], [2, 3, 4]])

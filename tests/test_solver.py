@@ -89,6 +89,9 @@ QUERY_KINDS = {
     "sparse-only": dict(n_terms=0, with_constant=False),
     "constant-only": dict(n_terms=0, with_constant=True),
     "mixed": dict(n_terms=2, with_constant=True),
+    # sparse rows under the sign rule with a negative constant: the compiled
+    # sweep's narrow visits run
+    "sign-rule": dict(n_terms=2, with_constant=True, sign_rule=True, sparse_density=0.1),
 }
 
 
@@ -106,7 +109,7 @@ def test_slot_table_holds_live_communities_plus_one_empty_slot(kind):
     rng = np.random.default_rng(list(QUERY_KINDS).index(kind))
     for trial in range(10):
         n = int(rng.integers(5, 30))
-        q = random_sl_vector(rng, n, sparse_density=0.3, **QUERY_KINDS[kind])
+        q = random_sl_vector(rng, n, **{"sparse_density": 0.3, **QUERY_KINDS[kind]})
         C = Partition(random_membership(rng, n))
         state = SolverState.from_partition(q, C)
         _assert_compact(state)
@@ -137,7 +140,7 @@ def test_node_gain_vector_matches_dense_on_every_slot(kind):
     rng = np.random.default_rng(30 + list(QUERY_KINDS).index(kind))
     for _ in range(10):
         n = int(rng.integers(3, 12))
-        q = random_sl_vector(rng, n, sparse_density=0.4, **QUERY_KINDS[kind])
+        q = random_sl_vector(rng, n, **{"sparse_density": 0.4, **QUERY_KINDS[kind]})
         Q = np.zeros((n, n))
         iu, ju = np.triu_indices(n, k=1)
         Q[iu, ju] = dense_of(q)
@@ -201,13 +204,14 @@ def test_sweep_matches_the_per_visit_reference(kind, tracking, sweep_kernels):
     """_sweep on each kernel against helpers.reference_sweep, sweep after
     sweep: the same moves, membership, slot table, objective, counters and
     marks, bit for bit, with the empty slot going live along the way; every
-    sweep leaves compact labels."""
+    sweep leaves compact labels. The sign-rule queries take the compiled
+    sweep's narrow visits; the numpy sweep makes none."""
     for kernel in sweep_kernels():
         rng = np.random.default_rng(70 + 2 * list(QUERY_KINDS).index(kind) + tracking)
-        grew = skipped = 0
+        grew = skipped = narrow = 0
         for trial in range(8):
             n = int(rng.integers(5, 40))
-            q = random_sl_vector(rng, n, sparse_density=0.3, **QUERY_KINDS[kind])
+            q = random_sl_vector(rng, n, **{"sparse_density": 0.3, **QUERY_KINDS[kind]})
             start = random_membership(rng, n, k_max=4) if trial % 2 else np.arange(n)
             inst, eps = _Instance.from_pair_vector(q), 1e-12 * q.norm() * math.sqrt(q.N)
             new, ref = (SolverState(inst, start, query_alignment(q, Partition(start))) for _ in range(2))
@@ -231,8 +235,13 @@ def test_sweep_matches_the_per_visit_reference(kind, tracking, sweep_kernels):
                 if moves == 0:
                     break
             skipped += new.skipped
+            narrow += new.narrow
         assert grew > 0
         assert (skipped > 0) == tracking
+        if kernel == "numpy":
+            assert narrow == 0
+        elif kind == "sign-rule":
+            assert narrow > 0
 
 
 def test_sweep_ties_go_to_the_lowest_slot(sweep_kernels):
@@ -424,13 +433,27 @@ PINNED_PARTITIONS = [
 ]
 
 
-def test_partitions_pinned(sweep_kernels):
+def test_partitions_pinned(sweep_kernels, monkeypatch):
+    """The pins hold on each kernel; the compiled sweep makes narrow visits on
+    the queries under the narrow rule, the numpy sweep none."""
+    sweep, narrow = solver._sweep, []
+
+    def counting(state, order, eps):
+        before = state.narrow
+        moves = sweep(state, order, eps)
+        narrow.append(state.narrow - before)
+        return moves
+
+    monkeypatch.setattr(solver, "_sweep", counting)
     for kernel in sweep_kernels():
         for gen, spec, sha in PINNED_PARTITIONS:
             G, T = generate(gen, 1)
+            narrow.clear()
             C, _ = detect_once(G, spec, T, seed=3)
             got = hashlib.sha1(C.membership.astype("<i8").tobytes()).hexdigest()
             assert got == sha, (kernel, gen.family, spec.label)
+            rule = _Instance.from_pair_vector(build_query(G, spec, T)).narrow_rule
+            assert (sum(narrow) > 0) == (rule and kernel == "c"), (kernel, gen.family, spec.label)
 
 
 # -- dirty-set sweeps --------------------------------------------------------------
@@ -486,23 +509,24 @@ def test_coarse_instance_keeps_the_sign_rule():
     inst = _Instance.from_pair_vector(build_query(G, QuerySpec("cl-modularity", heuristic="exact"), T))
     coarse = _aggregate(inst, T.membership)  # Partition labels are compact
     assert inst.sign_rule and coarse.sign_rule and coarse.n == T.k
+    assert inst.narrow_rule and coarse.narrow_rule  # coarse constant factors: supernode sizes
 
 
 def _fine_level_counts(q, seed):
     state = SolverState(_Instance.from_pair_vector(q), np.arange(q.n), -q.total(), check_skips=True)
     _local_moves(state, np.random.default_rng(seed), 1e-12 * q.norm() * math.sqrt(q.N))
-    return state.visits, state.skipped
+    return state.visits, state.skipped, state.narrow
 
 
 def test_visit_counters_skip_only_under_the_sign_rule():
     G, T = generate(GeneratorSpec("ppm", n=400, k=20), 1)
-    visits, skipped = _fine_level_counts(build_query(G, QuerySpec("cl-modularity", heuristic="exact"), T), 3)
+    visits, skipped, _ = _fine_level_counts(build_query(G, QuerySpec("cl-modularity", heuristic="exact"), T), 3)
     assert skipped > 0 and visits > 0
     G, T = _ppm200()
     q = build_query(G, QuerySpec("linear", c_j=0.0, c_d=-6.0, heuristic="exact"), T)
     assert q.constant > 0.6  # the corrected constant breaks the rule
-    visits, skipped = _fine_level_counts(q, 3)
-    assert skipped == 0 and visits % q.n == 0 and visits >= 2 * q.n
+    visits, skipped, narrow = _fine_level_counts(q, 3)
+    assert skipped == 0 and visits % q.n == 0 and visits >= 2 * q.n and narrow == 0
 
 
 def test_dirty_set_solves_are_locally_optimal():
@@ -558,6 +582,166 @@ def test_compiled_sweep_rejects_an_order_outside_the_nodes():
     for bad in (q.n, -1):
         with pytest.raises(ValueError, match="not a node"):
             _sweep(state, np.array([0, bad]), 0.0)
+
+
+# -- narrow visits ------------------------------------------------------------------
+
+needs_kernel = pytest.mark.skipif(
+    solver.SWEEP_KERNEL != "c", reason=f"no compiled sweep: {solver.SWEEP_KERNEL_REASON}"
+)
+
+
+def test_narrow_rule_needs_a_negative_counting_last_term():
+    """The narrow rule: the sign rule, and a last term with coefficient < 0
+    and positive integer factors. The query constant is such a term; so is
+    raw cl-modularity's degree term when no node is isolated."""
+
+    def rule(q):
+        return _Instance.from_pair_vector(q).narrow_rule
+
+    G, T = _ppm200()
+    assert rule(build_query(G, QuerySpec("cl-modularity", heuristic="exact"), T))
+    assert rule(build_query(G, QuerySpec("markov", t=2, heuristic="exact"), T))
+    assert rule(build_query(G, QuerySpec("cl-modularity"), T))
+    assert not rule(build_query(G, QuerySpec("markov", t=2), T))  # last factor d / 2m
+    assert not rule(build_query(G, QuerySpec("linear", c_j=0.0, c_d=-6.0, heuristic="exact"), T))  # c > 0
+    u = np.array([1.0, 2.0, 0.0, 3.0])
+    assert not rule(PairVector.from_pairs(4, {}, (LowRankTerm(-1.0, u),)))
+    assert rule(PairVector.from_pairs(4, {}, (LowRankTerm(-1.0, u + 1.0),)))
+    assert not rule(PairVector.from_pairs(4, {}, (LowRankTerm(-1.0, u + 1.5),)))
+    assert not rule(PairVector.constant_vector(4, 0.0))
+
+
+@needs_kernel
+def test_most_fine_visits_are_narrow_under_a_negative_constant(monkeypatch):
+    """On a PPM n=2000 exact-corrected cl-modularity query most fine visits
+    take the narrow scan; with the constant made positive (no sign rule) or
+    on a walk query without a constant (its last factor, d / 2m, counts
+    nothing) none do, nor on the numpy sweep, whose partition is the same."""
+    G, T = generate(GeneratorSpec("ppm", n=2000, k=100), 1)
+    q = build_query(G, QuerySpec("cl-modularity", heuristic="exact"), T)
+    assert q.constant < 0.0
+    visits, _, narrow = _fine_level_counts(q, 3)
+    assert narrow > visits / 2
+    positive = PairVector(q.n, q.pair_ids, q.values, q.terms, -q.constant)
+    for other in (positive, build_query(G, QuerySpec("markov", t=2), T)):
+        assert _fine_level_counts(other, 3)[2] == 0
+    C = louvain_project(q, seed=3)
+    monkeypatch.setattr(solver, "_kernel", (None, "the numpy sweep, selected by a test"))
+    assert _fine_level_counts(q, 3)[2] == 0
+    assert louvain_project(q, seed=3) == C
+
+
+def test_an_isolated_node_without_a_constant_keeps_the_full_scan(sweep_kernels):
+    """A degree term and no constant, with node 0 isolated: its degree factor
+    is 0, so every slot gives it W = 0, and node 0's slot gives every node
+    W = 0, tying live slots with the empty one. The degree term counts no
+    member there, so the narrow rule fails, no visit is narrow, and each
+    kernel matches helpers.reference_sweep bit for bit."""
+    for kernel in sweep_kernels():
+        rng = np.random.default_rng(96)
+        for trial in range(6):
+            n = int(rng.integers(30, 60))
+            edges = [(i, j) for i in range(1, n) for j in range(i + 1, n) if rng.random() < 0.1]
+            deg = np.bincount(np.array(edges).ravel(), minlength=n).astype(np.float64)
+            q = PairVector.from_pairs(n, dict.fromkeys(edges, 1.0), (LowRankTerm(-1.0 / deg.sum(), deg),))
+            inst = _Instance.from_pair_vector(q)
+            assert inst.sign_rule and not inst.narrow_rule
+            start = random_membership(rng, n, k_max=n // 2) if trial % 2 else np.arange(n)
+            new, ref = (SolverState(inst, start, query_alignment(q, Partition(start))) for _ in range(2))
+            for _ in range(30):
+                order = rng.permutation(n)
+                moves = _sweep(new, order, 0.0)
+                assert reference_sweep(ref, order, 0.0) == moves
+                assert new.membership.tobytes() == ref.membership.tobytes()
+                assert new.U.tobytes() == ref.U.tobytes() and new.objective == ref.objective
+                if moves == 0:
+                    break
+            assert new.narrow == 0
+
+
+def test_narrow_visits_break_ties_to_the_lowest_slot(sweep_kernels):
+    """Weights of +-1 and a constant of -0.5: every gain is a multiple of 0.5,
+    so candidates tie exactly. Node 0's row lists node 1 (slot 22) before
+    node 2 (slot 21), both worth 0.5: it joins slot 21. Random sparse queries
+    of the same kind match helpers.reference_sweep bit for bit."""
+    for kernel in sweep_kernels():
+        n = 24
+        q = PairVector.from_pairs(n, {(0, 1): 1.0, (0, 2): 1.0}, (), -0.5)
+        start = np.arange(n)[::-1]
+        state = SolverState(_Instance.from_pair_vector(q), start, query_alignment(q, Partition(start)))
+        assert _sweep(state, np.array([0]), 0.0) == 1
+        assert state.membership[0] == state.membership[2] != state.membership[1]
+        assert state.narrow == (kernel == "c")
+        rng = np.random.default_rng(91)
+        narrow = 0
+        for trial in range(20):
+            n = int(rng.integers(20, 60))
+            pairs = {(i, j): rng.choice([-1.0, 1.0]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.08}
+            q = PairVector.from_pairs(n, pairs, (), -0.5)
+            start = random_membership(rng, n) if trial % 2 else np.arange(n)
+            inst = _Instance.from_pair_vector(q)
+            new, ref = (SolverState(inst, start, query_alignment(q, Partition(start))) for _ in range(2))
+            for _ in range(10):
+                order = rng.permutation(n)
+                moves = _sweep(new, order, 0.0)
+                assert reference_sweep(ref, order, 0.0) == moves
+                assert new.membership.tobytes() == ref.membership.tobytes() and new.objective == ref.objective
+                if moves == 0:
+                    break
+            narrow += new.narrow
+        assert (narrow > 0) == (kernel == "c")
+
+
+def test_a_slot_sum_below_zero_keeps_the_full_scan(sweep_kernels):
+    """Round-off can leave a live slot's sum of factors >= 0 below zero. Slot
+    0 holds nodes 1, 2 and 3 (factors 1, 2^-60 and 0, summed to 1); once 1
+    and 2 leave, before the sweep or in it, its sum is -2^-60. Times node 0's
+    scaled factor -2^40 that outweighs the constant -2^-30, so slot 0 gives
+    node 0 W = 2^-20 - 2^-30 > 0, though it holds none of its row neighbours.
+    The kernel's bound on such sums sends the visit to the full scan, and
+    node 0 joins node 3, as in helpers.reference_sweep."""
+    n = 12
+    f = np.zeros(n)
+    f[:3] = 2.0**40, 1.0, 2.0**-60
+    q = PairVector.from_pairs(n, {}, (LowRankTerm(-1.0, f),), -(2.0**-30))
+    start = np.array([1, 0, 0, 0] + list(range(2, n - 2)))
+    inst = _Instance.from_pair_vector(q)
+    assert inst.narrow_rule
+    for kernel in sweep_kernels():
+        for order in ([0], [1, 2, 0]):
+            new, ref = (SolverState(inst, start, query_alignment(q, Partition(start))) for _ in range(2))
+            if order == [0]:
+                for state in (new, ref):
+                    for i in (1, 2):
+                        apply_move(state, i, state.U.shape[1] - 1, move_gain(state, i, state.U.shape[1] - 1))
+                assert new.U[0, 0] == -(2.0**-60)
+            moves = _sweep(new, np.array(order), 0.0)
+            assert reference_sweep(ref, np.array(order), 0.0) == moves == len(order)
+            assert new.membership.tobytes() == ref.membership.tobytes() and new.objective == ref.objective
+            assert new.membership[0] == new.membership[3]
+            assert new.narrow == (kernel == "c") * (len(order) - 1)  # nodes 1 and 2: narrow visits
+
+
+@needs_kernel
+def test_debug_checks_catch_a_narrow_visit_that_misses_a_slot(monkeypatch):
+    """With slot 0's constant sum (its member count) set to -1e6 on the
+    fine level, slot 0 holds the largest W for every node, and a narrow
+    visit to a node without a row neighbour there misses it; debug_checks
+    compares each narrow visit with a scan of every slot and raises."""
+    G, T = _ppm200()
+    q = build_query(G, QuerySpec("cl-modularity", heuristic="exact"), T)
+    louvain_project(q, seed=3, debug_checks=True)
+    visit_c = solver._visit_c
+
+    def miscounted(kernel, state, order, half_eps):
+        if state.inst.n == q.n:
+            state.U[-1, 0] = -1e6
+        return visit_c(kernel, state, order, half_eps)
+
+    monkeypatch.setattr(solver, "_visit_c", miscounted)
+    with pytest.raises(AssertionError, match="narrow visit of node"):
+        louvain_project(q, seed=3, debug_checks=True)
 
 
 def _merged_members_only(inst, before, after):
