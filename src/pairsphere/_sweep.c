@@ -1,10 +1,15 @@
-/* The visit loop of one local-move sweep (pairsphere.solver._sweep), in C.
+/* The solver's compiled library: the visit loop of one local-move sweep
+   (pairsphere.solver._sweep) and the builders of every level, in C:
+   pairsphere_rows makes a level's CSR rows from its sorted pair list, and
+   pairsphere_aggregate the pair list of the level above.
 
    solver._load_kernel builds this file with -ffp-contract=off, so every
    product and sum below is rounded on its own, in the order written: the
    gains carry the bits of numpy's solver._gains, and a sweep makes exactly
-   the moves of the numpy sweep. Arrays are C-ordered; the slot table U is
-   K x ld, with slots 0..ns-1 in use and the last of them empty.
+   the moves of the numpy sweep. The builders sum by the rule that the numpy
+   ones (solver._build_csr and solver._coarse_pairs_numpy) follow, so every
+   level has the same bytes on either side. Arrays are C-ordered; the slot table U
+   is K x ld, with slots 0..ns-1 in use and the last of them empty.
 
    A visit scans every slot, or only its candidates: the slots of its row
    neighbours, its own slot and the empty last one. The narrow scan runs when
@@ -142,18 +147,27 @@ static int64_t gains(int64_t i, int64_t n, int64_t K, int64_t ns, int64_t ld,
     return best;
 }
 
-/* solver._mark_dirty: node j moves from its slot b to slot c. */
-static void mark_dirty(int64_t j, int64_t c, int64_t n, const int64_t *indptr,
-                       const int64_t *nbr, const int64_t *memb, uint8_t *dirty)
+/* solver._mark_dirty: node j moves from its slot b to slot c. Each slot's
+   members form a list: head[a] holds its first member + 1, next[m] the one
+   after m + 1 (0 ends a list). The walk over b's members unlinks j, and j
+   goes first in c's list, after c's members are marked: O(members of b and
+   c, and the rows of b's), not O(n). */
+static void mark_dirty(int64_t j, int64_t c, const int64_t *indptr, const int64_t *nbr,
+                       const int64_t *memb, int64_t *head, int64_t *next, uint8_t *dirty)
 {
-    int64_t m, t, b = memb[j];
-    for (m = 0; m < n; m++) {
-        if (memb[m] == b)
-            for (t = indptr[m]; t < indptr[m + 1]; t++)
-                dirty[nbr[t]] = 1;
-        else if (memb[m] == c)
-            dirty[m] = 1;
+    int64_t m, t, *link = &head[memb[j]];
+    for (m = *link - 1; m >= 0; m = *link - 1) {
+        for (t = indptr[m]; t < indptr[m + 1]; t++)
+            dirty[nbr[t]] = 1;
+        if (m == j)
+            *link = next[m];
+        else
+            link = &next[m];
     }
+    for (m = head[c] - 1; m >= 0; m = next[m] - 1)
+        dirty[m] = 1;
+    next[j] = head[c];
+    head[c] = j + 1;
 }
 
 /* Visits the nodes of order[0..n_order-1] as solver._sweep does; returns
@@ -165,8 +179,10 @@ static void mark_dirty(int64_t j, int64_t c, int64_t n, const int64_t *indptr,
    the narrow scan on return. A negative return is an error, with the node in
    info[2]: -1 when check_skips finds that a skipped node would move, -2 for
    an order entry outside 0..n-1, -3 when check_skips finds that a narrow
-   scan differs from the full one. work holds ld + 2K + ld doubles and ld
-   bytes, all zero: B, S, neg, cand and mark. */
+   scan differs from the full one. work holds ld + 2K doubles, 2ld + n
+   int64 and ld bytes, all zero: B, S, neg, cand, head, next and mark
+   (head and next: the slots' member lists of mark_dirty, built when the
+   sweep tracks). */
 int64_t pairsphere_sweep(int64_t n, int64_t K, const double *coefs, const double *factors,
                          const int64_t *indptr, const int64_t *nbr, const double *wts,
                          const int64_t *order, int64_t n_order, int64_t *memb,
@@ -175,8 +191,8 @@ int64_t pairsphere_sweep(int64_t n, int64_t K, const double *coefs, const double
                          double *objective, double *work)
 {
     double top, own, *B = work, *S = work + ld, *neg = S + K;
-    int64_t *cand = (int64_t *)(neg + K);
-    uint8_t *mark = (uint8_t *)(cand + ld);
+    int64_t *cand = (int64_t *)(neg + K), *head = cand + ld, *next = head + ld;
+    uint8_t *mark = (uint8_t *)(next + n);
     int64_t v, k, a, i, cur, best, ns = info[0], moves = 0, skipped = 0, narrow = 0, ndead = 0;
     int32_t narrow_rule = info[3] != 0;
     int narrowed;
@@ -185,6 +201,11 @@ int64_t pairsphere_sweep(int64_t n, int64_t K, const double *coefs, const double
             for (a = 0; a < ns; a++)
                 if (U[k * ld + a] < -neg[k])
                     neg[k] = -U[k * ld + a];
+    if (tracking)
+        for (i = n - 1; i >= 0; i--) {
+            next[i] = head[memb[i]];
+            head[memb[i]] = i + 1;
+        }
     for (v = 0; v < n_order; v++) {
         i = order[v];
         if (i < 0 || i >= n) {
@@ -216,7 +237,7 @@ int64_t pairsphere_sweep(int64_t n, int64_t K, const double *coefs, const double
         narrow += narrowed;
         if (top - own > half_eps) {
             if (tracking)
-                mark_dirty(i, best, n, indptr, nbr, memb, dirty);
+                mark_dirty(i, best, indptr, nbr, memb, head, next, dirty);
             if (best == ns - 1)
                 ns++;
             else if (narrow_rule && U[(K - 1) * ld + best] == 0.0)
@@ -238,4 +259,126 @@ int64_t pairsphere_sweep(int64_t n, int64_t K, const double *coefs, const double
     info[1] = skipped;
     info[3] = narrow;
     return moves;
+}
+
+/* The CSR rows of the symmetric n x n matrix holding pv[t] at (pi[t], pj[t])
+   and (pj[t], pi[t]) (solver._rows), from m pairs sorted by (pi, pj) with
+   pi < pj < n and no repeats. A counting sort in two passes: first each
+   pair's lower entry (row pj gets pi), then its upper one (row pi gets pj),
+   so the columns of every row ascend and no value is summed. indptr holds
+   n + 1 zeros on entry, nbr and wts room for 2m. Returns 0, or -1 - t when
+   pair t breaks the order or the bounds. */
+int64_t pairsphere_rows(int64_t n, int64_t m, const int64_t *pi, const int64_t *pj, const double *pv,
+                        int64_t *indptr, int64_t *nbr, double *wts)
+{
+    int64_t t, r;
+    for (t = 0; t < m; t++) {
+        if (pi[t] < 0 || pi[t] >= pj[t] || pj[t] >= n
+            || (t > 0 && (pi[t] < pi[t - 1] || (pi[t] == pi[t - 1] && pj[t] <= pj[t - 1]))))
+            return -1 - t;
+        indptr[pi[t] + 1]++;
+        indptr[pj[t] + 1]++;
+    }
+    for (r = 0; r < n; r++)
+        indptr[r + 1] += indptr[r];
+    /* indptr[r] is row r's cursor while the rows fill, then its end */
+    for (t = 0; t < m; t++) {
+        nbr[indptr[pj[t]]] = pi[t];
+        wts[indptr[pj[t]]++] = pv[t];
+    }
+    for (t = 0; t < m; t++) {
+        nbr[indptr[pi[t]]] = pj[t];
+        wts[indptr[pi[t]]++] = pv[t];
+    }
+    for (r = n; r > 0; r--)
+        indptr[r] = indptr[r - 1];
+    indptr[0] = 0;
+    return 0;
+}
+
+/* The pair list of the level above (solver._coarse_pairs): with labels in
+   0..k-1, each coarse pair a < b gets M[a][b] + M[b][a], where M[a][b] is
+   the sum, from 0 and in list order, of pv over the m fine pairs whose ends
+   carry labels (a, b); zero sums are dropped. Writes the coarse pairs sorted
+   by (a, b) into qi, qj and qv (room for min(m, k(k-1)/2)) and returns their
+   count, or -1 - t when fine pair t carries a label outside 0..k-1.
+   When k(k-1) is at most 2m, the level's CSR entries, one pass sums the
+   pairs into a k x k block; otherwise a stable counting sort by the larger
+   label, then by the smaller, lines each cell's pairs up in list order,
+   without k * k memory. Both sum by the one rule and give the same bits.
+   work holds 2m + k + 1 words, all zero. */
+int64_t pairsphere_aggregate(int64_t m, const int64_t *pi, const int64_t *pj, const double *pv,
+                             const int64_t *labels, int64_t k, int64_t *qi, int64_t *qj, double *qv,
+                             int64_t *work)
+{
+    int64_t t, u, a, b, lo, hi, c = 0, *count = work, *by_hi = work + k + 1, *by_lo = by_hi + m;
+    double *block = (double *)work, f, g;
+    int dense = k * (k - 1) <= 2 * m;
+    for (t = 0; t < m; t++) {
+        a = labels[pi[t]];
+        b = labels[pj[t]];
+        if (a < 0 || a >= k || b < 0 || b >= k)
+            return -1 - t;
+        if (a == b)
+            continue;
+        if (dense)
+            block[a * k + b] += pv[t];
+        else
+            count[(a > b ? a : b) + 1]++;
+    }
+    if (dense) {
+        for (a = 0; a < k; a++)
+            for (b = a + 1; b < k; b++)
+                if ((f = block[a * k + b] + block[b * k + a]) != 0.0) {
+                    qi[c] = a;
+                    qj[c] = b;
+                    qv[c++] = f;
+                }
+        return c;
+    }
+    for (a = 0; a < k; a++)
+        count[a + 1] += count[a];
+    for (t = 0; t < m; t++) {
+        a = labels[pi[t]];
+        b = labels[pj[t]];
+        if (a != b)
+            by_hi[count[a > b ? a : b]++] = t;
+    }
+    u = count[k - 1]; /* the cross pairs */
+    memset(count, 0, (size_t)(k + 1) * sizeof *count);
+    for (t = 0; t < u; t++) {
+        a = labels[pi[by_hi[t]]];
+        b = labels[pj[by_hi[t]]];
+        count[(a < b ? a : b) + 1]++;
+    }
+    for (a = 0; a < k; a++)
+        count[a + 1] += count[a];
+    for (t = 0; t < u; t++) {
+        a = labels[pi[by_hi[t]]];
+        b = labels[pj[by_hi[t]]];
+        by_lo[count[a < b ? a : b]++] = by_hi[t];
+    }
+    for (t = 0; t < u;) {
+        a = labels[pi[by_lo[t]]];
+        b = labels[pj[by_lo[t]]];
+        lo = a < b ? a : b;
+        hi = a < b ? b : a;
+        f = g = 0.0; /* M[lo][hi] and M[hi][lo] */
+        for (; t < u; t++) {
+            a = labels[pi[by_lo[t]]];
+            b = labels[pj[by_lo[t]]];
+            if (a == lo && b == hi)
+                f += pv[by_lo[t]];
+            else if (a == hi && b == lo)
+                g += pv[by_lo[t]];
+            else
+                break;
+        }
+        if ((f += g) != 0.0) {
+            qi[c] = lo;
+            qj[c] = hi;
+            qv[c++] = f;
+        }
+    }
+    return c;
 }

@@ -234,8 +234,9 @@ def inner(x: PairVector, y: PairVector) -> float:
                 x.pair_ids, y.pair_ids, assume_unique=True, return_indices=True
             )
             acc += float(x.values[ix] @ y.values[iy])
-    acc += _sparse_dot_smooth(x, y)
-    acc += _sparse_dot_smooth(y, x)
+    xy = _sparse_dot_smooth(x, y)
+    acc += xy
+    acc += xy if y is x else _sparse_dot_smooth(y, x)  # one pass for a norm
     for ca, ua in _smooth_terms_with_constant(x):
         for cb, ub in _smooth_terms_with_constant(y):
             z = ua * ub

@@ -13,14 +13,15 @@ Under the narrow rule (below) the compiled sweep evaluates only a short
 row's candidate slots, so a visit costs O(row), not O(k).
 
 A sweep's visits run in one call to a C kernel, _sweep.c, compiled on first
-use and cached (see _load_kernel); where it cannot be built or loaded, a
-numpy loop runs them instead. SWEEP_KERNEL names the kernel that runs ("c"
-or "numpy"), and SWEEP_KERNEL_REASON says why the numpy one does. The two
-give the same bits because both follow one summation rule: the rank-one
-part is W = 0 + s_1 U_1 + s_2 U_2 + ..., added in term order with every
-product rounded on its own (no fused multiply-add); the row sums are added
-to it and the self term, summed by the same rule, is subtracted. A BLAS
-gemv follows no fixed order and differs in the last bit. On a 2-vCPU Xeon,
+use and cached (see _load_kernel), which also builds the levels (below);
+where it cannot be built or loaded, numpy runs both instead. SWEEP_KERNEL
+names the kernel that runs ("c" or "numpy"), and SWEEP_KERNEL_REASON says
+why the numpy one does. The two sweeps give the same bits because both
+follow one summation rule: the rank-one part is W = 0 + s_1 U_1 + s_2 U_2 +
+..., added in term order with every product rounded on its own (no fused
+multiply-add); the row sums are added to it and the self term, summed by
+the same rule, is subtracted. A BLAS gemv follows no fixed order and
+differs in the last bit. On a 2-vCPU Xeon,
 sweeps take about 0.6 us per visit in C and 8 us in numpy at n=200 (linear
 grid-search queries), and 0.5 us and 20 us at n=2000 (cl-modularity and
 markov t=2; 1.5 us in C scanning every slot): sweep time over visits, each
@@ -37,9 +38,11 @@ constant breaks it (73-76 of the desk grid search's 143 cells on PPM n=200
 samples). When node j moves from slot b to slot c, the nodes whose best gain
 over staying can have risen are marked dirty: j's row neighbours, the
 members of c, and every node with a row neighbour among the members of b.
-Any other node's gains stayed or fell, so a node that has not been marked
-since its last visit would not move and is skipped. Marking starts on a
-level's sweep after the first one that moves fewer than TRACK_BELOW * n
+The compiled sweep keeps each slot's members in a list while it tracks, so
+the marks of a move cost O(members of b and c, and the rows of b's), not
+O(n). Any other node's gains stayed or fell, so a node that has not been
+marked since its last visit would not move and is skipped. Marking starts on
+a level's sweep after the first one that moves fewer than TRACK_BELOW * n
 nodes; before that, and on any level where the sign rule fails, every node
 is visited. When coarse levels merge communities, the fine level keeps its
 marks and adds the members of every merged community and their row
@@ -68,14 +71,24 @@ without narrow visits) and 1.05 s at 100k; markov t=2 takes 0.04, 0.30 and
 1.46 s (2.90 s at 32k without).
 
 Each level keeps its sparse part twice: as CSR rows for the visits and as a
-list of its pairs, each once (i < j). A coarse level maps the list below
-through the community labels and drops the pairs inside a supernode. When its
-k supernodes give k * (k - 1) at most the CSR entry count of the level below,
-one bincount sums the pairs into a dense k x k block, no larger than that
-level, whose nonzeros in row order are the coarse rows and list; otherwise
-scipy sums them, as it builds the fine level's rows. The block adds the fine
-pairs of one supernode pair in list order, scipy in the order of its unstable
-index sort, so coarse values are not bit-guaranteed to match between paths.
+list of its pairs, each once (i < j), sorted by (i, j). The same library
+builds every level. _rows turns a sorted list into rows by a counting sort in
+two passes, first each pair's lower entry and then its upper one, so the
+columns of every row ascend and no value is summed. A coarse level maps the
+list below through the community labels and sums it by one rule (_aggregate):
+coarse pair a < b gets M[a, b] + M[b, a], where M[a, b] is the sum, from 0
+and in list order, of the fine pairs whose ends carry labels (a, b); zero
+sums are dropped. When the k supernodes give k * (k - 1) at most the CSR
+entry count of the level below, one pass sums the pairs into a dense k x k
+block, no larger than that level; otherwise a stable counting sort by label
+lines each cell's pairs up in list order, without k * k memory. The numpy
+fallback follows the same rule (scipy builds the rows, which sums nothing
+here; one bincount fills the block, or np.unique numbers the cells and one
+bincount sums them), so both kernels give the same bytes at every level. On
+the 2-vCPU Xeon, 450k pairs at n=1000 give their rows in 8.4 ms, against
+17.6 ms in scipy; over the 20 solves of a markov-batch bench round (walk
+supports of up to 500k pairs), the fine rows took 0.10 s (scipy 0.18 s) and
+the coarse levels 0.08 s (numpy and scipy 0.19 s), best of 3 rounds.
 
 For small instances an exhaustive enumerator over set partitions provides an
 exact reference optimum.
@@ -95,9 +108,10 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
+import scipy.sparse as sp  # the numpy fallback's rows (_build_csr)
 
 from .clustering import Partition, query_alignment
 from .geometry import PairVector, _smooth_terms_with_constant
@@ -116,23 +130,37 @@ MAX_CYCLES = 50
 # every product and sum rounded on its own, as numpy rounds them).
 _SOURCE = Path(__file__).with_name("_sweep.c")
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
-# pairsphere_sweep's parameters, as _sweep.c lists them. Keep them under 20:
+# The parameters of _sweep.c's functions, as it lists them. Keep each under 20:
 # with 20, each call left a 200-byte block that only a gc pass freed
 # (tracemalloc), which raised grid-desk's peak RSS by about 0.4 MB.
-_KERNEL_ARGS = (
-    (ctypes.c_int64,) * 2 + (ctypes.c_void_p,) * 6 + (ctypes.c_int64,) + (ctypes.c_void_p,) * 2
-    + (ctypes.c_int64,) + (ctypes.c_void_p,) * 2 + (ctypes.c_int32,) * 2 + (ctypes.c_double,)
-    + (ctypes.c_void_p,) * 2
-)
-_kernel = None  # (sweep function or None, reason), set by _sweep_kernel on first use
+_KERNEL_ARGS = {
+    "pairsphere_sweep": (
+        (ctypes.c_int64,) * 2 + (ctypes.c_void_p,) * 6 + (ctypes.c_int64,) + (ctypes.c_void_p,) * 2
+        + (ctypes.c_int64,) + (ctypes.c_void_p,) * 2 + (ctypes.c_int32,) * 2 + (ctypes.c_double,)
+        + (ctypes.c_void_p,) * 2
+    ),
+    "pairsphere_rows": (ctypes.c_int64,) * 2 + (ctypes.c_void_p,) * 6,
+    "pairsphere_aggregate": (ctypes.c_int64,) + (ctypes.c_void_p,) * 4 + (ctypes.c_int64,) + (ctypes.c_void_p,) * 4,
+}
+_kernel = None  # (_Kernels or None, reason), set by _compiled on first use
+
+
+class _Kernels(NamedTuple):
+    """The functions of the compiled library: a sweep's visits, a level's
+    rows from its pair list, and the pair list of the level above."""
+
+    sweep: object
+    rows: object
+    aggregate: object
 
 
 @dataclass
 class _Instance:
     """A query vector unpacked into solver-friendly arrays: CSR rows of the
     symmetric sparse part, the same pairs once each as a list (pi < pj, with
-    value pv), the smooth part as K rank-one terms coefs[k] * factors[k]
-    factors[k]^T, and per-node views for the numpy sweep. sign_rule: is every
+    value pv, sorted by (pi, pj)), the smooth part as K rank-one terms
+    coefs[k] * factors[k] factors[k]^T, and per-node views for the numpy
+    sweep. sign_rule: is every
     pair outside the sparse rows <= 0. narrow_rule: does the sign rule hold
     with a last term of coefficient < 0 and positive integer factors (such as
     the query constant: ones, summed to supernode sizes at coarse levels), so
@@ -149,15 +177,19 @@ class _Instance:
     factors: np.ndarray  # (K, n)
 
     def __post_init__(self):
-        # the compiled sweep reads these through raw pointers
-        self.indptr, self.nbr = (np.ascontiguousarray(a, dtype=np.int64) for a in (self.indptr, self.nbr))
-        self.wts, self.coefs, self.factors = (
-            np.ascontiguousarray(a, dtype=np.float64) for a in (self.wts, self.coefs, self.factors)
+        # the compiled library reads these through raw pointers
+        self.indptr, self.nbr, self.pi, self.pj = (
+            np.ascontiguousarray(a, dtype=np.int64) for a in (self.indptr, self.nbr, self.pi, self.pj)
+        )
+        self.wts, self.pv, self.coefs, self.factors = (
+            np.ascontiguousarray(a, dtype=np.float64) for a in (self.wts, self.pv, self.coefs, self.factors)
         )
         if self.factors.shape != (self.coefs.size, self.n) or self.indptr.shape != (self.n + 1,):
             raise ValueError("factors must be (K, n) and indptr (n + 1,)")
-        if not self.nbr.size == self.wts.size == self.indptr[-1]:
-            raise ValueError("the rows must hold indptr[-1] neighbours and weights")
+        if not self.nbr.size == self.wts.size == self.indptr[-1] == 2 * self.pi.size:
+            raise ValueError("the rows must hold indptr[-1] neighbours and weights, two per listed pair")
+        if not self.pi.size == self.pj.size == self.pv.size:
+            raise ValueError("pi, pj and pv must have the same length")
         self.sign_rule = bool(np.all(self.coefs <= 0.0) and np.all(self.factors >= 0.0))
         counts = self.factors[-1] if self.coefs.size else None
         self.narrow_rule = bool(
@@ -197,10 +229,10 @@ class _Instance:
         n = q.n
         ii, jj = q.sparse_members()
         vals = q.values
-        if not vals.all():  # U + U.T drops explicit zeros from the rows: drop them from the list too
+        if not vals.all():  # the rows hold no explicit zero, nor does the list
             nz = vals != 0.0
             ii, jj, vals = ii[nz], jj[nz], vals[nz]
-        indptr, tails, wts = _build_csr(n, ii, jj, vals)
+        indptr, tails, wts = _rows(n, ii, jj, vals)
         terms = list(_smooth_terms_with_constant(q))  # a constant c is the term c * 11^T, last
         coefs = np.array([c for c, _ in terms], dtype=np.float64)
         factors = np.array([u for _, u in terms], dtype=np.float64).reshape(len(terms), n)
@@ -213,10 +245,34 @@ def _slot_sums(factors: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     return np.array(sums).reshape(len(factors), k)
 
 
+def _rows(n: int, pi: np.ndarray, pj: np.ndarray, pv: np.ndarray) -> tuple:
+    """(indptr, nbr, wts): the CSR rows of the symmetric n x n matrix holding
+    pv[t] at (pi[t], pj[t]) and (pj[t], pi[t]), from a pair list sorted by
+    (pi, pj) with pi < pj and no repeats, nor zero values. In the compiled
+    library where it loaded (a counting sort), in _build_csr otherwise; no
+    value is summed, so both give the same bytes. The compiled builder
+    raises ValueError on a list out of that order."""
+    kernels = _compiled()
+    if kernels is None:
+        return _build_csr(n, pi, pj, pv)
+    pi, pj = (np.ascontiguousarray(a, dtype=np.int64) for a in (pi, pj))
+    pv = np.ascontiguousarray(pv, dtype=np.float64)
+    if not pi.size == pj.size == pv.size:
+        raise ValueError("pi, pj and pv must have the same length")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    nbr, wts = np.empty(2 * pi.size, dtype=np.int64), np.empty(2 * pi.size)
+    if pi.size:
+        code = kernels.rows(n, pi.size, *map(_address, (pi, pj, pv, indptr, nbr, wts)))
+        if code < 0:
+            raise ValueError(f"pair {-1 - code} breaks the order (pi, pj), pi < pj < {n}, without repeats")
+    return indptr, nbr, wts
+
+
 def _build_csr(n, ii, jj, values):
     """Rows of the symmetric n x n matrix holding each value at (i, j) and
-    (j, i); repeated pairs are summed. Index arrays come back as int64, which
-    the per-visit slicing and fancy indexing read without a cast."""
+    (j, i), in scipy: the reference for _rows and its fallback. Index arrays
+    come back as int64, which the per-visit slicing and fancy indexing read
+    without a cast."""
     U = sp.csr_array((values, (ii, jj)), shape=(n, n))
     A = U + U.T
     return A.indptr.astype(np.int64), A.indices.astype(np.int64), A.data
@@ -327,11 +383,11 @@ def _sweep(state: SolverState, order: np.ndarray, eps: float) -> int:
     the live communities, in label order with their sums kept, plus one empty
     slot last.
     """
-    kernel = _sweep_kernel()
-    if kernel is None:
+    kernels = _compiled()
+    if kernels is None:
         moves, skipped, U = _visit_numpy(state, order, eps / 2.0)
     else:
-        moves, skipped, U = _visit_c(kernel, state, order, eps / 2.0)
+        moves, skipped, U = _visit_c(kernels.sweep, state, order, eps / 2.0)
     state.visits += order.size - skipped
     state.skipped += skipped
     live = np.bincount(state.membership, minlength=U.shape[1]) > 0
@@ -354,7 +410,7 @@ def _visit_c(kernel, state: SolverState, order: np.ndarray, half_eps: float) -> 
     memb = state.membership = np.ascontiguousarray(state.membership, dtype=np.int64)
     K, k = state.U.shape
     ld = -(-(k + order.size) // 4) * 4
-    buf = np.zeros((K + 3) * ld + 2 * K)  # the table, then the kernel's work: B, S, neg, cand, mark
+    buf = np.zeros((K + 4) * ld + 2 * K + inst.n)  # the table, then the work: B, S, neg, cand, head, next, mark
     U = buf[: K * ld].reshape(K, ld)
     U[:, :k] = state.U
     info = np.array([k, 0, 0, inst.narrow_rule], dtype=np.int64)
@@ -377,9 +433,12 @@ def _visit_c(kernel, state: SolverState, order: np.ndarray, half_eps: float) -> 
 
 
 def _address(a) -> int:
-    """The address of a writable, C-contiguous, non-empty buffer (about a
-    third of the cost of ndarray.ctypes.data)."""
-    return ctypes.addressof(ctypes.c_char.from_buffer(a))
+    """The address of a C-contiguous, non-empty buffer: for a writable one
+    at about a third of the cost of ndarray.ctypes.data."""
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(a))
+    except TypeError:  # read-only
+        return a.ctypes.data
 
 
 def _visit_numpy(state: SolverState, order: np.ndarray, half_eps: float) -> tuple[int, int, np.ndarray]:
@@ -453,30 +512,68 @@ def _aggregate(inst: _Instance, membership: np.ndarray) -> _Instance:
     Pairs inside a supernode contribute a fixed amount that is dropped, so
     coarse-level gains equal fine-level gains.
 
-    The level's pair list, mapped through the labels, gives the coarse pairs.
-    One bincount sums them into a dense k x k block when k * (k - 1) is at
-    most the level's CSR entry count (the block is then no larger than the
-    level), _build_csr otherwise; zero sums are dropped. Coarse values are not
-    bit-guaranteed: the block adds the fine pairs of one supernode pair in list
-    order, scipy in the order its unstable index sort leaves.
+    The level's pair list, mapped through the labels, gives the coarse pairs
+    (_coarse_pairs), and _rows turns them into the coarse rows.
     """
     k = int(membership.max()) + 1
-    ai, bj = membership[inst.pi], membership[inst.pj]
-    cross = ai != bj
-    ai, bj, w = ai[cross], bj[cross], inst.pv[cross]
-    if k * (k - 1) <= inst.nbr.size:
-        M = np.bincount(ai * k + bj, w, k * k).reshape(k, k)
-        M = (M + M.T).ravel()
-        flat = np.flatnonzero(M)
-        indptr = np.searchsorted(flat, np.arange(k + 1) * k)
-        heads, tails = np.divmod(flat, k)
-        cvals = M[flat]
-    else:
-        indptr, tails, cvals = _build_csr(k, ai, bj, w)
-        heads = np.repeat(np.arange(k), np.diff(indptr))
-    up = heads < tails
+    pi, pj, pv = _coarse_pairs(inst, membership, k)
+    indptr, nbr, wts = _rows(k, pi, pj, pv)
     factors = _slot_sums(inst.factors, membership, k)
-    return _Instance(k, indptr, tails, cvals, heads[up], tails[up], cvals[up], inst.coefs, factors)
+    return _Instance(k, indptr, nbr, wts, pi, pj, pv, inst.coefs, factors)
+
+
+def _coarse_pairs(inst: _Instance, labels: np.ndarray, k: int) -> tuple:
+    """(pi, pj, pv): the pair list of the level above, whose supernodes are
+    the labels 0..k-1. Each coarse pair a < b gets M[a, b] + M[b, a], where
+    M[a, b] sums, from 0 and in list order, the values of the fine pairs
+    whose ends carry labels (a, b); zero sums are dropped, and the list is
+    sorted by (a, b). In the compiled library where it loaded, in
+    _coarse_pairs_numpy otherwise; both give the same bytes. A label outside
+    0..k-1 raises ValueError in the compiled library."""
+    kernels = _compiled()
+    if kernels is None:
+        return _coarse_pairs_numpy(inst, labels, k)
+    labels = np.ascontiguousarray(labels, dtype=np.int64)
+    if labels.shape != (inst.n,):
+        raise ValueError("labels must label every node of the level")
+    m = inst.pi.size
+    size = min(m, k * (k - 1) // 2)  # room for every coarse pair
+    pi, pj, pv = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64), np.empty(size)
+    if size:
+        work = np.zeros(2 * m + k + 1, dtype=np.int64)
+        fine = map(_address, (inst.pi, inst.pj, inst.pv, labels))
+        size = kernels.aggregate(m, *fine, k, *map(_address, (pi, pj, pv, work)))
+        if size < 0:
+            raise ValueError(f"pair {-1 - size} carries a label outside 0..{k - 1}")
+    return pi[:size], pj[:size], pv[:size]
+
+
+def _coarse_pairs_numpy(inst: _Instance, labels: np.ndarray, k: int) -> tuple:
+    """_coarse_pairs in numpy, the reference for the compiled one. When
+    k * (k - 1) is at most the level's CSR entry count, one bincount sums the
+    pairs into a dense k x k block (no larger than the level); otherwise
+    np.unique numbers the ordered cells that occur, one bincount sums each,
+    and each cell reads its transposed one by a lookup."""
+    ai, bj = labels[inst.pi], labels[inst.pj]
+    cross = ai != bj
+    keys, w = ai[cross] * k + bj[cross], inst.pv[cross]
+    if k * (k - 1) <= inst.nbr.size:
+        M = np.bincount(keys, w, k * k).reshape(k, k)
+        M = (M + M.T).ravel()
+        cells = np.flatnonzero(M)
+        cells = cells[cells // k < cells % k]
+        vals = M[cells]
+    else:
+        cells, cell = np.unique(keys, return_inverse=True)
+        M = np.bincount(cell, w, cells.size)
+        a, b = np.divmod(cells, k)
+        back = np.minimum(np.searchsorted(cells, b * k + a), cells.size - 1)
+        M = M + np.where(cells[back] == b * k + a, M[back], 0.0)  # M[a, b] + M[b, a], either way round
+        cells, first = np.unique(np.minimum(a, b) * k + np.maximum(a, b), return_index=True)
+        vals = M[first]
+    nz = vals != 0.0
+    pi, pj = np.divmod(cells[nz], k)
+    return pi, pj, vals[nz]
 
 
 def _coarsen(inst: _Instance, memb: np.ndarray, rng, eps: float, debug_checks: bool) -> tuple[np.ndarray, float]:
@@ -645,7 +742,7 @@ def _compile(lib: Path) -> str:
 
 
 def _load_kernel() -> tuple:
-    """(the compiled sweep function, "") or (None, why the numpy sweep runs).
+    """(the compiled library's _Kernels, "") or (None, why numpy runs them).
 
     A process that finds the library loads it; otherwise it compiles it
     first. A library or cache directory that another user owns, or that group
@@ -665,16 +762,18 @@ def _load_kernel() -> tuple:
         data = lib.read_bytes()
         if data[-32:] != hashlib.sha256(data[:-32]).digest():
             return None, f"{lib} is damaged: its bytes do not end with their sha256"
-        fn = ctypes.CDLL(str(lib)).pairsphere_sweep
-    except (OSError, RuntimeError) as exc:  # RuntimeError: Path.home() without a home
-        return None, f"cannot load the compiled sweep: {exc}"
-    fn.argtypes = _KERNEL_ARGS
-    fn.restype = ctypes.c_int64
-    return fn, ""
+        dll = ctypes.CDLL(str(lib))
+        fns = [getattr(dll, name) for name in _KERNEL_ARGS]
+    except (OSError, AttributeError, RuntimeError) as exc:  # RuntimeError: Path.home() without a home
+        return None, f"cannot load the compiled library: {exc}"
+    for fn, argtypes in zip(fns, _KERNEL_ARGS.values()):
+        fn.argtypes = argtypes
+        fn.restype = ctypes.c_int64
+    return _Kernels(*fns), ""
 
 
-def _sweep_kernel():
-    """The compiled sweep function, or None where the numpy sweep runs."""
+def _compiled() -> _Kernels | None:
+    """The compiled library's functions, or None where numpy runs them."""
     global _kernel
     if _kernel is None:
         _kernel = _load_kernel()
@@ -685,8 +784,8 @@ def __getattr__(name: str):
     """SWEEP_KERNEL ("c" or "numpy") names the sweep that runs, and
     SWEEP_KERNEL_REASON says why the numpy one does ("" for "c")."""
     if name == "SWEEP_KERNEL":
-        return "numpy" if _sweep_kernel() is None else "c"
+        return "numpy" if _compiled() is None else "c"
     if name == "SWEEP_KERNEL_REASON":
-        _sweep_kernel()
+        _compiled()
         return _kernel[1]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

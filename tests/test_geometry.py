@@ -79,6 +79,24 @@ def test_inner_matches_dense_reference():
         assert got == pytest.approx(ref, rel=1e-9, abs=1e-9)
 
 
+def test_inner_of_a_vector_with_itself_makes_one_sparse_smooth_pass(monkeypatch):
+    """inner(q, q) adds the one sparse-smooth product twice: the same bits as
+    inner with a distinct twin of q, which computes it twice."""
+    from pairsphere import geometry
+
+    rng = np.random.default_rng(11)
+    passes = []
+    dot = geometry._sparse_dot_smooth
+    monkeypatch.setattr(geometry, "_sparse_dot_smooth", lambda x, y: passes.append(1) or dot(x, y))
+    for _ in range(30):
+        q = random_sl_vector(rng, int(rng.integers(2, 40)), sparse_density=rng.uniform(0.05, 0.6))
+        twin = PairVector(q.n, q.pair_ids, q.values, q.terms, q.constant)
+        passes.clear()
+        got = inner(q, q)
+        assert len(passes) == 1
+        assert got.hex() == inner(q, twin).hex() and len(passes) == 3
+
+
 def test_angular_distance_identity_and_poles():
     rng = np.random.default_rng(3)
     x = random_sl_vector(rng, 8)

@@ -841,6 +841,16 @@ def test_a_truncated_library_is_not_loaded(tmp_path, monkeypatch):
     assert kernel is None and "damaged" in reason
 
 
+@needs_cc
+def test_the_kernel_source_compiles_without_warnings(tmp_path):
+    flags = (*solver._CFLAGS, "-Wall", "-Wextra", "-Werror")
+    proc = subprocess.run(
+        [shutil.which("cc"), *flags, "-o", str(tmp_path / "sweep.so"), str(solver._SOURCE)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 # -- exact projection ---------------------------------------------------------------
 
 
@@ -934,53 +944,163 @@ def _assert_pair_list_is_upper_triangle(inst):
         assert np.array_equal(got, want)
 
 
+INSTANCE_ARRAYS = ("indptr", "nbr", "wts", "pi", "pj", "pv", "coefs", "factors")
+
+
+def _instance_bytes(inst):
+    return [(inst.n, name, getattr(inst, name).dtype.str, getattr(inst, name).tobytes()) for name in INSTANCE_ARRAYS]
+
+
+def _coarse_pair_reference(inst, memb):
+    """The coarse pair list by its rule, in plain Python floats: M[a, b] sums
+    from 0, in list order, the fine pairs whose ends carry labels (a, b), and
+    coarse pair a < b gets M[a, b] + M[b, a]; zero sums are dropped."""
+    M = {}
+    for i, j, v in zip(inst.pi.tolist(), inst.pj.tolist(), inst.pv.tolist()):
+        a, b = int(memb[i]), int(memb[j])
+        if a != b:
+            M[a, b] = M.get((a, b), 0.0) + v
+    cells = {(min(a, b), max(a, b)) for a, b in M}
+    pairs = [(a, b, M.get((a, b), 0.0) + M.get((b, a), 0.0)) for a, b in sorted(cells)]
+    return [pair for pair in pairs if pair[2] != 0.0]
+
+
+def _coarse_pairs_of(inst):
+    return list(zip(inst.pi.tolist(), inst.pj.tolist(), inst.pv.tolist()))
+
+
 @pytest.mark.parametrize("case", AGGREGATE_CASES)
-def test_aggregate_matches_dense_block_sums(case):
+def test_aggregate_matches_dense_block_sums(case, sweep_kernels):
     """Every coarse pair (a, b), a != b, holds the sum of the fine entries
     between supernodes a and b; the coarse rows hold no self entry, and the
-    pair list holds the rows' upper triangle. A dense block gives the rows
-    _build_csr gives, with values equal to round-off."""
-    rng = np.random.default_rng(AGGREGATE_CASES.index(case))
-    paths = set()
-    for _ in range(15):
-        n = int(rng.integers(6 if case == "near-singletons" else 2, 13))
-        density = {"shared-pairs": 1.0, "no-sparse-part": 0.0}.get(case, 0.4)
-        q = random_sl_vector(rng, n, sparse_density=density)
-        if case == "shared-pairs":  # at most 3 supernodes: many fine pairs per coarse pair
-            memb = rng.integers(0, 3, size=n)
-        elif case == "near-singletons":  # one merged pair: too many supernodes for a block
-            memb = np.minimum(np.arange(n), n - 2)
-        else:
-            memb = random_membership(rng, n)
-        memb = np.unique(memb, return_inverse=True)[1]  # compact labels, as every sweep leaves them
+    pair list holds the rows' upper triangle, summed by the one rule. Both
+    kernels give the same bytes, at the fine level and the coarse one."""
+    levels = {}
+    for kernel in sweep_kernels():
+        rng = np.random.default_rng(AGGREGATE_CASES.index(case))
+        paths, levels[kernel] = set(), []
+        for _ in range(15):
+            n = int(rng.integers(6 if case == "near-singletons" else 2, 13))
+            density = {"shared-pairs": 1.0, "no-sparse-part": 0.0}.get(case, 0.4)
+            q = random_sl_vector(rng, n, sparse_density=density)
+            if case == "shared-pairs":  # at most 3 supernodes: many fine pairs per coarse pair
+                memb = rng.integers(0, 3, size=n)
+            elif case == "near-singletons":  # one merged pair: too many supernodes for a block
+                memb = np.minimum(np.arange(n), n - 2)
+            else:
+                memb = random_membership(rng, n)
+            memb = np.unique(memb, return_inverse=True)[1]  # compact labels, as every sweep leaves them
+            inst = _Instance.from_pair_vector(q)
+            coarse = _aggregate(inst, memb)
+            levels[kernel].append((_instance_bytes(inst), _instance_bytes(coarse)))
+            k = coarse.n
+            paths.add(k * (k - 1) <= inst.nbr.size)
+            fine = np.zeros((n, n))
+            iu, ju = np.triu_indices(n, k=1)
+            fine[iu, ju] = dense_of(q)
+            fine += fine.T
+            H = np.zeros((n, k))
+            H[np.arange(n), memb] = 1.0
+            ref = H.T @ fine @ H
+            got = np.einsum("t,ta,tb->ab", coarse.coefs, coarse.factors, coarse.factors)
+            for a in range(k):
+                lo, hi = coarse.indptr[a], coarse.indptr[a + 1]
+                assert not np.any(coarse.nbr[lo:hi] == a)
+                np.add.at(got[a], coarse.nbr[lo:hi], coarse.wts[lo:hi])
+            off = ~np.eye(k, dtype=bool)
+            np.testing.assert_allclose(got[off], ref[off], rtol=0, atol=1e-12)
+            _assert_pair_list_is_upper_triangle(inst)
+            _assert_pair_list_is_upper_triangle(coarse)
+            assert _coarse_pairs_of(coarse) == _coarse_pair_reference(inst, memb)
+            if case == "no-sparse-part":
+                assert coarse.nbr.size == 0
+        assert paths == AGGREGATE_PATHS[case]
+    assert all(got == levels["numpy"] for got in levels.values())
+
+
+def test_rows_are_the_bytes_of_build_csr(sweep_kernels):
+    """_rows on each kernel gives _build_csr's bytes on random sorted pair
+    lists, from empty to complete, n = 1 included."""
+    for kernel in sweep_kernels():
+        rng = np.random.default_rng(40)
+        for _ in range(40):
+            n = int(rng.integers(1, 60))
+            iu, ju = np.triu_indices(n, k=1)
+            keep = rng.random(iu.size) < rng.choice([0.0, 0.05, 0.3, 1.0])
+            pi, pj, pv = iu[keep].astype(np.int64), ju[keep].astype(np.int64), rng.normal(size=int(keep.sum()))
+            for got, want in zip(solver._rows(n, pi, pj, pv), solver._build_csr(n, pi, pj, pv)):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), kernel
+
+
+@pytest.mark.parametrize("shape", ["block", "buckets"])
+def test_coarse_levels_are_the_same_bytes_on_both_kernels(shape, sweep_kernels):
+    """With k(k-1) on either side of the level's CSR entry count and many
+    fine pairs per coarse pair, each kernel sums the coarse pairs by the one
+    rule (the compiled one in one pass into a block, or by a counting sort by
+    label), and both give the same bytes."""
+    levels = {}
+    for kernel in sweep_kernels():
+        rng = np.random.default_rng(41)
+        levels[kernel] = []
+        for _ in range(10):
+            n = int(rng.integers(80, 200))
+            inst = _Instance.from_pair_vector(random_sl_vector(rng, n, sparse_density=0.1))
+            k_block = max(k for k in range(1, n + 1) if k * (k - 1) <= inst.nbr.size)
+            k = int(rng.integers(2, k_block + 1) if shape == "block" else rng.integers(k_block + 1, n + 1))
+            memb = np.empty(n, dtype=np.int64)
+            memb[rng.permutation(n)] = np.arange(n) % k  # k labels, each used
+            coarse = _aggregate(inst, memb)
+            assert coarse.n == k and (k * (k - 1) <= inst.nbr.size) == (shape == "block")
+            assert _coarse_pairs_of(coarse) == _coarse_pair_reference(inst, memb)
+            levels[kernel].append(_instance_bytes(coarse))
+    assert all(got == levels["numpy"] for got in levels.values())
+
+
+COARSE_EDGE_CASES = {
+    # name: (n, sparse pairs, labels, coarse pairs)
+    "cancel-in-a-block": (4, {(0, 2): 0.5, (0, 3): 0.25, (1, 2): -0.75}, [0, 0, 1, 1], []),
+    "cancel-across-orientations": (4, {(0, 1): 1.0, (1, 3): -1.0, (2, 3): 2.0}, [0, 1, 2, 0], [(0, 2, 2.0)]),
+    "cancel-in-buckets": (6, {(0, 4): 1.0, (0, 5): -1.0, (1, 2): 2.0}, [0, 1, 2, 3, 4, 4], [(1, 2, 2.0)]),
+    "k=1": (4, {(0, 1): 1.0, (2, 3): -2.0}, [0, 0, 0, 0], []),
+    "n=1": (1, {}, [0], []),
+    "no-pairs": (5, {}, [0, 1, 0, 2, 1], []),
+}
+
+
+@pytest.mark.parametrize("case", COARSE_EDGE_CASES)
+def test_coarse_level_edge_cases(case, sweep_kernels):
+    """Sums that cancel to 0.0 are dropped, within one orientation or across
+    the two; one supernode, one node and no sparse pair give no coarse pair.
+    Both kernels give the same bytes."""
+    n, pairs, labels, want = COARSE_EDGE_CASES[case]
+    q = PairVector.from_pairs(n, pairs, (LowRankTerm(-0.5, np.ones(n)),), -0.25)
+    levels = {}
+    for kernel in sweep_kernels():
         inst = _Instance.from_pair_vector(q)
-        coarse = _aggregate(inst, memb)
-        k = coarse.n
-        paths.add(k * (k - 1) <= inst.nbr.size)
-        fine = np.zeros((n, n))
-        iu, ju = np.triu_indices(n, k=1)
-        fine[iu, ju] = dense_of(q)
-        fine += fine.T
-        H = np.zeros((n, k))
-        H[np.arange(n), memb] = 1.0
-        ref = H.T @ fine @ H
-        got = np.einsum("t,ta,tb->ab", coarse.coefs, coarse.factors, coarse.factors)
-        for a in range(k):
-            lo, hi = coarse.indptr[a], coarse.indptr[a + 1]
-            assert not np.any(coarse.nbr[lo:hi] == a)
-            np.add.at(got[a], coarse.nbr[lo:hi], coarse.wts[lo:hi])
-        off = ~np.eye(k, dtype=bool)
-        np.testing.assert_allclose(got[off], ref[off], rtol=0, atol=1e-12)
-        _assert_pair_list_is_upper_triangle(inst)
-        _assert_pair_list_is_upper_triangle(coarse)
-        ai, bj = memb[inst.pi], memb[inst.pj]
-        cross = ai != bj
-        indptr, nbr, wts = solver._build_csr(k, ai[cross], bj[cross], inst.pv[cross])
-        assert np.array_equal(coarse.indptr, indptr) and np.array_equal(coarse.nbr, nbr)
-        np.testing.assert_allclose(coarse.wts, wts, rtol=1e-12, atol=0)
-        if case == "no-sparse-part":
-            assert coarse.nbr.size == 0
-    assert paths == AGGREGATE_PATHS[case]
+        coarse = _aggregate(inst, np.array(labels))
+        assert coarse.n == max(labels) + 1 and _coarse_pairs_of(coarse) == want
+        assert coarse.indptr.tolist() == solver._build_csr(coarse.n, coarse.pi, coarse.pj, coarse.pv)[0].tolist()
+        levels[kernel] = (_instance_bytes(inst), _instance_bytes(coarse))
+    assert all(got == levels["numpy"] for got in levels.values())
+
+
+@needs_kernel
+@pytest.mark.parametrize(
+    "pi, pj",
+    [([0, 0], [2, 1]), ([1, 0], [2, 2]), ([0, 0], [1, 1]), ([1], [1]), ([0], [3]), ([-1], [1])],
+    ids=["columns-descend", "rows-descend", "repeat", "diagonal", "past-n", "negative"],
+)
+def test_compiled_rows_reject_a_list_out_of_order(pi, pj):
+    pi, pj = np.array(pi, dtype=np.int64), np.array(pj, dtype=np.int64)
+    with pytest.raises(ValueError, match="breaks the order"):
+        solver._rows(3, pi, pj, np.ones(pi.size))
+
+
+@needs_kernel
+def test_compiled_aggregate_rejects_a_label_outside_the_supernodes():
+    inst = _Instance.from_pair_vector(PairVector.from_pairs(3, {(0, 1): 1.0, (1, 2): 1.0}))
+    with pytest.raises(ValueError, match="carries a label outside"):
+        _aggregate(inst, np.array([0, -1, 1]))
 
 
 def test_explicit_zero_pairs_are_left_out():
