@@ -1,7 +1,8 @@
 /* The solver's compiled library: the visit loop of one local-move sweep
    (pairsphere.solver._sweep) and the builders of every level, in C:
-   pairsphere_rows makes a level's CSR rows from its sorted pair list, and
-   pairsphere_aggregate the pair list of the level above.
+   pairsphere_rows makes CSR rows from a sorted pair list (the query's, for
+   the fine level), and pairsphere_aggregate the rows of the level above
+   from the rows below. A level is its rows alone.
 
    solver._load_kernel builds this file with -ffp-contract=off, so every
    product and sum below is rounded on its own, in the order written: the
@@ -296,81 +297,57 @@ int64_t pairsphere_rows(int64_t n, int64_t m, const int64_t *pi, const int64_t *
     return 0;
 }
 
-/* The pair list of the level above (solver._coarse_pairs): with labels in
-   0..k-1, each coarse pair a < b gets M[a][b] + M[b][a], where M[a][b] is
-   the sum, from 0 and in list order, of pv over the m fine pairs whose ends
-   carry labels (a, b); zero sums are dropped. Writes the coarse pairs sorted
-   by (a, b) into qi, qj and qv (room for min(m, k(k-1)/2)) and returns their
-   count, or -1 - t when fine pair t carries a label outside 0..k-1.
-   When k(k-1) is at most 2m, the level's CSR entries, one pass sums the
-   pairs into a k x k block; otherwise a stable counting sort by the larger
-   label, then by the smaller, lines each cell's pairs up in list order,
-   without k * k memory. Both sum by the one rule and give the same bits.
-   work holds 2m + k + 1 words, all zero. */
-int64_t pairsphere_aggregate(int64_t m, const int64_t *pi, const int64_t *pj, const double *pv,
-                             const int64_t *labels, int64_t k, int64_t *qi, int64_t *qj, double *qv,
-                             int64_t *work)
+/* The coarse pairs of pairsphere_aggregate, lined up by a stable counting
+   sort by the larger label and then by the smaller, into qi, qj and qv;
+   returns their count. work holds 4m + 2k + 2 words: the counts by each
+   label, each upper entry's row, and two orders of the pairs that cross
+   supernodes (in row order first, in by_lo). */
+static int64_t sum_in_buckets(int64_t n, const int64_t *indptr, const int64_t *nbr, const double *wts,
+                              const int64_t *labels, int64_t k, int64_t *qi, int64_t *qj, double *qv,
+                              int64_t *work)
 {
-    int64_t t, u, a, b, lo, hi, c = 0, *count = work, *by_hi = work + k + 1, *by_lo = by_hi + m;
-    double *block = (double *)work, f, g;
-    int dense = k * (k - 1) <= 2 * m;
-    for (t = 0; t < m; t++) {
-        a = labels[pi[t]];
-        b = labels[pj[t]];
-        if (a < 0 || a >= k || b < 0 || b >= k)
-            return -1 - t;
-        if (a == b)
-            continue;
-        if (dense)
-            block[a * k + b] += pv[t];
-        else
-            count[(a > b ? a : b) + 1]++;
+    int64_t i, t, e, u = 0, a, b, lo, hi, c = 0, m = indptr[n] / 2;
+    int64_t *at_hi = work, *at_lo = at_hi + k + 1, *row = at_lo + k + 1, *by_hi = row + 2 * m, *by_lo = by_hi + m;
+    double f, g;
+    memset(work, 0, (size_t)(2 * k + 2) * sizeof *work);
+    for (i = 0; i < n; i++)
+        for (t = indptr[i]; t < indptr[i + 1]; t++)
+            if (nbr[t] > i && (a = labels[i]) != (b = labels[nbr[t]])) {
+                row[t] = i;
+                at_hi[(a > b ? a : b) + 1]++;
+                at_lo[(a < b ? a : b) + 1]++;
+                by_lo[u++] = t;
+            }
+    for (a = 0; a < k; a++) {
+        at_hi[a + 1] += at_hi[a];
+        at_lo[a + 1] += at_lo[a];
     }
-    if (dense) {
-        for (a = 0; a < k; a++)
-            for (b = a + 1; b < k; b++)
-                if ((f = block[a * k + b] + block[b * k + a]) != 0.0) {
-                    qi[c] = a;
-                    qj[c] = b;
-                    qv[c++] = f;
-                }
-        return c;
-    }
-    for (a = 0; a < k; a++)
-        count[a + 1] += count[a];
-    for (t = 0; t < m; t++) {
-        a = labels[pi[t]];
-        b = labels[pj[t]];
-        if (a != b)
-            by_hi[count[a > b ? a : b]++] = t;
-    }
-    u = count[k - 1]; /* the cross pairs */
-    memset(count, 0, (size_t)(k + 1) * sizeof *count);
     for (t = 0; t < u; t++) {
-        a = labels[pi[by_hi[t]]];
-        b = labels[pj[by_hi[t]]];
-        count[(a < b ? a : b) + 1]++;
+        e = by_lo[t];
+        a = labels[row[e]];
+        b = labels[nbr[e]];
+        by_hi[at_hi[a > b ? a : b]++] = e;
     }
-    for (a = 0; a < k; a++)
-        count[a + 1] += count[a];
     for (t = 0; t < u; t++) {
-        a = labels[pi[by_hi[t]]];
-        b = labels[pj[by_hi[t]]];
-        by_lo[count[a < b ? a : b]++] = by_hi[t];
+        e = by_hi[t];
+        a = labels[row[e]];
+        b = labels[nbr[e]];
+        by_lo[at_lo[a < b ? a : b]++] = e;
     }
     for (t = 0; t < u;) {
-        a = labels[pi[by_lo[t]]];
-        b = labels[pj[by_lo[t]]];
+        a = labels[row[by_lo[t]]];
+        b = labels[nbr[by_lo[t]]];
         lo = a < b ? a : b;
         hi = a < b ? b : a;
         f = g = 0.0; /* M[lo][hi] and M[hi][lo] */
         for (; t < u; t++) {
-            a = labels[pi[by_lo[t]]];
-            b = labels[pj[by_lo[t]]];
+            e = by_lo[t];
+            a = labels[row[e]];
+            b = labels[nbr[e]];
             if (a == lo && b == hi)
-                f += pv[by_lo[t]];
+                f += wts[e];
             else if (a == hi && b == lo)
-                g += pv[by_lo[t]];
+                g += wts[e];
             else
                 break;
         }
@@ -380,5 +357,49 @@ int64_t pairsphere_aggregate(int64_t m, const int64_t *pi, const int64_t *pj, co
             qv[c++] = f;
         }
     }
+    return c;
+}
+
+/* The rows of the level above (solver._aggregate), from the rows of a level
+   of n nodes labelled 0..k-1. The level's pairs are its upper entries, the t
+   of row i with nbr[t] > i, in row order: m = indptr[n] / 2 of them. Each
+   coarse pair a < b gets M[a][b] + M[b][a], where M[a][b] is the sum, from 0
+   and in that order, of wts over the pairs whose ends carry labels (a, b);
+   zero sums are dropped. When k(k-1) is at most 2m, the level's CSR
+   entries, one pass sums the pairs into a k x k block; otherwise
+   sum_in_buckets lines each cell's pairs up in row order, without k * k
+   memory. Both sum by the one rule and give the same bits. The coarse
+   pairs, sorted by (a, b), are built at the start of work, and
+   pairsphere_rows turns them into the coarse rows: cindptr holds k + 1
+   zeros on entry, cnbr and cwts room for 2r, r = min(m, k(k-1)/2). work
+   holds 3r + 4m + 2k + 2 words, of any contents. Returns the count of
+   coarse pairs, or -1 - i when node i carries a label outside 0..k-1. */
+int64_t pairsphere_aggregate(int64_t n, const int64_t *indptr, const int64_t *nbr, const double *wts,
+                             const int64_t *labels, int64_t k, int64_t *cindptr, int64_t *cnbr,
+                             double *cwts, int64_t *work)
+{
+    int64_t i, t, a, b, c = 0, m = indptr[n] / 2, r = m < k * (k - 1) / 2 ? m : k * (k - 1) / 2;
+    int64_t *qi = work, *qj = qi + r;
+    double *qv = (double *)(qj + r), *block = qv + r, f;
+    for (i = 0; i < n; i++)
+        if (labels[i] < 0 || labels[i] >= k)
+            return -1 - i;
+    if (k * (k - 1) > 2 * m)
+        c = sum_in_buckets(n, indptr, nbr, wts, labels, k, qi, qj, qv, qj + 2 * r);
+    else {
+        memset(block, 0, (size_t)(k * k) * sizeof *block);
+        for (i = 0; i < n; i++)
+            for (t = indptr[i]; t < indptr[i + 1]; t++)
+                if (nbr[t] > i && (a = labels[i]) != (b = labels[nbr[t]]))
+                    block[a * k + b] += wts[t];
+        for (a = 0; a < k; a++)
+            for (b = a + 1; b < k; b++)
+                if ((f = block[a * k + b] + block[b * k + a]) != 0.0) {
+                    qi[c] = a;
+                    qj[c] = b;
+                    qv[c++] = f;
+                }
+    }
+    pairsphere_rows(k, c, qi, qj, qv, cindptr, cnbr, cwts);
     return c;
 }

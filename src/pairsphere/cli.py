@@ -43,7 +43,7 @@ from dataclasses import MISSING, asdict, fields, replace
 
 from ._util import atomic_write_text
 from .clustering import pearson_correlation, read_membership, write_membership
-from .generators import GeneratorSpec, generate, ring_of_cliques
+from .generators import GeneratorSpec, generate
 from .graph import read_edges, write_edges
 from .queries import LATITUDE_RULES, METHODS, QuerySpec
 from .tune import (
@@ -77,6 +77,8 @@ def _parse_heuristic(text: str) -> dict:
             lat, theta = (float(x) for x in text[len("fixed:") :].split(","))
         except ValueError as exc:
             raise UsageError("fixed heuristic needs --heuristic fixed:<lat>,<theta>") from exc
+        if not (0.0 < lat < math.pi and 0.0 <= theta <= math.pi / 2):
+            raise UsageError(f"fixed heuristic needs 0 < lat < pi and 0 <= theta <= pi/2, not {lat:g},{theta:g}")
         return {"heuristic": "fixed", "lam_t": lat, "theta": theta}
     if text.startswith("means:"):
         try:
@@ -193,7 +195,7 @@ def _generator_from_config(cfg) -> GeneratorSpec:
 
 
 # QuerySpec fields a [query] section cannot set: `heuristic` and the header set them
-_QUERY_EXCLUDED = ("w_plus", "w_minus", "lam_t", "theta", "pilots", "name")
+_QUERY_EXCLUDED = ("lam_t", "theta", "pilots", "name")
 
 
 def _queries_from_config(cfg) -> list[QuerySpec]:
@@ -258,6 +260,8 @@ def _parse_grid(text: str) -> list[float]:
         start, stop, step = (float(x) for x in text.split(":"))
     except ValueError as exc:
         raise UsageError(f"grid spec {text!r} must be <start:stop:step>") from exc
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise UsageError(f"grid range {text!r} must be finite")
     if step <= 0 or stop < start:
         raise UsageError(f"bad grid range {text!r}")
     count = math.floor((stop - start) / step + 1e-9) + 1  # no value past stop
@@ -291,11 +295,12 @@ def cmd_grid_search(args) -> int:
 
 
 def cmd_ring_demo(args) -> int:
-    seed = _resolve_seed(args)
+    rings = [_read_spec(GeneratorSpec, {"family": "ring", "k": k, "s": args.s}) for k in args.k]  # before any output
     raw = _read_spec(QuerySpec, _flags(args, QuerySpec), method="er-modularity")
-    rings = [(k, *ring_of_cliques(k, args.s)) for k in args.k]  # a bad k fails before any output
-    for k, G, T in rings:
-        print(f"ring of cliques: k={k} s={args.s} -> n={G.n}, m={G.m}")
+    seed = _resolve_seed(args)
+    for ring in rings:
+        G, T = generate(ring, seed)
+        print(f"ring of cliques: k={ring.k} s={ring.s} -> n={G.n}, m={G.m}")
         rows = [(f"raw gamma={raw.gamma:g}", *_ring_run(G, T, raw, seed))]
         for rule in LATITUDE_RULES:
             spec = replace(raw, heuristic="exact", rule=rule)
@@ -335,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     det = sub.add_parser("detect", help="detect communities in a graph file")
     det.add_argument("--graph", required=True)
-    det.add_argument("--method", required=True, choices=[m for m in METHODS if m != "cc"])
+    det.add_argument("--method", required=True, choices=METHODS)
     det.add_argument("--gamma", type=float)
     det.add_argument("--t", type=int)
     det.add_argument("--pin", dest="p_in", type=float)

@@ -9,7 +9,7 @@ solver stays near-linear in the sparse support.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -198,7 +198,7 @@ def apply_granularity_heuristic(
 
 # -- declarative query descriptions ----------------------------------------------
 
-METHODS = ("er-modularity", "cl-modularity", "markov", "ppm", "cc", "linear")
+METHODS = ("er-modularity", "cl-modularity", "markov", "ppm", "linear")
 HEURISTIC_MODES = ("off", "exact", "fixed", "means")
 
 
@@ -220,8 +220,6 @@ class QuerySpec:
     c_j: float = 0.0
     c_d: float = 0.0
     c_1: float = 0.0
-    w_plus: dict = field(default_factory=dict)
-    w_minus: dict = field(default_factory=dict)
     heuristic: str = "off"
     lam_t: float | None = None
     theta: float | None = None
@@ -244,8 +242,6 @@ class QuerySpec:
             raise ValueError("resolution parameter must be finite and nonnegative")
         if self.method == "ppm" and not all(p is not None and 0.0 < p < 1.0 for p in (self.p_in, self.p_out)):
             raise ValueError("ppm method needs p_in and p_out strictly inside (0, 1)")
-        if self.method == "cc" and not (self.w_plus or self.w_minus):
-            raise ValueError("cc method needs at least one weight in w_plus or w_minus")
         if self.heuristic == "fixed" and (self.lam_t is None or self.theta is None):
             raise ValueError("fixed heuristic mode needs lam_t and theta")
         if self.heuristic == "means" and self.pilots < 1:
@@ -268,9 +264,8 @@ class QuerySpec:
 
     def base_key(self) -> tuple:
         """Cache key identifying the query before granularity handling: every
-        field but the handling's and the name, dicts as sorted item tuples."""
-        values = (getattr(self, f.name) for f in fields(self) if f.name not in _HANDLING_FIELDS)
-        return tuple(tuple(sorted(v.items())) if isinstance(v, dict) else v for v in values)
+        field but the handling's and the name."""
+        return tuple(getattr(self, f.name) for f in fields(self) if f.name not in _HANDLING_FIELDS)
 
 
 def build_base_query(G: Graph, spec: QuerySpec) -> PairVector:
@@ -283,8 +278,6 @@ def build_base_query(G: Graph, spec: QuerySpec) -> PairVector:
         return markov_stability_query(G, spec.t, isolated=spec.isolated)
     if spec.method == "ppm":
         return binary_ppm_query(G, spec.p_in, spec.p_out)
-    if spec.method == "cc":
-        return correlation_clustering_query(spec.w_plus, spec.w_minus, G.n)
     if spec.method == "linear":
         return linear_combination_query(G, spec.c_a, spec.c_j, spec.c_d, spec.c_1)
     raise ValueError(f"unknown method {spec.method!r}")

@@ -44,10 +44,10 @@ O(n). Any other node's gains stayed or fell, so a node that has not been
 marked since its last visit would not move and is skipped. Marking starts on
 a level's sweep after the first one that moves fewer than TRACK_BELOW * n
 nodes; before that, and on any level where the sign rule fails, every node
-is visited. When coarse levels merge communities, the fine level keeps its
-marks and adds the members of every merged community and their row
-neighbours. The visit order and every computed visit are unchanged, so the
-partition is the same as with full sweeps.
+is visited. After a cycle whose coarse levels merged communities, the fine
+level starts again with every node dirty and keeps tracking. The visit order
+and every computed visit are unchanged, so the partition is the same as with
+full sweeps.
 
 Narrow visits. _Instance.narrow_rule holds when the sign rule does and the
 last term has a coefficient c < 0 and positive integer factors, whose slot
@@ -70,25 +70,23 @@ whole solve, min of 3 runs) take 0.03 s at n=8k, 0.14 s at 32k (4.15 s
 without narrow visits) and 1.05 s at 100k; markov t=2 takes 0.04, 0.30 and
 1.46 s (2.90 s at 32k without).
 
-Each level keeps its sparse part twice: as CSR rows for the visits and as a
-list of its pairs, each once (i < j), sorted by (i, j). The same library
-builds every level. _rows turns a sorted list into rows by a counting sort in
-two passes, first each pair's lower entry and then its upper one, so the
-columns of every row ascend and no value is summed. A coarse level maps the
-list below through the community labels and sums it by one rule (_aggregate):
-coarse pair a < b gets M[a, b] + M[b, a], where M[a, b] is the sum, from 0
-and in list order, of the fine pairs whose ends carry labels (a, b); zero
-sums are dropped. When the k supernodes give k * (k - 1) at most the CSR
-entry count of the level below, one pass sums the pairs into a dense k x k
-block, no larger than that level; otherwise a stable counting sort by label
-lines each cell's pairs up in list order, without k * k memory. The numpy
-fallback follows the same rule (scipy builds the rows, which sums nothing
-here; one bincount fills the block, or np.unique numbers the cells and one
-bincount sums them), so both kernels give the same bytes at every level. On
-the 2-vCPU Xeon, 450k pairs at n=1000 give their rows in 8.4 ms, against
-17.6 ms in scipy; over the 20 solves of a markov-batch bench round (walk
-supports of up to 500k pairs), the fine rows took 0.10 s (scipy 0.18 s) and
-the coarse levels 0.08 s (numpy and scipy 0.19 s), best of 3 rounds.
+A level's sparse part is its CSR rows, columns ascending; its pairs are the
+rows' upper entries (column > row), in row order. The same library builds
+every level. _rows turns the query's sorted pair list into the fine rows by
+a counting sort in two passes, first each pair's lower entry and then its
+upper one, so the columns of every row ascend and no value is summed. A
+coarse level maps the pairs below through the community labels and sums
+them by one rule (_aggregate): coarse pair a < b gets M[a, b] + M[b, a],
+where M[a, b] is the sum, from 0 and in row order, of the fine pairs whose
+ends carry labels (a, b); zero sums are dropped. When the k supernodes give
+k * (k - 1) at most the CSR entry count of the level below, one pass sums the
+pairs into a dense k x k block, no larger than that level; otherwise a
+stable counting sort by label lines each cell's pairs up in row order,
+without k * k memory. The same call turns the coarse pairs into the coarse
+rows. The numpy fallback follows the same rule (np.unique numbers the cells,
+one bincount sums them, and scipy builds the rows, which sums nothing here),
+so both kernels give the same bytes at every level. On the 2-vCPU Xeon, 450k
+pairs at n=1000 give their rows in 8.4 ms, against 17.6 ms in scipy.
 
 For small instances an exhaustive enumerator over set partitions provides an
 exact reference optimum.
@@ -146,8 +144,8 @@ _kernel = None  # (_Kernels or None, reason), set by _compiled on first use
 
 
 class _Kernels(NamedTuple):
-    """The functions of the compiled library: a sweep's visits, a level's
-    rows from its pair list, and the pair list of the level above."""
+    """The functions of the compiled library: a sweep's visits, the fine
+    level's rows from its pair list, and the rows of the level above."""
 
     sweep: object
     rows: object
@@ -157,11 +155,10 @@ class _Kernels(NamedTuple):
 @dataclass
 class _Instance:
     """A query vector unpacked into solver-friendly arrays: CSR rows of the
-    symmetric sparse part, the same pairs once each as a list (pi < pj, with
-    value pv, sorted by (pi, pj)), the smooth part as K rank-one terms
-    coefs[k] * factors[k] factors[k]^T, and per-node views for the numpy
-    sweep. sign_rule: is every
-    pair outside the sparse rows <= 0. narrow_rule: does the sign rule hold
+    symmetric sparse part (columns ascending, no zero entry), the smooth part
+    as K rank-one terms coefs[k] * factors[k] factors[k]^T, and per-node
+    views for the numpy sweep. sign_rule: is every pair outside the sparse
+    rows <= 0. narrow_rule: does the sign rule hold
     with a last term of coefficient < 0 and positive integer factors (such as
     the query constant: ones, summed to supernode sizes at coarse levels), so
     that the compiled sweep may visit a node's candidate slots only."""
@@ -170,26 +167,19 @@ class _Instance:
     indptr: np.ndarray
     nbr: np.ndarray
     wts: np.ndarray
-    pi: np.ndarray
-    pj: np.ndarray
-    pv: np.ndarray
     coefs: np.ndarray  # (K,)
     factors: np.ndarray  # (K, n)
 
     def __post_init__(self):
         # the compiled library reads these through raw pointers
-        self.indptr, self.nbr, self.pi, self.pj = (
-            np.ascontiguousarray(a, dtype=np.int64) for a in (self.indptr, self.nbr, self.pi, self.pj)
-        )
-        self.wts, self.pv, self.coefs, self.factors = (
-            np.ascontiguousarray(a, dtype=np.float64) for a in (self.wts, self.pv, self.coefs, self.factors)
+        self.indptr, self.nbr = (np.ascontiguousarray(a, dtype=np.int64) for a in (self.indptr, self.nbr))
+        self.wts, self.coefs, self.factors = (
+            np.ascontiguousarray(a, dtype=np.float64) for a in (self.wts, self.coefs, self.factors)
         )
         if self.factors.shape != (self.coefs.size, self.n) or self.indptr.shape != (self.n + 1,):
             raise ValueError("factors must be (K, n) and indptr (n + 1,)")
-        if not self.nbr.size == self.wts.size == self.indptr[-1] == 2 * self.pi.size:
-            raise ValueError("the rows must hold indptr[-1] neighbours and weights, two per listed pair")
-        if not self.pi.size == self.pj.size == self.pv.size:
-            raise ValueError("pi, pj and pv must have the same length")
+        if not self.nbr.size == self.wts.size == self.indptr[-1]:
+            raise ValueError("the rows must hold indptr[-1] neighbours and weights")
         self.sign_rule = bool(np.all(self.coefs <= 0.0) and np.all(self.factors >= 0.0))
         counts = self.factors[-1] if self.coefs.size else None
         self.narrow_rule = bool(
@@ -229,14 +219,14 @@ class _Instance:
         n = q.n
         ii, jj = q.sparse_members()
         vals = q.values
-        if not vals.all():  # the rows hold no explicit zero, nor does the list
+        if not vals.all():  # the rows hold no explicit zero
             nz = vals != 0.0
             ii, jj, vals = ii[nz], jj[nz], vals[nz]
         indptr, tails, wts = _rows(n, ii, jj, vals)
         terms = list(_smooth_terms_with_constant(q))  # a constant c is the term c * 11^T, last
         coefs = np.array([c for c, _ in terms], dtype=np.float64)
         factors = np.array([u for _, u in terms], dtype=np.float64).reshape(len(terms), n)
-        return cls(n, indptr, tails, wts, ii, jj, vals, coefs, factors)
+        return cls(n, indptr, tails, wts, coefs, factors)
 
 
 def _slot_sums(factors: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
@@ -334,21 +324,6 @@ def _mark_dirty(state: SolverState, j: int, c: int) -> None:
     members_b = np.flatnonzero(memb == memb[j]).tolist()
     state.dirty_view[np.concatenate([rows[m][0] for m in members_b])] = 1
     state.dirty_view[memb == c] = 1
-
-
-def _merge_marks(inst: _Instance, before: np.ndarray, after: np.ndarray) -> np.ndarray:
-    """Nodes to mark when whole communities of `before` (labels 0..k-1) merge
-    into the communities of `after`: the members of every community made of
-    two or more old ones, and their row neighbours. Every other community is
-    an old one unchanged, so any other node keeps its own slot's value and
-    has W <= 0 on every merged slot; its best gain over staying cannot rise."""
-    owner = np.zeros(before.max() + 1, dtype=np.int64)
-    owner[before] = after
-    merged = (np.bincount(owner) >= 2)[after]
-    hit = merged.copy()
-    hit[inst.pi[merged[inst.pj]]] = True
-    hit[inst.pj[merged[inst.pi]]] = True
-    return hit
 
 
 def _gains(srow, U, memb, nbr, wts, cur: int, self_term: float) -> np.ndarray:
@@ -512,65 +487,50 @@ def _aggregate(inst: _Instance, membership: np.ndarray) -> _Instance:
     Pairs inside a supernode contribute a fixed amount that is dropped, so
     coarse-level gains equal fine-level gains.
 
-    The level's pair list, mapped through the labels, gives the coarse pairs
-    (_coarse_pairs), and _rows turns them into the coarse rows.
+    One call to the compiled library sums the level's pairs (its rows' upper
+    entries) by the one rule (see the module docstring) and writes the coarse
+    rows; without it, _coarse_pairs_numpy sums them and _build_csr makes the
+    rows, with the same bytes. A label outside 0..k-1 raises ValueError in
+    the compiled library.
     """
     k = int(membership.max()) + 1
-    pi, pj, pv = _coarse_pairs(inst, membership, k)
-    indptr, nbr, wts = _rows(k, pi, pj, pv)
     factors = _slot_sums(inst.factors, membership, k)
-    return _Instance(k, indptr, nbr, wts, pi, pj, pv, inst.coefs, factors)
-
-
-def _coarse_pairs(inst: _Instance, labels: np.ndarray, k: int) -> tuple:
-    """(pi, pj, pv): the pair list of the level above, whose supernodes are
-    the labels 0..k-1. Each coarse pair a < b gets M[a, b] + M[b, a], where
-    M[a, b] sums, from 0 and in list order, the values of the fine pairs
-    whose ends carry labels (a, b); zero sums are dropped, and the list is
-    sorted by (a, b). In the compiled library where it loaded, in
-    _coarse_pairs_numpy otherwise; both give the same bytes. A label outside
-    0..k-1 raises ValueError in the compiled library."""
     kernels = _compiled()
     if kernels is None:
-        return _coarse_pairs_numpy(inst, labels, k)
-    labels = np.ascontiguousarray(labels, dtype=np.int64)
+        return _Instance(k, *_build_csr(k, *_coarse_pairs_numpy(inst, membership, k)), inst.coefs, factors)
+    labels = np.ascontiguousarray(membership, dtype=np.int64)
     if labels.shape != (inst.n,):
         raise ValueError("labels must label every node of the level")
-    m = inst.pi.size
-    size = min(m, k * (k - 1) // 2)  # room for every coarse pair
-    pi, pj, pv = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64), np.empty(size)
-    if size:
-        work = np.zeros(2 * m + k + 1, dtype=np.int64)
-        fine = map(_address, (inst.pi, inst.pj, inst.pv, labels))
-        size = kernels.aggregate(m, *fine, k, *map(_address, (pi, pj, pv, work)))
+    m = inst.nbr.size // 2
+    room = min(m, k * (k - 1) // 2)  # every coarse pair, at most
+    indptr, nbr, wts = np.zeros(k + 1, dtype=np.int64), np.empty(2 * room, dtype=np.int64), np.empty(2 * room)
+    size = 0
+    if room:
+        work = np.empty(3 * room + 4 * m + 2 * k + 2, dtype=np.int64)  # the kernel zeroes what it reads
+        fine = map(_address, (inst.indptr, inst.nbr, inst.wts, labels))
+        size = kernels.aggregate(inst.n, *fine, k, *map(_address, (indptr, nbr, wts, work)))
         if size < 0:
-            raise ValueError(f"pair {-1 - size} carries a label outside 0..{k - 1}")
-    return pi[:size], pj[:size], pv[:size]
+            raise ValueError(f"node {-1 - size} carries a label outside 0..{k - 1}")
+    return _Instance(k, indptr, nbr[: 2 * size], wts[: 2 * size], inst.coefs, factors)
 
 
 def _coarse_pairs_numpy(inst: _Instance, labels: np.ndarray, k: int) -> tuple:
-    """_coarse_pairs in numpy, the reference for the compiled one. When
-    k * (k - 1) is at most the level's CSR entry count, one bincount sums the
-    pairs into a dense k x k block (no larger than the level); otherwise
-    np.unique numbers the ordered cells that occur, one bincount sums each,
-    and each cell reads its transposed one by a lookup."""
-    ai, bj = labels[inst.pi], labels[inst.pj]
+    """The coarse pairs (pi, pj, pv) of _aggregate in numpy, sorted by
+    (pi, pj), the reference for the compiled library: np.unique numbers the
+    ordered label cells that occur, one bincount sums each, and each cell
+    reads its transposed one by a lookup."""
+    heads = np.repeat(np.arange(inst.n), np.diff(inst.indptr))
+    up = heads < inst.nbr
+    ai, bj = labels[heads[up]], labels[inst.nbr[up]]
     cross = ai != bj
-    keys, w = ai[cross] * k + bj[cross], inst.pv[cross]
-    if k * (k - 1) <= inst.nbr.size:
-        M = np.bincount(keys, w, k * k).reshape(k, k)
-        M = (M + M.T).ravel()
-        cells = np.flatnonzero(M)
-        cells = cells[cells // k < cells % k]
-        vals = M[cells]
-    else:
-        cells, cell = np.unique(keys, return_inverse=True)
-        M = np.bincount(cell, w, cells.size)
-        a, b = np.divmod(cells, k)
-        back = np.minimum(np.searchsorted(cells, b * k + a), cells.size - 1)
-        M = M + np.where(cells[back] == b * k + a, M[back], 0.0)  # M[a, b] + M[b, a], either way round
-        cells, first = np.unique(np.minimum(a, b) * k + np.maximum(a, b), return_index=True)
-        vals = M[first]
+    keys, w = ai[cross] * k + bj[cross], inst.wts[up][cross]
+    cells, cell = np.unique(keys, return_inverse=True)
+    M = np.bincount(cell, w, cells.size)
+    a, b = np.divmod(cells, k)
+    back = np.minimum(np.searchsorted(cells, b * k + a), cells.size - 1)
+    M = M + np.where(cells[back] == b * k + a, M[back], 0.0)  # M[a, b] + M[b, a], either way round
+    cells, first = np.unique(np.minimum(a, b) * k + np.maximum(a, b), return_index=True)
+    vals = M[first]
     nz = vals != 0.0
     pi, pj = np.divmod(cells[nz], k)
     return pi, pj, vals[nz]
@@ -625,10 +585,9 @@ def _project_once(inst: _Instance, q: PairVector, rng, debug_checks: bool, eps: 
         obj_before = state.objective
         _local_moves(state, rng, eps)
         node_memb, gained = _coarsen(inst, state.membership, rng, eps, debug_checks)
-        if gained > 0.0:  # the fine level carries its dirty set over the merges
+        if gained > 0.0:  # the fine level starts again with every node dirty
             merged = SolverState(inst, node_memb, state.objective + gained, debug_checks)
             merged.tracking = state.tracking
-            merged.dirty_view[:] = state.dirty_view | _merge_marks(inst, state.membership, node_memb)
             state = merged
         if debug_checks:
             drift = abs(query_alignment(q, Partition(state.membership)) - state.objective)

@@ -150,8 +150,9 @@ def test_detect_means_mode_is_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--method", "ppm"], ["--method", "markov", "--t", "0"], ["--method", "cl-modularity", "--gamma", "nan"]],
-    ids=["ppm-without-pin", "t-0", "gamma-nan"],
+    [["--method", "ppm"], ["--method", "markov", "--t", "0"], ["--method", "cl-modularity", "--gamma", "nan"]]
+    + [["--method", "markov", "--heuristic", fixed] for fixed in ("fixed:5,0.3", "fixed:nan,0.3", "fixed:1,2.5")],
+    ids=["ppm-without-pin", "t-0", "gamma-nan", "fixed-lat-past-pi", "fixed-lat-nan", "fixed-theta-past-half-pi"],
 )
 def test_detect_flag_breaking_a_spec_rule_is_usage_error(tmp_path, capsys, flags):
     """Exit 2 before the graph is read: the graph path does not exist."""
@@ -374,11 +375,12 @@ def test_python_dash_m_runs_from_a_checkout():
         ("t = 1\nisolated = zero\nheuristic", "t = 1\npilots = 3\nheuristic", "[query ms1fix] pilots"),
         ("method = markov\nt = 1\nisolated = zero\n\n", "method = ppm\np_out = 0.1\n\n",
          "[query ms1] ppm method needs p_in and p_out"),
-        ("method = markov\nt = 1\nisolated = zero\n\n", "method = cc\n\n", "[query ms1] cc method needs"),
+        ("method = markov\nt = 1\nisolated = zero\n\n", "method = cc\n\n", "[query ms1] unknown method 'cc'"),
+        ("heuristic = exact", "heuristic = fixed:7,0.3", "usage error: fixed heuristic needs 0 < lat < pi"),
     ],
     ids=["p_in-above-1", "k-not-dividing-n", "means-without-pilots", "repeats-0", "repeats-not-int",
          "ring-k-below-3", "hppm", "experiment-unknown-key", "query-pilots-key", "ppm-without-p_in",
-         "cc-without-weights"],
+         "cc-without-weights", "fixed-lat-past-pi"],
 )
 def test_experiment_config_that_cannot_run_exit_2(tmp_path, capsys, old, new, message):
     cfg = tmp_path / "bad.cfg"
@@ -458,6 +460,17 @@ def test_parse_grid(text, values):
     assert cli._parse_grid(text) == values
 
 
+@pytest.mark.parametrize("text", ["0:inf:0.5", "0:nan:0.5", "-inf:0:0.5", "nan:1:0.5", "0:1:inf", "0:1:nan"])
+def test_grid_search_non_finite_range_exit_2(tmp_path, capsys, text):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(GRID_CFG.replace("cj = 0:0.5:0.5", f"cj = {text}"))
+    out_dir = tmp_path / "gout"
+    code = run(["grid-search", "--config", str(cfg), "--out", str(out_dir), "--seed", "2"])
+    assert code == 2
+    assert f"usage error: grid range {text!r} must be finite" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_grid_search_unknown_key_exit_2(tmp_path, capsys):
     cfg = tmp_path / "grid.cfg"
     cfg.write_text(GRID_CFG + "cj_grid = 0:1:0.5\n")
@@ -495,9 +508,12 @@ def test_ring_demo_several_k_print_each_block_in_order(capsys):
 
 
 def test_ring_demo_bad_k_fails_before_any_output(capsys):
-    assert run(["ring-demo", "--k", "5", "2", "--seed", "7"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == "" and "k >= 3" in captured.err
+    """A ring that breaks the spec rule is a usage error, as in generate,
+    found before the drawn seed or any ring is printed."""
+    for flags in (["--k", "5", "2", "--seed", "7"], ["--k", "5", "--s", "1"]):
+        assert run(["ring-demo", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "usage error: ring of cliques needs k >= 3 and s >= 2" in captured.err
 
 
 def test_ring_demo_bad_gamma_is_usage_error(capsys):

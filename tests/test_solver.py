@@ -1,5 +1,7 @@
+import ctypes
 import hashlib
 import math
+import re
 import shutil
 import subprocess
 import warnings
@@ -744,27 +746,6 @@ def test_debug_checks_catch_a_narrow_visit_that_misses_a_slot(monkeypatch):
         louvain_project(q, seed=3, debug_checks=True)
 
 
-def _merged_members_only(inst, before, after):
-    owner = np.zeros(before.max() + 1, dtype=np.int64)
-    owner[before] = after
-    return (np.bincount(owner) >= 2)[after]
-
-
-@pytest.mark.parametrize(
-    "seed, marks",
-    [(0, lambda inst, before, after: np.zeros(inst.n, dtype=bool)), (8, _merged_members_only)],
-    ids=["no-marks", "no-neighbour-marks"],
-)
-def test_debug_checks_catch_dropped_merge_marks(monkeypatch, seed, marks):
-    """After coarse levels merge communities, the fine level must revisit the
-    merged communities' members and their row neighbours."""
-    q = _seeded_sign_rule_query(seed)
-    louvain_project(q, seed=seed, debug_checks=True)
-    monkeypatch.setattr(solver, "_merge_marks", marks)
-    with pytest.raises(AssertionError, match="would move"):
-        louvain_project(q, seed=seed, debug_checks=True)
-
-
 # -- the compiled sweep's loader ---------------------------------------------------
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc) on PATH")
@@ -849,6 +830,26 @@ def test_the_kernel_source_compiles_without_warnings(tmp_path):
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+_C_KINDS = {"int64_t": ctypes.c_int64, "int32_t": ctypes.c_int32, "double": ctypes.c_double}
+
+
+def test_kernel_args_match_the_c_prototypes():
+    """Each exported int64_t pairsphere_*(...) definition in _sweep.c takes
+    the parameters _KERNEL_ARGS declares, in count and kind (int64, int32,
+    double or a pointer), under 20 of them; every _KERNEL_ARGS entry is
+    defined there. A mismatch passes wrong values through ctypes."""
+    source = re.sub(r"/\*.*?\*/", "", solver._SOURCE.read_text(), flags=re.S)
+    defined = {}
+    for name, params in re.findall(r"^int64_t\s+(pairsphere_\w+)\s*\(([^)]*)\)\s*\{", source, flags=re.M):
+        kinds = []
+        for param in params.split(","):
+            ctype = " ".join(param.replace("*", " * ").split()[:-1])  # drop the parameter's name
+            kinds.append(ctypes.c_void_p if "*" in ctype else _C_KINDS[ctype.removeprefix("const ")])
+        defined[name] = tuple(kinds)
+    assert defined == solver._KERNEL_ARGS
+    assert all(len(kinds) < 20 for kinds in defined.values())
 
 
 # -- exact projection ---------------------------------------------------------------
@@ -937,26 +938,26 @@ AGGREGATE_CASES = ["random", "shared-pairs", "no-sparse-part", "near-singletons"
 AGGREGATE_PATHS = {"random": {True, False}, "shared-pairs": {True}, "no-sparse-part": {True, False}, "near-singletons": {False}}
 
 
-def _assert_pair_list_is_upper_triangle(inst):
-    heads = np.repeat(np.arange(inst.n), np.diff(inst.indptr))
-    up = heads < inst.nbr
-    for got, want in zip((inst.pi, inst.pj, inst.pv), (heads[up], inst.nbr[up], inst.wts[up])):
-        assert np.array_equal(got, want)
-
-
-INSTANCE_ARRAYS = ("indptr", "nbr", "wts", "pi", "pj", "pv", "coefs", "factors")
+INSTANCE_ARRAYS = ("indptr", "nbr", "wts", "coefs", "factors")
 
 
 def _instance_bytes(inst):
     return [(inst.n, name, getattr(inst, name).dtype.str, getattr(inst, name).tobytes()) for name in INSTANCE_ARRAYS]
 
 
+def _upper_pairs(inst):
+    """A level's pairs (i, j, value), i < j: its rows' upper entries, in row
+    order, read in plain Python."""
+    bounds, nbr, wts = inst.indptr.tolist(), inst.nbr.tolist(), inst.wts.tolist()
+    return [(i, nbr[t], wts[t]) for i in range(inst.n) for t in range(bounds[i], bounds[i + 1]) if nbr[t] > i]
+
+
 def _coarse_pair_reference(inst, memb):
-    """The coarse pair list by its rule, in plain Python floats: M[a, b] sums
-    from 0, in list order, the fine pairs whose ends carry labels (a, b), and
+    """The coarse pairs by their rule, in plain Python floats: M[a, b] sums
+    from 0, in row order, the fine pairs whose ends carry labels (a, b), and
     coarse pair a < b gets M[a, b] + M[b, a]; zero sums are dropped."""
     M = {}
-    for i, j, v in zip(inst.pi.tolist(), inst.pj.tolist(), inst.pv.tolist()):
+    for i, j, v in _upper_pairs(inst):
         a, b = int(memb[i]), int(memb[j])
         if a != b:
             M[a, b] = M.get((a, b), 0.0) + v
@@ -965,16 +966,19 @@ def _coarse_pair_reference(inst, memb):
     return [pair for pair in pairs if pair[2] != 0.0]
 
 
-def _coarse_pairs_of(inst):
-    return list(zip(inst.pi.tolist(), inst.pj.tolist(), inst.pv.tolist()))
+def _rows_of(n, pairs):
+    """_build_csr's rows of a list of (i, j, value) pairs, i < j."""
+    pi, pj, pv = (np.array([pair[x] for pair in pairs], dtype=t) for x, t in enumerate((np.int64, np.int64, float)))
+    return solver._build_csr(n, pi, pj, pv)
 
 
 @pytest.mark.parametrize("case", AGGREGATE_CASES)
 def test_aggregate_matches_dense_block_sums(case, sweep_kernels):
     """Every coarse pair (a, b), a != b, holds the sum of the fine entries
-    between supernodes a and b; the coarse rows hold no self entry, and the
-    pair list holds the rows' upper triangle, summed by the one rule. Both
-    kernels give the same bytes, at the fine level and the coarse one."""
+    between supernodes a and b; the coarse rows hold no self entry, and
+    their upper entries are the fine rows' upper entries summed by the one
+    rule. Both kernels give the same bytes, at the fine level and the coarse
+    one."""
     levels = {}
     for kernel in sweep_kernels():
         rng = np.random.default_rng(AGGREGATE_CASES.index(case))
@@ -1009,9 +1013,7 @@ def test_aggregate_matches_dense_block_sums(case, sweep_kernels):
                 np.add.at(got[a], coarse.nbr[lo:hi], coarse.wts[lo:hi])
             off = ~np.eye(k, dtype=bool)
             np.testing.assert_allclose(got[off], ref[off], rtol=0, atol=1e-12)
-            _assert_pair_list_is_upper_triangle(inst)
-            _assert_pair_list_is_upper_triangle(coarse)
-            assert _coarse_pairs_of(coarse) == _coarse_pair_reference(inst, memb)
+            assert _upper_pairs(coarse) == _coarse_pair_reference(inst, memb)
             if case == "no-sparse-part":
                 assert coarse.nbr.size == 0
         assert paths == AGGREGATE_PATHS[case]
@@ -1051,7 +1053,7 @@ def test_coarse_levels_are_the_same_bytes_on_both_kernels(shape, sweep_kernels):
             memb[rng.permutation(n)] = np.arange(n) % k  # k labels, each used
             coarse = _aggregate(inst, memb)
             assert coarse.n == k and (k * (k - 1) <= inst.nbr.size) == (shape == "block")
-            assert _coarse_pairs_of(coarse) == _coarse_pair_reference(inst, memb)
+            assert _upper_pairs(coarse) == _coarse_pair_reference(inst, memb)
             levels[kernel].append(_instance_bytes(coarse))
     assert all(got == levels["numpy"] for got in levels.values())
 
@@ -1078,8 +1080,9 @@ def test_coarse_level_edge_cases(case, sweep_kernels):
     for kernel in sweep_kernels():
         inst = _Instance.from_pair_vector(q)
         coarse = _aggregate(inst, np.array(labels))
-        assert coarse.n == max(labels) + 1 and _coarse_pairs_of(coarse) == want
-        assert coarse.indptr.tolist() == solver._build_csr(coarse.n, coarse.pi, coarse.pj, coarse.pv)[0].tolist()
+        assert coarse.n == max(labels) + 1 and _upper_pairs(coarse) == want
+        for got, rows in zip((coarse.indptr, coarse.nbr, coarse.wts), _rows_of(coarse.n, want)):
+            assert got.tobytes() == rows.tobytes()
         levels[kernel] = (_instance_bytes(inst), _instance_bytes(coarse))
     assert all(got == levels["numpy"] for got in levels.values())
 
@@ -1099,13 +1102,51 @@ def test_compiled_rows_reject_a_list_out_of_order(pi, pj):
 @needs_kernel
 def test_compiled_aggregate_rejects_a_label_outside_the_supernodes():
     inst = _Instance.from_pair_vector(PairVector.from_pairs(3, {(0, 1): 1.0, (1, 2): 1.0}))
-    with pytest.raises(ValueError, match="carries a label outside"):
+    with pytest.raises(ValueError, match="node 1 carries a label outside 0..1"):
         _aggregate(inst, np.array([0, -1, 1]))
 
 
+def _compiled_coarse_rows(inst, labels, fill):
+    """The coarse rows from one call to the compiled aggregate, as bytes,
+    with its work and its row buffers filled with the byte `fill`."""
+    k = int(labels.max()) + 1
+    m = inst.nbr.size // 2
+    room = min(m, k * (k - 1) // 2)
+    indptr = np.zeros(k + 1, dtype=np.int64)
+    words = (2 * room, 2 * room, 3 * room + 4 * m + 2 * k + 2)
+    nbr, wts, work = (np.full(8 * w, fill, dtype=np.uint8) for w in words)
+    fine = map(solver._address, (inst.indptr, inst.nbr, inst.wts, labels))
+    size = solver._compiled().aggregate(inst.n, *fine, k, *map(solver._address, (indptr, nbr, wts, work)))
+    assert size >= 0
+    return indptr.tobytes(), nbr[: 16 * size].tobytes(), wts[: 16 * size].tobytes()
+
+
+@needs_kernel
+@pytest.mark.parametrize("shape", ["block", "buckets"])
+def test_coarse_rows_do_not_depend_on_the_work_contents(shape, monkeypatch):
+    """The compiled aggregate zeroes what it reads: with its work filled with
+    0xFF bytes (NaN as doubles, -1 as counts), on the block side and on the
+    bucket side, it writes the bytes of a zero-filled run and of the numpy
+    fallback."""
+    rng = np.random.default_rng(43)
+    runs = []
+    for _ in range(6):
+        n = int(rng.integers(30, 120))
+        inst = _Instance.from_pair_vector(random_sl_vector(rng, n, sparse_density=0.15))
+        k_block = max(k for k in range(1, n + 1) if k * (k - 1) <= inst.nbr.size)
+        k = int(rng.integers(2, k_block + 1) if shape == "block" else rng.integers(k_block + 1, n + 1))
+        labels = np.empty(n, dtype=np.int64)
+        labels[rng.permutation(n)] = np.arange(n) % k
+        runs.append((inst, labels, [_compiled_coarse_rows(inst, labels, fill) for fill in (0x00, 0xFF)]))
+    monkeypatch.setattr(solver, "_kernel", (None, "the numpy fallback, selected by a test"))
+    for inst, labels, (zeroed, poisoned) in runs:
+        coarse = _aggregate(inst, labels)
+        assert zeroed == poisoned == (coarse.indptr.tobytes(), coarse.nbr.tobytes(), coarse.wts.tobytes())
+
+
 def test_explicit_zero_pairs_are_left_out():
-    """A sparse pair stored as 0.0 is in neither the rows nor the pair list,
-    so it marks no neighbour: the solve visits and skips exactly as without it."""
+    """A sparse pair stored as 0.0 is not in the rows, so it marks no
+    neighbour: the solve visits and skips exactly as without it."""
     rng = np.random.default_rng(31)
     n = 60
     q = _sign_rule_query(rng, n)
@@ -1118,29 +1159,8 @@ def test_explicit_zero_pairs_are_left_out():
     states = []
     for v in (without, with_zeros):
         inst = _Instance.from_pair_vector(v)
-        assert inst.sign_rule and inst.pv.all() and inst.pi.size == len(pairs)
+        assert inst.sign_rule and inst.wts.all() and inst.nbr.size == 2 * len(pairs)
         states.append(_project_once(inst, v, np.random.default_rng(4), True, 1e-12 * v.norm() * math.sqrt(v.N)))
     a, b = states
     assert a.skipped > 0
     assert np.array_equal(a.membership, b.membership) and (a.visits, a.skipped) == (b.visits, b.skipped)
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_merge_marks_match_a_dense_reference(seed):
-    """The members of every community made of two or more old ones, and every
-    node with a nonzero sparse entry towards one of them."""
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(10, 40))
-    q = random_sl_vector(rng, n, sparse_density=0.15)
-    before = np.unique(rng.integers(0, n // 3, size=n), return_inverse=True)[1]
-    owner = np.arange(before.max() + 1)
-    a, b = rng.choice(owner.size, 2, replace=False)
-    owner[b] = a  # two old communities merge, every other one stays
-    after = np.unique(owner[before], return_inverse=True)[1]
-    A = np.zeros((n, n))
-    iu, ju = np.triu_indices(n, k=1)
-    A[iu, ju] = dense_of(PairVector(n, q.pair_ids, q.values))  # the sparse part alone
-    A += A.T
-    merged = np.array([np.unique(before[after == after[i]]).size >= 2 for i in range(n)])
-    want = merged | (A[:, merged] != 0).any(axis=1)
-    assert np.array_equal(solver._merge_marks(_Instance.from_pair_vector(q), before, after), want)

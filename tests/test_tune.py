@@ -74,21 +74,6 @@ def test_error_rows_recorded_not_raised():
     assert stats["errors"] == len(errs)
 
 
-def test_base_query_cache_tells_cc_weights_apart():
-    """Two cc specs in one plan build their own queries: row b is the same
-    whether the spec before it is another cc spec or an er-modularity one."""
-    gen = GeneratorSpec("ppm", n=6, k=2, lambda_in=1.5, lambda_out=1)
-    a = QuerySpec("cc", w_plus={(0, 1): 1.0, (2, 3): 1.0}, w_minus={(0, 5): 1.0}, name="a")
-    b = QuerySpec("cc", w_plus={(0, 1): 1.0, (1, 2): 2.0}, w_minus={(3, 4): 1.5}, name="b")
-    x = QuerySpec("er-modularity", name="x")
-    rows = {}
-    for first in (a, x):
-        res = run_experiment(ExperimentPlan(gen, [first, b], repeats=1, master_seed=4))
-        rows[first.name] = [r for r in res.rows if r.query == "b"]
-    assert rows["a"][0].error == ""
-    assert rows_to_csv(rows["a"], drop_timing=True) == rows_to_csv(rows["x"], drop_timing=True)
-
-
 def test_means_mode_resolves_to_fixed():
     gen = GeneratorSpec("ppm", n=40, k=4, lambda_in=6, lambda_out=1)
     q = QuerySpec("markov", t=1, isolated="zero", heuristic="means", pilots=3, name="ms_means")
