@@ -35,7 +35,6 @@ from .geometry import (
     latitude,
     parallel_projection,
     spherical_angle,
-    spherical_coords,
 )
 from .graph import (
     Graph,

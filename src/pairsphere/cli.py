@@ -70,23 +70,25 @@ def _resolve_seed(args) -> int:
 
 
 def _parse_heuristic(text: str) -> dict:
+    """Expand a heuristic value (a flag's or a config key's); a bad one is a
+    ValueError, which _read_spec reports as a usage error."""
     if text == "off" or text == "exact":
         return {"heuristic": text}
     if text.startswith("fixed:"):
         try:
             lat, theta = (float(x) for x in text[len("fixed:") :].split(","))
         except ValueError as exc:
-            raise UsageError("fixed heuristic needs --heuristic fixed:<lat>,<theta>") from exc
+            raise ValueError(f"fixed heuristic needs the form fixed:<lat>,<theta>, not {text!r}") from exc
         if not (0.0 < lat < math.pi and 0.0 <= theta <= math.pi / 2):
-            raise UsageError(f"fixed heuristic needs 0 < lat < pi and 0 <= theta <= pi/2, not {lat:g},{theta:g}")
+            raise ValueError(f"fixed heuristic needs 0 < lat < pi and 0 <= theta <= pi/2, not {lat:g},{theta:g}")
         return {"heuristic": "fixed", "lam_t": lat, "theta": theta}
     if text.startswith("means:"):
         try:
             pilots = int(text[len("means:") :])
         except ValueError as exc:
-            raise UsageError("means heuristic needs --heuristic means:<pilots>") from exc
+            raise ValueError(f"means heuristic needs the form means:<pilots>, not {text!r}") from exc
         return {"heuristic": "means", "pilots": pilots}
-    raise UsageError(f"unknown heuristic mode {text!r}")
+    raise ValueError(f"unknown heuristic mode {text!r}")
 
 
 _CONVERTERS = {"int": int, "float": float, "str": str}

@@ -335,6 +335,4 @@ def read_membership(path, n: int | None = None, id_map: dict | None = None) -> P
     extra = set(raw) - set(range(count))
     if extra:
         raise ValueError(f"{path}: node id {min(extra)} out of range for n={count}")
-    first_seen: dict[str, int] = {}
-    dense = [first_seen.setdefault(lab, len(first_seen)) for lab in labels]
-    return Partition(np.array(dense, dtype=np.int64))
+    return Partition(np.array(labels))  # label strings, numbered by first appearance

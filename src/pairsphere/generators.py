@@ -249,29 +249,23 @@ def generate_dcppm(spec: GeneratorSpec, seed) -> tuple[Graph, Partition]:
     f_in = spec.lambda_in / lam
     f_out = spec.lambda_out / lam
     clips = 0
-    edge_chunks = []
-    comm_totals = np.array([theta[a * s : (a + 1) * s].sum() for a in range(spec.k)])
-    for a in range(spec.k):
-        members = np.arange(a * s, (a + 1) * s)
-        th = theta[members]
-        prod = np.outer(th, th)
-        probs = f_in * prod / comm_totals[a] + f_out * prod / total
-        iu, ju = np.triu_indices(s, k=1)
-        p = probs[iu, ju]
-        clips += int((p > 1.0).sum())
-        p = np.minimum(p, 1.0)
-        hit = rng.random(p.size) < p
-        edge_chunks.append(np.stack([members[iu[hit]], members[ju[hit]]], axis=1))
-    for a in range(spec.k):
-        for b in range(a + 1, spec.k):
-            th_a = theta[a * s : (a + 1) * s]
-            th_b = theta[b * s : (b + 1) * s]
-            probs = f_out * np.outer(th_a, th_b) / total
-            clips += int((probs > 1.0).sum())
-            probs = np.minimum(probs, 1.0)
-            hit = rng.random(probs.shape) < probs
-            ai, bi = np.nonzero(hit)
-            edge_chunks.append(np.stack([a * s + ai, b * s + bi], axis=1))
+
+    def hits(probs):
+        nonlocal clips
+        clips += int((probs > 1.0).sum())
+        return np.nonzero(rng.random(probs.shape) < np.minimum(probs, 1.0))
+
+    # Draw order: every block inside a community, community by community, each
+    # block's pairs in triu order; then, for a = 0..k-2, the blocks b > a, each
+    # s x s and row-major.
+    th = theta.reshape(spec.k, s)
+    iu, ju = np.triu_indices(s, k=1)
+    prod = th[:, iu] * th[:, ju]
+    a, e = hits(f_in * prod / th.sum(axis=1)[:, None] + f_out * prod / total)
+    edge_chunks = [np.stack([a * s + iu[e], a * s + ju[e]], axis=1)]
+    for a in range(spec.k - 1):
+        b, i, j = hits(f_out * (th[a + 1 :, None, :] * th[a][:, None]) / total)
+        edge_chunks.append(np.stack([a * s + i, (a + 1 + b) * s + j], axis=1))
     edges = np.concatenate(edge_chunks)
     G = Graph.from_edges(spec.n, edges)
     G.prob_clips = clips

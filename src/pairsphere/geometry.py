@@ -193,15 +193,6 @@ def combine(parts) -> PairVector:
     return PairVector(n, uniq, summed, tuple(terms), const)
 
 
-@dataclass(frozen=True)
-class SphericalCoords:
-    """Latitude/norm/mean summary of a pair vector's position."""
-
-    latitude: float
-    norm: float
-    mean: float
-
-
 def _clamp_cos(c: float) -> float:
     # round-off can push |cos| marginally above 1
     return min(1.0, max(-1.0, c))
@@ -259,10 +250,6 @@ def latitude(x: PairVector) -> float:
     if nx == 0.0:
         raise ValueError("latitude undefined for a zero vector")
     return math.acos(_clamp_cos(-x.total() / (nx * math.sqrt(x.N))))
-
-
-def spherical_coords(x: PairVector) -> SphericalCoords:
-    return SphericalCoords(latitude=latitude(x), norm=x.norm(), mean=x.total() / x.N)
 
 
 def _off_axis_norm(x: PairVector) -> float:

@@ -36,8 +36,9 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
-        """Build from an iterable of (u, v); drops self-loops and duplicate edges."""
-        arr = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
+        """Build from an (m, 2) array or an iterable of (u, v); drops self-loops
+        and duplicate edges."""
+        arr = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64).reshape(-1, 2)
         if arr.size and (arr.min() < 0 or arr.max() >= n):
             raise ValueError("edge endpoint out of range")
         loops = arr[:, 0] == arr[:, 1]
@@ -79,18 +80,23 @@ def degree_product_vector(G: Graph) -> PairVector:
     return PairVector(G.n, np.empty(0, np.int64), np.empty(0), (term,))
 
 
+def _upper_pairs(A: sp.spmatrix, B: sp.spmatrix, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Strict upper triangle of the symmetric sparse n x n product A @ B as
+    (i, j, values), in pair-id order (row-major). The product is formed here
+    so that it is freed as soon as its triangle is taken."""
+    U = sp.triu(A @ B, k=1, format="csr")
+    U.sort_indices()
+    return np.repeat(np.arange(n), np.diff(U.indptr)), U.indices, U.data
+
+
 def jaccard_vector(G: Graph) -> PairVector:
     """Jaccard similarity of closed neighborhoods, for pairs that share any
     closed neighbor. Entries lie in (0, 1]; adjacent pairs always qualify."""
     B = G.adjacency_csr() + sp.identity(G.n, format="csr")
-    common = (B @ B.T).tocoo()
-    mask = common.row < common.col
-    ii, jj, shared = common.row[mask], common.col[mask], common.data[mask]
+    ii, jj, shared = _upper_pairs(B, B.T, G.n)
     closed_deg = G.degrees + 1
     union = closed_deg[ii] + closed_deg[jj] - shared
-    ids = pair_id(ii.astype(np.int64), jj.astype(np.int64), G.n)
-    order = np.argsort(ids)
-    return PairVector(G.n, ids[order], (shared / union)[order])
+    return PairVector(G.n, pair_id(ii, jj, G.n), shared / union)
 
 
 def walk_distribution(G: Graph, t: int, isolated: str = "error") -> PairVector:
@@ -126,10 +132,10 @@ def walk_distribution(G: Graph, t: int, isolated: str = "error") -> PairVector:
     for _ in range(t // 2):
         Y = Y @ P
     C = A if t % 2 else sp.diags(G.degrees.astype(np.float64))
-    W = sp.triu(Y.T @ (C @ Y), k=1, format="csr") / (2.0 * G.m)
-    W.sort_indices()
-    rows = np.repeat(np.arange(G.n), np.diff(W.indptr))
-    return PairVector(G.n, pair_id(rows, W.indices, G.n), W.data)
+    ii, jj, w = _upper_pairs(Y.T, C @ Y, G.n)
+    # times the reciprocal, the way scipy divides a sparse matrix by a scalar:
+    # w / (2m) would differ in the last bit
+    return PairVector(G.n, pair_id(ii, jj, G.n), w * (1.0 / (2.0 * G.m)))
 
 
 # -- edge-list file format -----------------------------------------------------

@@ -21,11 +21,7 @@ follow one summation rule: the rank-one part is W = 0 + s_1 U_1 + s_2 U_2 +
 ..., added in term order with every product rounded on its own (no fused
 multiply-add); the row sums are added to it and the self term, summed by
 the same rule, is subtracted. A BLAS gemv follows no fixed order and
-differs in the last bit. On a 2-vCPU Xeon,
-sweeps take about 0.6 us per visit in C and 8 us in numpy at n=200 (linear
-grid-search queries), and 0.5 us and 20 us at n=2000 (cl-modularity and
-markov t=2; 1.5 us in C scanning every slot): sweep time over visits, each
-solve's fastest of 5 runs.
+differs in the last bit.
 
 Dirty-set sweeps skip visits that provably cannot move. The skip is exact
 under the sign rule: every rank-one coefficient (the constant's included) is
@@ -65,10 +61,7 @@ could lift a non-candidate to 0 scans every slot. A slot emptied during the
 sweep holds W of about 0: while one exists, a narrow top that does not beat
 their bound is redone as a full scan. debug_checks checks every narrow visit
 against a full scan, and SolverState.narrow counts them. The numpy sweep
-always scans every slot. On the 2-vCPU Xeon, PPM cl-modularity solves (the
-whole solve, min of 3 runs) take 0.03 s at n=8k, 0.14 s at 32k (4.15 s
-without narrow visits) and 1.05 s at 100k; markov t=2 takes 0.04, 0.30 and
-1.46 s (2.90 s at 32k without).
+always scans every slot.
 
 A level's sparse part is its CSR rows, columns ascending; its pairs are the
 rows' upper entries (column > row), in row order. The same library builds
@@ -83,10 +76,10 @@ k * (k - 1) at most the CSR entry count of the level below, one pass sums the
 pairs into a dense k x k block, no larger than that level; otherwise a
 stable counting sort by label lines each cell's pairs up in row order,
 without k * k memory. The same call turns the coarse pairs into the coarse
-rows. The numpy fallback follows the same rule (np.unique numbers the cells,
-one bincount sums them, and scipy builds the rows, which sums nothing here),
-so both kernels give the same bytes at every level. On the 2-vCPU Xeon, 450k
-pairs at n=1000 give their rows in 8.4 ms, against 17.6 ms in scipy.
+rows. The numpy fallback follows the same rule (np.unique numbers the
+unordered cells, one bincount per orientation sums them, and scipy builds the
+rows, which sums nothing here), so both kernels give the same bytes at every
+level.
 
 For small instances an exhaustive enumerator over set partitions provides an
 exact reference optimum.
@@ -516,21 +509,19 @@ def _aggregate(inst: _Instance, membership: np.ndarray) -> _Instance:
 
 def _coarse_pairs_numpy(inst: _Instance, labels: np.ndarray, k: int) -> tuple:
     """The coarse pairs (pi, pj, pv) of _aggregate in numpy, sorted by
-    (pi, pj), the reference for the compiled library: np.unique numbers the
-    ordered label cells that occur, one bincount sums each, and each cell
-    reads its transposed one by a lookup."""
+    (pi, pj), the reference for the compiled library: each cross pair is keyed
+    by its unordered cell lo * k + hi, one bincount sums each orientation in
+    row order, and the two sums add as M[lo, hi] + M[hi, lo] (0.0 + x is x:
+    a bincount sum is never -0.0)."""
     heads = np.repeat(np.arange(inst.n), np.diff(inst.indptr))
     up = heads < inst.nbr
-    ai, bj = labels[heads[up]], labels[inst.nbr[up]]
-    cross = ai != bj
-    keys, w = ai[cross] * k + bj[cross], inst.wts[up][cross]
-    cells, cell = np.unique(keys, return_inverse=True)
-    M = np.bincount(cell, w, cells.size)
-    a, b = np.divmod(cells, k)
-    back = np.minimum(np.searchsorted(cells, b * k + a), cells.size - 1)
-    M = M + np.where(cells[back] == b * k + a, M[back], 0.0)  # M[a, b] + M[b, a], either way round
-    cells, first = np.unique(np.minimum(a, b) * k + np.maximum(a, b), return_index=True)
-    vals = M[first]
+    a, b = labels[heads[up]], labels[inst.nbr[up]]
+    cross = a != b
+    a, b, w = a[cross], b[cross], inst.wts[up][cross]
+    cells, cell = np.unique(np.minimum(a, b) * k + np.maximum(a, b), return_inverse=True)
+    vals = np.zeros(cells.size)  # float64 even when no pair crosses
+    for side in (a < b, a > b):
+        vals += np.bincount(cell[side], w[side], cells.size)
     nz = vals != 0.0
     pi, pj = np.divmod(cells[nz], k)
     return pi, pj, vals[nz]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -201,16 +202,30 @@ class ExperimentResult:
         return [r.as_record() for r in self.rows]
 
 
+def _map(fn, tasks: list, workers: int) -> list:
+    """[fn(t) for t in tasks], in a process pool when workers > 1; either way
+    the results keep task order."""
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(t) for t in tasks]
+
+
+def _write_files(out_dir, files: dict) -> dict:
+    """Write {key: (file name, text)} into out_dir, made if missing; returns {key: path}."""
+    os.makedirs(out_dir, exist_ok=True)
+    paths = {}
+    for key, (name, text) in files.items():
+        paths[key] = os.path.join(out_dir, name)
+        atomic_write_text(paths[key], text)
+    return paths
+
+
 def run_experiment(plan: ExperimentPlan) -> ExperimentResult:
     """Run every (sample, query) cell; summary holds per-query boxplot stats."""
     queries = resolve_means(plan)
-    tasks = [(plan, queries, s) for s in range(plan.repeats)]
-    if plan.workers > 1:
-        with ProcessPoolExecutor(max_workers=plan.workers) as pool:
-            per_sample = list(pool.map(_run_sample, tasks))
-    else:
-        per_sample = [_run_sample(t) for t in tasks]
-    # both paths keep sample order, and each sample's rows come in query order
+    per_sample = _map(_run_sample, [(plan, queries, s) for s in range(plan.repeats)], plan.workers)
+    # each sample's rows come in query order
     rows = [row for sample_rows in per_sample for row in sample_rows]
     return ExperimentResult(rows, summarize(rows))
 
@@ -280,18 +295,11 @@ def _fmt(val):
 
 def write_experiment_outputs(result: ExperimentResult, out_dir) -> dict:
     """Write results.csv, its JSON mirror and results_summary.json; returns the file paths."""
-    import os
-
-    os.makedirs(out_dir, exist_ok=True)
-    paths = {
-        "csv": os.path.join(out_dir, "results.csv"),
-        "json": os.path.join(out_dir, "results.json"),
-        "summary": os.path.join(out_dir, "results_summary.json"),
-    }
-    atomic_write_text(paths["csv"], rows_to_csv(result.rows))
-    atomic_write_text(paths["json"], json.dumps(result.records(), indent=1))
-    atomic_write_text(paths["summary"], json.dumps(result.summary, indent=1))
-    return paths
+    return _write_files(out_dir, {
+        "csv": ("results.csv", rows_to_csv(result.rows)),
+        "json": ("results.json", json.dumps(result.records(), indent=1)),
+        "summary": ("results_summary.json", json.dumps(result.summary, indent=1)),
+    })
 
 
 # -- grid search -------------------------------------------------------------------
@@ -395,12 +403,7 @@ def grid_search(plan: GridSearchPlan) -> GridSearchResult:
          plan.cj_grid, plan.cd_grid, plan.rule)
         for idx, (G, T) in enumerate(train)
     ]
-    if plan.workers > 1:
-        with ProcessPoolExecutor(max_workers=plan.workers) as pool:
-            per_sample = list(pool.map(_train_worker, tasks))
-    else:
-        per_sample = [_train_worker(t) for t in tasks]
-    rho_matrix = np.asarray(per_sample)  # (samples, cells)
+    rho_matrix = np.asarray(_map(_train_worker, tasks, plan.workers))  # (samples, cells)
     cells = []
     pos = 0
     for c_j in plan.cj_grid:
@@ -441,14 +444,7 @@ def heatmap_csv(result: GridSearchResult) -> str:
 
 
 def write_grid_outputs(result: GridSearchResult, out_dir) -> dict:
-    import os
-
-    os.makedirs(out_dir, exist_ok=True)
-    paths = {
-        "heatmap": os.path.join(out_dir, "heatmap.csv"),
-        "report": os.path.join(out_dir, "gridsearch_report.json"),
-    }
-    atomic_write_text(paths["heatmap"], heatmap_csv(result))
+    """Write heatmap.csv and gridsearch_report.json; returns the file paths."""
     report = {
         "best_c_j": result.best.c_j,
         "best_c_d": result.best.c_d,
@@ -457,5 +453,7 @@ def write_grid_outputs(result: GridSearchResult, out_dir) -> dict:
         "validation_median_rho": result.validation_median,
         "validation_rhos": result.validation_rhos,
     }
-    atomic_write_text(paths["report"], json.dumps(report, indent=1))
-    return paths
+    return _write_files(out_dir, {
+        "heatmap": ("heatmap.csv", heatmap_csv(result)),
+        "report": ("gridsearch_report.json", json.dumps(report, indent=1)),
+    })

@@ -376,11 +376,13 @@ def test_python_dash_m_runs_from_a_checkout():
         ("method = markov\nt = 1\nisolated = zero\n\n", "method = ppm\np_out = 0.1\n\n",
          "[query ms1] ppm method needs p_in and p_out"),
         ("method = markov\nt = 1\nisolated = zero\n\n", "method = cc\n\n", "[query ms1] unknown method 'cc'"),
-        ("heuristic = exact", "heuristic = fixed:7,0.3", "usage error: fixed heuristic needs 0 < lat < pi"),
+        ("heuristic = exact", "heuristic = fixed:7,0.3", "[query ms1fix] fixed heuristic needs"),
+        ("heuristic = exact", "heuristic = bogus", "[query ms1fix] unknown heuristic mode 'bogus'"),
+        ("heuristic = exact", "heuristic = fixed:1", "[query ms1fix] fixed heuristic needs the form fixed:<lat>,<theta>"),
     ],
     ids=["p_in-above-1", "k-not-dividing-n", "means-without-pilots", "repeats-0", "repeats-not-int",
          "ring-k-below-3", "hppm", "experiment-unknown-key", "query-pilots-key", "ppm-without-p_in",
-         "cc-without-weights", "fixed-lat-past-pi"],
+         "cc-without-weights", "fixed-lat-past-pi", "unknown-heuristic", "fixed-one-number"],
 )
 def test_experiment_config_that_cannot_run_exit_2(tmp_path, capsys, old, new, message):
     cfg = tmp_path / "bad.cfg"

@@ -15,7 +15,6 @@ from pairsphere.geometry import (
     latitude,
     parallel_projection,
     spherical_angle,
-    spherical_coords,
 )
 from pairsphere.clustering import Partition, as_pair_vector
 
@@ -130,6 +129,10 @@ def test_latitude_trivial_partitions():
 def test_latitude_two_pairs_formula():
     b = as_pair_vector(Partition(np.array([0, 0, 1, 1])))
     assert latitude(b) == pytest.approx(math.acos(1.0 / 3.0), abs=1e-12)
+    # latitude = arccos(-mean * sqrt(N) / |x|) on a general vector
+    x = random_sl_vector(np.random.default_rng(47), 10)
+    d = dense_of(x)
+    assert latitude(x) == pytest.approx(math.acos(-d.mean() * math.sqrt(d.size) / np.linalg.norm(d)), abs=1e-12)
 
 
 def test_correlation_distance_self_and_meridian():
@@ -260,15 +263,6 @@ def test_parallel_projection_matches_dense():
         ref = math.sin(lam) * math.sqrt(N) / np.linalg.norm(centered) * centered - math.cos(lam)
         got = dense_of(parallel_projection(x, lam))
         np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-9)
-
-
-def test_spherical_coords_invariant():
-    rng = np.random.default_rng(47)
-    x = random_sl_vector(rng, 10)
-    c = spherical_coords(x)
-    assert c.latitude == pytest.approx(
-        math.acos(-c.mean * math.sqrt(x.N) / c.norm), abs=1e-12
-    )
 
 
 def test_combine_merges_sparse_and_terms():

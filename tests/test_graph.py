@@ -46,6 +46,16 @@ def test_graph_dedup_and_self_loops():
     assert G.m == 1
 
 
+def test_graph_from_edge_array_equals_from_tuples():
+    tuples = [(3, 1), (0, 2), (1, 3), (4, 0), (2, 2), (0, 1)]
+    with pytest.warns(UserWarning):
+        G = Graph.from_edges(5, tuples)
+    with pytest.warns(UserWarning):
+        H = Graph.from_edges(5, np.array(tuples, dtype=np.int32))
+    assert H.n == G.n and H.edges.dtype == G.edges.dtype and H.edges.tobytes() == G.edges.tobytes()
+    assert Graph.from_edges(5, iter(tuples[:2])).edges.tolist() == [[0, 2], [1, 3]]
+
+
 def test_adjacency_vector():
     empty = Graph.from_edges(4, [])
     assert adjacency_vector(empty).norm() == 0.0
