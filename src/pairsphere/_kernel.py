@@ -1,0 +1,141 @@
+"""The package's compiled library: _sweep.c, built on first use and cached.
+
+One library serves the solver (a sweep's visits and the level builders) and
+graph (the upper triangle of a sparse product, for walk and Jaccard pairs).
+_compiled() loads it once per process; where it cannot be built or loaded,
+it returns None, _reason() says why, and numpy and scipy run the same jobs,
+with the same bytes. Nothing selects a side: no option, no environment
+variable beyond the standard XDG_CACHE_HOME.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import shutil
+import subprocess
+import sysconfig
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+# _sweep.c is built with these flags (-ffp-contract=off keeps every product
+# and sum rounded on its own, as numpy rounds them).
+_SOURCE = Path(__file__).with_name("_sweep.c")
+_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+# The parameters of _sweep.c's functions, as it lists them. Keep each under 20:
+# with 20, each call left a 200-byte block that only a gc pass freed
+# (tracemalloc), which raised grid-desk's peak RSS by about 0.4 MB.
+_KERNEL_ARGS = {
+    "pairsphere_sweep": (
+        (ctypes.c_int64,) * 2 + (ctypes.c_void_p,) * 6 + (ctypes.c_int64,) + (ctypes.c_void_p,) * 2
+        + (ctypes.c_int64,) + (ctypes.c_void_p,) * 2 + (ctypes.c_int32,) * 2 + (ctypes.c_double,)
+        + (ctypes.c_void_p,) * 2
+    ),
+    "pairsphere_rows": (ctypes.c_int64,) * 2 + (ctypes.c_void_p,) * 6,
+    "pairsphere_aggregate": (ctypes.c_int64,) + (ctypes.c_void_p,) * 4 + (ctypes.c_int64,) + (ctypes.c_void_p,) * 4,
+    "pairsphere_upper_count": (ctypes.c_int64,) + (ctypes.c_void_p,) * 6,
+    "pairsphere_upper_fill": (ctypes.c_int64,) + (ctypes.c_void_p,) * 7 + (ctypes.c_double,) + (ctypes.c_void_p,) * 3,
+}
+_loaded = None  # (_Kernels or None, reason), set by _compiled on first use
+
+
+class _Kernels(NamedTuple):
+    """The functions of the compiled library: a sweep's visits, the fine
+    level's rows from its pair list, the rows of the level above, and the two
+    passes of the upper-triangle product (its support, then its pairs)."""
+
+    sweep: object
+    rows: object
+    aggregate: object
+    upper_count: object
+    upper_fill: object
+
+
+def _kernel_path() -> Path:
+    """Where the library is cached: $XDG_CACHE_HOME/pairsphere (default
+    ~/.cache/pairsphere), under a name carrying the sha256 of the source, the
+    flags and the platform."""
+    key = hashlib.sha256(_SOURCE.read_bytes())
+    key.update(" ".join(_CFLAGS).encode() + b"\0" + sysconfig.get_platform().encode())
+    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "pairsphere"
+    return cache / f"sweep-{key.hexdigest()[:32]}.so"
+
+
+def _compile(lib: Path) -> str:
+    """Build _sweep.c into lib; returns "" or why not. The library gets the
+    sha256 of its bytes appended (the loader ignores trailing bytes), and it
+    is written to a temp file that os.replace moves into place, so processes
+    compiling at once each leave a whole library."""
+    cc = shutil.which("cc")
+    if cc is None:
+        return "no C compiler (cc) on PATH"
+    try:
+        lib.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=lib.parent)
+    except OSError as exc:
+        return f"cache not writable: {exc}"
+    os.close(fd)
+    try:
+        proc = subprocess.run(
+            [cc, *_CFLAGS, "-o", tmp, str(_SOURCE)], capture_output=True, text=True, errors="replace", timeout=120
+        )
+        if proc.returncode != 0:
+            return (proc.stderr.strip().splitlines() or [f"{cc} exited with {proc.returncode}"])[0]
+        body = Path(tmp).read_bytes()
+        with open(tmp, "ab") as f:
+            f.write(hashlib.sha256(body).digest())
+        os.chmod(tmp, 0o700)
+        os.replace(tmp, lib)
+        return ""
+    except (OSError, subprocess.SubprocessError) as exc:
+        return f"cannot compile: {exc}"
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _load_kernel() -> tuple:
+    """(the compiled library's _Kernels, "") or (None, why numpy runs them).
+
+    A process that finds the library loads it; otherwise it compiles it
+    first. A library or cache directory that another user owns, or that group
+    or others can write, is not loaded, nor is a library whose bytes do not
+    end with their own sha256 (mapping a truncated library can kill the
+    process with SIGBUS)."""
+    try:
+        lib = _kernel_path()
+        if not lib.exists() and (reason := _compile(lib)):
+            return None, reason
+        for path in (lib.parent, lib):
+            st = path.stat()
+            if st.st_uid != os.getuid():
+                return None, f"{path} belongs to another user"
+            if st.st_mode & 0o022:
+                return None, f"{path} is writable by group or others"
+        data = lib.read_bytes()
+        if data[-32:] != hashlib.sha256(data[:-32]).digest():
+            return None, f"{lib} is damaged: its bytes do not end with their sha256"
+        dll = ctypes.CDLL(str(lib))
+        fns = [getattr(dll, name) for name in _KERNEL_ARGS]
+    except (OSError, AttributeError, RuntimeError) as exc:  # RuntimeError: Path.home() without a home
+        return None, f"cannot load the compiled library: {exc}"
+    for fn, argtypes in zip(fns, _KERNEL_ARGS.values()):
+        fn.argtypes = argtypes
+        fn.restype = ctypes.c_int64
+    return _Kernels(*fns), ""
+
+
+def _compiled() -> _Kernels | None:
+    """The compiled library's functions, or None where numpy runs them."""
+    global _loaded
+    if _loaded is None:
+        _loaded = _load_kernel()
+    return _loaded[0]
+
+
+def _reason() -> str:
+    """Why the compiled library did not load ("" where it did)."""
+    _compiled()
+    return _loaded[1]

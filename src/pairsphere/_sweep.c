@@ -1,15 +1,18 @@
-/* The solver's compiled library: the visit loop of one local-move sweep
+/* The package's compiled library: the visit loop of one local-move sweep
    (pairsphere.solver._sweep) and the builders of every level, in C:
    pairsphere_rows makes CSR rows from a sorted pair list (the query's, for
    the fine level), and pairsphere_aggregate the rows of the level above
-   from the rows below. A level is its rows alone.
+   from the rows below. A level is its rows alone. For graph's walk and
+   Jaccard vectors, pairsphere_upper_count and pairsphere_upper_fill form the
+   strict upper triangle of a sparse product, and nothing below it.
 
-   solver._load_kernel builds this file with -ffp-contract=off, so every
+   _kernel._load_kernel builds this file with -ffp-contract=off, so every
    product and sum below is rounded on its own, in the order written: the
    gains carry the bits of numpy's solver._gains, and a sweep makes exactly
    the moves of the numpy sweep. The builders sum by the rule that the numpy
    ones (solver._build_csr and solver._coarse_pairs_numpy) follow, so every
-   level has the same bytes on either side. Arrays are C-ordered; the slot table U
+   level has the same bytes on either side, and the product sums as scipy's
+   does. Arrays are C-ordered; the slot table U
    is K x ld, with slots 0..ns-1 in use and the last of them empty.
 
    A visit scans every slot, or only its candidates: the slots of its row
@@ -29,6 +32,7 @@
    the visit scans every slot after all. */
 
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 /* The argmax over slots 0..ns-1 of W[a] = ((0 + S[0] U[0][a]) + S[1] U[1][a]
@@ -402,4 +406,107 @@ int64_t pairsphere_aggregate(int64_t n, const int64_t *indptr, const int64_t *nb
     }
     pairsphere_rows(k, c, qi, qj, qv, cindptr, cnbr, cwts);
     return c;
+}
+
+/* Row i of the strict upper triangle of the product A B (pairsphere_upper_*):
+   the columns j > i that some A[i][k] B[k][j] reaches. fp[k] is row k of
+   B's first entry past column i - 1; B's rows ascend, so it only moves
+   forward as i grows, and the entries at columns <= i cost no test each.
+   With ax NULL, the columns go into cols, flagged by mark[j] == i + 1, and
+   their count is returned; the scan stops once the row is full. With ax,
+   acc[j] += B[k][j] * A[i][k] over row i of A, in its order, into acc as
+   the caller set it; with mark, a column's first term is added to 0 and the
+   column goes into cols, as above. */
+static int64_t upper_row(int64_t i, int64_t n, const int64_t *aptr, const int64_t *aidx, const double *ax,
+                         const int64_t *bptr, const int64_t *bidx, const double *bx, int64_t *fp,
+                         int64_t *mark, int64_t *cols, double *acc)
+{
+    int64_t s, t, k, j, c = 0;
+    for (s = aptr[i]; s < aptr[i + 1]; s++) {
+        k = aidx[s];
+        while (fp[k] < bptr[k + 1] && bidx[fp[k]] <= i)
+            fp[k]++;
+        if (ax == NULL) {
+            for (t = fp[k]; t < bptr[k + 1]; t++)
+                if (mark[j = bidx[t]] != i + 1) {
+                    mark[j] = i + 1;
+                    cols[c++] = j;
+                }
+            if (c == n - i - 1)
+                break;
+        } else if (mark == NULL)
+            for (t = fp[k]; t < bptr[k + 1]; t++)
+                acc[bidx[t]] += bx[t] * ax[s];
+        else
+            for (t = fp[k]; t < bptr[k + 1]; t++) {
+                if (mark[j = bidx[t]] != i + 1) {
+                    mark[j] = i + 1;
+                    cols[c++] = j;
+                    acc[j] = 0.0;
+                }
+                acc[j] += bx[t] * ax[s];
+            }
+    }
+    return c;
+}
+
+static int ascending(const void *x, const void *y)
+{
+    int64_t a = *(const int64_t *)x, b = *(const int64_t *)y;
+    return (a > b) - (a < b);
+}
+
+/* The support of the strict upper triangle of A B, for n x n CSR matrices
+   whose rows of B ascend (graph._upper_pairs): the count of pairs i < j that
+   some A[i][k] B[k][j] reaches, row i's in rows[i]. work holds 3n words, of
+   any contents. */
+int64_t pairsphere_upper_count(int64_t n, const int64_t *aptr, const int64_t *aidx, const int64_t *bptr,
+                               const int64_t *bidx, int64_t *rows, int64_t *work)
+{
+    int64_t i, total = 0, *fp = work, *mark = fp + n;
+    memcpy(fp, bptr, (size_t)n * sizeof *fp);
+    memset(mark, 0, (size_t)n * sizeof *mark);
+    for (i = 0; i < n; i++)
+        total += rows[i] = upper_row(i, n, aptr, aidx, NULL, bptr, bidx, NULL, fp, mark, mark + n, NULL);
+    return total;
+}
+
+/* The pairs of pairsphere_upper_count (rows: its row counts) with their
+   values, as graph._upper_pairs returns them: pair ids ascending in ids,
+   i(2n - i - 1)/2 + j - i - 1, and each sum of upper_row, from 0 in A's row
+   order, times scale in vals; a sum of exactly 0 is left out, as scipy's
+   product leaves it out. A row that fills more than 1/16 of its columns
+   sums into acc zeroed over i + 1..n - 1 and comes out by a scan of them
+   (every other entry there reads 0); a shorter one flags its columns and
+   comes out by a sort of them. ids and vals have room for the count; work
+   holds 4n words, of any contents. Returns the pairs written. */
+int64_t pairsphere_upper_fill(int64_t n, const int64_t *aptr, const int64_t *aidx, const double *ax,
+                              const int64_t *bptr, const int64_t *bidx, const double *bx,
+                              const int64_t *rows, double scale, int64_t *ids, double *vals, int64_t *work)
+{
+    int64_t i, j, c, t, base, p = 0, *fp = work, *mark = fp + n, *cols = mark + n;
+    double *acc = (double *)(cols + n);
+    memcpy(fp, bptr, (size_t)n * sizeof *fp);
+    memset(mark, 0, (size_t)n * sizeof *mark);
+    for (i = 0; i < n; i++) {
+        base = i * (2 * n - i - 1) / 2 - i - 1;
+        if (16 * rows[i] > n - i - 1) {
+            memset(acc + i + 1, 0, (size_t)(n - i - 1) * sizeof *acc);
+            upper_row(i, n, aptr, aidx, ax, bptr, bidx, bx, fp, NULL, NULL, acc);
+            for (j = i + 1; j < n; j++)
+                if (acc[j] != 0.0) {
+                    ids[p] = base + j;
+                    vals[p++] = acc[j] * scale;
+                }
+        } else {
+            c = upper_row(i, n, aptr, aidx, ax, bptr, bidx, bx, fp, mark, cols, acc);
+            qsort(cols, (size_t)c, sizeof *cols, ascending);
+            for (t = 0; t < c; t++)
+                if (acc[j = cols[t]] != 0.0) {
+                    ids[p] = base + j;
+                    vals[p++] = acc[j] * scale;
+                }
+        }
+    }
+    return p;
 }

@@ -115,11 +115,13 @@ def as_pair_vector(C: Partition) -> PairVector:
 
 
 def pair_counts(C: Partition, T: Partition) -> PairCounts:
-    """Contingency-based counts; O(n + nonzero cells)."""
+    """Contingency-based counts in O(n) memory: the nonzero cells of the
+    contingency table are counted by sorting the n joint labels, never a
+    k_C x k_T table."""
     if C.n != T.n:
         raise ValueError("partitions are over different node sets")
     joint = C.membership * np.int64(T.k) + T.membership
-    m_ct = _pairs_within(np.bincount(joint))
+    m_ct = _pairs_within(np.unique(joint, return_counts=True)[1])
     return PairCounts(C.intra_pairs(), T.intra_pairs(), m_ct, C.N)
 
 

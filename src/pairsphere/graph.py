@@ -4,6 +4,14 @@ Provides the adjacency vector, the degree-product vector, the neighborhood
 Jaccard vector, and t-step random-walk co-occurrence weights. Every result is
 computed with sparse products and holds only its nonzero pairs; no n x n
 array is ever allocated.
+
+The Jaccard and walk vectors are the strict upper triangle (j > i) of a
+symmetric sparse product, and only that triangle is computed (_upper_pairs):
+in the compiled library (_sweep.c, loaded by _kernel) where it loaded, in one
+pass that counts the support and one that writes the pair ids, in pair-id
+order, and the values; in scipy otherwise. Both give the same bytes: entry
+(i, j) of A @ B is 0 + the sum over k ascending of B[k, j] * A[i, k], the
+order of scipy's product, and a sum of exactly 0 is dropped.
 """
 
 from __future__ import annotations
@@ -14,9 +22,17 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from ._kernel import _compiled
 from ._util import atomic_write_text
 from .geometry import LowRankTerm, PairVector
 from .pairs import num_pairs, pair_id, pair_members
+
+# The most pairs a walk vector may hold. A whole exact-corrected detection
+# peaks at about 96 traced bytes per walk pair (PPM n=1000, t=5 and n=2000,
+# t=4), so 25 million pairs (a dense walk at n ~ 7,000) take about 2.4 GB.
+# The largest walk of any test, config or bench workload has about 0.5
+# million (n=1000, t=5), 50 times fewer. Like MAX_SWEEPS, it is no user option.
+MAX_WALK_PAIRS = 25_000_000
 
 
 @dataclass(eq=False)
@@ -80,23 +96,58 @@ def degree_product_vector(G: Graph) -> PairVector:
     return PairVector(G.n, np.empty(0, np.int64), np.empty(0), (term,))
 
 
-def _upper_pairs(A: sp.spmatrix, B: sp.spmatrix, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Strict upper triangle of the symmetric sparse n x n product A @ B as
-    (i, j, values), in pair-id order (row-major). The product is formed here
-    so that it is freed as soon as its triangle is taken."""
-    U = sp.triu(A @ B, k=1, format="csr")
-    U.sort_indices()
-    return np.repeat(np.arange(n), np.diff(U.indptr)), U.indices, U.data
+def _upper_pairs(A: sp.spmatrix, B: sp.spmatrix, n: int, scale: float = 1.0, t: int | None = None):
+    """(pair ids, values) of the strict upper triangle of the n x n sparse
+    product A @ B, in pair-id order, each value times scale.
+
+    Entry (i, j) is 0 + the sum over k ascending of B[k, j] * A[i, k]: the
+    order scipy's product follows when A comes from a CSC matrix with sorted
+    indices (such as Y.T for a CSR matrix Y) or a CSR one with sorted rows.
+    Where the compiled library loaded, it reads A's CSR rows in that order
+    and B's with sorted columns, and only the entries j > i are formed: one
+    pass counts the support, the next writes the pairs; elsewhere scipy forms
+    the whole product and keeps its triangle. A sum of exactly 0 is dropped
+    on both sides, so both give the same bytes. For a walk (t given), a
+    support above MAX_WALK_PAIRS raises ValueError: before any pair array is
+    allocated in the compiled library, right after the product in scipy."""
+    kernels = _compiled()
+    if kernels is None:
+        U = sp.triu(A @ B, k=1, format="csr")
+        _check_walk_support(U.nnz, t)
+        U.sort_indices()
+        return pair_id(np.repeat(np.arange(n), np.diff(U.indptr)), U.indices, n), U.data * scale
+    if A.shape != (n, n) or B.shape != (n, n):
+        raise ValueError(f"the product's factors must be {n} x {n}")
+    A, B = A.tocsr(), B.tocsc().tocsr()  # rows sorted by the counting sorts of the conversions
+    aptr, aidx, bptr, bidx = (
+        np.ascontiguousarray(a, dtype=np.int64) for a in (A.indptr, A.indices, B.indptr, B.indices)
+    )
+    ax, bx = (np.ascontiguousarray(M.data, dtype=np.float64) for M in (A, B))
+    rows, work = np.empty(n, dtype=np.int64), np.empty(4 * n, dtype=np.int64)
+    support = kernels.upper_count(n, *(a.ctypes.data for a in (aptr, aidx, bptr, bidx, rows, work)))
+    _check_walk_support(support, t)
+    ids, values = np.empty(support, dtype=np.int64), np.empty(support)
+    args = (a.ctypes.data for a in (aptr, aidx, ax, bptr, bidx, bx, rows))
+    size = kernels.upper_fill(n, *args, scale, ids.ctypes.data, values.ctypes.data, work.ctypes.data)
+    return ids[:size], values[:size]
+
+
+def _check_walk_support(support: int, t: int | None) -> None:
+    if t is not None and support > MAX_WALK_PAIRS:
+        raise ValueError(
+            f"the t={t} walk reaches {support:,} pairs, over the budget of {MAX_WALK_PAIRS:,} (MAX_WALK_PAIRS)"
+        )
 
 
 def jaccard_vector(G: Graph) -> PairVector:
     """Jaccard similarity of closed neighborhoods, for pairs that share any
     closed neighbor. Entries lie in (0, 1]; adjacent pairs always qualify."""
     B = G.adjacency_csr() + sp.identity(G.n, format="csr")
-    ii, jj, shared = _upper_pairs(B, B.T, G.n)
+    ids, shared = _upper_pairs(B, B.T, G.n)
+    ii, jj = pair_members(ids, G.n)
     closed_deg = G.degrees + 1
     union = closed_deg[ii] + closed_deg[jj] - shared
-    return PairVector(G.n, pair_id(ii, jj, G.n), shared / union)
+    return PairVector(G.n, ids, shared / union)
 
 
 def walk_distribution(G: Graph, t: int, isolated: str = "error") -> PairVector:
@@ -106,7 +157,11 @@ def walk_distribution(G: Graph, t: int, isolated: str = "error") -> PairVector:
     s = d/(2m)) and returns its upper-triangle pair weights as a sparse pair
     vector. With Y = P^(t//2), diag(s) P^t = Y^T C Y / (2m), where C is the
     adjacency A for odd t and the degree matrix D for even t; that product is
-    symmetric by construction, so only its strict upper triangle is kept.
+    symmetric by construction, so only its strict upper triangle is formed
+    (_upper_pairs): pair (i, j) gets the sum over k ascending of
+    (CY)[k, j] * Y[k, i], times the reciprocal of 2m (the way scipy divides a
+    sparse matrix by a scalar; dividing by 2m would differ in the last bit).
+    A support of more than MAX_WALK_PAIRS pairs raises ValueError.
 
     Isolated nodes leave P without a defined row; by default they raise.
     isolated="zero" instead assigns them zero stationary mass, which is the
@@ -132,10 +187,8 @@ def walk_distribution(G: Graph, t: int, isolated: str = "error") -> PairVector:
     for _ in range(t // 2):
         Y = Y @ P
     C = A if t % 2 else sp.diags(G.degrees.astype(np.float64))
-    ii, jj, w = _upper_pairs(Y.T, C @ Y, G.n)
-    # times the reciprocal, the way scipy divides a sparse matrix by a scalar:
-    # w / (2m) would differ in the last bit
-    return PairVector(G.n, pair_id(ii, jj, G.n), w * (1.0 / (2.0 * G.m)))
+    ids, w = _upper_pairs(Y.T, C @ Y, G.n, 1.0 / (2.0 * G.m), t)
+    return PairVector(G.n, ids, w)
 
 
 # -- edge-list file format -----------------------------------------------------

@@ -13,7 +13,7 @@ Under the narrow rule (below) the compiled sweep evaluates only a short
 row's candidate slots, so a visit costs O(row), not O(k).
 
 A sweep's visits run in one call to a C kernel, _sweep.c, compiled on first
-use and cached (see _load_kernel), which also builds the levels (below);
+use and cached (see _kernel), which also builds the levels (below);
 where it cannot be built or loaded, numpy runs both instead. SWEEP_KERNEL
 names the kernel that runs ("c" or "numpy"), and SWEEP_KERNEL_REASON says
 why the numpy one does. The two sweeps give the same bits because both
@@ -88,22 +88,15 @@ exact reference optimum.
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import math
-import os
-import shutil
-import subprocess
-import sysconfig
-import tempfile
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp  # the numpy fallback's rows (_build_csr)
 
+from ._kernel import _compiled, _reason
 from .clustering import Partition, query_alignment
 from .geometry import PairVector, _smooth_terms_with_constant
 from .pairs import pair_id
@@ -116,33 +109,6 @@ EPS_SCALE = 1e-12
 MAX_SWEEPS = 1000
 TRACK_BELOW = 0.1
 MAX_CYCLES = 50
-
-# The compiled sweep: _sweep.c built with these flags (-ffp-contract=off keeps
-# every product and sum rounded on its own, as numpy rounds them).
-_SOURCE = Path(__file__).with_name("_sweep.c")
-_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
-# The parameters of _sweep.c's functions, as it lists them. Keep each under 20:
-# with 20, each call left a 200-byte block that only a gc pass freed
-# (tracemalloc), which raised grid-desk's peak RSS by about 0.4 MB.
-_KERNEL_ARGS = {
-    "pairsphere_sweep": (
-        (ctypes.c_int64,) * 2 + (ctypes.c_void_p,) * 6 + (ctypes.c_int64,) + (ctypes.c_void_p,) * 2
-        + (ctypes.c_int64,) + (ctypes.c_void_p,) * 2 + (ctypes.c_int32,) * 2 + (ctypes.c_double,)
-        + (ctypes.c_void_p,) * 2
-    ),
-    "pairsphere_rows": (ctypes.c_int64,) * 2 + (ctypes.c_void_p,) * 6,
-    "pairsphere_aggregate": (ctypes.c_int64,) + (ctypes.c_void_p,) * 4 + (ctypes.c_int64,) + (ctypes.c_void_p,) * 4,
-}
-_kernel = None  # (_Kernels or None, reason), set by _compiled on first use
-
-
-class _Kernels(NamedTuple):
-    """The functions of the compiled library: a sweep's visits, the fine
-    level's rows from its pair list, and the rows of the level above."""
-
-    sweep: object
-    rows: object
-    aggregate: object
 
 
 @dataclass
@@ -648,94 +614,11 @@ def max_single_move_gain(q: PairVector, C: Partition) -> float:
     return best
 
 
-def _kernel_path() -> Path:
-    """Where the compiled sweep is cached: $XDG_CACHE_HOME/pairsphere (default
-    ~/.cache/pairsphere), under a name carrying the sha256 of the source, the
-    flags and the platform."""
-    key = hashlib.sha256(_SOURCE.read_bytes())
-    key.update(" ".join(_CFLAGS).encode() + b"\0" + sysconfig.get_platform().encode())
-    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "pairsphere"
-    return cache / f"sweep-{key.hexdigest()[:32]}.so"
-
-
-def _compile(lib: Path) -> str:
-    """Build _sweep.c into lib; returns "" or why not. The library gets the
-    sha256 of its bytes appended (the loader ignores trailing bytes), and it
-    is written to a temp file that os.replace moves into place, so processes
-    compiling at once each leave a whole library."""
-    cc = shutil.which("cc")
-    if cc is None:
-        return "no C compiler (cc) on PATH"
-    try:
-        lib.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=lib.parent)
-    except OSError as exc:
-        return f"cache not writable: {exc}"
-    os.close(fd)
-    try:
-        proc = subprocess.run(
-            [cc, *_CFLAGS, "-o", tmp, str(_SOURCE)], capture_output=True, text=True, errors="replace", timeout=120
-        )
-        if proc.returncode != 0:
-            return (proc.stderr.strip().splitlines() or [f"{cc} exited with {proc.returncode}"])[0]
-        body = Path(tmp).read_bytes()
-        with open(tmp, "ab") as f:
-            f.write(hashlib.sha256(body).digest())
-        os.chmod(tmp, 0o700)
-        os.replace(tmp, lib)
-        return ""
-    except (OSError, subprocess.SubprocessError) as exc:
-        return f"cannot compile: {exc}"
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
-def _load_kernel() -> tuple:
-    """(the compiled library's _Kernels, "") or (None, why numpy runs them).
-
-    A process that finds the library loads it; otherwise it compiles it
-    first. A library or cache directory that another user owns, or that group
-    or others can write, is not loaded, nor is a library whose bytes do not
-    end with their own sha256 (mapping a truncated library can kill the
-    process with SIGBUS)."""
-    try:
-        lib = _kernel_path()
-        if not lib.exists() and (reason := _compile(lib)):
-            return None, reason
-        for path in (lib.parent, lib):
-            st = path.stat()
-            if st.st_uid != os.getuid():
-                return None, f"{path} belongs to another user"
-            if st.st_mode & 0o022:
-                return None, f"{path} is writable by group or others"
-        data = lib.read_bytes()
-        if data[-32:] != hashlib.sha256(data[:-32]).digest():
-            return None, f"{lib} is damaged: its bytes do not end with their sha256"
-        dll = ctypes.CDLL(str(lib))
-        fns = [getattr(dll, name) for name in _KERNEL_ARGS]
-    except (OSError, AttributeError, RuntimeError) as exc:  # RuntimeError: Path.home() without a home
-        return None, f"cannot load the compiled library: {exc}"
-    for fn, argtypes in zip(fns, _KERNEL_ARGS.values()):
-        fn.argtypes = argtypes
-        fn.restype = ctypes.c_int64
-    return _Kernels(*fns), ""
-
-
-def _compiled() -> _Kernels | None:
-    """The compiled library's functions, or None where numpy runs them."""
-    global _kernel
-    if _kernel is None:
-        _kernel = _load_kernel()
-    return _kernel[0]
-
-
 def __getattr__(name: str):
     """SWEEP_KERNEL ("c" or "numpy") names the sweep that runs, and
     SWEEP_KERNEL_REASON says why the numpy one does ("" for "c")."""
     if name == "SWEEP_KERNEL":
         return "numpy" if _compiled() is None else "c"
     if name == "SWEEP_KERNEL_REASON":
-        _compiled()
-        return _kernel[1]
+        return _reason()
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

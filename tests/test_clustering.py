@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,6 +103,36 @@ def test_pair_counts_against_enumeration():
             if mc[i] == mc[j] and mt[i] == mt[j]
         )
         assert pair_counts(Partition(mc), Partition(mt)).m_ct == m_ct
+
+
+def test_pair_counts_m_ct_matches_the_contingency_table():
+    """m_ct from the sorted joint labels equals the sum over every cell of
+    the dense k_C x k_T contingency table (the zero cells add nothing)."""
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        n = int(rng.integers(1, 60))
+        C = Partition(rng.integers(0, int(rng.integers(1, n + 1)), n))
+        T = Partition(rng.integers(0, int(rng.integers(1, n + 1)), n))
+        table = np.bincount(C.membership * T.k + T.membership, minlength=C.k * T.k)
+        assert pair_counts(C, T).m_ct == int((table * (table - 1) // 2).sum())
+
+
+def test_pair_counts_memory_is_linear_in_n():
+    """Two partitions of n=10,000 with 5,000 labels each: a dense contingency
+    table would hold 2.5e7 cells (200 MB of int64); the counts stay within
+    2 MB of traced memory."""
+    rng = np.random.default_rng(5)
+    labels = np.arange(10_000) % 5_000
+    C, T = Partition(rng.permutation(labels)), Partition(rng.permutation(labels))
+    assert C.k == T.k == 5_000
+    tracemalloc.start()
+    try:
+        pc = pair_counts(C, T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    assert pc.m_c == pc.m_t == 5_000
 
 
 def test_pair_counts_exact_at_scale():

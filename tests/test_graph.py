@@ -3,7 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from pairsphere import _kernel, graph
+from pairsphere.cli import main
 from pairsphere.graph import (
     Graph,
     adjacency_vector,
@@ -15,7 +18,7 @@ from pairsphere.graph import (
 )
 from pairsphere.generators import GeneratorSpec, generate
 from pairsphere.geometry import latitude
-from pairsphere.pairs import pair_members
+from pairsphere.pairs import pair_id, pair_members
 from pairsphere.queries import markov_stability_query
 
 from helpers import dense_adjacency, dense_of, random_graph_edges
@@ -241,6 +244,132 @@ def test_walk_peak_memory_bounded_by_result(t):
     finally:
         tracemalloc.stop()
     assert peak <= 5 * (w.pair_ids.nbytes + w.values.nbytes)
+
+
+# -- the upper-triangle product, on both paths ----------------------------------------
+
+
+@pytest.fixture
+def product_paths(monkeypatch):
+    """Iterates over the paths of graph._upper_pairs, selecting each in turn:
+    the compiled library where it loaded, then scipy (by replacing the loaded
+    library's handle, which is no user option)."""
+
+    def each():
+        if _kernel._compiled() is not None:
+            yield "c"
+        monkeypatch.setattr(_kernel, "_loaded", (None, "scipy, selected by a test"))
+        yield "scipy"
+
+    return each
+
+
+def _scipy_upper(A, B, n, scale):
+    """The whole product, its strict upper triangle and sorted rows: the
+    scipy expression both paths must reproduce byte for byte."""
+    U = sp.triu(A @ B, k=1, format="csr")
+    U.sort_indices()
+    return pair_id(np.repeat(np.arange(n), np.diff(U.indptr)), U.indices, n), U.data * scale
+
+
+def _scipy_walk(G, t):
+    A = G.adjacency_csr()
+    inv_deg = np.zeros(G.n)
+    np.divide(1.0, G.degrees, out=inv_deg, where=G.degrees > 0)
+    P = (sp.diags(inv_deg) @ A).tocsr()
+    Y = sp.identity(G.n, format="csr")
+    for _ in range(t // 2):
+        Y = Y @ P
+    C = A if t % 2 else sp.diags(G.degrees.astype(np.float64))
+    return _scipy_upper(Y.T, C @ Y, G.n, 1.0 / (2.0 * G.m))
+
+
+def _scipy_jaccard(G):
+    B = G.adjacency_csr() + sp.identity(G.n, format="csr")
+    ids, shared = _scipy_upper(B, B.T, G.n, 1.0)
+    ii, jj = pair_members(ids, G.n)
+    return ids, shared / (G.degrees[ii] + G.degrees[jj] + 2 - shared)
+
+
+def _parity_graphs():
+    """Random graphs (some with isolated nodes), n = 1, 2 and 3, a star, and
+    a graph whose rows mix dense and short ones: a 40-clique, a hub joined to
+    every node of a 120-node path, and the path's far end left bare."""
+    rng = np.random.default_rng(71)
+    graphs = {f"random-{s}": Graph.from_edges(n, random_graph_edges(rng, n, p))
+              for s, (n, p) in enumerate([(9, 0.4), (30, 0.15), (60, 0.05), (80, 0.3), (45, 0.02)])}
+    graphs.update({
+        "n1": Graph.from_edges(1, []),
+        "n2": Graph.from_edges(2, [(0, 1)]),
+        "n3-path": Graph.from_edges(3, [(0, 1), (1, 2)]),
+        "n3-isolated": Graph.from_edges(3, [(0, 2)]),
+        "star": Graph.from_edges(50, [(0, j) for j in range(1, 50)]),
+    })
+    clique = [(i, j) for i in range(40) for j in range(i + 1, 40)]
+    path = [(v, v + 1) for v in range(40, 199)]
+    hub = [(39, v) for v in range(41, 160)]
+    graphs["mixed"] = Graph.from_edges(220, clique + path + hub)
+    graphs["ppm"] = generate(GeneratorSpec("ppm", n=300, k=15), 4)[0]
+    return graphs
+
+
+@pytest.mark.parametrize("name", list(_parity_graphs()))
+def test_upper_product_is_the_bytes_of_the_scipy_expression(name, product_paths):
+    """Walk vectors (t = 1..6, isolated nodes at zero mass) and the Jaccard
+    vector carry the pair ids and value bytes of the whole scipy product's
+    upper triangle, on the compiled path and on the scipy one."""
+    G = _parity_graphs()[name]
+    for path in product_paths():
+        ids, vals = _scipy_jaccard(G)
+        q = jaccard_vector(G)
+        assert q.pair_ids.tobytes() == ids.tobytes() and q.values.tobytes() == vals.tobytes(), (path, "jaccard")
+        for t in range(1, 7):
+            if G.m == 0:
+                with pytest.raises(ValueError, match="no edges"):
+                    walk_distribution(G, t, isolated="zero")
+                continue
+            ids, vals = _scipy_walk(G, t)
+            w = walk_distribution(G, t, isolated="zero")
+            assert w.pair_ids.tobytes() == ids.tobytes() and w.values.tobytes() == vals.tobytes(), (path, t)
+
+
+def test_parity_graphs_cover_isolated_nodes_and_dense_rows():
+    graphs = _parity_graphs()
+    assert sum(int((G.degrees == 0).any()) for G in graphs.values()) >= 3
+    mixed = graphs["mixed"]
+    assert mixed.degrees.max() > 100 and (mixed.degrees <= 3).sum() > 150
+
+
+def test_upper_product_rejects_factors_of_another_size(product_paths):
+    for path in product_paths():
+        with pytest.raises(ValueError):
+            graph._upper_pairs(sp.identity(3, format="csr"), sp.identity(4, format="csr"), 3)
+
+
+@pytest.mark.parametrize("t", [2, 3])
+def test_walk_support_over_the_budget_raises(t, product_paths, monkeypatch):
+    """A walk whose support passes MAX_WALK_PAIRS raises ValueError naming the
+    support, the budget and t, on both paths; at the budget it is built."""
+    G = generate(GeneratorSpec("ppm", n=120, k=6), 2)[0]
+    support = walk_distribution(G, t).pair_ids.size
+    for path in product_paths():
+        monkeypatch.setattr(graph, "MAX_WALK_PAIRS", support)
+        assert walk_distribution(G, t).pair_ids.size == support
+        monkeypatch.setattr(graph, "MAX_WALK_PAIRS", support - 1)
+        message = f"t={t} walk reaches {support:,} pairs, over the budget of {support - 1:,}"
+        with pytest.raises(ValueError, match=message):
+            walk_distribution(G, t)
+        assert jaccard_vector(G).pair_ids.size > 0  # the budget is the walk's
+
+
+def test_detect_past_the_walk_budget_exits_1(tmp_path, monkeypatch, capsys):
+    main(["generate", "--family", "ppm", "--n", "60", "--k", "3", "--seed", "5", "--out", str(tmp_path), "--name", "g"])
+    monkeypatch.setattr(graph, "MAX_WALK_PAIRS", 10)
+    code = main(["detect", "--graph", str(tmp_path / "g.edges"), "--method", "markov", "--t", "2",
+                 "--seed", "0", "--out", str(tmp_path), "--name", "d"])
+    assert code == 1
+    assert "error: the t=2 walk reaches" in capsys.readouterr().err
+    assert not (tmp_path / "d.membership").exists()
 
 
 def test_walk_bipartite_finite_t_allowed():

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pairsphere import solver
+from pairsphere import _kernel, solver
 from pairsphere.clustering import Partition, evaluate, query_alignment
 from pairsphere.generators import GeneratorSpec, generate
 from pairsphere.geometry import LowRankTerm, PairVector
@@ -193,7 +193,7 @@ def sweep_kernels(monkeypatch):
     def each():
         if solver.SWEEP_KERNEL == "c":
             yield "c"
-        monkeypatch.setattr(solver, "_kernel", (None, "the numpy sweep, selected by a test"))
+        monkeypatch.setattr(_kernel, "_loaded", (None, "the numpy sweep, selected by a test"))
         assert solver.SWEEP_KERNEL == "numpy"
         yield "numpy"
 
@@ -544,7 +544,7 @@ def test_debug_checks_catch_a_dropped_mark(monkeypatch):
     """Without the marks for nodes with a row neighbour in the slot the mover
     left, some skipped visit would have moved. The marks are replaced in the
     numpy sweep's _mark_dirty, so this runs on the numpy kernel."""
-    monkeypatch.setattr(solver, "_kernel", (None, "the numpy sweep, selected by a test"))
+    monkeypatch.setattr(_kernel, "_loaded", (None, "the numpy sweep, selected by a test"))
     q = _seeded_sign_rule_query(22)
     louvain_project(q, seed=22, debug_checks=True)
 
@@ -629,7 +629,7 @@ def test_most_fine_visits_are_narrow_under_a_negative_constant(monkeypatch):
     for other in (positive, build_query(G, QuerySpec("markov", t=2), T)):
         assert _fine_level_counts(other, 3)[2] == 0
     C = louvain_project(q, seed=3)
-    monkeypatch.setattr(solver, "_kernel", (None, "the numpy sweep, selected by a test"))
+    monkeypatch.setattr(_kernel, "_loaded", (None, "the numpy sweep, selected by a test"))
     assert _fine_level_counts(q, 3)[2] == 0
     assert louvain_project(q, seed=3) == C
 
@@ -764,15 +764,15 @@ def test_sweep_source_ships_next_to_the_solver():
 
 @needs_cc
 def test_a_second_load_reuses_the_library(kernel_cache, monkeypatch):
-    kernel, reason = solver._load_kernel()
+    kernel, reason = _kernel._load_kernel()
     assert kernel is not None and reason == ""
-    assert solver._kernel_path().parent == kernel_cache and kernel_cache.stat().st_mode & 0o077 == 0
+    assert _kernel._kernel_path().parent == kernel_cache and kernel_cache.stat().st_mode & 0o077 == 0
 
     def no_compiler(*args, **kwargs):
         raise AssertionError("the compiler ran again")
 
     monkeypatch.setattr(subprocess, "run", no_compiler)
-    kernel, reason = solver._load_kernel()
+    kernel, reason = _kernel._load_kernel()
     assert kernel is not None and reason == ""
 
 
@@ -781,9 +781,9 @@ def test_without_a_compiler_the_numpy_sweep_gives_the_same_partitions(kernel_cac
     specs = [QuerySpec("cl-modularity", heuristic="exact"), QuerySpec("linear", c_j=0.0, c_d=-6.0, heuristic="exact")]
     default = [detect_once(G, spec, T, seed=3)[0] for spec in specs]  # on the kernel this process loaded
     monkeypatch.setattr(shutil, "which", lambda *args, **kwargs: None)
-    loaded = solver._load_kernel()
+    loaded = _kernel._load_kernel()
     assert loaded == (None, "no C compiler (cc) on PATH")
-    monkeypatch.setattr(solver, "_kernel", loaded)
+    monkeypatch.setattr(_kernel, "_loaded", loaded)
     assert (solver.SWEEP_KERNEL, solver.SWEEP_KERNEL_REASON) == ("numpy", loaded[1])
     assert [detect_once(G, spec, T, seed=3)[0] for spec in specs] == default
 
@@ -793,16 +793,16 @@ def test_a_cache_that_cannot_be_written_falls_back_to_numpy(tmp_path, monkeypatc
     blocker = tmp_path / "a-file"
     blocker.write_text("")
     monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
-    kernel, reason = solver._load_kernel()
+    kernel, reason = _kernel._load_kernel()
     assert kernel is None and reason.startswith("cache not writable")
 
 
 @needs_cc
 @pytest.mark.parametrize("target", ["directory", "library"])
 def test_a_library_others_can_write_is_not_loaded(kernel_cache, target):
-    assert solver._load_kernel()[0] is not None
-    (kernel_cache if target == "directory" else solver._kernel_path()).chmod(0o720)
-    kernel, reason = solver._load_kernel()
+    assert _kernel._load_kernel()[0] is not None
+    (kernel_cache if target == "directory" else _kernel._kernel_path()).chmod(0o720)
+    kernel, reason = _kernel._load_kernel()
     assert kernel is None and "writable by group or others" in reason
 
 
@@ -811,22 +811,22 @@ def test_a_truncated_library_is_not_loaded(tmp_path, monkeypatch):
     """Checked before it is mapped: most cuts would kill the process with
     SIGBUS. The truncated copy sits at a path this process never loaded."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "whole"))
-    assert solver._load_kernel()[0] is not None
-    whole = solver._kernel_path().read_bytes()
+    assert _kernel._load_kernel()[0] is not None
+    whole = _kernel._kernel_path().read_bytes()
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cut"))
-    lib = solver._kernel_path()
+    lib = _kernel._kernel_path()
     lib.parent.mkdir(mode=0o700, parents=True)
     lib.write_bytes(whole[: len(whole) // 2])
     lib.chmod(0o700)
-    kernel, reason = solver._load_kernel()
+    kernel, reason = _kernel._load_kernel()
     assert kernel is None and "damaged" in reason
 
 
 @needs_cc
 def test_the_kernel_source_compiles_without_warnings(tmp_path):
-    flags = (*solver._CFLAGS, "-Wall", "-Wextra", "-Werror")
+    flags = (*_kernel._CFLAGS, "-Wall", "-Wextra", "-Werror")
     proc = subprocess.run(
-        [shutil.which("cc"), *flags, "-o", str(tmp_path / "sweep.so"), str(solver._SOURCE)],
+        [shutil.which("cc"), *flags, "-o", str(tmp_path / "sweep.so"), str(_kernel._SOURCE)],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -840,7 +840,7 @@ def test_kernel_args_match_the_c_prototypes():
     the parameters _KERNEL_ARGS declares, in count and kind (int64, int32,
     double or a pointer), under 20 of them; every _KERNEL_ARGS entry is
     defined there. A mismatch passes wrong values through ctypes."""
-    source = re.sub(r"/\*.*?\*/", "", solver._SOURCE.read_text(), flags=re.S)
+    source = re.sub(r"/\*.*?\*/", "", _kernel._SOURCE.read_text(), flags=re.S)
     defined = {}
     for name, params in re.findall(r"^int64_t\s+(pairsphere_\w+)\s*\(([^)]*)\)\s*\{", source, flags=re.M):
         kinds = []
@@ -848,7 +848,7 @@ def test_kernel_args_match_the_c_prototypes():
             ctype = " ".join(param.replace("*", " * ").split()[:-1])  # drop the parameter's name
             kinds.append(ctypes.c_void_p if "*" in ctype else _C_KINDS[ctype.removeprefix("const ")])
         defined[name] = tuple(kinds)
-    assert defined == solver._KERNEL_ARGS
+    assert defined == _kernel._KERNEL_ARGS
     assert all(len(kinds) < 20 for kinds in defined.values())
 
 
@@ -1116,7 +1116,7 @@ def _compiled_coarse_rows(inst, labels, fill):
     words = (2 * room, 2 * room, 3 * room + 4 * m + 2 * k + 2)
     nbr, wts, work = (np.full(8 * w, fill, dtype=np.uint8) for w in words)
     fine = map(solver._address, (inst.indptr, inst.nbr, inst.wts, labels))
-    size = solver._compiled().aggregate(inst.n, *fine, k, *map(solver._address, (indptr, nbr, wts, work)))
+    size = _kernel._compiled().aggregate(inst.n, *fine, k, *map(solver._address, (indptr, nbr, wts, work)))
     assert size >= 0
     return indptr.tobytes(), nbr[: 16 * size].tobytes(), wts[: 16 * size].tobytes()
 
@@ -1138,7 +1138,7 @@ def test_coarse_rows_do_not_depend_on_the_work_contents(shape, monkeypatch):
         labels = np.empty(n, dtype=np.int64)
         labels[rng.permutation(n)] = np.arange(n) % k
         runs.append((inst, labels, [_compiled_coarse_rows(inst, labels, fill) for fill in (0x00, 0xFF)]))
-    monkeypatch.setattr(solver, "_kernel", (None, "the numpy fallback, selected by a test"))
+    monkeypatch.setattr(_kernel, "_loaded", (None, "the numpy fallback, selected by a test"))
     for inst, labels, (zeroed, poisoned) in runs:
         coarse = _aggregate(inst, labels)
         assert zeroed == poisoned == (coarse.indptr.tobytes(), coarse.nbr.tobytes(), coarse.wts.tobytes())
