@@ -2,10 +2,10 @@
 
 One library serves the solver (a sweep's visits and the level builders) and
 graph (the upper triangle of a sparse product, for walk and Jaccard pairs).
-_compiled() loads it once per process; where it cannot be built or loaded,
-it returns None, _reason() says why, and numpy and scipy run the same jobs,
-with the same bytes. Nothing selects a side: no option, no environment
-variable beyond the standard XDG_CACHE_HOME.
+_compiled() loads it once per process. The library is a requirement: where
+it cannot be built or loaded (no C compiler, say), each call of _compiled()
+raises OSError with the reason, and nothing runs the jobs in its place. The
+cache lives under the standard XDG_CACHE_HOME; there is no other setting.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ _KERNEL_ARGS = {
     "pairsphere_upper_count": (ctypes.c_int64,) + (ctypes.c_void_p,) * 6,
     "pairsphere_upper_fill": (ctypes.c_int64,) + (ctypes.c_void_p,) * 7 + (ctypes.c_double,) + (ctypes.c_void_p,) * 3,
 }
-_loaded = None  # (_Kernels or None, reason), set by _compiled on first use
+_loaded = None  # (_Kernels or None, why not), set by _compiled on first use
 
 
 class _Kernels(NamedTuple):
@@ -97,7 +97,7 @@ def _compile(lib: Path) -> str:
 
 
 def _load_kernel() -> tuple:
-    """(the compiled library's _Kernels, "") or (None, why numpy runs them).
+    """(the compiled library's _Kernels, "") or (None, why it did not load).
 
     A process that finds the library loads it; otherwise it compiles it
     first. A library or cache directory that another user owns, or that group
@@ -127,15 +127,24 @@ def _load_kernel() -> tuple:
     return _Kernels(*fns), ""
 
 
-def _compiled() -> _Kernels | None:
-    """The compiled library's functions, or None where numpy runs them."""
+def _compiled() -> _Kernels:
+    """The compiled library's functions. Raises OSError naming the reason
+    where it did not load; the outcome is kept, so a failed build is not
+    retried in the same process."""
     global _loaded
     if _loaded is None:
         _loaded = _load_kernel()
-    return _loaded[0]
+    kernels, reason = _loaded
+    if kernels is None:
+        raise OSError(f"the compiled library did not load: {reason}")
+    return kernels
 
 
-def _reason() -> str:
-    """Why the compiled library did not load ("" where it did)."""
-    _compiled()
-    return _loaded[1]
+def _address(a) -> int:
+    """The address of a C-contiguous array or writable buffer: for a
+    writable, non-empty one at about a third of the cost of
+    ndarray.ctypes.data."""
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(a))
+    except (TypeError, ValueError):  # read-only, or empty
+        return a.ctypes.data

@@ -8,12 +8,10 @@
 
    _kernel._load_kernel builds this file with -ffp-contract=off, so every
    product and sum below is rounded on its own, in the order written: the
-   gains carry the bits of numpy's solver._gains, and a sweep makes exactly
-   the moves of the numpy sweep. The builders sum by the rule that the numpy
-   ones (solver._build_csr and solver._coarse_pairs_numpy) follow, so every
-   level has the same bytes on either side, and the product sums as scipy's
-   does. Arrays are C-ordered; the slot table U
-   is K x ld, with slots 0..ns-1 in use and the last of them empty.
+   gains carry the bits of solver._node_gain_vector, the builders sum by the
+   one rule that the solver's docstring states, and the product sums as
+   scipy's does. Arrays are C-ordered; the slot table U is K x ld, with slots
+   0..ns-1 in use and the last of them empty.
 
    A visit scans every slot, or only its candidates: the slots of its row
    neighbours, its own slot and the empty last one. The narrow scan runs when
@@ -376,8 +374,9 @@ static int64_t sum_in_buckets(int64_t n, const int64_t *indptr, const int64_t *n
    pairs, sorted by (a, b), are built at the start of work, and
    pairsphere_rows turns them into the coarse rows: cindptr holds k + 1
    zeros on entry, cnbr and cwts room for 2r, r = min(m, k(k-1)/2). work
-   holds 3r + 4m + 2k + 2 words, of any contents. Returns the count of
-   coarse pairs, or -1 - i when node i carries a label outside 0..k-1. */
+   holds 3r words and then k * k for the block or 4m + 2k + 2 for the
+   buckets, of any contents. Returns the count of coarse pairs, or -1 - i
+   when node i carries a label outside 0..k-1. */
 int64_t pairsphere_aggregate(int64_t n, const int64_t *indptr, const int64_t *nbr, const double *wts,
                              const int64_t *labels, int64_t k, int64_t *cindptr, int64_t *cnbr,
                              double *cwts, int64_t *work)

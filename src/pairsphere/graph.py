@@ -6,12 +6,12 @@ computed with sparse products and holds only its nonzero pairs; no n x n
 array is ever allocated.
 
 The Jaccard and walk vectors are the strict upper triangle (j > i) of a
-symmetric sparse product, and only that triangle is computed (_upper_pairs):
-in the compiled library (_sweep.c, loaded by _kernel) where it loaded, in one
-pass that counts the support and one that writes the pair ids, in pair-id
-order, and the values; in scipy otherwise. Both give the same bytes: entry
+symmetric sparse product, and only that triangle is computed (_upper_pairs),
+in the compiled library (_sweep.c, loaded by _kernel): one pass counts the
+support and one writes the pair ids, in pair-id order, and the values. Entry
 (i, j) of A @ B is 0 + the sum over k ascending of B[k, j] * A[i, k], the
-order of scipy's product, and a sum of exactly 0 is dropped.
+order of scipy's product, and a sum of exactly 0 is dropped, so the pairs
+carry the bytes of scipy's whole product's upper triangle.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from ._kernel import _compiled
+from ._kernel import _address, _compiled
 from ._util import atomic_write_text
 from .geometry import LowRankTerm, PairVector
 from .pairs import num_pairs, pair_id, pair_members
@@ -103,19 +103,12 @@ def _upper_pairs(A: sp.spmatrix, B: sp.spmatrix, n: int, scale: float = 1.0, t: 
     Entry (i, j) is 0 + the sum over k ascending of B[k, j] * A[i, k]: the
     order scipy's product follows when A comes from a CSC matrix with sorted
     indices (such as Y.T for a CSR matrix Y) or a CSR one with sorted rows.
-    Where the compiled library loaded, it reads A's CSR rows in that order
-    and B's with sorted columns, and only the entries j > i are formed: one
-    pass counts the support, the next writes the pairs; elsewhere scipy forms
-    the whole product and keeps its triangle. A sum of exactly 0 is dropped
-    on both sides, so both give the same bytes. For a walk (t given), a
-    support above MAX_WALK_PAIRS raises ValueError: before any pair array is
-    allocated in the compiled library, right after the product in scipy."""
+    The compiled library reads A's CSR rows in that order and B's with sorted
+    columns, and forms only the entries j > i: one pass counts the support,
+    the next writes the pairs. A sum of exactly 0 is dropped, as scipy drops
+    it. For a walk (t given), a support above MAX_WALK_PAIRS raises
+    ValueError before any pair array is allocated."""
     kernels = _compiled()
-    if kernels is None:
-        U = sp.triu(A @ B, k=1, format="csr")
-        _check_walk_support(U.nnz, t)
-        U.sort_indices()
-        return pair_id(np.repeat(np.arange(n), np.diff(U.indptr)), U.indices, n), U.data * scale
     if A.shape != (n, n) or B.shape != (n, n):
         raise ValueError(f"the product's factors must be {n} x {n}")
     A, B = A.tocsr(), B.tocsc().tocsr()  # rows sorted by the counting sorts of the conversions
@@ -124,19 +117,15 @@ def _upper_pairs(A: sp.spmatrix, B: sp.spmatrix, n: int, scale: float = 1.0, t: 
     )
     ax, bx = (np.ascontiguousarray(M.data, dtype=np.float64) for M in (A, B))
     rows, work = np.empty(n, dtype=np.int64), np.empty(4 * n, dtype=np.int64)
-    support = kernels.upper_count(n, *(a.ctypes.data for a in (aptr, aidx, bptr, bidx, rows, work)))
-    _check_walk_support(support, t)
-    ids, values = np.empty(support, dtype=np.int64), np.empty(support)
-    args = (a.ctypes.data for a in (aptr, aidx, ax, bptr, bidx, bx, rows))
-    size = kernels.upper_fill(n, *args, scale, ids.ctypes.data, values.ctypes.data, work.ctypes.data)
-    return ids[:size], values[:size]
-
-
-def _check_walk_support(support: int, t: int | None) -> None:
+    support = kernels.upper_count(n, *map(_address, (aptr, aidx, bptr, bidx, rows, work)))
     if t is not None and support > MAX_WALK_PAIRS:
         raise ValueError(
             f"the t={t} walk reaches {support:,} pairs, over the budget of {MAX_WALK_PAIRS:,} (MAX_WALK_PAIRS)"
         )
+    ids, values = np.empty(support, dtype=np.int64), np.empty(support)
+    args = map(_address, (aptr, aidx, ax, bptr, bidx, bx, rows))
+    size = kernels.upper_fill(n, *args, scale, *map(_address, (ids, values, work)))
+    return ids[:size], values[:size]
 
 
 def jaccard_vector(G: Graph) -> PairVector:

@@ -13,15 +13,14 @@ Under the narrow rule (below) the compiled sweep evaluates only a short
 row's candidate slots, so a visit costs O(row), not O(k).
 
 A sweep's visits run in one call to a C kernel, _sweep.c, compiled on first
-use and cached (see _kernel), which also builds the levels (below);
-where it cannot be built or loaded, numpy runs both instead. SWEEP_KERNEL
-names the kernel that runs ("c" or "numpy"), and SWEEP_KERNEL_REASON says
-why the numpy one does. The two sweeps give the same bits because both
-follow one summation rule: the rank-one part is W = 0 + s_1 U_1 + s_2 U_2 +
-..., added in term order with every product rounded on its own (no fused
-multiply-add); the row sums are added to it and the self term, summed by
-the same rule, is subtracted. A BLAS gemv follows no fixed order and
-differs in the last bit.
+use and cached (see _kernel), which also builds the levels (below); where it
+cannot be built or loaded, a solve raises OSError naming the reason. The
+kernel follows one summation rule: the rank-one part is W = 0 + s_1 U_1 +
+s_2 U_2 + ..., added in term order with every product rounded on its own (no
+fused multiply-add); the row sums are added to it and the self term, summed
+by the same rule, is subtracted. _node_gain_vector, which the oracles call,
+follows it too and gives the kernel's bits; a BLAS gemv follows no fixed
+order and differs in the last bit.
 
 Dirty-set sweeps skip visits that provably cannot move. The skip is exact
 under the sign rule: every rank-one coefficient (the constant's included) is
@@ -60,8 +59,7 @@ keep that true in floating point. Round-off can leave a slot sum of factors
 could lift a non-candidate to 0 scans every slot. A slot emptied during the
 sweep holds W of about 0: while one exists, a narrow top that does not beat
 their bound is redone as a full scan. debug_checks checks every narrow visit
-against a full scan, and SolverState.narrow counts them. The numpy sweep
-always scans every slot.
+against a full scan, and SolverState.narrow counts them.
 
 A level's sparse part is its CSR rows, columns ascending; its pairs are the
 rows' upper entries (column > row), in row order. The same library builds
@@ -76,10 +74,7 @@ k * (k - 1) at most the CSR entry count of the level below, one pass sums the
 pairs into a dense k x k block, no larger than that level; otherwise a
 stable counting sort by label lines each cell's pairs up in row order,
 without k * k memory. The same call turns the coarse pairs into the coarse
-rows. The numpy fallback follows the same rule (np.unique numbers the
-unordered cells, one bincount per orientation sums them, and scipy builds the
-rows, which sums nothing here), so both kernels give the same bytes at every
-level.
+rows.
 
 For small instances an exhaustive enumerator over set partitions provides an
 exact reference optimum.
@@ -87,16 +82,14 @@ exact reference optimum.
 
 from __future__ import annotations
 
-import ctypes
 import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp  # the numpy fallback's rows (_build_csr)
 
-from ._kernel import _compiled, _reason
+from ._kernel import _address, _compiled
 from .clustering import Partition, query_alignment
 from .geometry import PairVector, _smooth_terms_with_constant
 from .pairs import pair_id
@@ -116,11 +109,11 @@ class _Instance:
     """A query vector unpacked into solver-friendly arrays: CSR rows of the
     symmetric sparse part (columns ascending, no zero entry), the smooth part
     as K rank-one terms coefs[k] * factors[k] factors[k]^T, and per-node
-    views for the numpy sweep. sign_rule: is every pair outside the sparse
-    rows <= 0. narrow_rule: does the sign rule hold
-    with a last term of coefficient < 0 and positive integer factors (such as
-    the query constant: ones, summed to supernode sizes at coarse levels), so
-    that the compiled sweep may visit a node's candidate slots only."""
+    views for the oracles. sign_rule: is every pair outside the sparse rows
+    <= 0. narrow_rule: does the sign rule hold with a last term of
+    coefficient < 0 and positive integer factors (such as the query constant:
+    ones, summed to supernode sizes at coarse levels), so that the compiled
+    sweep may visit a node's candidate slots only."""
 
     n: int
     indptr: np.ndarray
@@ -147,8 +140,7 @@ class _Instance:
         )
 
     # Built on first use: the compiled sweep reads the arrays through their
-    # addresses, and only the numpy sweep, move_gain and the oracles read the
-    # per-node views.
+    # addresses, and only move_gain and the oracles read the per-node views.
 
     @cached_property
     def addresses(self) -> tuple:
@@ -164,7 +156,7 @@ class _Instance:
     @cached_property
     def self_terms(self) -> list:
         """Per node i, sum_k coefs[k] * factors[k, i]^2 as a float, summed in
-        term order (the rule _gains follows)."""
+        term order (the rule _node_gain_vector follows)."""
         return (self.coefs[:, None] * self.factors * self.factors).sum(0).tolist()
 
     @cached_property
@@ -197,13 +189,10 @@ def _slot_sums(factors: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
 def _rows(n: int, pi: np.ndarray, pj: np.ndarray, pv: np.ndarray) -> tuple:
     """(indptr, nbr, wts): the CSR rows of the symmetric n x n matrix holding
     pv[t] at (pi[t], pj[t]) and (pj[t], pi[t]), from a pair list sorted by
-    (pi, pj) with pi < pj and no repeats, nor zero values. In the compiled
-    library where it loaded (a counting sort), in _build_csr otherwise; no
-    value is summed, so both give the same bytes. The compiled builder
-    raises ValueError on a list out of that order."""
+    (pi, pj) with pi < pj and no repeats, nor zero values, by a counting
+    sort in the compiled library; no value is summed. A list out of that
+    order raises ValueError."""
     kernels = _compiled()
-    if kernels is None:
-        return _build_csr(n, pi, pj, pv)
     pi, pj = (np.ascontiguousarray(a, dtype=np.int64) for a in (pi, pj))
     pv = np.ascontiguousarray(pv, dtype=np.float64)
     if not pi.size == pj.size == pv.size:
@@ -217,16 +206,6 @@ def _rows(n: int, pi: np.ndarray, pj: np.ndarray, pv: np.ndarray) -> tuple:
     return indptr, nbr, wts
 
 
-def _build_csr(n, ii, jj, values):
-    """Rows of the symmetric n x n matrix holding each value at (i, j) and
-    (j, i), in scipy: the reference for _rows and its fallback. Index arrays
-    come back as int64, which the per-visit slicing and fancy indexing read
-    without a cast."""
-    U = sp.csr_array((values, (ii, jj)), shape=(n, n))
-    A = U + U.T
-    return A.indptr.astype(np.int64), A.indices.astype(np.int64), A.data
-
-
 class SolverState:
     """Mutable solve state: membership plus per-community aggregates.
 
@@ -237,9 +216,9 @@ class SolverState:
     add their gains. dirty[i] is set while node i may have an improving move
     (every node until the sweeps start tracking); visits and skipped count
     the node visits made and skipped, and narrow the visits that scanned only
-    their candidate slots (compiled sweep only). check_skips evaluates every
-    skipped visit and asserts that it would not move, and checks every narrow
-    visit against a scan of every slot.
+    their candidate slots. check_skips evaluates every skipped visit and
+    asserts that it would not move, and checks every narrow visit against a
+    scan of every slot.
     """
 
     def __init__(self, inst: _Instance, membership: np.ndarray, objective: float, check_skips: bool = False):
@@ -272,36 +251,19 @@ def move_gain(state: SolverState, i: int, target: int) -> float:
     return 2.0 * (float(W[target]) - w_cur)
 
 
-def _mark_dirty(state: SolverState, j: int, c: int) -> None:
-    """Mark the nodes whose best gain over staying can rise when node j moves
-    from its slot b to slot c: j's row neighbours (their sparse sums changed),
-    the members of c (their own slot lost value) and every node with a row
-    neighbour among the members of b (their gain to b rose). Called before
-    the move, so j counts among b's members and its neighbours are covered."""
-    memb = state.membership
-    rows = state.inst.rows
-    members_b = np.flatnonzero(memb == memb[j]).tolist()
-    state.dirty_view[np.concatenate([rows[m][0] for m in members_b])] = 1
-    state.dirty_view[memb == c] = 1
-
-
-def _gains(srow, U, memb, nbr, wts, cur: int, self_term: float) -> np.ndarray:
-    """W_i(a) = sum of q_ij over j in slot a, j != i, for every slot a at once
-    (the empty last slot reads 0: a fresh community), from node i's row of
-    scaled factors, its (neighbours, weights) row, its slot and its self term.
-    The rank-one part is summed in term order, as the compiled sweep sums it
-    (a BLAS gemv may reorder or fuse it and differ in the last bit)."""
-    W = (srow[:, None] * U).sum(0)
-    W += np.bincount(memb[nbr], wts, W.size)
-    W[cur] -= self_term
-    return W
-
-
 def _node_gain_vector(state: SolverState, i: int) -> tuple[np.ndarray, float]:
-    """Node i's gain vector over every slot (see _gains), and W_i(own)."""
+    """Node i's gains W_i(a) = sum of q_ij over j in slot a, j != i, for every
+    slot a at once (the empty last slot reads 0: a fresh community), and
+    W_i(own). The rank-one part is summed in term order, as the compiled
+    sweep sums it (a BLAS gemv may reorder or fuse it and differ in the last
+    bit); the row's weights are then summed by slot and the self term is
+    subtracted."""
     inst, memb = state.inst, state.membership
     cur = memb.item(i)
-    W = _gains(inst.scaled[i], state.U, memb, *inst.rows[i], cur, inst.self_terms[i])
+    nbr, wts = inst.rows[i]
+    W = (inst.scaled[i][:, None] * state.U).sum(0)
+    W += np.bincount(memb[nbr], wts, W.size)
+    W[cur] -= inst.self_terms[i]
     return W, W.item(cur)
 
 
@@ -312,16 +274,11 @@ def _sweep(state: SolverState, order: np.ndarray, eps: float) -> int:
     so a live W = 0 beats the fresh last slot) when that beats staying by more
     than eps. While the state is tracking, a node not marked dirty since its
     last visit is skipped, and each move marks the nodes it can affect. The
-    visits run in the compiled kernel when it loaded, in _visit_numpy
-    otherwise; both give the same bits. The sweep ends by relabelling slots to
+    visits run in the compiled kernel. The sweep ends by relabelling slots to
     the live communities, in label order with their sums kept, plus one empty
     slot last.
     """
-    kernels = _compiled()
-    if kernels is None:
-        moves, skipped, U = _visit_numpy(state, order, eps / 2.0)
-    else:
-        moves, skipped, U = _visit_c(kernels.sweep, state, order, eps / 2.0)
+    moves, skipped, U = _visit_c(_compiled().sweep, state, order, eps / 2.0)
     state.visits += order.size - skipped
     state.skipped += skipped
     live = np.bincount(state.membership, minlength=U.shape[1]) > 0
@@ -366,60 +323,6 @@ def _visit_c(kernel, state: SolverState, order: np.ndarray, half_eps: float) -> 
     return moves, info.item(1), U[:, : info.item(0)]
 
 
-def _address(a) -> int:
-    """The address of a C-contiguous, non-empty buffer: for a writable one
-    at about a third of the cost of ndarray.ctypes.data."""
-    try:
-        return ctypes.addressof(ctypes.c_char.from_buffer(a))
-    except TypeError:  # read-only
-        return a.ctypes.data
-
-
-def _visit_numpy(state: SolverState, order: np.ndarray, half_eps: float) -> tuple[int, int, np.ndarray]:
-    """The visits of _sweep in numpy, the reference for _sweep.c; returns the
-    moves, the visits skipped and the slot table.
-
-    A visit is _gains (the node's K scaled factors times the K x k slot
-    table, summed over the terms, one bincount of its row's weights by slot,
-    one self-term subtraction), an argmax and three .item() reads. The
-    per-node handles and the state's arrays are bound to locals once per
-    sweep, and a move updates the table in place; only a move into the empty
-    slot copies it, to append a new empty slot.
-    """
-    inst = state.inst
-    scaled, rows, self_terms, factors = inst.scaled, inst.rows, inst.self_terms, inst.factors
-    memb, U = state.membership, state.U
-    dirty, tracking, check_skips = state.dirty, state.tracking, state.check_skips
-    moves = skipped = 0
-    for i in order.tolist():
-        if tracking:
-            if not dirty[i]:
-                skipped += 1
-                if check_skips:
-                    W, w_cur = _node_gain_vector(state, i)
-                    if W.max().item() - w_cur > half_eps:
-                        raise AssertionError(f"skipped node {i} would move")
-                continue
-            dirty[i] = 0
-        cur = memb.item(i)
-        nbr, wts = rows[i]
-        W = _gains(scaled[i], U, memb, nbr, wts, cur, self_terms[i])
-        best = W.argmax()
-        w_best, w_cur = W.item(best), W.item(cur)
-        if w_best - w_cur > half_eps:
-            if tracking:
-                _mark_dirty(state, i, best)
-            if best == U.shape[1] - 1:  # the empty slot goes live: append a new one
-                U = state.U = np.concatenate((U, np.zeros((U.shape[0], 1))), axis=1)
-            memb[i] = best
-            f = factors[:, i]
-            U[:, cur] -= f
-            U[:, best] += f
-            state.objective += 2.0 * (w_best - w_cur)
-            moves += 1
-    return moves, skipped, U
-
-
 def _local_moves(state: SolverState, rng, eps: float) -> int:
     """Sweeps until one sweep makes no move: no single-node relabel then
     improves by more than eps. Under the sign rule, the sweeps after the
@@ -448,15 +351,11 @@ def _aggregate(inst: _Instance, membership: np.ndarray) -> _Instance:
 
     One call to the compiled library sums the level's pairs (its rows' upper
     entries) by the one rule (see the module docstring) and writes the coarse
-    rows; without it, _coarse_pairs_numpy sums them and _build_csr makes the
-    rows, with the same bytes. A label outside 0..k-1 raises ValueError in
-    the compiled library.
+    rows. A label outside 0..k-1 raises ValueError in the compiled library.
     """
     k = int(membership.max()) + 1
     factors = _slot_sums(inst.factors, membership, k)
     kernels = _compiled()
-    if kernels is None:
-        return _Instance(k, *_build_csr(k, *_coarse_pairs_numpy(inst, membership, k)), inst.coefs, factors)
     labels = np.ascontiguousarray(membership, dtype=np.int64)
     if labels.shape != (inst.n,):
         raise ValueError("labels must label every node of the level")
@@ -465,32 +364,13 @@ def _aggregate(inst: _Instance, membership: np.ndarray) -> _Instance:
     indptr, nbr, wts = np.zeros(k + 1, dtype=np.int64), np.empty(2 * room, dtype=np.int64), np.empty(2 * room)
     size = 0
     if room:
-        work = np.empty(3 * room + 4 * m + 2 * k + 2, dtype=np.int64)  # the kernel zeroes what it reads
+        # the coarse pairs, then the k x k block or the buckets' work; the kernel zeroes what it reads
+        work = np.empty(3 * room + (k * k if k * (k - 1) <= 2 * m else 4 * m + 2 * k + 2), dtype=np.int64)
         fine = map(_address, (inst.indptr, inst.nbr, inst.wts, labels))
         size = kernels.aggregate(inst.n, *fine, k, *map(_address, (indptr, nbr, wts, work)))
         if size < 0:
             raise ValueError(f"node {-1 - size} carries a label outside 0..{k - 1}")
     return _Instance(k, indptr, nbr[: 2 * size], wts[: 2 * size], inst.coefs, factors)
-
-
-def _coarse_pairs_numpy(inst: _Instance, labels: np.ndarray, k: int) -> tuple:
-    """The coarse pairs (pi, pj, pv) of _aggregate in numpy, sorted by
-    (pi, pj), the reference for the compiled library: each cross pair is keyed
-    by its unordered cell lo * k + hi, one bincount sums each orientation in
-    row order, and the two sums add as M[lo, hi] + M[hi, lo] (0.0 + x is x:
-    a bincount sum is never -0.0)."""
-    heads = np.repeat(np.arange(inst.n), np.diff(inst.indptr))
-    up = heads < inst.nbr
-    a, b = labels[heads[up]], labels[inst.nbr[up]]
-    cross = a != b
-    a, b, w = a[cross], b[cross], inst.wts[up][cross]
-    cells, cell = np.unique(np.minimum(a, b) * k + np.maximum(a, b), return_inverse=True)
-    vals = np.zeros(cells.size)  # float64 even when no pair crosses
-    for side in (a < b, a > b):
-        vals += np.bincount(cell[side], w[side], cells.size)
-    nz = vals != 0.0
-    pi, pj = np.divmod(cells[nz], k)
-    return pi, pj, vals[nz]
 
 
 def _coarsen(inst: _Instance, memb: np.ndarray, rng, eps: float, debug_checks: bool) -> tuple[np.ndarray, float]:
@@ -613,12 +493,3 @@ def max_single_move_gain(q: PairVector, C: Partition) -> float:
         best = max(best, 2.0 * (float(W.max()) - w_cur))
     return best
 
-
-def __getattr__(name: str):
-    """SWEEP_KERNEL ("c" or "numpy") names the sweep that runs, and
-    SWEEP_KERNEL_REASON says why the numpy one does ("" for "c")."""
-    if name == "SWEEP_KERNEL":
-        return "numpy" if _compiled() is None else "c"
-    if name == "SWEEP_KERNEL_REASON":
-        return _reason()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+import scipy.sparse as sp
 
 from pairsphere import solver
 from pairsphere.geometry import LowRankTerm, PairVector
@@ -181,7 +182,16 @@ def same_ranking(key1, key2, tol1=None, tol2=None) -> bool:
     return bool(np.all(s1 == s2))
 
 
-# -- the solver's sweep as a loop of per-visit calls ---------------------------------
+# -- the solver's numpy references ----------------------------------------------------
+
+
+def build_csr(n, ii, jj, values):
+    """Rows of the symmetric n x n matrix holding each value at (i, j) and
+    (j, i), in scipy, as int64 indptr and columns: the reference for
+    solver._rows."""
+    U = sp.csr_array((values, (ii, jj)), shape=(n, n))
+    A = U + U.T
+    return A.indptr.astype(np.int64), A.indices.astype(np.int64), A.data
 
 
 def apply_move(state, i: int, target: int, gain: float) -> None:
@@ -199,9 +209,15 @@ def apply_move(state, i: int, target: int, gain: float) -> None:
 def reference_sweep(state, order, eps) -> int:
     """solver._sweep written as one call per visit: _node_gain_vector for
     the gains, apply_move for each move, the same dirty-set skips and marks,
-    and an np.unique relabel at the end. The solver's sweep binds its arrays
-    once (or visits in the compiled kernel) and relabels with a cumulative
-    count; both must give the same bits."""
+    and an np.unique relabel at the end. The solver's sweep visits in the
+    compiled kernel and relabels with a cumulative count; both must give the
+    same bits.
+
+    When node i moves from its slot b to slot c, the nodes whose best gain
+    over staying can rise are marked: i's row neighbours (their sparse sums
+    changed), the members of c (their own slot lost value) and every node
+    with a row neighbour among the members of b (their gain to b rose).
+    Marked before the move, so i counts among b's members."""
     moves = skipped = 0
     half_eps = eps / 2.0
     for i in order.tolist():
@@ -215,7 +231,9 @@ def reference_sweep(state, order, eps) -> int:
         w_best = float(W[best])
         if w_best - w_cur > half_eps:
             if state.tracking:
-                solver._mark_dirty(state, i, best)
+                memb, rows = state.membership, state.inst.rows
+                state.dirty_view[np.concatenate([rows[m][0] for m in np.flatnonzero(memb == memb[i])])] = 1
+                state.dirty_view[memb == best] = 1
             apply_move(state, i, best, 2.0 * (w_best - w_cur))
             moves += 1
     state.visits += order.size - skipped

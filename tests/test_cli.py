@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from pairsphere import cli
+from pairsphere import _kernel, cli
 from pairsphere.cli import main
 from pairsphere.clustering import read_membership
 from pairsphere.generators import GeneratorSpec, generate
@@ -89,6 +90,18 @@ def test_detect_two_triangles(tmp_path):
     assert res["rho"] == pytest.approx(1.0)
     assert res["seed"] == 3
     assert res["solve_ms"] is not None
+
+
+NO_LIBRARY = "the compiled library did not load: no C compiler (cc) on PATH"
+
+
+def test_detect_without_the_library_exits_1(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(_kernel, "_loaded", (None, "no C compiler (cc) on PATH"))
+    edges, _ = _two_triangles(tmp_path)
+    code = run(["detect", "--graph", str(edges), "--method", "er-modularity", "--out", str(tmp_path), "--name", "det"])
+    assert code == 1
+    assert f"error: {NO_LIBRARY}" in capsys.readouterr().err
+    assert not (tmp_path / "det.membership").exists()
 
 
 def test_detect_result_json_key_order(tmp_path):
@@ -265,6 +278,17 @@ def test_experiment_subcommand(tmp_path, capsys):
     assert "ms1fix" in text
     stdout = capsys.readouterr().out
     assert "median_rho" in stdout
+
+
+def test_experiment_without_the_library_records_the_reason(tmp_path, monkeypatch):
+    monkeypatch.setattr(_kernel, "_loaded", (None, "no C compiler (cc) on PATH"))
+    cfg = tmp_path / "plan.cfg"
+    cfg.write_text(EXPERIMENT_CFG)
+    code = run(["experiment", "--config", str(cfg), "--out", str(tmp_path / "out"), "--seed", "4"])
+    assert code == 1
+    with open(tmp_path / "out" / "results.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 4 and all(row["error"] == NO_LIBRARY for row in rows)
 
 
 def test_experiment_worker_count_does_not_change_content(tmp_path):

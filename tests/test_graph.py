@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from pairsphere import _kernel, graph
+from pairsphere import graph
 from pairsphere.cli import main
 from pairsphere.graph import (
     Graph,
@@ -246,27 +246,12 @@ def test_walk_peak_memory_bounded_by_result(t):
     assert peak <= 5 * (w.pair_ids.nbytes + w.values.nbytes)
 
 
-# -- the upper-triangle product, on both paths ----------------------------------------
-
-
-@pytest.fixture
-def product_paths(monkeypatch):
-    """Iterates over the paths of graph._upper_pairs, selecting each in turn:
-    the compiled library where it loaded, then scipy (by replacing the loaded
-    library's handle, which is no user option)."""
-
-    def each():
-        if _kernel._compiled() is not None:
-            yield "c"
-        monkeypatch.setattr(_kernel, "_loaded", (None, "scipy, selected by a test"))
-        yield "scipy"
-
-    return each
+# -- the upper-triangle product -------------------------------------------------------
 
 
 def _scipy_upper(A, B, n, scale):
     """The whole product, its strict upper triangle and sorted rows: the
-    scipy expression both paths must reproduce byte for byte."""
+    scipy expression graph._upper_pairs must reproduce byte for byte."""
     U = sp.triu(A @ B, k=1, format="csr")
     U.sort_indices()
     return pair_id(np.repeat(np.arange(n), np.diff(U.indptr)), U.indices, n), U.data * scale
@@ -314,23 +299,22 @@ def _parity_graphs():
 
 
 @pytest.mark.parametrize("name", list(_parity_graphs()))
-def test_upper_product_is_the_bytes_of_the_scipy_expression(name, product_paths):
+def test_upper_product_is_the_bytes_of_the_scipy_expression(name):
     """Walk vectors (t = 1..6, isolated nodes at zero mass) and the Jaccard
     vector carry the pair ids and value bytes of the whole scipy product's
-    upper triangle, on the compiled path and on the scipy one."""
+    upper triangle."""
     G = _parity_graphs()[name]
-    for path in product_paths():
-        ids, vals = _scipy_jaccard(G)
-        q = jaccard_vector(G)
-        assert q.pair_ids.tobytes() == ids.tobytes() and q.values.tobytes() == vals.tobytes(), (path, "jaccard")
-        for t in range(1, 7):
-            if G.m == 0:
-                with pytest.raises(ValueError, match="no edges"):
-                    walk_distribution(G, t, isolated="zero")
-                continue
-            ids, vals = _scipy_walk(G, t)
-            w = walk_distribution(G, t, isolated="zero")
-            assert w.pair_ids.tobytes() == ids.tobytes() and w.values.tobytes() == vals.tobytes(), (path, t)
+    ids, vals = _scipy_jaccard(G)
+    q = jaccard_vector(G)
+    assert q.pair_ids.tobytes() == ids.tobytes() and q.values.tobytes() == vals.tobytes()
+    for t in range(1, 7):
+        if G.m == 0:
+            with pytest.raises(ValueError, match="no edges"):
+                walk_distribution(G, t, isolated="zero")
+            continue
+        ids, vals = _scipy_walk(G, t)
+        w = walk_distribution(G, t, isolated="zero")
+        assert w.pair_ids.tobytes() == ids.tobytes() and w.values.tobytes() == vals.tobytes(), t
 
 
 def test_parity_graphs_cover_isolated_nodes_and_dense_rows():
@@ -340,26 +324,24 @@ def test_parity_graphs_cover_isolated_nodes_and_dense_rows():
     assert mixed.degrees.max() > 100 and (mixed.degrees <= 3).sum() > 150
 
 
-def test_upper_product_rejects_factors_of_another_size(product_paths):
-    for path in product_paths():
-        with pytest.raises(ValueError):
-            graph._upper_pairs(sp.identity(3, format="csr"), sp.identity(4, format="csr"), 3)
+def test_upper_product_rejects_factors_of_another_size():
+    with pytest.raises(ValueError):
+        graph._upper_pairs(sp.identity(3, format="csr"), sp.identity(4, format="csr"), 3)
 
 
 @pytest.mark.parametrize("t", [2, 3])
-def test_walk_support_over_the_budget_raises(t, product_paths, monkeypatch):
+def test_walk_support_over_the_budget_raises(t, monkeypatch):
     """A walk whose support passes MAX_WALK_PAIRS raises ValueError naming the
-    support, the budget and t, on both paths; at the budget it is built."""
+    support, the budget and t; at the budget it is built."""
     G = generate(GeneratorSpec("ppm", n=120, k=6), 2)[0]
     support = walk_distribution(G, t).pair_ids.size
-    for path in product_paths():
-        monkeypatch.setattr(graph, "MAX_WALK_PAIRS", support)
-        assert walk_distribution(G, t).pair_ids.size == support
-        monkeypatch.setattr(graph, "MAX_WALK_PAIRS", support - 1)
-        message = f"t={t} walk reaches {support:,} pairs, over the budget of {support - 1:,}"
-        with pytest.raises(ValueError, match=message):
-            walk_distribution(G, t)
-        assert jaccard_vector(G).pair_ids.size > 0  # the budget is the walk's
+    monkeypatch.setattr(graph, "MAX_WALK_PAIRS", support)
+    assert walk_distribution(G, t).pair_ids.size == support
+    monkeypatch.setattr(graph, "MAX_WALK_PAIRS", support - 1)
+    message = f"t={t} walk reaches {support:,} pairs, over the budget of {support - 1:,}"
+    with pytest.raises(ValueError, match=message):
+        walk_distribution(G, t)
+    assert jaccard_vector(G).pair_ids.size > 0  # the budget is the walk's
 
 
 def test_detect_past_the_walk_budget_exits_1(tmp_path, monkeypatch, capsys):

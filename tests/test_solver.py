@@ -4,6 +4,7 @@ import math
 import re
 import shutil
 import subprocess
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from pairsphere import _kernel, solver
 from pairsphere.clustering import Partition, evaluate, query_alignment
 from pairsphere.generators import GeneratorSpec, generate
 from pairsphere.geometry import LowRankTerm, PairVector
-from pairsphere.graph import Graph
+from pairsphere.graph import Graph, jaccard_vector, walk_distribution
 from pairsphere.queries import QuerySpec, build_query, er_modularity_query
 from pairsphere.solver import (
     SolverState,
@@ -31,7 +32,9 @@ from pairsphere.solver import (
 )
 from pairsphere.tune import detect_once
 
-from helpers import all_partitions, apply_move, dense_of, random_membership, random_sl_vector, reference_sweep
+from helpers import (
+    all_partitions, apply_move, build_csr, dense_of, random_membership, random_sl_vector, reference_sweep
+)
 
 
 def _random_query(rng, n, density=0.35):
@@ -184,88 +187,67 @@ def test_node_gain_vector_keeps_the_bits_of_the_matmul_form(K):
             _sweep(state, rng.permutation(n), 0.0)
 
 
-@pytest.fixture
-def sweep_kernels(monkeypatch):
-    """Iterates over the sweep kernels, selecting each in turn: the compiled
-    one where it loaded, then the numpy one (by replacing the module's kernel
-    handle, which is no user option)."""
-
-    def each():
-        if solver.SWEEP_KERNEL == "c":
-            yield "c"
-        monkeypatch.setattr(_kernel, "_loaded", (None, "the numpy sweep, selected by a test"))
-        assert solver.SWEEP_KERNEL == "numpy"
-        yield "numpy"
-
-    return each
-
-
 @pytest.mark.parametrize("tracking", [False, True], ids=["full", "tracking"])
 @pytest.mark.parametrize("kind", QUERY_KINDS)
-def test_sweep_matches_the_per_visit_reference(kind, tracking, sweep_kernels):
-    """_sweep on each kernel against helpers.reference_sweep, sweep after
-    sweep: the same moves, membership, slot table, objective, counters and
-    marks, bit for bit, with the empty slot going live along the way; every
-    sweep leaves compact labels. The sign-rule queries take the compiled
-    sweep's narrow visits; the numpy sweep makes none."""
-    for kernel in sweep_kernels():
-        rng = np.random.default_rng(70 + 2 * list(QUERY_KINDS).index(kind) + tracking)
-        grew = skipped = narrow = 0
-        for trial in range(8):
-            n = int(rng.integers(5, 40))
-            q = random_sl_vector(rng, n, **{"sparse_density": 0.3, **QUERY_KINDS[kind]})
-            start = random_membership(rng, n, k_max=4) if trial % 2 else np.arange(n)
-            inst, eps = _Instance.from_pair_vector(q), 1e-12 * q.norm() * math.sqrt(q.N)
-            new, ref = (SolverState(inst, start, query_alignment(q, Partition(start))) for _ in range(2))
-            if tracking:
-                marks = rng.random(n) < 0.5
-                for state in (new, ref):
-                    state.tracking = True
-                    state.dirty_view[:] = marks
-            for _ in range(30):
-                live = new.U.shape[1] - 1
-                order = rng.permutation(n)
-                moves = _sweep(new, order, eps)
-                assert reference_sweep(ref, order, eps) == moves
-                assert new.membership.dtype == ref.membership.dtype
-                assert new.membership.tobytes() == ref.membership.tobytes()
-                assert new.U.shape == ref.U.shape and new.U.tobytes() == ref.U.tobytes()
-                assert new.objective == ref.objective
-                assert (new.visits, new.skipped, new.dirty) == (ref.visits, ref.skipped, ref.dirty)
-                _assert_compact(new)
-                grew += new.U.shape[1] - 1 > live
-                if moves == 0:
-                    break
-            skipped += new.skipped
-            narrow += new.narrow
-        assert grew > 0
-        assert (skipped > 0) == tracking
-        if kernel == "numpy":
-            assert narrow == 0
-        elif kind == "sign-rule":
-            assert narrow > 0
+def test_sweep_matches_the_per_visit_reference(kind, tracking):
+    """_sweep against helpers.reference_sweep, sweep after sweep: the same
+    moves, membership, slot table, objective, counters and marks, bit for
+    bit, with the empty slot going live along the way; every sweep leaves
+    compact labels. The sign-rule queries take the narrow visits."""
+    rng = np.random.default_rng(70 + 2 * list(QUERY_KINDS).index(kind) + tracking)
+    grew = skipped = narrow = 0
+    for trial in range(8):
+        n = int(rng.integers(5, 40))
+        q = random_sl_vector(rng, n, **{"sparse_density": 0.3, **QUERY_KINDS[kind]})
+        start = random_membership(rng, n, k_max=4) if trial % 2 else np.arange(n)
+        inst, eps = _Instance.from_pair_vector(q), 1e-12 * q.norm() * math.sqrt(q.N)
+        new, ref = (SolverState(inst, start, query_alignment(q, Partition(start))) for _ in range(2))
+        if tracking:
+            marks = rng.random(n) < 0.5
+            for state in (new, ref):
+                state.tracking = True
+                state.dirty_view[:] = marks
+        for _ in range(30):
+            live = new.U.shape[1] - 1
+            order = rng.permutation(n)
+            moves = _sweep(new, order, eps)
+            assert reference_sweep(ref, order, eps) == moves
+            assert new.membership.dtype == ref.membership.dtype
+            assert new.membership.tobytes() == ref.membership.tobytes()
+            assert new.U.shape == ref.U.shape and new.U.tobytes() == ref.U.tobytes()
+            assert new.objective == ref.objective
+            assert (new.visits, new.skipped, new.dirty) == (ref.visits, ref.skipped, ref.dirty)
+            _assert_compact(new)
+            grew += new.U.shape[1] - 1 > live
+            if moves == 0:
+                break
+        skipped += new.skipped
+        narrow += new.narrow
+    assert grew > 0
+    assert (skipped > 0) == tracking
+    if kind == "sign-rule":
+        assert narrow > 0
 
 
-def test_sweep_ties_go_to_the_lowest_slot(sweep_kernels):
+def test_sweep_ties_go_to_the_lowest_slot():
     """With weights of +-1 and no rank-one part, gains tie exactly, between
-    slots that hold a row neighbour of the node and slots that do not; each
-    kernel breaks every tie to the lowest slot, as numpy's argmax does."""
-    for kernel in sweep_kernels():
-        rng = np.random.default_rng(90)
-        for trial in range(20):
-            n = int(rng.integers(5, 30))
-            pairs = {(i, j): rng.choice([-1.0, 1.0]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4}
-            q = PairVector.from_pairs(n, pairs)
-            start = random_membership(rng, n, k_max=4)
-            inst = _Instance.from_pair_vector(q)
-            new, ref = (SolverState(inst, start, query_alignment(q, Partition(start))) for _ in range(2))
-            for _ in range(10):
-                order = rng.permutation(n)
-                moves = _sweep(new, order, 0.0)
-                assert reference_sweep(ref, order, 0.0) == moves
-                assert new.membership.tobytes() == ref.membership.tobytes() and new.objective == ref.objective
-                if moves == 0:
-                    break
+    slots that hold a row neighbour of the node and slots that do not; the
+    sweep breaks every tie to the lowest slot, as numpy's argmax does."""
+    rng = np.random.default_rng(90)
+    for trial in range(20):
+        n = int(rng.integers(5, 30))
+        pairs = {(i, j): rng.choice([-1.0, 1.0]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4}
+        q = PairVector.from_pairs(n, pairs)
+        start = random_membership(rng, n, k_max=4)
+        inst = _Instance.from_pair_vector(q)
+        new, ref = (SolverState(inst, start, query_alignment(q, Partition(start))) for _ in range(2))
+        for _ in range(10):
+            order = rng.permutation(n)
+            moves = _sweep(new, order, 0.0)
+            assert reference_sweep(ref, order, 0.0) == moves
+            assert new.membership.tobytes() == ref.membership.tobytes() and new.objective == ref.objective
+            if moves == 0:
+                break
 
 
 @pytest.mark.parametrize("slot", [0, -1])
@@ -435,9 +417,9 @@ PINNED_PARTITIONS = [
 ]
 
 
-def test_partitions_pinned(sweep_kernels, monkeypatch):
-    """The pins hold on each kernel; the compiled sweep makes narrow visits on
-    the queries under the narrow rule, the numpy sweep none."""
+def test_partitions_pinned(monkeypatch):
+    """The pins hold, and the sweep makes narrow visits on the queries under
+    the narrow rule only."""
     sweep, narrow = solver._sweep, []
 
     def counting(state, order, eps):
@@ -447,15 +429,14 @@ def test_partitions_pinned(sweep_kernels, monkeypatch):
         return moves
 
     monkeypatch.setattr(solver, "_sweep", counting)
-    for kernel in sweep_kernels():
-        for gen, spec, sha in PINNED_PARTITIONS:
-            G, T = generate(gen, 1)
-            narrow.clear()
-            C, _ = detect_once(G, spec, T, seed=3)
-            got = hashlib.sha1(C.membership.astype("<i8").tobytes()).hexdigest()
-            assert got == sha, (kernel, gen.family, spec.label)
-            rule = _Instance.from_pair_vector(build_query(G, spec, T)).narrow_rule
-            assert (sum(narrow) > 0) == (rule and kernel == "c"), (kernel, gen.family, spec.label)
+    for gen, spec, sha in PINNED_PARTITIONS:
+        G, T = generate(gen, 1)
+        narrow.clear()
+        C, _ = detect_once(G, spec, T, seed=3)
+        got = hashlib.sha1(C.membership.astype("<i8").tobytes()).hexdigest()
+        assert got == sha, (gen.family, spec.label)
+        rule = _Instance.from_pair_vector(build_query(G, spec, T)).narrow_rule
+        assert (sum(narrow) > 0) == rule, (gen.family, spec.label)
 
 
 # -- dirty-set sweeps --------------------------------------------------------------
@@ -540,28 +521,9 @@ def test_dirty_set_solves_are_locally_optimal():
         assert max_single_move_gain(q, C) <= 1e-12 * q.norm() * math.sqrt(q.N)
 
 
-def test_debug_checks_catch_a_dropped_mark(monkeypatch):
-    """Without the marks for nodes with a row neighbour in the slot the mover
-    left, some skipped visit would have moved. The marks are replaced in the
-    numpy sweep's _mark_dirty, so this runs on the numpy kernel."""
-    monkeypatch.setattr(_kernel, "_loaded", (None, "the numpy sweep, selected by a test"))
-    q = _seeded_sign_rule_query(22)
-    louvain_project(q, seed=22, debug_checks=True)
-
-    def without_b_neighbours(state, j, c):
-        state.dirty_view[state.inst.rows[j][0]] = 1
-        state.dirty_view[state.membership == c] = 1
-
-    monkeypatch.setattr(solver, "_mark_dirty", without_b_neighbours)
-    with pytest.raises(AssertionError, match="would move"):
-        louvain_project(q, seed=22, debug_checks=True)
-
-
 def test_compiled_sweep_checks_its_skips(monkeypatch):
     """With every mark cleared while a node can still move, the compiled
     sweep's check_skips finds the skipped visit that would move."""
-    if solver.SWEEP_KERNEL != "c":
-        pytest.skip(f"no compiled sweep: {solver.SWEEP_KERNEL_REASON}")
     q = _seeded_sign_rule_query(22)
     louvain_project(q, seed=22, debug_checks=True)
     local_moves = solver._local_moves
@@ -577,8 +539,6 @@ def test_compiled_sweep_checks_its_skips(monkeypatch):
 
 
 def test_compiled_sweep_rejects_an_order_outside_the_nodes():
-    if solver.SWEEP_KERNEL != "c":
-        pytest.skip(f"no compiled sweep: {solver.SWEEP_KERNEL_REASON}")
     q = _seeded_sign_rule_query(5)
     state = SolverState(_Instance.from_pair_vector(q), np.arange(q.n), -q.total())
     for bad in (q.n, -1):
@@ -587,10 +547,6 @@ def test_compiled_sweep_rejects_an_order_outside_the_nodes():
 
 
 # -- narrow visits ------------------------------------------------------------------
-
-needs_kernel = pytest.mark.skipif(
-    solver.SWEEP_KERNEL != "c", reason=f"no compiled sweep: {solver.SWEEP_KERNEL_REASON}"
-)
 
 
 def test_narrow_rule_needs_a_negative_counting_last_term():
@@ -614,12 +570,11 @@ def test_narrow_rule_needs_a_negative_counting_last_term():
     assert not rule(PairVector.constant_vector(4, 0.0))
 
 
-@needs_kernel
-def test_most_fine_visits_are_narrow_under_a_negative_constant(monkeypatch):
+def test_most_fine_visits_are_narrow_under_a_negative_constant():
     """On a PPM n=2000 exact-corrected cl-modularity query most fine visits
     take the narrow scan; with the constant made positive (no sign rule) or
     on a walk query without a constant (its last factor, d / 2m, counts
-    nothing) none do, nor on the numpy sweep, whose partition is the same."""
+    nothing) none do."""
     G, T = generate(GeneratorSpec("ppm", n=2000, k=100), 1)
     q = build_query(G, QuerySpec("cl-modularity", heuristic="exact"), T)
     assert q.constant < 0.0
@@ -628,74 +583,68 @@ def test_most_fine_visits_are_narrow_under_a_negative_constant(monkeypatch):
     positive = PairVector(q.n, q.pair_ids, q.values, q.terms, -q.constant)
     for other in (positive, build_query(G, QuerySpec("markov", t=2), T)):
         assert _fine_level_counts(other, 3)[2] == 0
-    C = louvain_project(q, seed=3)
-    monkeypatch.setattr(_kernel, "_loaded", (None, "the numpy sweep, selected by a test"))
-    assert _fine_level_counts(q, 3)[2] == 0
-    assert louvain_project(q, seed=3) == C
 
 
-def test_an_isolated_node_without_a_constant_keeps_the_full_scan(sweep_kernels):
+def test_an_isolated_node_without_a_constant_keeps_the_full_scan():
     """A degree term and no constant, with node 0 isolated: its degree factor
     is 0, so every slot gives it W = 0, and node 0's slot gives every node
     W = 0, tying live slots with the empty one. The degree term counts no
-    member there, so the narrow rule fails, no visit is narrow, and each
-    kernel matches helpers.reference_sweep bit for bit."""
-    for kernel in sweep_kernels():
-        rng = np.random.default_rng(96)
-        for trial in range(6):
-            n = int(rng.integers(30, 60))
-            edges = [(i, j) for i in range(1, n) for j in range(i + 1, n) if rng.random() < 0.1]
-            deg = np.bincount(np.array(edges).ravel(), minlength=n).astype(np.float64)
-            q = PairVector.from_pairs(n, dict.fromkeys(edges, 1.0), (LowRankTerm(-1.0 / deg.sum(), deg),))
-            inst = _Instance.from_pair_vector(q)
-            assert inst.sign_rule and not inst.narrow_rule
-            start = random_membership(rng, n, k_max=n // 2) if trial % 2 else np.arange(n)
-            new, ref = (SolverState(inst, start, query_alignment(q, Partition(start))) for _ in range(2))
-            for _ in range(30):
-                order = rng.permutation(n)
-                moves = _sweep(new, order, 0.0)
-                assert reference_sweep(ref, order, 0.0) == moves
-                assert new.membership.tobytes() == ref.membership.tobytes()
-                assert new.U.tobytes() == ref.U.tobytes() and new.objective == ref.objective
-                if moves == 0:
-                    break
-            assert new.narrow == 0
+    member there, so the narrow rule fails, no visit is narrow, and the
+    sweep matches helpers.reference_sweep bit for bit."""
+    rng = np.random.default_rng(96)
+    for trial in range(6):
+        n = int(rng.integers(30, 60))
+        edges = [(i, j) for i in range(1, n) for j in range(i + 1, n) if rng.random() < 0.1]
+        deg = np.bincount(np.array(edges).ravel(), minlength=n).astype(np.float64)
+        q = PairVector.from_pairs(n, dict.fromkeys(edges, 1.0), (LowRankTerm(-1.0 / deg.sum(), deg),))
+        inst = _Instance.from_pair_vector(q)
+        assert inst.sign_rule and not inst.narrow_rule
+        start = random_membership(rng, n, k_max=n // 2) if trial % 2 else np.arange(n)
+        new, ref = (SolverState(inst, start, query_alignment(q, Partition(start))) for _ in range(2))
+        for _ in range(30):
+            order = rng.permutation(n)
+            moves = _sweep(new, order, 0.0)
+            assert reference_sweep(ref, order, 0.0) == moves
+            assert new.membership.tobytes() == ref.membership.tobytes()
+            assert new.U.tobytes() == ref.U.tobytes() and new.objective == ref.objective
+            if moves == 0:
+                break
+        assert new.narrow == 0
 
 
-def test_narrow_visits_break_ties_to_the_lowest_slot(sweep_kernels):
+def test_narrow_visits_break_ties_to_the_lowest_slot():
     """Weights of +-1 and a constant of -0.5: every gain is a multiple of 0.5,
     so candidates tie exactly. Node 0's row lists node 1 (slot 22) before
     node 2 (slot 21), both worth 0.5: it joins slot 21. Random sparse queries
     of the same kind match helpers.reference_sweep bit for bit."""
-    for kernel in sweep_kernels():
-        n = 24
-        q = PairVector.from_pairs(n, {(0, 1): 1.0, (0, 2): 1.0}, (), -0.5)
-        start = np.arange(n)[::-1]
-        state = SolverState(_Instance.from_pair_vector(q), start, query_alignment(q, Partition(start)))
-        assert _sweep(state, np.array([0]), 0.0) == 1
-        assert state.membership[0] == state.membership[2] != state.membership[1]
-        assert state.narrow == (kernel == "c")
-        rng = np.random.default_rng(91)
-        narrow = 0
-        for trial in range(20):
-            n = int(rng.integers(20, 60))
-            pairs = {(i, j): rng.choice([-1.0, 1.0]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.08}
-            q = PairVector.from_pairs(n, pairs, (), -0.5)
-            start = random_membership(rng, n) if trial % 2 else np.arange(n)
-            inst = _Instance.from_pair_vector(q)
-            new, ref = (SolverState(inst, start, query_alignment(q, Partition(start))) for _ in range(2))
-            for _ in range(10):
-                order = rng.permutation(n)
-                moves = _sweep(new, order, 0.0)
-                assert reference_sweep(ref, order, 0.0) == moves
-                assert new.membership.tobytes() == ref.membership.tobytes() and new.objective == ref.objective
-                if moves == 0:
-                    break
-            narrow += new.narrow
-        assert (narrow > 0) == (kernel == "c")
+    n = 24
+    q = PairVector.from_pairs(n, {(0, 1): 1.0, (0, 2): 1.0}, (), -0.5)
+    start = np.arange(n)[::-1]
+    state = SolverState(_Instance.from_pair_vector(q), start, query_alignment(q, Partition(start)))
+    assert _sweep(state, np.array([0]), 0.0) == 1
+    assert state.membership[0] == state.membership[2] != state.membership[1]
+    assert state.narrow == 1
+    rng = np.random.default_rng(91)
+    narrow = 0
+    for trial in range(20):
+        n = int(rng.integers(20, 60))
+        pairs = {(i, j): rng.choice([-1.0, 1.0]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.08}
+        q = PairVector.from_pairs(n, pairs, (), -0.5)
+        start = random_membership(rng, n) if trial % 2 else np.arange(n)
+        inst = _Instance.from_pair_vector(q)
+        new, ref = (SolverState(inst, start, query_alignment(q, Partition(start))) for _ in range(2))
+        for _ in range(10):
+            order = rng.permutation(n)
+            moves = _sweep(new, order, 0.0)
+            assert reference_sweep(ref, order, 0.0) == moves
+            assert new.membership.tobytes() == ref.membership.tobytes() and new.objective == ref.objective
+            if moves == 0:
+                break
+        narrow += new.narrow
+    assert narrow > 0
 
 
-def test_a_slot_sum_below_zero_keeps_the_full_scan(sweep_kernels):
+def test_a_slot_sum_below_zero_keeps_the_full_scan():
     """Round-off can leave a live slot's sum of factors >= 0 below zero. Slot
     0 holds nodes 1, 2 and 3 (factors 1, 2^-60 and 0, summed to 1); once 1
     and 2 leave, before the sweep or in it, its sum is -2^-60. Times node 0's
@@ -710,22 +659,20 @@ def test_a_slot_sum_below_zero_keeps_the_full_scan(sweep_kernels):
     start = np.array([1, 0, 0, 0] + list(range(2, n - 2)))
     inst = _Instance.from_pair_vector(q)
     assert inst.narrow_rule
-    for kernel in sweep_kernels():
-        for order in ([0], [1, 2, 0]):
-            new, ref = (SolverState(inst, start, query_alignment(q, Partition(start))) for _ in range(2))
-            if order == [0]:
-                for state in (new, ref):
-                    for i in (1, 2):
-                        apply_move(state, i, state.U.shape[1] - 1, move_gain(state, i, state.U.shape[1] - 1))
-                assert new.U[0, 0] == -(2.0**-60)
-            moves = _sweep(new, np.array(order), 0.0)
-            assert reference_sweep(ref, np.array(order), 0.0) == moves == len(order)
-            assert new.membership.tobytes() == ref.membership.tobytes() and new.objective == ref.objective
-            assert new.membership[0] == new.membership[3]
-            assert new.narrow == (kernel == "c") * (len(order) - 1)  # nodes 1 and 2: narrow visits
+    for order in ([0], [1, 2, 0]):
+        new, ref = (SolverState(inst, start, query_alignment(q, Partition(start))) for _ in range(2))
+        if order == [0]:
+            for state in (new, ref):
+                for i in (1, 2):
+                    apply_move(state, i, state.U.shape[1] - 1, move_gain(state, i, state.U.shape[1] - 1))
+            assert new.U[0, 0] == -(2.0**-60)
+        moves = _sweep(new, np.array(order), 0.0)
+        assert reference_sweep(ref, np.array(order), 0.0) == moves == len(order)
+        assert new.membership.tobytes() == ref.membership.tobytes() and new.objective == ref.objective
+        assert new.membership[0] == new.membership[3]
+        assert new.narrow == len(order) - 1  # nodes 1 and 2: narrow visits
 
 
-@needs_kernel
 def test_debug_checks_catch_a_narrow_visit_that_misses_a_slot(monkeypatch):
     """With slot 0's constant sum (its member count) set to -1e6 on the
     fine level, slot 0 holds the largest W for every node, and a narrow
@@ -776,20 +723,30 @@ def test_a_second_load_reuses_the_library(kernel_cache, monkeypatch):
     assert kernel is not None and reason == ""
 
 
-def test_without_a_compiler_the_numpy_sweep_gives_the_same_partitions(kernel_cache, monkeypatch):
-    G, T = _ppm200()
-    specs = [QuerySpec("cl-modularity", heuristic="exact"), QuerySpec("linear", c_j=0.0, c_d=-6.0, heuristic="exact")]
-    default = [detect_once(G, spec, T, seed=3)[0] for spec in specs]  # on the kernel this process loaded
+def test_without_a_compiler_solves_and_products_raise_the_reason(kernel_cache, monkeypatch):
+    """The library is required: with no compiler, the solver, the walk and
+    the Jaccard vector raise OSError naming the reason. The failed load is
+    kept, so the next call does not try again."""
     monkeypatch.setattr(shutil, "which", lambda *args, **kwargs: None)
-    loaded = _kernel._load_kernel()
-    assert loaded == (None, "no C compiler (cc) on PATH")
-    monkeypatch.setattr(_kernel, "_loaded", loaded)
-    assert (solver.SWEEP_KERNEL, solver.SWEEP_KERNEL_REASON) == ("numpy", loaded[1])
-    assert [detect_once(G, spec, T, seed=3)[0] for spec in specs] == default
+    monkeypatch.setattr(_kernel, "_loaded", None)
+    G = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    message = "the compiled library did not load: no C compiler \\(cc\\) on PATH"
+    with pytest.raises(OSError, match=message):
+        louvain_project(PairVector.constant_vector(4, -1.0))
+    assert _kernel._loaded == (None, "no C compiler (cc) on PATH")
+
+    def load_again():
+        raise AssertionError("the load ran again")
+
+    monkeypatch.setattr(_kernel, "_load_kernel", load_again)
+    q = er_modularity_query(G, 1.0)
+    for call in (lambda: louvain_project(q), lambda: walk_distribution(G, 2), lambda: jaccard_vector(G)):
+        with pytest.raises(OSError, match=message):
+            call()
 
 
 @needs_cc
-def test_a_cache_that_cannot_be_written_falls_back_to_numpy(tmp_path, monkeypatch):
+def test_a_cache_that_cannot_be_written_gives_the_reason(tmp_path, monkeypatch):
     blocker = tmp_path / "a-file"
     blocker.write_text("")
     monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
@@ -938,13 +895,6 @@ AGGREGATE_CASES = ["random", "shared-pairs", "no-sparse-part", "near-singletons"
 AGGREGATE_PATHS = {"random": {True, False}, "shared-pairs": {True}, "no-sparse-part": {True, False}, "near-singletons": {False}}
 
 
-INSTANCE_ARRAYS = ("indptr", "nbr", "wts", "coefs", "factors")
-
-
-def _instance_bytes(inst):
-    return [(inst.n, name, getattr(inst, name).dtype.str, getattr(inst, name).tobytes()) for name in INSTANCE_ARRAYS]
-
-
 def _upper_pairs(inst):
     """A level's pairs (i, j, value), i < j: its rows' upper entries, in row
     order, read in plain Python."""
@@ -967,95 +917,97 @@ def _coarse_pair_reference(inst, memb):
 
 
 def _rows_of(n, pairs):
-    """_build_csr's rows of a list of (i, j, value) pairs, i < j."""
+    """The bytes of helpers.build_csr's rows of a list of (i, j, value)
+    pairs, i < j."""
     pi, pj, pv = (np.array([pair[x] for pair in pairs], dtype=t) for x, t in enumerate((np.int64, np.int64, float)))
-    return solver._build_csr(n, pi, pj, pv)
+    return tuple(a.tobytes() for a in build_csr(n, pi, pj, pv))
+
+
+def _row_bytes(inst):
+    return tuple(a.tobytes() for a in (inst.indptr, inst.nbr, inst.wts))
+
+
+def _assert_coarse_bytes(inst, memb, coarse):
+    """The coarse level's pairs are those of the rule, and its rows carry the
+    bytes helpers.build_csr makes of them."""
+    want = _coarse_pair_reference(inst, memb)
+    assert _upper_pairs(coarse) == want
+    assert _row_bytes(coarse) == _rows_of(coarse.n, want)
 
 
 @pytest.mark.parametrize("case", AGGREGATE_CASES)
-def test_aggregate_matches_dense_block_sums(case, sweep_kernels):
+def test_aggregate_matches_dense_block_sums(case):
     """Every coarse pair (a, b), a != b, holds the sum of the fine entries
     between supernodes a and b; the coarse rows hold no self entry, and
     their upper entries are the fine rows' upper entries summed by the one
-    rule. Both kernels give the same bytes, at the fine level and the coarse
-    one."""
-    levels = {}
-    for kernel in sweep_kernels():
-        rng = np.random.default_rng(AGGREGATE_CASES.index(case))
-        paths, levels[kernel] = set(), []
-        for _ in range(15):
-            n = int(rng.integers(6 if case == "near-singletons" else 2, 13))
-            density = {"shared-pairs": 1.0, "no-sparse-part": 0.0}.get(case, 0.4)
-            q = random_sl_vector(rng, n, sparse_density=density)
-            if case == "shared-pairs":  # at most 3 supernodes: many fine pairs per coarse pair
-                memb = rng.integers(0, 3, size=n)
-            elif case == "near-singletons":  # one merged pair: too many supernodes for a block
-                memb = np.minimum(np.arange(n), n - 2)
-            else:
-                memb = random_membership(rng, n)
-            memb = np.unique(memb, return_inverse=True)[1]  # compact labels, as every sweep leaves them
-            inst = _Instance.from_pair_vector(q)
-            coarse = _aggregate(inst, memb)
-            levels[kernel].append((_instance_bytes(inst), _instance_bytes(coarse)))
-            k = coarse.n
-            paths.add(k * (k - 1) <= inst.nbr.size)
-            fine = np.zeros((n, n))
-            iu, ju = np.triu_indices(n, k=1)
-            fine[iu, ju] = dense_of(q)
-            fine += fine.T
-            H = np.zeros((n, k))
-            H[np.arange(n), memb] = 1.0
-            ref = H.T @ fine @ H
-            got = np.einsum("t,ta,tb->ab", coarse.coefs, coarse.factors, coarse.factors)
-            for a in range(k):
-                lo, hi = coarse.indptr[a], coarse.indptr[a + 1]
-                assert not np.any(coarse.nbr[lo:hi] == a)
-                np.add.at(got[a], coarse.nbr[lo:hi], coarse.wts[lo:hi])
-            off = ~np.eye(k, dtype=bool)
-            np.testing.assert_allclose(got[off], ref[off], rtol=0, atol=1e-12)
-            assert _upper_pairs(coarse) == _coarse_pair_reference(inst, memb)
-            if case == "no-sparse-part":
-                assert coarse.nbr.size == 0
-        assert paths == AGGREGATE_PATHS[case]
-    assert all(got == levels["numpy"] for got in levels.values())
+    rule, with the bytes of the rule's rows."""
+    rng = np.random.default_rng(AGGREGATE_CASES.index(case))
+    paths = set()
+    for _ in range(15):
+        n = int(rng.integers(6 if case == "near-singletons" else 2, 13))
+        density = {"shared-pairs": 1.0, "no-sparse-part": 0.0}.get(case, 0.4)
+        q = random_sl_vector(rng, n, sparse_density=density)
+        if case == "shared-pairs":  # at most 3 supernodes: many fine pairs per coarse pair
+            memb = rng.integers(0, 3, size=n)
+        elif case == "near-singletons":  # one merged pair: too many supernodes for a block
+            memb = np.minimum(np.arange(n), n - 2)
+        else:
+            memb = random_membership(rng, n)
+        memb = np.unique(memb, return_inverse=True)[1]  # compact labels, as every sweep leaves them
+        inst = _Instance.from_pair_vector(q)
+        coarse = _aggregate(inst, memb)
+        k = coarse.n
+        paths.add(k * (k - 1) <= inst.nbr.size)
+        fine = np.zeros((n, n))
+        iu, ju = np.triu_indices(n, k=1)
+        fine[iu, ju] = dense_of(q)
+        fine += fine.T
+        H = np.zeros((n, k))
+        H[np.arange(n), memb] = 1.0
+        ref = H.T @ fine @ H
+        got = np.einsum("t,ta,tb->ab", coarse.coefs, coarse.factors, coarse.factors)
+        for a in range(k):
+            lo, hi = coarse.indptr[a], coarse.indptr[a + 1]
+            assert not np.any(coarse.nbr[lo:hi] == a)
+            np.add.at(got[a], coarse.nbr[lo:hi], coarse.wts[lo:hi])
+        off = ~np.eye(k, dtype=bool)
+        np.testing.assert_allclose(got[off], ref[off], rtol=0, atol=1e-12)
+        _assert_coarse_bytes(inst, memb, coarse)
+        if case == "no-sparse-part":
+            assert coarse.nbr.size == 0
+    assert paths == AGGREGATE_PATHS[case]
 
 
-def test_rows_are_the_bytes_of_build_csr(sweep_kernels):
-    """_rows on each kernel gives _build_csr's bytes on random sorted pair
-    lists, from empty to complete, n = 1 included."""
-    for kernel in sweep_kernels():
-        rng = np.random.default_rng(40)
-        for _ in range(40):
-            n = int(rng.integers(1, 60))
-            iu, ju = np.triu_indices(n, k=1)
-            keep = rng.random(iu.size) < rng.choice([0.0, 0.05, 0.3, 1.0])
-            pi, pj, pv = iu[keep].astype(np.int64), ju[keep].astype(np.int64), rng.normal(size=int(keep.sum()))
-            for got, want in zip(solver._rows(n, pi, pj, pv), solver._build_csr(n, pi, pj, pv)):
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), kernel
+def test_rows_are_the_bytes_of_build_csr():
+    """_rows gives helpers.build_csr's bytes on random sorted pair lists, from
+    empty to complete, n = 1 included."""
+    rng = np.random.default_rng(40)
+    for _ in range(40):
+        n = int(rng.integers(1, 60))
+        iu, ju = np.triu_indices(n, k=1)
+        keep = rng.random(iu.size) < rng.choice([0.0, 0.05, 0.3, 1.0])
+        pi, pj, pv = iu[keep].astype(np.int64), ju[keep].astype(np.int64), rng.normal(size=int(keep.sum()))
+        for got, want in zip(solver._rows(n, pi, pj, pv), build_csr(n, pi, pj, pv)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("shape", ["block", "buckets"])
-def test_coarse_levels_are_the_same_bytes_on_both_kernels(shape, sweep_kernels):
+def test_coarse_levels_are_the_same_bytes_on_both_kernels(shape):
     """With k(k-1) on either side of the level's CSR entry count and many
-    fine pairs per coarse pair, each kernel sums the coarse pairs by the one
-    rule (the compiled one in one pass into a block, or by a counting sort by
-    label), and both give the same bytes."""
-    levels = {}
-    for kernel in sweep_kernels():
-        rng = np.random.default_rng(41)
-        levels[kernel] = []
-        for _ in range(10):
-            n = int(rng.integers(80, 200))
-            inst = _Instance.from_pair_vector(random_sl_vector(rng, n, sparse_density=0.1))
-            k_block = max(k for k in range(1, n + 1) if k * (k - 1) <= inst.nbr.size)
-            k = int(rng.integers(2, k_block + 1) if shape == "block" else rng.integers(k_block + 1, n + 1))
-            memb = np.empty(n, dtype=np.int64)
-            memb[rng.permutation(n)] = np.arange(n) % k  # k labels, each used
-            coarse = _aggregate(inst, memb)
-            assert coarse.n == k and (k * (k - 1) <= inst.nbr.size) == (shape == "block")
-            assert _upper_pairs(coarse) == _coarse_pair_reference(inst, memb)
-            levels[kernel].append(_instance_bytes(coarse))
-    assert all(got == levels["numpy"] for got in levels.values())
+    fine pairs per coarse pair, both of the aggregate's summing kernels (one
+    pass into a block, or a counting sort by label) give the bytes of the
+    one rule."""
+    rng = np.random.default_rng(41)
+    for _ in range(10):
+        n = int(rng.integers(80, 200))
+        inst = _Instance.from_pair_vector(random_sl_vector(rng, n, sparse_density=0.1))
+        k_block = max(k for k in range(1, n + 1) if k * (k - 1) <= inst.nbr.size)
+        k = int(rng.integers(2, k_block + 1) if shape == "block" else rng.integers(k_block + 1, n + 1))
+        memb = np.empty(n, dtype=np.int64)
+        memb[rng.permutation(n)] = np.arange(n) % k  # k labels, each used
+        coarse = _aggregate(inst, memb)
+        assert coarse.n == k and (k * (k - 1) <= inst.nbr.size) == (shape == "block")
+        _assert_coarse_bytes(inst, memb, coarse)
 
 
 COARSE_EDGE_CASES = {
@@ -1070,24 +1022,16 @@ COARSE_EDGE_CASES = {
 
 
 @pytest.mark.parametrize("case", COARSE_EDGE_CASES)
-def test_coarse_level_edge_cases(case, sweep_kernels):
+def test_coarse_level_edge_cases(case):
     """Sums that cancel to 0.0 are dropped, within one orientation or across
-    the two; one supernode, one node and no sparse pair give no coarse pair.
-    Both kernels give the same bytes."""
+    the two; one supernode, one node and no sparse pair give no coarse pair."""
     n, pairs, labels, want = COARSE_EDGE_CASES[case]
     q = PairVector.from_pairs(n, pairs, (LowRankTerm(-0.5, np.ones(n)),), -0.25)
-    levels = {}
-    for kernel in sweep_kernels():
-        inst = _Instance.from_pair_vector(q)
-        coarse = _aggregate(inst, np.array(labels))
-        assert coarse.n == max(labels) + 1 and _upper_pairs(coarse) == want
-        for got, rows in zip((coarse.indptr, coarse.nbr, coarse.wts), _rows_of(coarse.n, want)):
-            assert got.tobytes() == rows.tobytes()
-        levels[kernel] = (_instance_bytes(inst), _instance_bytes(coarse))
-    assert all(got == levels["numpy"] for got in levels.values())
+    coarse = _aggregate(_Instance.from_pair_vector(q), np.array(labels))
+    assert coarse.n == max(labels) + 1 and _upper_pairs(coarse) == want
+    assert _row_bytes(coarse) == _rows_of(coarse.n, want)
 
 
-@needs_kernel
 @pytest.mark.parametrize(
     "pi, pj",
     [([0, 0], [2, 1]), ([1, 0], [2, 2]), ([0, 0], [1, 1]), ([1], [1]), ([0], [3]), ([-1], [1])],
@@ -1099,7 +1043,6 @@ def test_compiled_rows_reject_a_list_out_of_order(pi, pj):
         solver._rows(3, pi, pj, np.ones(pi.size))
 
 
-@needs_kernel
 def test_compiled_aggregate_rejects_a_label_outside_the_supernodes():
     inst = _Instance.from_pair_vector(PairVector.from_pairs(3, {(0, 1): 1.0, (1, 2): 1.0}))
     with pytest.raises(ValueError, match="node 1 carries a label outside 0..1"):
@@ -1113,23 +1056,21 @@ def _compiled_coarse_rows(inst, labels, fill):
     m = inst.nbr.size // 2
     room = min(m, k * (k - 1) // 2)
     indptr = np.zeros(k + 1, dtype=np.int64)
-    words = (2 * room, 2 * room, 3 * room + 4 * m + 2 * k + 2)
+    words = (2 * room, 2 * room, 3 * room + (k * k if k * (k - 1) <= 2 * m else 4 * m + 2 * k + 2))
     nbr, wts, work = (np.full(8 * w, fill, dtype=np.uint8) for w in words)
-    fine = map(solver._address, (inst.indptr, inst.nbr, inst.wts, labels))
-    size = _kernel._compiled().aggregate(inst.n, *fine, k, *map(solver._address, (indptr, nbr, wts, work)))
+    fine = map(_kernel._address, (inst.indptr, inst.nbr, inst.wts, labels))
+    size = _kernel._compiled().aggregate(inst.n, *fine, k, *map(_kernel._address, (indptr, nbr, wts, work)))
     assert size >= 0
     return indptr.tobytes(), nbr[: 16 * size].tobytes(), wts[: 16 * size].tobytes()
 
 
-@needs_kernel
 @pytest.mark.parametrize("shape", ["block", "buckets"])
-def test_coarse_rows_do_not_depend_on_the_work_contents(shape, monkeypatch):
+def test_coarse_rows_do_not_depend_on_the_work_contents(shape):
     """The compiled aggregate zeroes what it reads: with its work filled with
     0xFF bytes (NaN as doubles, -1 as counts), on the block side and on the
-    bucket side, it writes the bytes of a zero-filled run and of the numpy
-    fallback."""
+    bucket side, it writes the bytes of a zero-filled run and of the rule's
+    rows."""
     rng = np.random.default_rng(43)
-    runs = []
     for _ in range(6):
         n = int(rng.integers(30, 120))
         inst = _Instance.from_pair_vector(random_sl_vector(rng, n, sparse_density=0.15))
@@ -1137,11 +1078,25 @@ def test_coarse_rows_do_not_depend_on_the_work_contents(shape, monkeypatch):
         k = int(rng.integers(2, k_block + 1) if shape == "block" else rng.integers(k_block + 1, n + 1))
         labels = np.empty(n, dtype=np.int64)
         labels[rng.permutation(n)] = np.arange(n) % k
-        runs.append((inst, labels, [_compiled_coarse_rows(inst, labels, fill) for fill in (0x00, 0xFF)]))
-    monkeypatch.setattr(_kernel, "_loaded", (None, "the numpy fallback, selected by a test"))
-    for inst, labels, (zeroed, poisoned) in runs:
-        coarse = _aggregate(inst, labels)
-        assert zeroed == poisoned == (coarse.indptr.tobytes(), coarse.nbr.tobytes(), coarse.wts.tobytes())
+        want = _rows_of(k, _coarse_pair_reference(inst, labels))
+        assert _compiled_coarse_rows(inst, labels, 0x00) == _compiled_coarse_rows(inst, labels, 0xFF) == want
+
+
+def test_a_block_level_takes_no_bucket_work():
+    """On the block side the aggregate's work is the coarse pairs and the
+    k x k block alone: the t=5 walk of a PPM n=400 sample holds nearly every
+    pair, and summing it into the 20 planted communities traces under 64 KB,
+    where work for the buckets would take 4 words per fine pair (2.5 MB)."""
+    G, T = generate(GeneratorSpec("ppm", n=400, k=20), 1)
+    inst = _Instance.from_pair_vector(walk_distribution(G, 5, isolated="zero"))
+    assert T.k * (T.k - 1) <= inst.nbr.size and inst.nbr.size // 2 > 75_000
+    tracemalloc.start()
+    try:
+        coarse = _aggregate(inst, T.membership)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert coarse.n == T.k and peak < 64 * 1024
 
 
 def test_explicit_zero_pairs_are_left_out():
