@@ -1,6 +1,6 @@
 """The package's compiled library: _sweep.c, built on first use and cached.
 
-One library serves the solver (a sweep's visits and the level builders) and
+One library serves the solver (a level's sweeps and the level builders) and
 graph (the upper triangle of a sparse product, for walk and Jaccard pairs).
 _compiled() loads it once per process. The library is a requirement: where
 it cannot be built or loaded (no C compiler, say), each call of _compiled()
@@ -33,6 +33,10 @@ _KERNEL_ARGS = {
         + (ctypes.c_int64,) + (ctypes.c_void_p,) * 2 + (ctypes.c_int32,) * 2 + (ctypes.c_double,)
         + (ctypes.c_void_p,) * 2
     ),
+    "pairsphere_level": (
+        (ctypes.c_int64,) * 2 + (ctypes.c_void_p,) * 7 + (ctypes.c_int64,) + (ctypes.c_void_p,) * 2
+        + (ctypes.c_double,) * 2 + (ctypes.c_void_p,) * 4
+    ),
     "pairsphere_rows": (ctypes.c_int64,) * 2 + (ctypes.c_void_p,) * 6,
     "pairsphere_aggregate": (ctypes.c_int64,) + (ctypes.c_void_p,) * 4 + (ctypes.c_int64,) + (ctypes.c_void_p,) * 4,
     "pairsphere_upper_count": (ctypes.c_int64,) + (ctypes.c_void_p,) * 6,
@@ -42,11 +46,13 @@ _loaded = None  # (_Kernels or None, why not), set by _compiled on first use
 
 
 class _Kernels(NamedTuple):
-    """The functions of the compiled library: a sweep's visits, the fine
-    level's rows from its pair list, the rows of the level above, and the two
-    passes of the upper-triangle product (its support, then its pairs)."""
+    """The functions of the compiled library: one sweep's visits, a level's
+    sweeps, the fine level's rows from its pair list, the rows of the level
+    above, and the two passes of the upper-triangle product (its support,
+    then its pairs)."""
 
     sweep: object
+    level: object
     rows: object
     aggregate: object
     upper_count: object

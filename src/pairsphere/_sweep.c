@@ -1,8 +1,11 @@
-/* The package's compiled library: the visit loop of one local-move sweep
-   (pairsphere.solver._sweep) and the builders of every level, in C:
-   pairsphere_rows makes CSR rows from a sorted pair list (the query's, for
-   the fine level), and pairsphere_aggregate the rows of the level above
-   from the rows below. A level is its rows alone. For graph's walk and
+/* The package's compiled library: the local moves of one solver level and
+   the builders of every level, in C. pairsphere_level runs a level's sweeps
+   (pairsphere.solver._local_moves): it draws each sweep's order from the
+   solve's numpy bit generator as Generator.permutation(n) does, visits it in
+   pairsphere_sweep and relabels the slots. pairsphere_rows makes CSR rows
+   from a sorted pair list (the query's, for the fine level), and
+   pairsphere_aggregate the rows of the level above from the rows below. A
+   level is its rows alone. For graph's walk and
    Jaccard vectors, pairsphere_upper_count and pairsphere_upper_fill form the
    strict upper triangle of a sparse product, and nothing below it.
 
@@ -150,7 +153,7 @@ static int64_t gains(int64_t i, int64_t n, int64_t K, int64_t ns, int64_t ld,
     return best;
 }
 
-/* solver._mark_dirty: node j moves from its slot b to slot c. Each slot's
+/* The dirty marks of a move: node j moves from its slot b to slot c. Each slot's
    members form a list: head[a] holds its first member + 1, next[m] the one
    after m + 1 (0 ends a list). The walk over b's members unlinks j, and j
    goes first in c's list, after c's members are marked: O(members of b and
@@ -173,7 +176,7 @@ static void mark_dirty(int64_t j, int64_t c, const int64_t *indptr, const int64_
     head[c] = j + 1;
 }
 
-/* Visits the nodes of order[0..n_order-1] as solver._sweep does; returns
+/* Visits the nodes of order[0..n_order-1], one sweep of a level; returns
    the number of moves. info[0] holds the slots in use on entry and on return
    (a move into the empty last slot makes the next column the empty slot);
    ld is a multiple of 4 and at least info[0] + n_order, so the table has
@@ -262,6 +265,92 @@ int64_t pairsphere_sweep(int64_t n, int64_t K, const double *coefs, const double
     info[1] = skipped;
     info[3] = narrow;
     return moves;
+}
+
+/* order = numpy's Generator.permutation(n) from the same bit generator (its
+   shuffle of arange(n) by random_interval): for i = n - 1 down to 1, swap
+   order[i] and order[j], j the first draw of next_uint32 masked to the
+   smallest 2^b - 1 >= i that is <= i. Needs n <= 2^32, as any level that
+   fits in memory has. */
+static void permutation(int64_t n, int64_t *order, void *state, uint32_t (*next_uint32)(void *))
+{
+    int64_t i, swap;
+    uint32_t mask, j, b;
+    for (i = 0; i < n; i++)
+        order[i] = i;
+    for (i = n - 1; i > 0; i--) {
+        for (mask = (uint32_t)i, b = 1; b < 32; b *= 2)
+            mask |= mask >> b;
+        while ((j = next_uint32(state) & mask) > (uint32_t)i)
+            ;
+        swap = order[i];
+        order[i] = order[j];
+        order[j] = swap;
+    }
+}
+
+/* The local moves of one level (solver._local_moves): up to info[5] sweeps,
+   until one makes no move. Each visits the order that permutation draws from
+   a numpy bit generator (its state and next_uint32; the caller holds its
+   lock) in pairsphere_sweep, then relabels the slots to the live ones in
+   label order, the empty one last, moving their columns left and zeroing the
+   rest. Under the sign rule (info[2]) the sweeps after one that moves fewer
+   than track_below * n nodes track. info holds [0] the slots in use and [1]
+   tracking, on entry and on return, [3] the narrow rule and [4] check_skips;
+   it returns [6] to [10], the sweeps, the visits made, skipped and narrow,
+   and whether the cap ended the level, and [11], the node of a negative
+   return (pairsphere_sweep's code). ld >= 2n + 1 is a multiple of 4; work
+   holds the order (n int64), then pairsphere_sweep's work, all zero.
+   Returns the moves. */
+int64_t pairsphere_level(int64_t n, int64_t K, const double *coefs, const double *factors,
+                         const int64_t *indptr, const int64_t *nbr, const double *wts, int64_t *memb,
+                         double *U, int64_t ld, int64_t *info, uint8_t *dirty, double half_eps,
+                         double track_below, double *objective, void *rng_state, void *next_uint32,
+                         int64_t *work)
+{
+    uint32_t (*next32)(void *);
+    int64_t i, k, a, ns, sw[4], moves = 1, total = 0;
+    double *neg = (double *)(work + n) + ld + K;
+    int64_t *label = (int64_t *)(neg + K), *head = label + ld; /* the sweep's cand and head */
+    memcpy(&next32, &next_uint32, sizeof next32); /* a function's address, passed as void * */
+    info[7] = info[8] = info[9] = 0;
+    for (info[6] = 0; moves && info[6] < info[5]; info[6]++) {
+        permutation(n, work, rng_state, next32);
+        sw[0] = info[0];
+        sw[3] = info[3];
+        moves = pairsphere_sweep(n, K, coefs, factors, indptr, nbr, wts, work, n, memb, U, ld, sw, dirty,
+                                 (int32_t)info[1], (int32_t)info[4], half_eps, objective, (double *)(work + n));
+        if (moves < 0) {
+            info[11] = sw[2];
+            return moves;
+        }
+        total += moves;
+        info[7] += n - sw[1];
+        info[8] += sw[1];
+        info[9] += sw[3];
+        ns = sw[0]; /* label[a]: -1 for a slot without a node, then each other slot's new label */
+        for (a = 0; a < ns - 1; a++)
+            label[a] = -1;
+        for (i = 0; i < n; i++)
+            label[memb[i]] = 0;
+        label[ns - 1] = info[0] = 0;
+        for (a = 0; a < ns; a++)
+            if (label[a] >= 0) {
+                for (k = 0; k < K; k++)
+                    U[k * ld + info[0]] = U[k * ld + a];
+                label[a] = info[0]++;
+            }
+        for (k = 0; k < K; k++)
+            memset(U + k * ld + info[0], 0, (size_t)(ns - info[0]) * sizeof *U);
+        for (i = 0; i < n; i++)
+            memb[i] = label[memb[i]];
+        memset(neg, 0, (size_t)K * sizeof *neg);
+        memset(head, 0, (size_t)ld * sizeof *head);
+        if (moves && info[2] && (double)moves < track_below * (double)n)
+            info[1] = 1;
+    }
+    info[10] = moves != 0;
+    return total;
 }
 
 /* The CSR rows of the symmetric n x n matrix holding pv[t] at (pi[t], pj[t])

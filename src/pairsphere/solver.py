@@ -12,9 +12,13 @@ sparse row's weights summed by slot, a self-term subtraction and an argmax.
 Under the narrow rule (below) the compiled sweep evaluates only a short
 row's candidate slots, so a visit costs O(row), not O(k).
 
-A sweep's visits run in one call to a C kernel, _sweep.c, compiled on first
-use and cached (see _kernel), which also builds the levels (below); where it
-cannot be built or loaded, a solve raises OSError naming the reason. The
+A level's local moves run in one call to a C kernel, _sweep.c, compiled on
+first use and cached (see _kernel), which also builds the levels (below);
+where it cannot be built or loaded, a solve raises OSError naming the reason.
+The call draws each sweep's order from the solve's numpy bit generator as
+Generator.permutation(n) does (a Fisher-Yates shuffle by numpy's
+random_interval on next_uint32), so the generator keeps numpy's stream; a
+numpy release that changes that draw fails the level equivalence test. The
 kernel follows one summation rule: the rank-one part is W = 0 + s_1 U_1 +
 s_2 U_2 + ..., added in term order with every product rounded on its own (no
 fused multiply-add); the row sums are added to it and the self term, summed
@@ -82,6 +86,7 @@ exact reference optimum.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import warnings
 from dataclasses import dataclass
@@ -214,24 +219,30 @@ class SolverState:
     The tracked objective is the inner product with the clustering vector of
     the current membership: the caller passes its starting value, and moves
     add their gains. dirty[i] is set while node i may have an improving move
-    (every node until the sweeps start tracking); visits and skipped count
-    the node visits made and skipped, and narrow the visits that scanned only
-    their candidate slots. check_skips evaluates every skipped visit and
-    asserts that it would not move, and checks every narrow visit against a
-    scan of every slot.
+    (every node until the sweeps start tracking); sweeps, visits and skipped
+    count the sweeps run and the node visits made and skipped, and narrow the
+    visits that scanned only their candidate slots. check_skips evaluates
+    every skipped visit and asserts that it would not move, and checks every
+    narrow visit against a scan of every slot. membership None: singletons.
     """
 
-    def __init__(self, inst: _Instance, membership: np.ndarray, objective: float, check_skips: bool = False):
+    def __init__(self, inst: _Instance, membership, objective: float, check_skips: bool = False):
         self.inst = inst
-        labels, self.membership = np.unique(membership, return_inverse=True)
-        if self.membership.shape != (inst.n,):
-            raise ValueError("membership must assign every node")
-        self.U = _slot_sums(inst.factors, self.membership, labels.size + 1)
+        if membership is None:  # each slot sums one node's factors: from 0.0, as _slot_sums, so -0.0 reads 0.0
+            self.membership = np.arange(inst.n)
+            self.U = np.zeros((inst.factors.shape[0], inst.n + 1))
+            np.add(inst.factors, 0.0, out=self.U[:, :-1])
+        else:
+            labels, self.membership = np.unique(membership, return_inverse=True)
+            if self.membership.shape != (inst.n,):
+                raise ValueError("membership must assign every node")
+            self.U = _slot_sums(inst.factors, self.membership, labels.size + 1)
         self.objective = objective
         self.dirty = bytearray(b"\x01") * inst.n
         self.dirty_view = np.frombuffer(self.dirty, dtype=np.uint8)  # bulk marks
         self.tracking = False
         self.check_skips = check_skips
+        self.sweeps = 0
         self.visits = 0
         self.skipped = 0
         self.narrow = 0
@@ -267,77 +278,43 @@ def _node_gain_vector(state: SolverState, i: int) -> tuple[np.ndarray, float]:
     return W, W.item(cur)
 
 
-def _sweep(state: SolverState, order: np.ndarray, eps: float) -> int:
-    """One pass of best-gain relabelings; returns the number of moves.
-
-    Each node moves to the argmax of its gain vector (ties to the lowest slot,
-    so a live W = 0 beats the fresh last slot) when that beats staying by more
-    than eps. While the state is tracking, a node not marked dirty since its
-    last visit is skipped, and each move marks the nodes it can affect. The
-    visits run in the compiled kernel. The sweep ends by relabelling slots to
-    the live communities, in label order with their sums kept, plus one empty
-    slot last.
-    """
-    moves, skipped, U = _visit_c(_compiled().sweep, state, order, eps / 2.0)
-    state.visits += order.size - skipped
-    state.skipped += skipped
-    live = np.bincount(state.membership, minlength=U.shape[1]) > 0
-    live[-1] = True  # the empty last slot stays, zero
-    state.membership = (np.cumsum(live) - 1)[state.membership]
-    state.U = U[:, live]
-    return moves
-
-
-def _visit_c(kernel, state: SolverState, order: np.ndarray, half_eps: float) -> tuple[int, int, np.ndarray]:
-    """The visits of _sweep in _sweep.c; returns the moves, the visits skipped
-    and the slot table, whose used columns are the old ones plus one per move
-    into the empty slot, and adds the narrow visits to state.narrow. A visit
-    makes at most one move, so k + len(order) columns (rounded up to the
-    kernel's blocks of 4) have room for all of them."""
-    if not order.size:
-        return 0, 0, state.U
-    inst = state.inst
-    order = np.ascontiguousarray(order, dtype=np.int64)
-    memb = state.membership = np.ascontiguousarray(state.membership, dtype=np.int64)
-    K, k = state.U.shape
-    ld = -(-(k + order.size) // 4) * 4
-    buf = np.zeros((K + 4) * ld + 2 * K + inst.n)  # the table, then the work: B, S, neg, cand, head, next, mark
-    U = buf[: K * ld].reshape(K, ld)
-    U[:, :k] = state.U
-    info = np.array([k, 0, 0, inst.narrow_rule], dtype=np.int64)
-    objective = np.array([state.objective])
-    table = _address(buf)
-    moves = kernel(
-        inst.n, K, *inst.addresses, _address(order), order.size, _address(memb), table, ld, _address(info),
-        _address(state.dirty), state.tracking, state.check_skips, half_eps, _address(objective),
-        table + U.nbytes,
-    )
-    if moves == -1:
-        raise AssertionError(f"skipped node {info[2]} would move")
-    if moves == -2:
-        raise ValueError(f"sweep order holds {info[2]}, not a node of 0..{inst.n - 1}")
-    if moves == -3:
-        raise AssertionError(f"narrow visit of node {info[2]} differs from the full scan")
-    state.objective = objective.item()
-    state.narrow += info.item(3)
-    return moves, info.item(1), U[:, : info.item(0)]
-
-
 def _local_moves(state: SolverState, rng, eps: float) -> int:
-    """Sweeps until one sweep makes no move: no single-node relabel then
-    improves by more than eps. Under the sign rule, the sweeps after the
-    first one that moves fewer than TRACK_BELOW * n nodes track dirty nodes."""
-    total_moves = 0
-    n = state.inst.n
-    for _ in range(MAX_SWEEPS):
-        moves = _sweep(state, rng.permutation(n), eps)
-        total_moves += moves
-        if moves == 0:
-            return total_moves
-        if moves < TRACK_BELOW * n and state.inst.sign_rule:
-            state.tracking = True  # every node is still dirty: marks start now
-    warnings.warn("sweep cap reached before local convergence")
-    return total_moves
+    """Sweeps of best-gain relabelings until one makes no move (no single-node
+    relabel then improves by more than eps), in one call to the compiled
+    library; returns the moves. Each sweep's order is rng.permutation(n),
+    drawn in C under the bit generator's lock; each sweep ends with compact
+    labels and the empty slot last. Between sweeps at most n + 1 slots are in
+    use and a visit adds at most one, so 2n + 1 columns hold every sweep."""
+    inst, (K, k) = state.inst, state.U.shape
+    ld = -(-(2 * inst.n + 1) // 4) * 4  # the kernel's blocks of 4
+    U = np.zeros((K, ld))
+    U[:, :k] = state.U
+    work = np.zeros(2 * inst.n + 4 * ld + 2 * K)  # the order, then the sweep's B, S, neg, cand, head, next, mark
+    memb = state.membership = np.ascontiguousarray(state.membership, dtype=np.int64)
+    flags = [k, state.tracking, inst.sign_rule, inst.narrow_rule, state.check_skips, MAX_SWEEPS]
+    info = np.array(flags + [0] * 6, dtype=np.int64)
+    objective = np.array([state.objective])
+    bitgen = rng.bit_generator
+    with bitgen.lock:
+        moves = _compiled().level(
+            inst.n, K, *inst.addresses, _address(memb), _address(U), ld, _address(info), _address(state.dirty),
+            eps / 2.0, TRACK_BELOW, _address(objective), bitgen.ctypes.state_address,
+            ctypes.cast(bitgen.ctypes.next_uint32, ctypes.c_void_p).value, _address(work),
+        )
+    if moves == -1:
+        raise AssertionError(f"skipped node {info[11]} would move")
+    if moves == -3:
+        raise AssertionError(f"narrow visit of node {info[11]} differs from the full scan")
+    state.U = U[:, : info[0]].copy()  # not the whole table
+    state.objective, state.tracking = objective.item(), bool(info[1])
+    sweeps, visits, skipped, narrow, capped = info[6:11].tolist()
+    state.sweeps += sweeps
+    state.visits += visits
+    state.skipped += skipped
+    state.narrow += narrow
+    if capped:
+        warnings.warn("sweep cap reached before local convergence")
+    return moves
 
 
 def _aggregate(inst: _Instance, membership: np.ndarray) -> _Instance:
@@ -381,7 +358,7 @@ def _coarsen(inst: _Instance, memb: np.ndarray, rng, eps: float, debug_checks: b
     gain = 0.0
     level = memb  # the current level's membership; memb maps fine nodes to its labels
     while (coarse := _aggregate(inst, level)).n < inst.n:
-        state = SolverState(coarse, np.arange(coarse.n), 0.0, debug_checks)  # coarse levels track gains only
+        state = SolverState(coarse, None, 0.0, debug_checks)  # coarse levels track gains only
         if not _local_moves(state, rng, eps):
             break
         gain += state.objective
@@ -396,9 +373,10 @@ def louvain_project(
     """Greedy local-move projection.
 
     Starts from singletons; sweeps best-gain single-node relabelings in a
-    seeded random order (fresh shuffle per sweep, ties to the lowest slot),
-    then builds coarse levels of supernodes (see _coarsen), and repeats the
-    cycle until the objective stops improving. The returned partition admits
+    seeded random order (each sweep's order is rng.permutation(n), drawn in
+    the compiled level call; ties to the lowest slot), then builds coarse
+    levels of supernodes (see _coarsen), and repeats the cycle until the
+    objective stops improving. The returned partition admits
     no improving single-node relabel at the finest level.
 
     restarts > 1 runs that many independent greedy passes (seed streams
@@ -417,7 +395,7 @@ def louvain_project(
 
 
 def _project_once(inst: _Instance, q: PairVector, rng, debug_checks: bool, eps: float) -> SolverState:
-    state = SolverState(inst, np.arange(inst.n), -q.total(), debug_checks)  # singletons: no intra pair
+    state = SolverState(inst, None, -q.total(), debug_checks)  # singletons: no intra pair
     for _ in range(MAX_CYCLES):
         obj_before = state.objective
         _local_moves(state, rng, eps)

@@ -7,12 +7,14 @@ it is test-only and gated to small n.
 
 from __future__ import annotations
 
+import warnings
 from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 
 from pairsphere import solver
+from pairsphere._kernel import _address, _compiled
 from pairsphere.geometry import LowRankTerm, PairVector
 
 
@@ -207,9 +209,9 @@ def apply_move(state, i: int, target: int, gain: float) -> None:
 
 
 def reference_sweep(state, order, eps) -> int:
-    """solver._sweep written as one call per visit: _node_gain_vector for
+    """compiled_sweep written as one call per visit: _node_gain_vector for
     the gains, apply_move for each move, the same dirty-set skips and marks,
-    and an np.unique relabel at the end. The solver's sweep visits in the
+    and an np.unique relabel at the end. compiled_sweep visits in the
     compiled kernel and relabels with a cumulative count; both must give the
     same bits.
 
@@ -241,3 +243,56 @@ def reference_sweep(state, order, eps) -> int:
     labels, state.membership = np.unique(state.membership, return_inverse=True)
     state.U = np.pad(state.U[:, labels], ((0, 0), (0, 1)))
     return moves
+
+
+def compiled_sweep(state, order, eps) -> int:
+    """One sweep over `order` in _sweep.c's pairsphere_sweep, then the numpy
+    relabel by a cumulative count of the live slots; returns the moves. Each
+    sweep of solver._local_moves runs these visits and this relabel in C."""
+    inst = state.inst
+    order = np.ascontiguousarray(order, dtype=np.int64)
+    memb = state.membership = np.ascontiguousarray(state.membership, dtype=np.int64)
+    K, k = state.U.shape
+    ld = -(-(k + order.size) // 4) * 4  # a visit makes at most one move
+    U = np.zeros((K, ld))
+    U[:, :k] = state.U
+    work = np.zeros(4 * ld + 2 * K + inst.n)  # B, S, neg, cand, head, next and mark
+    info = np.array([k, 0, 0, inst.narrow_rule], dtype=np.int64)
+    objective = np.array([state.objective])
+    moves = _compiled().sweep(
+        inst.n, K, *inst.addresses, _address(order), order.size, _address(memb), _address(U), ld, _address(info),
+        _address(state.dirty), state.tracking, state.check_skips, eps / 2.0, _address(objective), _address(work),
+    )
+    if moves == -1:
+        raise AssertionError(f"skipped node {info[2]} would move")
+    if moves == -2:
+        raise ValueError(f"sweep order holds {info[2]}, not a node of 0..{inst.n - 1}")
+    if moves == -3:
+        raise AssertionError(f"narrow visit of node {info[2]} differs from the full scan")
+    state.objective = objective.item()
+    state.visits += order.size - info.item(1)
+    state.skipped += info.item(1)
+    state.narrow += info.item(3)
+    live = np.bincount(memb, minlength=info.item(0)) > 0
+    live[-1] = True  # the empty last slot stays, zero
+    state.membership = (np.cumsum(live) - 1)[memb]
+    state.U = U[:, : info.item(0)][:, live]
+    return moves
+
+
+def reference_local_moves(state, rng, eps) -> int:
+    """solver._local_moves as a Python loop: compiled_sweep over
+    rng.permutation(n) until a sweep makes no move, with the tracking switch
+    after the first sweep that moves fewer than TRACK_BELOW * n nodes under
+    the sign rule, and the sweep cap's warning."""
+    total, n = 0, state.inst.n
+    for _ in range(solver.MAX_SWEEPS):
+        moves = compiled_sweep(state, rng.permutation(n), eps)
+        state.sweeps += 1
+        total += moves
+        if moves == 0:
+            return total
+        if moves < solver.TRACK_BELOW * n and state.inst.sign_rule:
+            state.tracking = True
+    warnings.warn("sweep cap reached before local convergence")
+    return total

@@ -24,7 +24,6 @@ from pairsphere.solver import (
     _local_moves,
     _node_gain_vector,
     _project_once,
-    _sweep,
     exact_project,
     louvain_project,
     max_single_move_gain,
@@ -33,7 +32,15 @@ from pairsphere.solver import (
 from pairsphere.tune import detect_once
 
 from helpers import (
-    all_partitions, apply_move, build_csr, dense_of, random_membership, random_sl_vector, reference_sweep
+    all_partitions,
+    apply_move,
+    build_csr,
+    compiled_sweep,
+    dense_of,
+    random_membership,
+    random_sl_vector,
+    reference_local_moves,
+    reference_sweep,
 )
 
 
@@ -119,7 +126,7 @@ def test_slot_table_holds_live_communities_plus_one_empty_slot(kind):
         state = SolverState.from_partition(q, C)
         _assert_compact(state)
         eps = 1e-12 * q.norm() * math.sqrt(q.N)
-        while _sweep(state, rng.permutation(n), eps):
+        while compiled_sweep(state, rng.permutation(n), eps):
             _assert_compact(state)
             assert state.objective == pytest.approx(
                 query_alignment(q, Partition(state.membership)), rel=1e-9, abs=1e-9
@@ -184,16 +191,17 @@ def test_node_gain_vector_keeps_the_bits_of_the_matmul_form(K):
                 cur = int(state.membership[i])
                 ref[cur] -= self_term
                 assert W.tobytes() == ref.tobytes() and w_cur == float(ref[cur])
-            _sweep(state, rng.permutation(n), 0.0)
+            compiled_sweep(state, rng.permutation(n), 0.0)
 
 
 @pytest.mark.parametrize("tracking", [False, True], ids=["full", "tracking"])
 @pytest.mark.parametrize("kind", QUERY_KINDS)
 def test_sweep_matches_the_per_visit_reference(kind, tracking):
-    """_sweep against helpers.reference_sweep, sweep after sweep: the same
-    moves, membership, slot table, objective, counters and marks, bit for
-    bit, with the empty slot going live along the way; every sweep leaves
-    compact labels. The sign-rule queries take the narrow visits."""
+    """helpers.compiled_sweep against helpers.reference_sweep, sweep after
+    sweep: the same moves, membership, slot table, objective, counters and
+    marks, bit for bit, with the empty slot going live along the way; every
+    sweep leaves compact labels. The sign-rule queries take the narrow
+    visits."""
     rng = np.random.default_rng(70 + 2 * list(QUERY_KINDS).index(kind) + tracking)
     grew = skipped = narrow = 0
     for trial in range(8):
@@ -210,7 +218,7 @@ def test_sweep_matches_the_per_visit_reference(kind, tracking):
         for _ in range(30):
             live = new.U.shape[1] - 1
             order = rng.permutation(n)
-            moves = _sweep(new, order, eps)
+            moves = compiled_sweep(new, order, eps)
             assert reference_sweep(ref, order, eps) == moves
             assert new.membership.dtype == ref.membership.dtype
             assert new.membership.tobytes() == ref.membership.tobytes()
@@ -243,11 +251,109 @@ def test_sweep_ties_go_to_the_lowest_slot():
         new, ref = (SolverState(inst, start, query_alignment(q, Partition(start))) for _ in range(2))
         for _ in range(10):
             order = rng.permutation(n)
-            moves = _sweep(new, order, 0.0)
+            moves = compiled_sweep(new, order, 0.0)
             assert reference_sweep(ref, order, 0.0) == moves
             assert new.membership.tobytes() == ref.membership.tobytes() and new.objective == ref.objective
             if moves == 0:
                 break
+
+
+# Either side of powers of two, where the order's draw changes its mask, and
+# multiples of 10, where a sweep can move exactly TRACK_BELOW * n nodes.
+LEVEL_SIZES = (2, 3, 4, 5, 8, 9, 16, 17, 20, 30, 40, 50, 1024, 1025)
+
+
+@pytest.mark.parametrize("kind", QUERY_KINDS)
+def test_a_level_call_matches_the_loop_of_sweeps(kind):
+    """_local_moves, one compiled call per level, against
+    helpers.reference_local_moves, one compiled sweep per rng.permutation(n):
+    the same moves, membership, slot table and objective bits, counters,
+    dirty marks and tracking, and the same bit generator state after, from
+    singletons and from random starts (tracking from the start under the sign
+    rule, as the fine level after a merge), with check_skips on."""
+    rng = np.random.default_rng(110 + list(QUERY_KINDS).index(kind))
+    for n in LEVEL_SIZES:
+        q = random_sl_vector(rng, n, **{"sparse_density": min(0.3, 8.0 / n), **QUERY_KINDS[kind]})
+        inst, eps = _Instance.from_pair_vector(q), 1e-12 * q.norm() * math.sqrt(q.N)
+        for start in (None, random_membership(rng, n, k_max=max(1, n // 4))):
+            objective = -q.total() if start is None else query_alignment(q, Partition(start))
+            new, ref = (SolverState(inst, start, objective, check_skips=True) for _ in range(2))
+            if start is not None:
+                new.tracking = ref.tracking = inst.sign_rule
+            seed = int(rng.integers(2**32))
+            new_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert _local_moves(new, new_rng, eps) == reference_local_moves(ref, ref_rng, eps)
+            assert new.membership.dtype == ref.membership.dtype
+            assert new.membership.tobytes() == ref.membership.tobytes()
+            assert new.U.shape == ref.U.shape and new.U.tobytes() == ref.U.tobytes()
+            assert new.objective == ref.objective
+            counters = ("sweeps", "visits", "skipped", "narrow", "tracking", "dirty")
+            assert [getattr(new, c) for c in counters] == [getattr(ref, c) for c in counters]
+            assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+            _assert_compact(new)
+
+
+def test_singletons_start_from_the_factors():
+    """A state started from singletons (membership None) holds the table that
+    the summed start np.arange(n) gives, bit for bit, -0.0 factors included."""
+    rng = np.random.default_rng(120)
+    for kind in QUERY_KINDS.values():
+        q = random_sl_vector(rng, 12, **kind)
+        inst = _Instance.from_pair_vector(q)
+        inst.factors[:, ::3] = -0.0
+        new, ref = SolverState(inst, None, 0.0), SolverState(inst, np.arange(12), 0.0)
+        assert new.U.tobytes() == ref.U.tobytes() and new.membership.tobytes() == ref.membership.tobytes()
+
+
+SMALL_PARTITIONS = [
+    (PairVector.constant_vector(1, -1.0), [0]),
+    (PairVector.constant_vector(1, 1.0), [0]),
+    (PairVector.from_pairs(2, {(0, 1): 1.0}), [0, 0]),
+    (PairVector.from_pairs(2, {(0, 1): -1.0}), [0, 1]),
+    (PairVector.from_pairs(2, {(0, 1): 0.5}, (LowRankTerm(-1.0, np.array([1.0, 2.0])),), 0.25), [0, 1]),
+    (PairVector.constant_vector(2, 1.0), [0, 0]),
+    (PairVector.constant_vector(2, -1.0), [0, 1]),
+    (PairVector.constant_vector(1, 0.0), [0]),
+    (PairVector.constant_vector(2, 0.0), [0, 1]),
+    (PairVector.constant_vector(9, 0.0), list(range(9))),
+    (PairVector.from_pairs(9, {}, (LowRankTerm(0.0, np.ones(9)),)), list(range(9))),
+]
+
+
+@pytest.mark.parametrize("q, expected", SMALL_PARTITIONS)
+def test_one_and_two_nodes_and_the_zero_vector_keep_their_partitions(q, expected):
+    for seed in (0, 1):
+        assert louvain_project(q, seed=seed, debug_checks=True).membership.tolist() == expected
+
+
+def test_the_sweep_cap_warns_and_still_returns_a_partition(monkeypatch):
+    """MAX_SWEEPS, read when each level is called: with a cap of 1, every
+    level makes one sweep, the cap warns, and the solve returns a partition."""
+    G, T = _ppm200()
+    q = build_query(G, QuerySpec("cl-modularity", heuristic="exact"), T)
+    local_moves, sweeps = solver._local_moves, []
+
+    def counting(state, rng, eps):
+        before = state.sweeps
+        moves = local_moves(state, rng, eps)
+        sweeps.append(state.sweeps - before)
+        return moves
+
+    monkeypatch.setattr(solver, "_local_moves", counting)
+    monkeypatch.setattr(solver, "MAX_SWEEPS", 1)
+    with pytest.warns(UserWarning, match="sweep cap reached before local convergence"):
+        C = louvain_project(q, seed=3)
+    assert C.n == q.n and 1 <= C.k < q.n
+    assert sweeps and set(sweeps) == {1}
+
+
+def test_the_cycle_cap_warns_and_still_returns_a_partition(monkeypatch):
+    G, T = _ppm200()
+    q = build_query(G, QuerySpec("cl-modularity", heuristic="exact"), T)
+    monkeypatch.setattr(solver, "MAX_CYCLES", 1)
+    with pytest.warns(UserWarning, match="cycle cap reached before convergence"):
+        C = louvain_project(q, seed=3)
+    assert C.n == q.n and 1 <= C.k < q.n
 
 
 @pytest.mark.parametrize("slot", [0, -1])
@@ -420,15 +526,15 @@ PINNED_PARTITIONS = [
 def test_partitions_pinned(monkeypatch):
     """The pins hold, and the sweep makes narrow visits on the queries under
     the narrow rule only."""
-    sweep, narrow = solver._sweep, []
+    local_moves, narrow = solver._local_moves, []
 
-    def counting(state, order, eps):
+    def counting(state, rng, eps):
         before = state.narrow
-        moves = sweep(state, order, eps)
+        moves = local_moves(state, rng, eps)
         narrow.append(state.narrow - before)
         return moves
 
-    monkeypatch.setattr(solver, "_sweep", counting)
+    monkeypatch.setattr(solver, "_local_moves", counting)
     for gen, spec, sha in PINNED_PARTITIONS:
         G, T = generate(gen, 1)
         narrow.clear()
@@ -498,18 +604,23 @@ def test_coarse_instance_keeps_the_sign_rule():
 def _fine_level_counts(q, seed):
     state = SolverState(_Instance.from_pair_vector(q), np.arange(q.n), -q.total(), check_skips=True)
     _local_moves(state, np.random.default_rng(seed), 1e-12 * q.norm() * math.sqrt(q.N))
-    return state.visits, state.skipped, state.narrow
+    return state.visits, state.skipped, state.narrow, state.sweeps
 
 
 def test_visit_counters_skip_only_under_the_sign_rule():
+    """Visits are skipped only under the sign rule; a level runs at least two
+    sweeps from singletons (the last one moves nothing), and each visits at
+    most n nodes."""
     G, T = generate(GeneratorSpec("ppm", n=400, k=20), 1)
-    visits, skipped, _ = _fine_level_counts(build_query(G, QuerySpec("cl-modularity", heuristic="exact"), T), 3)
+    visits, skipped, _, sweeps = _fine_level_counts(build_query(G, QuerySpec("cl-modularity", heuristic="exact"), T), 3)
     assert skipped > 0 and visits > 0
+    assert sweeps >= 2 and visits + skipped == sweeps * G.n
     G, T = _ppm200()
     q = build_query(G, QuerySpec("linear", c_j=0.0, c_d=-6.0, heuristic="exact"), T)
     assert q.constant > 0.6  # the corrected constant breaks the rule
-    visits, skipped, narrow = _fine_level_counts(q, 3)
+    visits, skipped, narrow, sweeps = _fine_level_counts(q, 3)
     assert skipped == 0 and visits % q.n == 0 and visits >= 2 * q.n and narrow == 0
+    assert sweeps >= 2 and visits == sweeps * q.n
 
 
 def test_dirty_set_solves_are_locally_optimal():
@@ -543,7 +654,7 @@ def test_compiled_sweep_rejects_an_order_outside_the_nodes():
     state = SolverState(_Instance.from_pair_vector(q), np.arange(q.n), -q.total())
     for bad in (q.n, -1):
         with pytest.raises(ValueError, match="not a node"):
-            _sweep(state, np.array([0, bad]), 0.0)
+            compiled_sweep(state, np.array([0, bad]), 0.0)
 
 
 # -- narrow visits ------------------------------------------------------------------
@@ -578,7 +689,7 @@ def test_most_fine_visits_are_narrow_under_a_negative_constant():
     G, T = generate(GeneratorSpec("ppm", n=2000, k=100), 1)
     q = build_query(G, QuerySpec("cl-modularity", heuristic="exact"), T)
     assert q.constant < 0.0
-    visits, _, narrow = _fine_level_counts(q, 3)
+    visits, _, narrow, _ = _fine_level_counts(q, 3)
     assert narrow > visits / 2
     positive = PairVector(q.n, q.pair_ids, q.values, q.terms, -q.constant)
     for other in (positive, build_query(G, QuerySpec("markov", t=2), T)):
@@ -603,7 +714,7 @@ def test_an_isolated_node_without_a_constant_keeps_the_full_scan():
         new, ref = (SolverState(inst, start, query_alignment(q, Partition(start))) for _ in range(2))
         for _ in range(30):
             order = rng.permutation(n)
-            moves = _sweep(new, order, 0.0)
+            moves = compiled_sweep(new, order, 0.0)
             assert reference_sweep(ref, order, 0.0) == moves
             assert new.membership.tobytes() == ref.membership.tobytes()
             assert new.U.tobytes() == ref.U.tobytes() and new.objective == ref.objective
@@ -621,7 +732,7 @@ def test_narrow_visits_break_ties_to_the_lowest_slot():
     q = PairVector.from_pairs(n, {(0, 1): 1.0, (0, 2): 1.0}, (), -0.5)
     start = np.arange(n)[::-1]
     state = SolverState(_Instance.from_pair_vector(q), start, query_alignment(q, Partition(start)))
-    assert _sweep(state, np.array([0]), 0.0) == 1
+    assert compiled_sweep(state, np.array([0]), 0.0) == 1
     assert state.membership[0] == state.membership[2] != state.membership[1]
     assert state.narrow == 1
     rng = np.random.default_rng(91)
@@ -635,7 +746,7 @@ def test_narrow_visits_break_ties_to_the_lowest_slot():
         new, ref = (SolverState(inst, start, query_alignment(q, Partition(start))) for _ in range(2))
         for _ in range(10):
             order = rng.permutation(n)
-            moves = _sweep(new, order, 0.0)
+            moves = compiled_sweep(new, order, 0.0)
             assert reference_sweep(ref, order, 0.0) == moves
             assert new.membership.tobytes() == ref.membership.tobytes() and new.objective == ref.objective
             if moves == 0:
@@ -666,7 +777,7 @@ def test_a_slot_sum_below_zero_keeps_the_full_scan():
                 for i in (1, 2):
                     apply_move(state, i, state.U.shape[1] - 1, move_gain(state, i, state.U.shape[1] - 1))
             assert new.U[0, 0] == -(2.0**-60)
-        moves = _sweep(new, np.array(order), 0.0)
+        moves = compiled_sweep(new, np.array(order), 0.0)
         assert reference_sweep(ref, np.array(order), 0.0) == moves == len(order)
         assert new.membership.tobytes() == ref.membership.tobytes() and new.objective == ref.objective
         assert new.membership[0] == new.membership[3]
@@ -681,14 +792,14 @@ def test_debug_checks_catch_a_narrow_visit_that_misses_a_slot(monkeypatch):
     G, T = _ppm200()
     q = build_query(G, QuerySpec("cl-modularity", heuristic="exact"), T)
     louvain_project(q, seed=3, debug_checks=True)
-    visit_c = solver._visit_c
+    local_moves = solver._local_moves
 
-    def miscounted(kernel, state, order, half_eps):
+    def miscounted(state, rng, eps):
         if state.inst.n == q.n:
             state.U[-1, 0] = -1e6
-        return visit_c(kernel, state, order, half_eps)
+        return local_moves(state, rng, eps)
 
-    monkeypatch.setattr(solver, "_visit_c", miscounted)
+    monkeypatch.setattr(solver, "_local_moves", miscounted)
     with pytest.raises(AssertionError, match="narrow visit of node"):
         louvain_project(q, seed=3, debug_checks=True)
 
