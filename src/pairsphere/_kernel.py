@@ -2,8 +2,9 @@
 
 One library serves the solver (a level's sweeps and the level builders) and
 graph (the upper triangle of a sparse product, for walk and Jaccard pairs).
-_compiled() loads it once per process. The library is a requirement: where
-it cannot be built or loaded (no C compiler, say), each call of _compiled()
+_compiled() loads it once per process and returns its ctypes.CDLL; callers
+name its functions as _sweep.c does. The library is a requirement: where it
+cannot be built or loaded (no C compiler, say), each call of _compiled()
 raises OSError with the reason, and nothing runs the jobs in its place. The
 cache lives under the standard XDG_CACHE_HOME; there is no other setting.
 """
@@ -18,15 +19,16 @@ import subprocess
 import sysconfig
 import tempfile
 from pathlib import Path
-from typing import NamedTuple
 
 # _sweep.c is built with these flags (-ffp-contract=off keeps every product
 # and sum rounded on its own, as numpy rounds them).
 _SOURCE = Path(__file__).with_name("_sweep.c")
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
-# The parameters of _sweep.c's functions, as it lists them. Keep each under 20:
-# with 20, each call left a 200-byte block that only a gc pass freed
-# (tracemalloc), which raised grid-desk's peak RSS by about 0.4 MB.
+# The parameters of _sweep.c's functions, as it lists them. A function left
+# out would still resolve on the CDLL, untyped, and ctypes would pass its
+# 64-bit pointers as C ints. Keep each under 20 parameters: with 20, each call
+# left a 200-byte block that only a gc pass freed (tracemalloc), which raised
+# grid-desk's peak RSS by about 0.4 MB.
 _KERNEL_ARGS = {
     "pairsphere_sweep": (
         (ctypes.c_int64,) * 2 + (ctypes.c_void_p,) * 6 + (ctypes.c_int64,) + (ctypes.c_void_p,) * 2
@@ -42,21 +44,7 @@ _KERNEL_ARGS = {
     "pairsphere_upper_count": (ctypes.c_int64,) + (ctypes.c_void_p,) * 6,
     "pairsphere_upper_fill": (ctypes.c_int64,) + (ctypes.c_void_p,) * 7 + (ctypes.c_double,) + (ctypes.c_void_p,) * 3,
 }
-_loaded = None  # (_Kernels or None, why not), set by _compiled on first use
-
-
-class _Kernels(NamedTuple):
-    """The functions of the compiled library: one sweep's visits, a level's
-    sweeps, the fine level's rows from its pair list, the rows of the level
-    above, and the two passes of the upper-triangle product (its support,
-    then its pairs)."""
-
-    sweep: object
-    level: object
-    rows: object
-    aggregate: object
-    upper_count: object
-    upper_fill: object
+_loaded = None  # (the CDLL or None, why not), set by _compiled on first use
 
 
 def _kernel_path() -> Path:
@@ -103,7 +91,7 @@ def _compile(lib: Path) -> str:
 
 
 def _load_kernel() -> tuple:
-    """(the compiled library's _Kernels, "") or (None, why it did not load).
+    """(the compiled library's CDLL, "") or (None, why it did not load).
 
     A process that finds the library loads it; otherwise it compiles it
     first. A library or cache directory that another user owns, or that group
@@ -124,26 +112,27 @@ def _load_kernel() -> tuple:
         if data[-32:] != hashlib.sha256(data[:-32]).digest():
             return None, f"{lib} is damaged: its bytes do not end with their sha256"
         dll = ctypes.CDLL(str(lib))
-        fns = [getattr(dll, name) for name in _KERNEL_ARGS]
+        for name, argtypes in _KERNEL_ARGS.items():  # the CDLL keeps each function it looked up, typed
+            fn = getattr(dll, name)
+            fn.argtypes = argtypes
+            fn.restype = ctypes.c_int64
     except (OSError, AttributeError, RuntimeError) as exc:  # RuntimeError: Path.home() without a home
         return None, f"cannot load the compiled library: {exc}"
-    for fn, argtypes in zip(fns, _KERNEL_ARGS.values()):
-        fn.argtypes = argtypes
-        fn.restype = ctypes.c_int64
-    return _Kernels(*fns), ""
+    return dll, ""
 
 
-def _compiled() -> _Kernels:
-    """The compiled library's functions. Raises OSError naming the reason
-    where it did not load; the outcome is kept, so a failed build is not
-    retried in the same process."""
+def _compiled() -> ctypes.CDLL:
+    """The compiled library: call its functions by their C names, as
+    attributes (dll.pairsphere_level), which return the typed ones. Raises
+    OSError naming the reason where it did not load; the outcome is kept, so
+    a failed build is not retried in the same process."""
     global _loaded
     if _loaded is None:
         _loaded = _load_kernel()
-    kernels, reason = _loaded
-    if kernels is None:
+    dll, reason = _loaded
+    if dll is None:
         raise OSError(f"the compiled library did not load: {reason}")
-    return kernels
+    return dll
 
 
 def _address(a) -> int:

@@ -1,20 +1,20 @@
 /* The package's compiled library: the local moves of one solver level and
    the builders of every level, in C. pairsphere_level runs a level's sweeps
    (pairsphere.solver._local_moves): it draws each sweep's order from the
-   solve's numpy bit generator as Generator.permutation(n) does, visits it in
-   pairsphere_sweep and relabels the slots. pairsphere_rows makes CSR rows
-   from a sorted pair list (the query's, for the fine level), and
+   solve's numpy bit generator as Generator.permutation(n) does, and
+   pairsphere_sweep visits it and relabels the slots. pairsphere_rows makes
+   CSR rows from a sorted pair list (the query's, for the fine level), and
    pairsphere_aggregate the rows of the level above from the rows below. A
-   level is its rows alone. For graph's walk and
-   Jaccard vectors, pairsphere_upper_count and pairsphere_upper_fill form the
-   strict upper triangle of a sparse product, and nothing below it.
+   level is its rows alone. For graph's walk and Jaccard vectors,
+   pairsphere_upper_count and pairsphere_upper_fill form the strict upper
+   triangle of a sparse product, and nothing below it.
 
    _kernel._load_kernel builds this file with -ffp-contract=off, so every
    product and sum below is rounded on its own, in the order written: the
    gains carry the bits of solver._node_gain_vector, the builders sum by the
    one rule that the solver's docstring states, and the product sums as
    scipy's does. Arrays are C-ordered; the slot table U is K x ld, with slots
-   0..ns-1 in use and the last of them empty.
+   0..ns-1 in use, the last of them empty, and the columns past them zero.
 
    A visit scans every slot, or only its candidates: the slots of its row
    neighbours, its own slot and the empty last one. The narrow scan runs when
@@ -176,19 +176,22 @@ static void mark_dirty(int64_t j, int64_t c, const int64_t *indptr, const int64_
     head[c] = j + 1;
 }
 
-/* Visits the nodes of order[0..n_order-1], one sweep of a level; returns
-   the number of moves. info[0] holds the slots in use on entry and on return
-   (a move into the empty last slot makes the next column the empty slot);
-   ld is a multiple of 4 and at least info[0] + n_order, so the table has
-   room for every move. info[1] returns the visits skipped. info[3] holds
-   whether the level's narrow rule holds on entry, and the visits that took
-   the narrow scan on return. A negative return is an error, with the node in
-   info[2]: -1 when check_skips finds that a skipped node would move, -2 for
-   an order entry outside 0..n-1, -3 when check_skips finds that a narrow
-   scan differs from the full one. work holds ld + 2K doubles, 2ld + n
-   int64 and ld bytes, all zero: B, S, neg, cand, head, next and mark
-   (head and next: the slots' member lists of mark_dirty, built when the
-   sweep tracks). */
+/* Visits the nodes of order[0..n_order-1], one sweep of a level, then
+   relabels the slots: the live ones in label order, the empty one last,
+   their columns moved left and the freed ones zeroed. Returns the number of
+   moves. info[0] holds the slots in use on entry and on return (a move into
+   the empty last slot makes the next column the empty slot); ld is a
+   multiple of 4 and at least info[0] + n_order, so the table has room for
+   every move. info[1] returns the visits skipped. info[3] holds whether the
+   level's narrow rule holds on entry, and the visits that took the narrow
+   scan on return. A negative return is an error, with the node in info[2]:
+   -1 when check_skips finds that a skipped node would move, -2 for an order
+   entry outside 0..n-1, -3 when check_skips finds that a narrow scan
+   differs from the full one. work holds ld + 2K doubles, 2ld + n int64 and
+   ld bytes: B, S, neg, cand, head, next and mark. B and mark are zero on
+   entry, and every visit leaves them so; the sweep sets up the rest itself
+   (neg, and head and next, the slots' member lists of mark_dirty, when it
+   tracks; cand holds the new labels at the end). */
 int64_t pairsphere_sweep(int64_t n, int64_t K, const double *coefs, const double *factors,
                          const int64_t *indptr, const int64_t *nbr, const double *wts,
                          const int64_t *order, int64_t n_order, int64_t *memb,
@@ -202,16 +205,19 @@ int64_t pairsphere_sweep(int64_t n, int64_t K, const double *coefs, const double
     int64_t v, k, a, i, cur, best, ns = info[0], moves = 0, skipped = 0, narrow = 0, ndead = 0;
     int32_t narrow_rule = info[3] != 0;
     int narrowed;
+    memset(neg, 0, (size_t)K * sizeof *neg);
     if (narrow_rule)
         for (k = 0; k < K; k++)
             for (a = 0; a < ns; a++)
                 if (U[k * ld + a] < -neg[k])
                     neg[k] = -U[k * ld + a];
-    if (tracking)
+    if (tracking) {
+        memset(head, 0, (size_t)ld * sizeof *head);
         for (i = n - 1; i >= 0; i--) {
             next[i] = head[memb[i]];
             head[memb[i]] = i + 1;
         }
+    }
     for (v = 0; v < n_order; v++) {
         i = order[v];
         if (i < 0 || i >= n) {
@@ -261,7 +267,22 @@ int64_t pairsphere_sweep(int64_t n, int64_t K, const double *coefs, const double
             moves++;
         }
     }
-    info[0] = ns;
+    /* the relabel: cand[a] is -1 for a slot without a node, then each other slot's new label */
+    for (a = 0; a < ns - 1; a++)
+        cand[a] = -1;
+    for (i = 0; i < n; i++)
+        cand[memb[i]] = 0;
+    cand[ns - 1] = info[0] = 0;
+    for (a = 0; a < ns; a++)
+        if (cand[a] >= 0) {
+            for (k = 0; k < K; k++)
+                U[k * ld + info[0]] = U[k * ld + a];
+            cand[a] = info[0]++;
+        }
+    for (k = 0; k < K; k++)
+        memset(U + k * ld + info[0], 0, (size_t)(ns - info[0]) * sizeof *U);
+    for (i = 0; i < n; i++)
+        memb[i] = cand[memb[i]];
     info[1] = skipped;
     info[3] = narrow;
     return moves;
@@ -290,18 +311,16 @@ static void permutation(int64_t n, int64_t *order, void *state, uint32_t (*next_
 }
 
 /* The local moves of one level (solver._local_moves): up to info[5] sweeps,
-   until one makes no move. Each visits the order that permutation draws from
-   a numpy bit generator (its state and next_uint32; the caller holds its
-   lock) in pairsphere_sweep, then relabels the slots to the live ones in
-   label order, the empty one last, moving their columns left and zeroing the
-   rest. Under the sign rule (info[2]) the sweeps after one that moves fewer
-   than track_below * n nodes track. info holds [0] the slots in use and [1]
-   tracking, on entry and on return, [3] the narrow rule and [4] check_skips;
-   it returns [6] to [10], the sweeps, the visits made, skipped and narrow,
-   and whether the cap ended the level, and [11], the node of a negative
-   return (pairsphere_sweep's code). ld >= 2n + 1 is a multiple of 4; work
-   holds the order (n int64), then pairsphere_sweep's work, all zero.
-   Returns the moves. */
+   until one makes no move. Each runs pairsphere_sweep on the order that
+   permutation draws from a numpy bit generator (its state and next_uint32;
+   the caller holds its lock). Under the sign rule (info[2]) the sweeps after
+   one that moves fewer than track_below * n nodes track. info holds [0] the
+   slots in use and [1] tracking, on entry and on return, [3] the narrow rule
+   and [4] check_skips; it returns [6] to [10], the sweeps, the visits made,
+   skipped and narrow, and whether the cap ended the level, and [11], the
+   node of a negative return (pairsphere_sweep's code). ld >= 2n + 1 is a
+   multiple of 4; work holds the order (n int64), then pairsphere_sweep's
+   work as it asks. Returns the moves. */
 int64_t pairsphere_level(int64_t n, int64_t K, const double *coefs, const double *factors,
                          const int64_t *indptr, const int64_t *nbr, const double *wts, int64_t *memb,
                          double *U, int64_t ld, int64_t *info, uint8_t *dirty, double half_eps,
@@ -309,9 +328,7 @@ int64_t pairsphere_level(int64_t n, int64_t K, const double *coefs, const double
                          int64_t *work)
 {
     uint32_t (*next32)(void *);
-    int64_t i, k, a, ns, sw[4], moves = 1, total = 0;
-    double *neg = (double *)(work + n) + ld + K;
-    int64_t *label = (int64_t *)(neg + K), *head = label + ld; /* the sweep's cand and head */
+    int64_t sw[4], moves = 1, total = 0;
     memcpy(&next32, &next_uint32, sizeof next32); /* a function's address, passed as void * */
     info[7] = info[8] = info[9] = 0;
     for (info[6] = 0; moves && info[6] < info[5]; info[6]++) {
@@ -325,27 +342,10 @@ int64_t pairsphere_level(int64_t n, int64_t K, const double *coefs, const double
             return moves;
         }
         total += moves;
+        info[0] = sw[0];
         info[7] += n - sw[1];
         info[8] += sw[1];
         info[9] += sw[3];
-        ns = sw[0]; /* label[a]: -1 for a slot without a node, then each other slot's new label */
-        for (a = 0; a < ns - 1; a++)
-            label[a] = -1;
-        for (i = 0; i < n; i++)
-            label[memb[i]] = 0;
-        label[ns - 1] = info[0] = 0;
-        for (a = 0; a < ns; a++)
-            if (label[a] >= 0) {
-                for (k = 0; k < K; k++)
-                    U[k * ld + info[0]] = U[k * ld + a];
-                label[a] = info[0]++;
-            }
-        for (k = 0; k < K; k++)
-            memset(U + k * ld + info[0], 0, (size_t)(ns - info[0]) * sizeof *U);
-        for (i = 0; i < n; i++)
-            memb[i] = label[memb[i]];
-        memset(neg, 0, (size_t)K * sizeof *neg);
-        memset(head, 0, (size_t)ld * sizeof *head);
         if (moves && info[2] && (double)moves < track_below * (double)n)
             info[1] = 1;
     }

@@ -108,7 +108,7 @@ def _upper_pairs(A: sp.spmatrix, B: sp.spmatrix, n: int, scale: float = 1.0, t: 
     the next writes the pairs. A sum of exactly 0 is dropped, as scipy drops
     it. For a walk (t given), a support above MAX_WALK_PAIRS raises
     ValueError before any pair array is allocated."""
-    kernels = _compiled()
+    lib = _compiled()
     if A.shape != (n, n) or B.shape != (n, n):
         raise ValueError(f"the product's factors must be {n} x {n}")
     A, B = A.tocsr(), B.tocsc().tocsr()  # rows sorted by the counting sorts of the conversions
@@ -117,14 +117,14 @@ def _upper_pairs(A: sp.spmatrix, B: sp.spmatrix, n: int, scale: float = 1.0, t: 
     )
     ax, bx = (np.ascontiguousarray(M.data, dtype=np.float64) for M in (A, B))
     rows, work = np.empty(n, dtype=np.int64), np.empty(4 * n, dtype=np.int64)
-    support = kernels.upper_count(n, *map(_address, (aptr, aidx, bptr, bidx, rows, work)))
+    support = lib.pairsphere_upper_count(n, *map(_address, (aptr, aidx, bptr, bidx, rows, work)))
     if t is not None and support > MAX_WALK_PAIRS:
         raise ValueError(
             f"the t={t} walk reaches {support:,} pairs, over the budget of {MAX_WALK_PAIRS:,} (MAX_WALK_PAIRS)"
         )
     ids, values = np.empty(support, dtype=np.int64), np.empty(support)
     args = map(_address, (aptr, aidx, ax, bptr, bidx, bx, rows))
-    size = kernels.upper_fill(n, *args, scale, *map(_address, (ids, values, work)))
+    size = lib.pairsphere_upper_fill(n, *args, scale, *map(_address, (ids, values, work)))
     return ids[:size], values[:size]
 
 

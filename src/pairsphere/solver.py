@@ -88,9 +88,10 @@ from __future__ import annotations
 
 import ctypes
 import math
+import operator
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -112,9 +113,9 @@ MAX_CYCLES = 50
 @dataclass
 class _Instance:
     """A query vector unpacked into solver-friendly arrays: CSR rows of the
-    symmetric sparse part (columns ascending, no zero entry), the smooth part
-    as K rank-one terms coefs[k] * factors[k] factors[k]^T, and per-node
-    views for the oracles. sign_rule: is every pair outside the sparse rows
+    symmetric sparse part (columns ascending, no zero entry) and the smooth
+    part as K rank-one terms coefs[k] * factors[k] factors[k]^T; the oracles
+    slice them in place. sign_rule: is every pair outside the sparse rows
     <= 0. narrow_rule: does the sign rule hold with a last term of
     coefficient < 0 and positive integer factors (such as the query constant:
     ones, summed to supernode sizes at coarse levels), so that the compiled
@@ -144,31 +145,11 @@ class _Instance:
             and np.all(counts == np.floor(counts)) and counts.sum() < 2.0**53
         )
 
-    # Built on first use: the compiled sweep reads the arrays through their
-    # addresses, and only move_gain and the oracles read the per-node views.
-
     @cached_property
     def addresses(self) -> tuple:
         """Addresses of coefs, factors, indptr, nbr and wts, for the compiled
-        sweep; the instance holds the arrays."""
+        sweep, taken once per level; the instance holds the arrays."""
         return tuple(a.ctypes.data for a in (self.coefs, self.factors, self.indptr, self.nbr, self.wts))
-
-    @cached_property
-    def scaled(self) -> list:
-        """Per node i, the row view coefs * factors[:, i]."""
-        return list(np.ascontiguousarray((self.coefs[:, None] * self.factors).T))
-
-    @cached_property
-    def self_terms(self) -> list:
-        """Per node i, sum_k coefs[k] * factors[k, i]^2 as a float, summed in
-        term order (the rule _node_gain_vector follows)."""
-        return (self.coefs[:, None] * self.factors * self.factors).sum(0).tolist()
-
-    @cached_property
-    def rows(self) -> list:
-        """Per node i, its (neighbours, weights) row views."""
-        b = self.indptr.tolist()  # plain slices: np.split costs ~5x more per row
-        return [(self.nbr[s:e], self.wts[s:e]) for s, e in zip(b[:-1], b[1:])]
 
     @classmethod
     def from_pair_vector(cls, q: PairVector) -> "_Instance":
@@ -197,7 +178,7 @@ def _rows(n: int, pi: np.ndarray, pj: np.ndarray, pv: np.ndarray) -> tuple:
     (pi, pj) with pi < pj and no repeats, nor zero values, by a counting
     sort in the compiled library; no value is summed. A list out of that
     order raises ValueError."""
-    kernels = _compiled()
+    lib = _compiled()
     pi, pj = (np.ascontiguousarray(a, dtype=np.int64) for a in (pi, pj))
     pv = np.ascontiguousarray(pv, dtype=np.float64)
     if not pi.size == pj.size == pv.size:
@@ -205,7 +186,7 @@ def _rows(n: int, pi: np.ndarray, pj: np.ndarray, pv: np.ndarray) -> tuple:
     indptr = np.zeros(n + 1, dtype=np.int64)
     nbr, wts = np.empty(2 * pi.size, dtype=np.int64), np.empty(2 * pi.size)
     if pi.size:
-        code = kernels.rows(n, pi.size, *map(_address, (pi, pj, pv, indptr, nbr, wts)))
+        code = lib.pairsphere_rows(n, pi.size, *map(_address, (pi, pj, pv, indptr, nbr, wts)))
         if code < 0:
             raise ValueError(f"pair {-1 - code} breaks the order (pi, pj), pi < pj < {n}, without repeats")
     return indptr, nbr, wts
@@ -238,8 +219,7 @@ class SolverState:
                 raise ValueError("membership must assign every node")
             self.U = _slot_sums(inst.factors, self.membership, labels.size + 1)
         self.objective = objective
-        self.dirty = bytearray(b"\x01") * inst.n
-        self.dirty_view = np.frombuffer(self.dirty, dtype=np.uint8)  # bulk marks
+        self.dirty = np.ones(inst.n, dtype=np.uint8)
         self.tracking = False
         self.check_skips = check_skips
         self.sweeps = 0
@@ -270,11 +250,12 @@ def _node_gain_vector(state: SolverState, i: int) -> tuple[np.ndarray, float]:
     bit); the row's weights are then summed by slot and the self term is
     subtracted."""
     inst, memb = state.inst, state.membership
-    cur = memb.item(i)
-    nbr, wts = inst.rows[i]
-    W = (inst.scaled[i][:, None] * state.U).sum(0)
-    W += np.bincount(memb[nbr], wts, W.size)
-    W[cur] -= inst.self_terms[i]
+    cur, lo, hi = memb.item(i), inst.indptr.item(i), inst.indptr.item(i + 1)
+    f = inst.factors[:, i]
+    s = inst.coefs * f
+    W = (s[:, None] * state.U).sum(0)
+    W += np.bincount(memb[inst.nbr[lo:hi]], inst.wts[lo:hi], W.size)
+    W[cur] -= reduce(operator.add, (s * f).tolist(), 0.0)  # from 0.0 in term order, as _sweep.c sums it
     return W, W.item(cur)
 
 
@@ -296,7 +277,7 @@ def _local_moves(state: SolverState, rng, eps: float) -> int:
     objective = np.array([state.objective])
     bitgen = rng.bit_generator
     with bitgen.lock:
-        moves = _compiled().level(
+        moves = _compiled().pairsphere_level(
             inst.n, K, *inst.addresses, _address(memb), _address(U), ld, _address(info), _address(state.dirty),
             eps / 2.0, TRACK_BELOW, _address(objective), bitgen.ctypes.state_address,
             ctypes.cast(bitgen.ctypes.next_uint32, ctypes.c_void_p).value, _address(work),
@@ -330,23 +311,21 @@ def _aggregate(inst: _Instance, membership: np.ndarray) -> _Instance:
     entries) by the one rule (see the module docstring) and writes the coarse
     rows. A label outside 0..k-1 raises ValueError in the compiled library.
     """
-    k = int(membership.max()) + 1
-    factors = _slot_sums(inst.factors, membership, k)
-    kernels = _compiled()
+    lib = _compiled()
     labels = np.ascontiguousarray(membership, dtype=np.int64)
     if labels.shape != (inst.n,):
         raise ValueError("labels must label every node of the level")
+    k = int(labels.max()) + 1
     m = inst.nbr.size // 2
     room = min(m, k * (k - 1) // 2)  # every coarse pair, at most
     indptr, nbr, wts = np.zeros(k + 1, dtype=np.int64), np.empty(2 * room, dtype=np.int64), np.empty(2 * room)
-    size = 0
-    if room:
-        # the coarse pairs, then the k x k block or the buckets' work; the kernel zeroes what it reads
-        work = np.empty(3 * room + (k * k if k * (k - 1) <= 2 * m else 4 * m + 2 * k + 2), dtype=np.int64)
-        fine = map(_address, (inst.indptr, inst.nbr, inst.wts, labels))
-        size = kernels.aggregate(inst.n, *fine, k, *map(_address, (indptr, nbr, wts, work)))
-        if size < 0:
-            raise ValueError(f"node {-1 - size} carries a label outside 0..{k - 1}")
+    # the coarse pairs, then the k x k block or the buckets' work; the kernel zeroes what it reads
+    work = np.empty(3 * room + (k * k if k * (k - 1) <= 2 * m else 4 * m + 2 * k + 2), dtype=np.int64)
+    fine = map(_address, (inst.indptr, inst.nbr, inst.wts, labels))
+    size = lib.pairsphere_aggregate(inst.n, *fine, k, *map(_address, (indptr, nbr, wts, work)))
+    if size < 0:
+        raise ValueError(f"node {-1 - size} carries a label outside 0..{k - 1}")
+    factors = _slot_sums(inst.factors, labels, k)  # after the check: bincount would raise its own error
     return _Instance(k, indptr, nbr[: 2 * size], wts[: 2 * size], inst.coefs, factors)
 
 

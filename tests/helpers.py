@@ -211,9 +211,8 @@ def apply_move(state, i: int, target: int, gain: float) -> None:
 def reference_sweep(state, order, eps) -> int:
     """compiled_sweep written as one call per visit: _node_gain_vector for
     the gains, apply_move for each move, the same dirty-set skips and marks,
-    and an np.unique relabel at the end. compiled_sweep visits in the
-    compiled kernel and relabels with a cumulative count; both must give the
-    same bits.
+    and an np.unique relabel at the end. compiled_sweep visits and relabels
+    in the compiled kernel; both must give the same bits.
 
     When node i moves from its slot b to slot c, the nodes whose best gain
     over staying can rise are marked: i's row neighbours (their sparse sums
@@ -233,9 +232,10 @@ def reference_sweep(state, order, eps) -> int:
         w_best = float(W[best])
         if w_best - w_cur > half_eps:
             if state.tracking:
-                memb, rows = state.membership, state.inst.rows
-                state.dirty_view[np.concatenate([rows[m][0] for m in np.flatnonzero(memb == memb[i])])] = 1
-                state.dirty_view[memb == best] = 1
+                memb, indptr, nbr = state.membership, state.inst.indptr, state.inst.nbr
+                b = np.flatnonzero(memb == memb[i])  # the members of i's slot, i among them
+                state.dirty[np.concatenate([nbr[indptr[m] : indptr[m + 1]] for m in b])] = 1
+                state.dirty[memb == best] = 1
             apply_move(state, i, best, 2.0 * (w_best - w_cur))
             moves += 1
     state.visits += order.size - skipped
@@ -245,10 +245,11 @@ def reference_sweep(state, order, eps) -> int:
     return moves
 
 
-def compiled_sweep(state, order, eps) -> int:
-    """One sweep over `order` in _sweep.c's pairsphere_sweep, then the numpy
-    relabel by a cumulative count of the live slots; returns the moves. Each
-    sweep of solver._local_moves runs these visits and this relabel in C."""
+def compiled_sweep(state, order, eps, fill=0x00) -> int:
+    """One sweep over `order` in _sweep.c's pairsphere_sweep, which ends with
+    compact labels and the empty slot last; returns the moves. Each sweep of
+    solver._local_moves runs this call in C. The work's S, neg, cand, head
+    and next hold the byte `fill` on entry, B and mark zero (its contract)."""
     inst = state.inst
     order = np.ascontiguousarray(order, dtype=np.int64)
     memb = state.membership = np.ascontiguousarray(state.membership, dtype=np.int64)
@@ -257,9 +258,10 @@ def compiled_sweep(state, order, eps) -> int:
     U = np.zeros((K, ld))
     U[:, :k] = state.U
     work = np.zeros(4 * ld + 2 * K + inst.n)  # B, S, neg, cand, head, next and mark
+    work.view(np.uint8)[8 * ld : 8 * (3 * ld + 2 * K + inst.n)] = fill  # S to next
     info = np.array([k, 0, 0, inst.narrow_rule], dtype=np.int64)
     objective = np.array([state.objective])
-    moves = _compiled().sweep(
+    moves = _compiled().pairsphere_sweep(
         inst.n, K, *inst.addresses, _address(order), order.size, _address(memb), _address(U), ld, _address(info),
         _address(state.dirty), state.tracking, state.check_skips, eps / 2.0, _address(objective), _address(work),
     )
@@ -273,10 +275,7 @@ def compiled_sweep(state, order, eps) -> int:
     state.visits += order.size - info.item(1)
     state.skipped += info.item(1)
     state.narrow += info.item(3)
-    live = np.bincount(memb, minlength=info.item(0)) > 0
-    live[-1] = True  # the empty last slot stays, zero
-    state.membership = (np.cumsum(live) - 1)[memb]
-    state.U = U[:, : info.item(0)][:, live]
+    state.U = U[:, : info.item(0)].copy()
     return moves
 
 

@@ -182,7 +182,8 @@ def test_node_gain_vector_keeps_the_bits_of_the_matmul_form(K):
         for sweep in range(3):
             for i in range(n):
                 W, w_cur = _node_gain_vector(state, i)
-                nbr, wts = state.inst.rows[i]
+                lo, hi = state.inst.indptr[i], state.inst.indptr[i + 1]
+                nbr, wts = state.inst.nbr[lo:hi], state.inst.wts[lo:hi]
                 ref, self_term = np.zeros(state.U.shape[1]), 0.0
                 for k in range(K):
                     ref += scaled[i, k] * state.U[k]
@@ -214,7 +215,7 @@ def test_sweep_matches_the_per_visit_reference(kind, tracking):
             marks = rng.random(n) < 0.5
             for state in (new, ref):
                 state.tracking = True
-                state.dirty_view[:] = marks
+                state.dirty[:] = marks
         for _ in range(30):
             live = new.U.shape[1] - 1
             order = rng.permutation(n)
@@ -224,7 +225,7 @@ def test_sweep_matches_the_per_visit_reference(kind, tracking):
             assert new.membership.tobytes() == ref.membership.tobytes()
             assert new.U.shape == ref.U.shape and new.U.tobytes() == ref.U.tobytes()
             assert new.objective == ref.objective
-            assert (new.visits, new.skipped, new.dirty) == (ref.visits, ref.skipped, ref.dirty)
+            assert (new.visits, new.skipped, new.dirty.tobytes()) == (ref.visits, ref.skipped, ref.dirty.tobytes())
             _assert_compact(new)
             grew += new.U.shape[1] - 1 > live
             if moves == 0:
@@ -287,8 +288,9 @@ def test_a_level_call_matches_the_loop_of_sweeps(kind):
             assert new.membership.tobytes() == ref.membership.tobytes()
             assert new.U.shape == ref.U.shape and new.U.tobytes() == ref.U.tobytes()
             assert new.objective == ref.objective
-            counters = ("sweeps", "visits", "skipped", "narrow", "tracking", "dirty")
+            counters = ("sweeps", "visits", "skipped", "narrow", "tracking")
             assert [getattr(new, c) for c in counters] == [getattr(ref, c) for c in counters]
+            assert new.dirty.tobytes() == ref.dirty.tobytes()
             assert new_rng.bit_generator.state == ref_rng.bit_generator.state
             _assert_compact(new)
 
@@ -641,12 +643,58 @@ def test_compiled_sweep_checks_its_skips(monkeypatch):
 
     def unmarked(state, rng, eps):
         state.tracking = True  # from singletons, some node can still move
-        state.dirty_view[:] = 0
+        state.dirty[:] = 0
         return local_moves(state, rng, eps)
 
     monkeypatch.setattr(solver, "_local_moves", unmarked)
     with pytest.raises(AssertionError, match="would move"):
         louvain_project(q, seed=22, debug_checks=True)
+
+
+def test_a_sweep_does_not_depend_on_its_scratch_contents():
+    """pairsphere_sweep sets up the scratch that it reads: with S, neg, cand,
+    head and next filled with 0xFF bytes (NaN as doubles, -1 as slots) and B
+    and mark zero, as it asks, tracking sweeps under the narrow rule give the
+    bytes of zero-filled ones: membership, slot table, objective, counters
+    and marks."""
+    rng = np.random.default_rng(48)
+    narrow = skipped = moved = 0
+    for _ in range(6):
+        n = int(rng.integers(30, 90))
+        q = random_sl_vector(rng, n, **QUERY_KINDS["sign-rule"])
+        inst, eps = _Instance.from_pair_vector(q), 1e-12 * q.norm() * math.sqrt(q.N)
+        assert inst.narrow_rule
+        zero, full = (SolverState(inst, None, -q.total()) for _ in range(2))
+        marks = rng.random(n) < 0.5
+        for state in (zero, full):
+            state.tracking = True
+            state.dirty[:] = marks
+        for _ in range(4):
+            order = rng.permutation(n)
+            moves = compiled_sweep(zero, order, eps)
+            assert compiled_sweep(full, order, eps, fill=0xFF) == moves
+            assert zero.membership.tobytes() == full.membership.tobytes() and zero.U.tobytes() == full.U.tobytes()
+            assert zero.objective == full.objective and zero.dirty.tobytes() == full.dirty.tobytes()
+            assert (zero.visits, zero.skipped, zero.narrow) == (full.visits, full.skipped, full.narrow)
+            moved += moves
+        narrow += zero.narrow
+        skipped += zero.skipped
+    assert narrow > 0 and skipped > 0 and moved > 0
+
+
+def test_every_library_call_is_typed():
+    """Each _KERNEL_ARGS function comes typed from _compiled(), and every
+    pairsphere_*( call in the package and its tests names one of them: any
+    other name would resolve on the CDLL untyped, and ctypes would pass its
+    64-bit pointers as C ints."""
+    lib = _kernel._compiled()
+    for name, argtypes in _kernel._KERNEL_ARGS.items():
+        fn = getattr(lib, name)
+        assert fn.argtypes == argtypes and fn.restype is ctypes.c_int64
+    tests = Path(__file__).parent
+    files = [_kernel._SOURCE, *Path(solver.__file__).parent.glob("*.py"), *tests.glob("*.py")]
+    called = {name for f in files for name in re.findall(r"\b(pairsphere_\w+)\(", f.read_text())}
+    assert "pairsphere_level" in called and called <= set(_kernel._KERNEL_ARGS)
 
 
 def test_compiled_sweep_rejects_an_order_outside_the_nodes():
@@ -1154,10 +1202,42 @@ def test_compiled_rows_reject_a_list_out_of_order(pi, pj):
         solver._rows(3, pi, pj, np.ones(pi.size))
 
 
-def test_compiled_aggregate_rejects_a_label_outside_the_supernodes():
-    inst = _Instance.from_pair_vector(PairVector.from_pairs(3, {(0, 1): 1.0, (1, 2): 1.0}))
-    with pytest.raises(ValueError, match="node 1 carries a label outside 0..1"):
-        _aggregate(inst, np.array([0, -1, 1]))
+@pytest.mark.parametrize(
+    "labels, message",
+    [([0, -1, 1], "node 1 carries a label outside 0..1"), ([0, 1], "labels must label every node of the level")],
+    ids=["negative", "short"],
+)
+@pytest.mark.parametrize(
+    "pairs, constant",
+    [({(0, 1): 1.0, (1, 2): 1.0}, 0.0), ({(0, 1): 1.0, (1, 2): 1.0}, -0.5), ({}, -0.5)],
+    ids=["K=0", "constant", "constant-no-pairs"],
+)
+def test_compiled_aggregate_rejects_a_label_outside_the_supernodes(pairs, constant, labels, message):
+    """The labels are checked before the slot sums, so a level with a
+    rank-one term raises the error of one without; the compiled check runs
+    also when the level has no sparse pair."""
+    inst = _Instance.from_pair_vector(PairVector.from_pairs(3, pairs, (), constant))
+    assert inst.coefs.size == (constant != 0.0)
+    with pytest.raises(ValueError, match=message):
+        _aggregate(inst, np.array(labels))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: _Instance(3, np.zeros(4), [], [], [-1.0], np.ones((1, 2))), "factors must be (K, n)"),
+        (lambda: _Instance(3, np.zeros(3), [], [], [-1.0], np.ones((1, 3))), "and indptr (n + 1,)"),
+        (lambda: _Instance(3, [0, 1, 2, 2], [1], [1.0], [], np.ones((0, 3))), "the rows must hold indptr[-1]"),
+        (lambda: SolverState(_Instance(3, [0, 0, 0, 0], [], [], [], np.ones((0, 3))), [0, 1], 0.0), "every node"),
+        (lambda: solver._rows(3, [0], [1, 2], [1.0]), "pi, pj and pv must have the same length"),
+    ],
+    ids=["factors", "indptr", "rows", "membership", "pairs"],
+)
+def test_arrays_for_the_compiled_library_are_checked_first(call, message):
+    """The arrays that the compiled library reads through raw pointers are
+    checked for shape before any call."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def _compiled_coarse_rows(inst, labels, fill):
@@ -1170,7 +1250,7 @@ def _compiled_coarse_rows(inst, labels, fill):
     words = (2 * room, 2 * room, 3 * room + (k * k if k * (k - 1) <= 2 * m else 4 * m + 2 * k + 2))
     nbr, wts, work = (np.full(8 * w, fill, dtype=np.uint8) for w in words)
     fine = map(_kernel._address, (inst.indptr, inst.nbr, inst.wts, labels))
-    size = _kernel._compiled().aggregate(inst.n, *fine, k, *map(_kernel._address, (indptr, nbr, wts, work)))
+    size = _kernel._compiled().pairsphere_aggregate(inst.n, *fine, k, *map(_kernel._address, (indptr, nbr, wts, work)))
     assert size >= 0
     return indptr.tobytes(), nbr[: 16 * size].tobytes(), wts[: 16 * size].tobytes()
 
