@@ -32,12 +32,11 @@ _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 _KERNEL_ARGS = {
     "pairsphere_sweep": (
         (ctypes.c_int64,) * 2 + (ctypes.c_void_p,) * 6 + (ctypes.c_int64,) + (ctypes.c_void_p,) * 2
-        + (ctypes.c_int64,) + (ctypes.c_void_p,) * 2 + (ctypes.c_int32,) * 2 + (ctypes.c_double,)
-        + (ctypes.c_void_p,) * 2
+        + (ctypes.c_int64,) + (ctypes.c_void_p,) * 2 + (ctypes.c_double,) + (ctypes.c_void_p,) * 2
     ),
     "pairsphere_level": (
         (ctypes.c_int64,) * 2 + (ctypes.c_void_p,) * 7 + (ctypes.c_int64,) + (ctypes.c_void_p,) * 2
-        + (ctypes.c_double,) * 2 + (ctypes.c_void_p,) * 4
+        + (ctypes.c_double,) + (ctypes.c_void_p,) * 4
     ),
     "pairsphere_rows": (ctypes.c_int64,) * 2 + (ctypes.c_void_p,) * 6,
     "pairsphere_aggregate": (ctypes.c_int64,) + (ctypes.c_void_p,) * 4 + (ctypes.c_int64,) + (ctypes.c_void_p,) * 4,

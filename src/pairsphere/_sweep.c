@@ -109,6 +109,7 @@ static int64_t gains(int64_t i, int64_t n, int64_t K, int64_t ns, int64_t ld,
         S[k] = coefs[k] * factors[k * n + i];
         self += S[k] * factors[k * n + i];
     }
+    /* narrow whenever the rule held, PPM n=1000 walk solves ran 4% slower, PPM n=2000 ones 5% faster */
     *narrowed = narrow_rule && 4 * (indptr[i + 1] - indptr[i] + 2) < ns;
     if (*narrowed) {
         for (k = 0; k < K - 1; k++) {
@@ -179,31 +180,31 @@ static void mark_dirty(int64_t j, int64_t c, const int64_t *indptr, const int64_
 /* Visits the nodes of order[0..n_order-1], one sweep of a level, then
    relabels the slots: the live ones in label order, the empty one last,
    their columns moved left and the freed ones zeroed. Returns the number of
-   moves. info[0] holds the slots in use on entry and on return (a move into
-   the empty last slot makes the next column the empty slot); ld is a
-   multiple of 4 and at least info[0] + n_order, so the table has room for
-   every move. info[1] returns the visits skipped. info[3] holds whether the
-   level's narrow rule holds on entry, and the visits that took the narrow
-   scan on return. A negative return is an error, with the node in info[2]:
-   -1 when check_skips finds that a skipped node would move, -2 for an order
-   entry outside 0..n-1, -3 when check_skips finds that a narrow scan
-   differs from the full one. work holds ld + 2K doubles, 2ld + n int64 and
-   ld bytes: B, S, neg, cand, head, next and mark. B and mark are zero on
-   entry, and every visit leaves them so; the sweep sets up the rest itself
-   (neg, and head and next, the slots' member lists of mark_dirty, when it
-   tracks; cand holds the new labels at the end). */
+   moves. info is the level's record (pairsphere_level): the sweep reads [0]
+   the slots in use, and leaves there those after the relabel (a move into
+   the empty last slot makes the next column the empty slot), [1] whether it
+   tracks dirty nodes, [2] the narrow rule and [3] check_skips, and adds its
+   visits made, skipped and narrow to [6], [7] and [8]. ld is a multiple of
+   4 and at least info[0] + n_order, so the table has room for every move. A
+   negative return is an error, with the node in info[10]: -1 when
+   check_skips finds that a skipped node would move, -2 for an order entry
+   outside 0..n-1, -3 when check_skips finds that a narrow scan differs from
+   the full one. work holds ld + 2K doubles, 2ld + n int64 and ld bytes: B,
+   S, neg, cand, head, next and mark. B and mark are zero on entry, and every
+   visit leaves them so; the sweep sets up the rest itself (neg, and head and
+   next, the slots' member lists of mark_dirty, when it tracks; cand holds
+   the new labels at the end). */
 int64_t pairsphere_sweep(int64_t n, int64_t K, const double *coefs, const double *factors,
                          const int64_t *indptr, const int64_t *nbr, const double *wts,
                          const int64_t *order, int64_t n_order, int64_t *memb,
-                         double *U, int64_t ld, int64_t *info, uint8_t *dirty,
-                         int32_t tracking, int32_t check_skips, double half_eps,
+                         double *U, int64_t ld, int64_t *info, uint8_t *dirty, double half_eps,
                          double *objective, double *work)
 {
     double top, own, *B = work, *S = work + ld, *neg = S + K;
     int64_t *cand = (int64_t *)(neg + K), *head = cand + ld, *next = head + ld;
     uint8_t *mark = (uint8_t *)(next + n);
     int64_t v, k, a, i, cur, best, ns = info[0], moves = 0, skipped = 0, narrow = 0, ndead = 0;
-    int32_t narrow_rule = info[3] != 0;
+    int32_t tracking = info[1] != 0, narrow_rule = info[2] != 0, check_skips = info[3] != 0;
     int narrowed;
     memset(neg, 0, (size_t)K * sizeof *neg);
     if (narrow_rule)
@@ -221,7 +222,7 @@ int64_t pairsphere_sweep(int64_t n, int64_t K, const double *coefs, const double
     for (v = 0; v < n_order; v++) {
         i = order[v];
         if (i < 0 || i >= n) {
-            info[2] = i;
+            info[10] = i;
             return -2;
         }
         if (tracking) {
@@ -231,7 +232,7 @@ int64_t pairsphere_sweep(int64_t n, int64_t K, const double *coefs, const double
                     best = gains(i, n, K, ns, ld, coefs, factors, indptr, nbr, wts, memb, U, narrow_rule,
                                  neg, ndead, 1, S, B, cand, mark, &top, &own, &narrowed);
                     if (best < 0 || top - own > half_eps) {
-                        info[2] = i;
+                        info[10] = i;
                         return best < 0 ? -3 : -1;
                     }
                 }
@@ -243,7 +244,7 @@ int64_t pairsphere_sweep(int64_t n, int64_t K, const double *coefs, const double
         best = gains(i, n, K, ns, ld, coefs, factors, indptr, nbr, wts, memb, U, narrow_rule, neg,
                      ndead, check_skips, S, B, cand, mark, &top, &own, &narrowed);
         if (best < 0) {
-            info[2] = i;
+            info[10] = i;
             return -3;
         }
         narrow += narrowed;
@@ -283,8 +284,9 @@ int64_t pairsphere_sweep(int64_t n, int64_t K, const double *coefs, const double
         memset(U + k * ld + info[0], 0, (size_t)(ns - info[0]) * sizeof *U);
     for (i = 0; i < n; i++)
         memb[i] = cand[memb[i]];
-    info[1] = skipped;
-    info[3] = narrow;
+    info[6] += n_order - skipped;
+    info[7] += skipped;
+    info[8] += narrow;
     return moves;
 }
 
@@ -310,46 +312,36 @@ static void permutation(int64_t n, int64_t *order, void *state, uint32_t (*next_
     }
 }
 
-/* The local moves of one level (solver._local_moves): up to info[5] sweeps,
+/* The local moves of one level (solver._local_moves): up to info[4] sweeps,
    until one makes no move. Each runs pairsphere_sweep on the order that
    permutation draws from a numpy bit generator (its state and next_uint32;
-   the caller holds its lock). Under the sign rule (info[2]) the sweeps after
-   one that moves fewer than track_below * n nodes track. info holds [0] the
-   slots in use and [1] tracking, on entry and on return, [3] the narrow rule
-   and [4] check_skips; it returns [6] to [10], the sweeps, the visits made,
-   skipped and narrow, and whether the cap ended the level, and [11], the
-   node of a negative return (pairsphere_sweep's code). ld >= 2n + 1 is a
-   multiple of 4; work holds the order (n int64), then pairsphere_sweep's
-   work as it asks. Returns the moves. */
+   the caller holds its lock). info is the record that the level and its
+   sweeps share: on entry [0] the slots in use, [1] the sign rule, under
+   which every sweep tracks dirty nodes, [2] the narrow rule, [3]
+   check_skips and [4] the sweep cap; on return [0] the slots in use, [5]
+   the sweeps, [6] to [8] the visits made, skipped and narrow, [9] whether
+   the cap ended the level and [10] the node of a negative return
+   (pairsphere_sweep's code). ld >= 2n + 1 is a multiple of 4; work holds
+   the order (n int64), then pairsphere_sweep's work as it asks. Returns the
+   moves. */
 int64_t pairsphere_level(int64_t n, int64_t K, const double *coefs, const double *factors,
                          const int64_t *indptr, const int64_t *nbr, const double *wts, int64_t *memb,
                          double *U, int64_t ld, int64_t *info, uint8_t *dirty, double half_eps,
-                         double track_below, double *objective, void *rng_state, void *next_uint32,
-                         int64_t *work)
+                         double *objective, void *rng_state, void *next_uint32, int64_t *work)
 {
     uint32_t (*next32)(void *);
-    int64_t sw[4], moves = 1, total = 0;
+    int64_t moves = 1, total = 0;
     memcpy(&next32, &next_uint32, sizeof next32); /* a function's address, passed as void * */
-    info[7] = info[8] = info[9] = 0;
-    for (info[6] = 0; moves && info[6] < info[5]; info[6]++) {
+    info[6] = info[7] = info[8] = 0;
+    for (info[5] = 0; moves && info[5] < info[4]; info[5]++) {
         permutation(n, work, rng_state, next32);
-        sw[0] = info[0];
-        sw[3] = info[3];
-        moves = pairsphere_sweep(n, K, coefs, factors, indptr, nbr, wts, work, n, memb, U, ld, sw, dirty,
-                                 (int32_t)info[1], (int32_t)info[4], half_eps, objective, (double *)(work + n));
-        if (moves < 0) {
-            info[11] = sw[2];
+        moves = pairsphere_sweep(n, K, coefs, factors, indptr, nbr, wts, work, n, memb, U, ld, info, dirty,
+                                 half_eps, objective, (double *)(work + n));
+        if (moves < 0)
             return moves;
-        }
         total += moves;
-        info[0] = sw[0];
-        info[7] += n - sw[1];
-        info[8] += sw[1];
-        info[9] += sw[3];
-        if (moves && info[2] && (double)moves < track_below * (double)n)
-            info[1] = 1;
     }
-    info[10] = moves != 0;
+    info[9] = moves != 0;
     return total;
 }
 
@@ -476,6 +468,7 @@ int64_t pairsphere_aggregate(int64_t n, const int64_t *indptr, const int64_t *nb
     for (i = 0; i < n; i++)
         if (labels[i] < 0 || labels[i] >= k)
             return -1 - i;
+    /* buckets alone: a markov-batch round's 63 block levels 34.8 -> 198.6 ms, grid-desk's 1,131 20.6 -> 50.4 */
     if (k * (k - 1) > 2 * m)
         c = sum_in_buckets(n, indptr, nbr, wts, labels, k, qi, qj, qv, qj + 2 * r);
     else {

@@ -40,13 +40,12 @@ members of c, and every node with a row neighbour among the members of b.
 The compiled sweep keeps each slot's members in a list while it tracks, so
 the marks of a move cost O(members of b and c, and the rows of b's), not
 O(n). Any other node's gains stayed or fell, so a node that has not been
-marked since its last visit would not move and is skipped. Marking starts on
-a level's sweep after the first one that moves fewer than TRACK_BELOW * n
-nodes; before that, and on any level where the sign rule fails, every node
-is visited. After a cycle whose coarse levels merged communities, the fine
-level starts again with every node dirty and keeps tracking. The visit order
-and every computed visit are unchanged, so the partition is the same as with
-full sweeps.
+marked since its last visit would not move and is skipped. Under the sign
+rule every sweep of a level tracks, from the first, and a level starts with
+every node dirty; on a level where the rule fails every node is visited.
+After a cycle whose coarse levels merged communities, the fine level starts
+again with every node dirty. The visit order and every computed visit are
+unchanged, so the partition is the same as with full sweeps.
 
 Narrow visits. _Instance.narrow_rule holds when the sign rule does and the
 last term has a coefficient c < 0 and positive integer factors, whose slot
@@ -91,22 +90,19 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 
 import numpy as np
 
 from ._kernel import _address, _compiled
 from .clustering import Partition, query_alignment
 from .geometry import PairVector, _smooth_terms_with_constant
-from .pairs import pair_id
 
 
 # A move must gain more than EPS_SCALE * |q| * sqrt(N) (guards against move
 # cycling from round-off); the sweep and cycle caps end a solve with a warning.
-# Dirty-set marking starts after a sweep that moves fewer than TRACK_BELOW * n.
 EPS_SCALE = 1e-12
 MAX_SWEEPS = 1000
-TRACK_BELOW = 0.1
 MAX_CYCLES = 50
 
 
@@ -144,12 +140,6 @@ class _Instance:
             self.sign_rule and counts is not None and self.coefs[-1] < 0.0 and np.all(counts >= 1.0)
             and np.all(counts == np.floor(counts)) and counts.sum() < 2.0**53
         )
-
-    @cached_property
-    def addresses(self) -> tuple:
-        """Addresses of coefs, factors, indptr, nbr and wts, for the compiled
-        sweep, taken once per level; the instance holds the arrays."""
-        return tuple(a.ctypes.data for a in (self.coefs, self.factors, self.indptr, self.nbr, self.wts))
 
     @classmethod
     def from_pair_vector(cls, q: PairVector) -> "_Instance":
@@ -200,11 +190,11 @@ class SolverState:
     The tracked objective is the inner product with the clustering vector of
     the current membership: the caller passes its starting value, and moves
     add their gains. dirty[i] is set while node i may have an improving move
-    (every node until the sweeps start tracking); sweeps, visits and skipped
-    count the sweeps run and the node visits made and skipped, and narrow the
-    visits that scanned only their candidate slots. check_skips evaluates
-    every skipped visit and asserts that it would not move, and checks every
-    narrow visit against a scan of every slot. membership None: singletons.
+    (every node at first); sweeps, visits and skipped count the sweeps run
+    and the node visits made and skipped, and narrow the visits that scanned
+    only their candidate slots. check_skips evaluates every skipped visit and
+    asserts that it would not move, and checks every narrow visit against a
+    scan of every slot. membership None: singletons.
     """
 
     def __init__(self, inst: _Instance, membership, objective: float, check_skips: bool = False):
@@ -220,7 +210,6 @@ class SolverState:
             self.U = _slot_sums(inst.factors, self.membership, labels.size + 1)
         self.objective = objective
         self.dirty = np.ones(inst.n, dtype=np.uint8)
-        self.tracking = False
         self.check_skips = check_skips
         self.sweeps = 0
         self.visits = 0
@@ -272,23 +261,23 @@ def _local_moves(state: SolverState, rng, eps: float) -> int:
     U[:, :k] = state.U
     work = np.zeros(2 * inst.n + 4 * ld + 2 * K)  # the order, then the sweep's B, S, neg, cand, head, next, mark
     memb = state.membership = np.ascontiguousarray(state.membership, dtype=np.int64)
-    flags = [k, state.tracking, inst.sign_rule, inst.narrow_rule, state.check_skips, MAX_SWEEPS]
+    flags = [k, inst.sign_rule, inst.narrow_rule, state.check_skips, MAX_SWEEPS]  # see pairsphere_level
     info = np.array(flags + [0] * 6, dtype=np.int64)
     objective = np.array([state.objective])
     bitgen = rng.bit_generator
     with bitgen.lock:
         moves = _compiled().pairsphere_level(
-            inst.n, K, *inst.addresses, _address(memb), _address(U), ld, _address(info), _address(state.dirty),
-            eps / 2.0, TRACK_BELOW, _address(objective), bitgen.ctypes.state_address,
-            ctypes.cast(bitgen.ctypes.next_uint32, ctypes.c_void_p).value, _address(work),
+            inst.n, K, *map(_address, (inst.coefs, inst.factors, inst.indptr, inst.nbr, inst.wts)), _address(memb),
+            _address(U), ld, _address(info), _address(state.dirty), eps / 2.0, _address(objective),
+            bitgen.ctypes.state_address, ctypes.cast(bitgen.ctypes.next_uint32, ctypes.c_void_p).value, _address(work),
         )
     if moves == -1:
-        raise AssertionError(f"skipped node {info[11]} would move")
+        raise AssertionError(f"skipped node {info[10]} would move")
     if moves == -3:
-        raise AssertionError(f"narrow visit of node {info[11]} differs from the full scan")
+        raise AssertionError(f"narrow visit of node {info[10]} differs from the full scan")
     state.U = U[:, : info[0]].copy()  # not the whole table
-    state.objective, state.tracking = objective.item(), bool(info[1])
-    sweeps, visits, skipped, narrow, capped = info[6:11].tolist()
+    state.objective = objective.item()
+    sweeps, visits, skipped, narrow, capped = info[5:10].tolist()
     state.sweeps += sweeps
     state.visits += visits
     state.skipped += skipped
@@ -380,9 +369,7 @@ def _project_once(inst: _Instance, q: PairVector, rng, debug_checks: bool, eps: 
         _local_moves(state, rng, eps)
         node_memb, gained = _coarsen(inst, state.membership, rng, eps, debug_checks)
         if gained > 0.0:  # the fine level starts again with every node dirty
-            merged = SolverState(inst, node_memb, state.objective + gained, debug_checks)
-            merged.tracking = state.tracking
-            state = merged
+            state = SolverState(inst, node_memb, state.objective + gained, debug_checks)
         if debug_checks:
             drift = abs(query_alignment(q, Partition(state.membership)) - state.objective)
             if drift > 1e-6 * max(1.0, abs(state.objective)):
@@ -405,18 +392,9 @@ def exact_project(q: PairVector, cap: int = 12) -> Partition:
     if n > cap:
         raise ValueError(f"exact projection capped at n={cap} (got n={n})")
     Q = np.zeros((n, n))
-    if n >= 2:
-        iu, ju = np.triu_indices(n, k=1)
-        iu = iu.astype(np.int64)
-        ju = ju.astype(np.int64)
-        ids = pair_id(iu, ju, n)
-        vals = np.zeros(ids.size)
-        if q.pair_ids.size:
-            _, ix, iv = np.intersect1d(ids, q.pair_ids, assume_unique=True, return_indices=True)
-            vals[ix] = q.values[iv]
-        vals += q.smooth_at(iu, ju)
-        Q[iu, ju] = vals
-        Q[ju, iu] = vals
+    for i in range(n):
+        for j in range(i + 1, n):
+            Q[i, j] = Q[j, i] = q.entry(i, j)
     memb = np.zeros(n, dtype=np.int64)
     best_intra = -math.inf
     best_memb = memb.copy()

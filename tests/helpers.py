@@ -208,11 +208,11 @@ def apply_move(state, i: int, target: int, gain: float) -> None:
     state.objective += gain
 
 
-def reference_sweep(state, order, eps) -> int:
+def reference_sweep(state, order, eps, tracking=False) -> int:
     """compiled_sweep written as one call per visit: _node_gain_vector for
-    the gains, apply_move for each move, the same dirty-set skips and marks,
-    and an np.unique relabel at the end. compiled_sweep visits and relabels
-    in the compiled kernel; both must give the same bits.
+    the gains, apply_move for each move, the same dirty-set skips and marks
+    when tracking, and an np.unique relabel at the end. compiled_sweep visits
+    and relabels in the compiled kernel; both must give the same bits.
 
     When node i moves from its slot b to slot c, the nodes whose best gain
     over staying can rise are marked: i's row neighbours (their sparse sums
@@ -222,7 +222,7 @@ def reference_sweep(state, order, eps) -> int:
     moves = skipped = 0
     half_eps = eps / 2.0
     for i in order.tolist():
-        if state.tracking:
+        if tracking:
             if not state.dirty[i]:
                 skipped += 1
                 continue
@@ -231,7 +231,7 @@ def reference_sweep(state, order, eps) -> int:
         best = int(W.argmax())
         w_best = float(W[best])
         if w_best - w_cur > half_eps:
-            if state.tracking:
+            if tracking:
                 memb, indptr, nbr = state.membership, state.inst.indptr, state.inst.nbr
                 b = np.flatnonzero(memb == memb[i])  # the members of i's slot, i among them
                 state.dirty[np.concatenate([nbr[indptr[m] : indptr[m + 1]] for m in b])] = 1
@@ -245,11 +245,12 @@ def reference_sweep(state, order, eps) -> int:
     return moves
 
 
-def compiled_sweep(state, order, eps, fill=0x00) -> int:
+def compiled_sweep(state, order, eps, tracking=False, fill=0x00) -> int:
     """One sweep over `order` in _sweep.c's pairsphere_sweep, which ends with
     compact labels and the empty slot last; returns the moves. Each sweep of
-    solver._local_moves runs this call in C. The work's S, neg, cand, head
-    and next hold the byte `fill` on entry, B and mark zero (its contract)."""
+    solver._local_moves runs this call in C, tracking under the sign rule.
+    The work's S, neg, cand, head and next hold the byte `fill` on entry, B
+    and mark zero (its contract)."""
     inst = state.inst
     order = np.ascontiguousarray(order, dtype=np.int64)
     memb = state.membership = np.ascontiguousarray(state.membership, dtype=np.int64)
@@ -259,39 +260,37 @@ def compiled_sweep(state, order, eps, fill=0x00) -> int:
     U[:, :k] = state.U
     work = np.zeros(4 * ld + 2 * K + inst.n)  # B, S, neg, cand, head, next and mark
     work.view(np.uint8)[8 * ld : 8 * (3 * ld + 2 * K + inst.n)] = fill  # S to next
-    info = np.array([k, 0, 0, inst.narrow_rule], dtype=np.int64)
+    info = np.array([k, tracking, inst.narrow_rule, state.check_skips] + [0] * 7, dtype=np.int64)
     objective = np.array([state.objective])
     moves = _compiled().pairsphere_sweep(
-        inst.n, K, *inst.addresses, _address(order), order.size, _address(memb), _address(U), ld, _address(info),
-        _address(state.dirty), state.tracking, state.check_skips, eps / 2.0, _address(objective), _address(work),
+        inst.n, K, *map(_address, (inst.coefs, inst.factors, inst.indptr, inst.nbr, inst.wts)), _address(order),
+        order.size, _address(memb), _address(U), ld, _address(info), _address(state.dirty), eps / 2.0,
+        _address(objective), _address(work),
     )
     if moves == -1:
-        raise AssertionError(f"skipped node {info[2]} would move")
+        raise AssertionError(f"skipped node {info[10]} would move")
     if moves == -2:
-        raise ValueError(f"sweep order holds {info[2]}, not a node of 0..{inst.n - 1}")
+        raise ValueError(f"sweep order holds {info[10]}, not a node of 0..{inst.n - 1}")
     if moves == -3:
-        raise AssertionError(f"narrow visit of node {info[2]} differs from the full scan")
+        raise AssertionError(f"narrow visit of node {info[10]} differs from the full scan")
     state.objective = objective.item()
-    state.visits += order.size - info.item(1)
-    state.skipped += info.item(1)
-    state.narrow += info.item(3)
+    state.visits += info.item(6)
+    state.skipped += info.item(7)
+    state.narrow += info.item(8)
     state.U = U[:, : info.item(0)].copy()
     return moves
 
 
 def reference_local_moves(state, rng, eps) -> int:
     """solver._local_moves as a Python loop: compiled_sweep over
-    rng.permutation(n) until a sweep makes no move, with the tracking switch
-    after the first sweep that moves fewer than TRACK_BELOW * n nodes under
-    the sign rule, and the sweep cap's warning."""
+    rng.permutation(n) until a sweep makes no move, every sweep tracking
+    under the sign rule, and the sweep cap's warning."""
     total, n = 0, state.inst.n
     for _ in range(solver.MAX_SWEEPS):
-        moves = compiled_sweep(state, rng.permutation(n), eps)
+        moves = compiled_sweep(state, rng.permutation(n), eps, tracking=state.inst.sign_rule)
         state.sweeps += 1
         total += moves
         if moves == 0:
             return total
-        if moves < solver.TRACK_BELOW * n and state.inst.sign_rule:
-            state.tracking = True
     warnings.warn("sweep cap reached before local convergence")
     return total

@@ -214,13 +214,12 @@ def test_sweep_matches_the_per_visit_reference(kind, tracking):
         if tracking:
             marks = rng.random(n) < 0.5
             for state in (new, ref):
-                state.tracking = True
                 state.dirty[:] = marks
         for _ in range(30):
             live = new.U.shape[1] - 1
             order = rng.permutation(n)
-            moves = compiled_sweep(new, order, eps)
-            assert reference_sweep(ref, order, eps) == moves
+            moves = compiled_sweep(new, order, eps, tracking)
+            assert reference_sweep(ref, order, eps, tracking) == moves
             assert new.membership.dtype == ref.membership.dtype
             assert new.membership.tobytes() == ref.membership.tobytes()
             assert new.U.shape == ref.U.shape and new.U.tobytes() == ref.U.tobytes()
@@ -260,7 +259,7 @@ def test_sweep_ties_go_to_the_lowest_slot():
 
 
 # Either side of powers of two, where the order's draw changes its mask, and
-# multiples of 10, where a sweep can move exactly TRACK_BELOW * n nodes.
+# multiples of 10 up to 50, small levels between them.
 LEVEL_SIZES = (2, 3, 4, 5, 8, 9, 16, 17, 20, 30, 40, 50, 1024, 1025)
 
 
@@ -268,10 +267,10 @@ LEVEL_SIZES = (2, 3, 4, 5, 8, 9, 16, 17, 20, 30, 40, 50, 1024, 1025)
 def test_a_level_call_matches_the_loop_of_sweeps(kind):
     """_local_moves, one compiled call per level, against
     helpers.reference_local_moves, one compiled sweep per rng.permutation(n):
-    the same moves, membership, slot table and objective bits, counters,
-    dirty marks and tracking, and the same bit generator state after, from
-    singletons and from random starts (tracking from the start under the sign
-    rule, as the fine level after a merge), with check_skips on."""
+    the same moves, membership, slot table and objective bits, counters and
+    dirty marks, and the same bit generator state after, from singletons and
+    from random starts (as the fine level after a merge), with check_skips
+    on."""
     rng = np.random.default_rng(110 + list(QUERY_KINDS).index(kind))
     for n in LEVEL_SIZES:
         q = random_sl_vector(rng, n, **{"sparse_density": min(0.3, 8.0 / n), **QUERY_KINDS[kind]})
@@ -279,8 +278,6 @@ def test_a_level_call_matches_the_loop_of_sweeps(kind):
         for start in (None, random_membership(rng, n, k_max=max(1, n // 4))):
             objective = -q.total() if start is None else query_alignment(q, Partition(start))
             new, ref = (SolverState(inst, start, objective, check_skips=True) for _ in range(2))
-            if start is not None:
-                new.tracking = ref.tracking = inst.sign_rule
             seed = int(rng.integers(2**32))
             new_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             assert _local_moves(new, new_rng, eps) == reference_local_moves(ref, ref_rng, eps)
@@ -288,7 +285,7 @@ def test_a_level_call_matches_the_loop_of_sweeps(kind):
             assert new.membership.tobytes() == ref.membership.tobytes()
             assert new.U.shape == ref.U.shape and new.U.tobytes() == ref.U.tobytes()
             assert new.objective == ref.objective
-            counters = ("sweeps", "visits", "skipped", "narrow", "tracking")
+            counters = ("sweeps", "visits", "skipped", "narrow")
             assert [getattr(new, c) for c in counters] == [getattr(ref, c) for c in counters]
             assert new.dirty.tobytes() == ref.dirty.tobytes()
             assert new_rng.bit_generator.state == ref_rng.bit_generator.state
@@ -625,6 +622,20 @@ def test_visit_counters_skip_only_under_the_sign_rule():
     assert sweeps >= 2 and visits == sweeps * q.n
 
 
+def test_a_sign_rule_level_skips_from_its_second_sweep():
+    """Under the sign rule a level tracks from its first sweep: a 20-node
+    clique of weight-1 pairs and 20 nodes without a sparse pair, under a
+    constant of -0.01. The first sweep merges the clique (more than n/10
+    moves), and the second moves nothing and skips every node that no move
+    marked, the 20 without a pair among them."""
+    n = 40
+    q = PairVector.from_pairs(n, {(i, j): 1.0 for i in range(20) for j in range(i + 1, 20)}, (), -0.01)
+    state = SolverState(_Instance.from_pair_vector(q), None, -q.total(), check_skips=True)
+    moves = _local_moves(state, np.random.default_rng(7), 1e-12 * q.norm() * math.sqrt(q.N))
+    assert state.inst.sign_rule and state.sweeps == 2 and moves > n / 10
+    assert state.skipped >= 20 and state.visits + state.skipped == 2 * n
+
+
 def test_dirty_set_solves_are_locally_optimal():
     rng = np.random.default_rng(40)
     for trial in range(12):
@@ -642,8 +653,7 @@ def test_compiled_sweep_checks_its_skips(monkeypatch):
     local_moves = solver._local_moves
 
     def unmarked(state, rng, eps):
-        state.tracking = True  # from singletons, some node can still move
-        state.dirty[:] = 0
+        state.dirty[:] = 0  # from singletons, some node can still move
         return local_moves(state, rng, eps)
 
     monkeypatch.setattr(solver, "_local_moves", unmarked)
@@ -667,12 +677,11 @@ def test_a_sweep_does_not_depend_on_its_scratch_contents():
         zero, full = (SolverState(inst, None, -q.total()) for _ in range(2))
         marks = rng.random(n) < 0.5
         for state in (zero, full):
-            state.tracking = True
             state.dirty[:] = marks
         for _ in range(4):
             order = rng.permutation(n)
-            moves = compiled_sweep(zero, order, eps)
-            assert compiled_sweep(full, order, eps, fill=0xFF) == moves
+            moves = compiled_sweep(zero, order, eps, tracking=True)
+            assert compiled_sweep(full, order, eps, tracking=True, fill=0xFF) == moves
             assert zero.membership.tobytes() == full.membership.tobytes() and zero.U.tobytes() == full.U.tobytes()
             assert zero.objective == full.objective and zero.dirty.tobytes() == full.dirty.tobytes()
             assert (zero.visits, zero.skipped, zero.narrow) == (full.visits, full.skipped, full.narrow)
