@@ -38,8 +38,10 @@ _KERNEL_ARGS = {
         (ctypes.c_int64,) * 2 + (ctypes.c_void_p,) * 7 + (ctypes.c_int64,) + (ctypes.c_void_p,) * 2
         + (ctypes.c_double,) + (ctypes.c_void_p,) * 4
     ),
+    "pairsphere_coarsen": (ctypes.c_int64,) * 3 + (ctypes.c_void_p,) * 11 + (ctypes.c_double,),
     "pairsphere_rows": (ctypes.c_int64,) * 2 + (ctypes.c_void_p,) * 6,
-    "pairsphere_aggregate": (ctypes.c_int64,) + (ctypes.c_void_p,) * 4 + (ctypes.c_int64,) + (ctypes.c_void_p,) * 4,
+    "pairsphere_rules": (ctypes.c_int64,) * 2 + (ctypes.c_void_p,) * 2,
+    "pairsphere_aggregate": (ctypes.c_int64,) + ((ctypes.c_void_p,) * 4 + (ctypes.c_int64,)) * 2,
     "pairsphere_upper_count": (ctypes.c_int64,) + (ctypes.c_void_p,) * 6,
     "pairsphere_upper_fill": (ctypes.c_int64,) + (ctypes.c_void_p,) * 7 + (ctypes.c_double,) + (ctypes.c_void_p,) * 3,
 }

@@ -1,13 +1,17 @@
-/* The package's compiled library: the local moves of one solver level and
-   the builders of every level, in C. pairsphere_level runs a level's sweeps
+/* The package's compiled library: the solver's levels, in C. A solve's
+   cycle makes two calls. pairsphere_level runs the fine level's sweeps
    (pairsphere.solver._local_moves): it draws each sweep's order from the
    solve's numpy bit generator as Generator.permutation(n) does, and
-   pairsphere_sweep visits it and relabels the slots. pairsphere_rows makes
-   CSR rows from a sorted pair list (the query's, for the fine level), and
-   pairsphere_aggregate the rows of the level above from the rows below. A
-   level is its rows alone. For graph's walk and Jaccard vectors,
-   pairsphere_upper_count and pairsphere_upper_fill form the strict upper
-   triangle of a sparse product, and nothing below it.
+   pairsphere_sweep visits it and relabels the slots. pairsphere_coarsen
+   runs the coarsening pass (solver._coarsening_pass): level after level, it
+   builds the rows of the level above from the rows below
+   (pairsphere_aggregate), sums its factors and runs its sweeps
+   (pairsphere_level), in buffers the caller allocates once per pass.
+   pairsphere_rows makes CSR rows from a sorted pair list (the query's, for
+   the fine level, and the coarse pairs). A level is its rows alone. For
+   graph's walk and Jaccard vectors, pairsphere_upper_count and
+   pairsphere_upper_fill form the strict upper triangle of a sparse product,
+   and nothing below it.
 
    _kernel._load_kernel builds this file with -ffp-contract=off, so every
    product and sum below is rounded on its own, in the order written: the
@@ -190,10 +194,10 @@ static void mark_dirty(int64_t j, int64_t c, const int64_t *indptr, const int64_
    check_skips finds that a skipped node would move, -2 for an order entry
    outside 0..n-1, -3 when check_skips finds that a narrow scan differs from
    the full one. work holds ld + 2K doubles, 2ld + n int64 and ld bytes: B,
-   S, neg, cand, head, next and mark. B and mark are zero on entry, and every
-   visit leaves them so; the sweep sets up the rest itself (neg, and head and
-   next, the slots' member lists of mark_dirty, when it tracks; cand holds
-   the new labels at the end). */
+   S, neg, cand, head, next and mark, of any contents. The sweep zeroes B
+   and mark, which every visit leaves zero, and sets up the rest itself
+   (neg, and head and next, the slots' member lists of mark_dirty, when it
+   tracks; cand holds the new labels at the end). */
 int64_t pairsphere_sweep(int64_t n, int64_t K, const double *coefs, const double *factors,
                          const int64_t *indptr, const int64_t *nbr, const double *wts,
                          const int64_t *order, int64_t n_order, int64_t *memb,
@@ -206,6 +210,8 @@ int64_t pairsphere_sweep(int64_t n, int64_t K, const double *coefs, const double
     int64_t v, k, a, i, cur, best, ns = info[0], moves = 0, skipped = 0, narrow = 0, ndead = 0;
     int32_t tracking = info[1] != 0, narrow_rule = info[2] != 0, check_skips = info[3] != 0;
     int narrowed;
+    memset(B, 0, (size_t)ld * sizeof *B);
+    memset(mark, 0, (size_t)ld);
     memset(neg, 0, (size_t)K * sizeof *neg);
     if (narrow_rule)
         for (k = 0; k < K; k++)
@@ -312,8 +318,9 @@ static void permutation(int64_t n, int64_t *order, void *state, uint32_t (*next_
     }
 }
 
-/* The local moves of one level (solver._local_moves): up to info[4] sweeps,
-   until one makes no move. Each runs pairsphere_sweep on the order that
+/* The local moves of one level (the fine one's in solver._local_moves, each
+   coarse one's in pairsphere_coarsen): up to info[4] sweeps, until one
+   makes no move. Each runs pairsphere_sweep on the order that
    permutation draws from a numpy bit generator (its state and next_uint32;
    the caller holds its lock). info is the record that the level and its
    sweeps share: on entry [0] the slots in use, [1] the sign rule, under
@@ -322,8 +329,8 @@ static void permutation(int64_t n, int64_t *order, void *state, uint32_t (*next_
    the sweeps, [6] to [8] the visits made, skipped and narrow, [9] whether
    the cap ended the level and [10] the node of a negative return
    (pairsphere_sweep's code). ld >= 2n + 1 is a multiple of 4; work holds
-   the order (n int64), then pairsphere_sweep's work as it asks. Returns the
-   moves. */
+   the order (n int64), then pairsphere_sweep's work as it asks, of any
+   contents. Returns the moves. */
 int64_t pairsphere_level(int64_t n, int64_t K, const double *coefs, const double *factors,
                          const int64_t *indptr, const int64_t *nbr, const double *wts, int64_t *memb,
                          double *U, int64_t ld, int64_t *info, uint8_t *dirty, double half_eps,
@@ -443,24 +450,25 @@ static int64_t sum_in_buckets(int64_t n, const int64_t *indptr, const int64_t *n
     return c;
 }
 
-/* The rows of the level above (solver._aggregate), from the rows of a level
+/* The rows of the level above (pairsphere_coarsen), from the rows of a level
    of n nodes labelled 0..k-1. The level's pairs are its upper entries, the t
    of row i with nbr[t] > i, in row order: m = indptr[n] / 2 of them. Each
    coarse pair a < b gets M[a][b] + M[b][a], where M[a][b] is the sum, from 0
    and in that order, of wts over the pairs whose ends carry labels (a, b);
    zero sums are dropped. When k(k-1) is at most 2m, the level's CSR
-   entries, one pass sums the pairs into a k x k block; otherwise
-   sum_in_buckets lines each cell's pairs up in row order, without k * k
-   memory. Both sum by the one rule and give the same bits. The coarse
-   pairs, sorted by (a, b), are built at the start of work, and
-   pairsphere_rows turns them into the coarse rows: cindptr holds k + 1
-   zeros on entry, cnbr and cwts room for 2r, r = min(m, k(k-1)/2). work
-   holds 3r words and then k * k for the block or 4m + 2k + 2 for the
-   buckets, of any contents. Returns the count of coarse pairs, or -1 - i
-   when node i carries a label outside 0..k-1. */
+   entries, or when the buckets do not fit in work, one pass sums the pairs
+   into a k x k block; otherwise sum_in_buckets lines each cell's pairs up in
+   row order, without k * k memory. Both sum by the one rule and give the
+   same bits. The coarse pairs, sorted by (a, b), are built at the start of
+   work, and pairsphere_rows turns them into the coarse rows: cindptr holds
+   k + 1 words, cnbr and cwts room for 2r, r = min(m, k(k-1)/2), of any
+   contents, and they may be the level's own rows, which are read before
+   they are written. work holds `words`, of any contents: 3r and then k * k
+   for the block or 4m + 2k + 2 for the buckets. Returns the count of coarse
+   pairs, or -1 - i when node i carries a label outside 0..k-1. */
 int64_t pairsphere_aggregate(int64_t n, const int64_t *indptr, const int64_t *nbr, const double *wts,
                              const int64_t *labels, int64_t k, int64_t *cindptr, int64_t *cnbr,
-                             double *cwts, int64_t *work)
+                             double *cwts, int64_t *work, int64_t words)
 {
     int64_t i, t, a, b, c = 0, m = indptr[n] / 2, r = m < k * (k - 1) / 2 ? m : k * (k - 1) / 2;
     int64_t *qi = work, *qj = qi + r;
@@ -469,7 +477,7 @@ int64_t pairsphere_aggregate(int64_t n, const int64_t *indptr, const int64_t *nb
         if (labels[i] < 0 || labels[i] >= k)
             return -1 - i;
     /* buckets alone: a markov-batch round's 63 block levels 34.8 -> 198.6 ms, grid-desk's 1,131 20.6 -> 50.4 */
-    if (k * (k - 1) > 2 * m)
+    if (k * (k - 1) > 2 * m && 3 * r + 4 * m + 2 * k + 2 <= words)
         c = sum_in_buckets(n, indptr, nbr, wts, labels, k, qi, qj, qv, qj + 2 * r);
     else {
         memset(block, 0, (size_t)(k * k) * sizeof *block);
@@ -485,8 +493,145 @@ int64_t pairsphere_aggregate(int64_t n, const int64_t *indptr, const int64_t *nb
                     qv[c++] = f;
                 }
     }
+    memset(cindptr, 0, (size_t)(k + 1) * sizeof *cindptr);
     pairsphere_rows(k, c, qi, qj, qv, cindptr, cnbr, cwts);
     return c;
+}
+
+/* Does a level of n nodes hold the sign rule (every coefficient <= 0 and
+   every factor >= 0), and the narrow rule too (a last coefficient < 0 whose
+   factors are positive integers summing below 2^53)? Returns 0, 1 or 2
+   (solver._Instance.sign_rule and narrow_rule; each coarse level's in
+   pairsphere_coarsen). */
+int64_t pairsphere_rules(int64_t n, int64_t K, const double *coefs, const double *factors)
+{
+    int64_t k, i;
+    const double *last;
+    double total = 0.0;
+    for (k = 0; k < K; k++)
+        if (!(coefs[k] <= 0.0))
+            return 0;
+    for (i = 0; i < K * n; i++)
+        if (!(factors[i] >= 0.0))
+            return 0;
+    if (K == 0 || !(coefs[K - 1] < 0.0))
+        return 1;
+    for (last = factors + (K - 1) * n, i = 0; i < n; i++) {
+        if (!(last[i] >= 1.0 && last[i] < 9007199254740992.0 && (double)(int64_t)last[i] == last[i]))
+            return 1;
+        total += last[i];
+    }
+    return total < 9007199254740992.0 ? 2 : 1;
+}
+
+/* One coarsening pass of the solver (solver._coarsening_pass) over a fine
+   level of n nodes whose solution memb labels them 0..k-1, k = info[0].
+   Each coarse level aggregates the level below by its labels
+   (pairsphere_aggregate), sums its factors from 0 in node order, as
+   np.bincount sums them, checks its own rules, and runs its sweeps
+   (pairsphere_level) from singletons: slot table factors + 0, every node
+   dirty, objective 0. The pass stops at a level with nothing to merge (k
+   labels on k nodes) or whose sweeps make no move; after each level that
+   moved, its objective is added to *gain (from 0, in level order) and memb
+   is composed with its labels, so memb ends as the fine membership reached.
+   The orders come from the bit generator as pairsphere_level draws them (the
+   caller holds its lock).
+
+   info is the level record of pairsphere_level, summed over the pass: on
+   entry [0] k, [3] check_skips and [4] the sweep cap; on return [0] the
+   coarse levels that ran sweeps, [5] to [8] their sweeps and visits made,
+   skipped and narrow, [9] how many the cap ended, and [10] the node of a
+   negative return: pairsphere_level's -1 or -3, -4 when memb holds a label
+   outside 0..k-1, -5 when work is shorter than the layout below (found
+   before anything is written). Returns 0 or that negative code.
+
+   work holds `words` int64, of any contents, laid out for the first coarse
+   level, whose k supernodes and room r = min(m, k(k-1)/2) pairs bound every
+   later level (m: the fine level's pairs): the coarse rows (k + 1 + 4r),
+   which each level writes over the rows of the one below, two sets of
+   factors (Kk each), used in turn, and the level's labels (k); then, in the
+   same words, the aggregate's work, 3r + k^2 when the fine level takes the
+   block, else 3r + 4m + 2k + 2, and the level's slot table (K x ld, ld =
+   2k + 1 rounded up to 4), its sweeps' work (2k + 4ld + 2K) and its dirty
+   marks ((k + 7) / 8), whichever is longer. A later level, of
+   k' < k supernodes and at most r pairs, fits there: its block after a fine
+   block, either path after fine buckets; pairsphere_aggregate takes the
+   block when its buckets do not fit. */
+int64_t pairsphere_coarsen(int64_t n, int64_t K, int64_t words, const double *coefs, const double *factors,
+                           const int64_t *indptr, const int64_t *nbr, const double *wts, int64_t *memb,
+                           int64_t *info, double *gain, void *rng_state, void *next_uint32, int64_t *work,
+                           double half_eps)
+{
+    int64_t k = info[0], cn = n, m = indptr[n] / 2, r, ld, aw, i, a, t, side, moves, rules;
+    int64_t *facs[2], *labels, *lab, *lwork, *awork, *cip = work, *cnb, lv[11];
+    const int64_t *ip = indptr, *nb = nbr;
+    const double *wt = wts, *f = factors;
+    double *U, *cf, *cwt, objective;
+    uint8_t *dirty;
+    r = m < k * (k - 1) / 2 ? m : k * (k - 1) / 2;
+    ld = (2 * k + 4) / 4 * 4;
+    aw = 3 * r + (k * (k - 1) <= 2 * m ? k * k : 4 * m + 2 * k + 2);
+    facs[0] = cip + k + 1 + 4 * r;
+    facs[1] = facs[0] + K * k;
+    lab = facs[1] + K * k;
+    awork = lab + k; /* done with before the level's table, sweep work and marks are set up there */
+    U = (double *)awork;
+    lwork = (int64_t *)(U + K * ld);
+    dirty = (uint8_t *)(lwork + 2 * k + 4 * ld + 2 * K);
+    if (aw < K * ld + 2 * k + 4 * ld + 2 * K + (k + 7) / 8)
+        aw = K * ld + 2 * k + 4 * ld + 2 * K + (k + 7) / 8;
+    if (k < n && awork - work + aw > words)
+        return -5;
+    info[0] = info[5] = info[6] = info[7] = info[8] = info[9] = 0;
+    *gain = 0.0;
+    for (labels = memb, side = 0; k < cn; labels = lab, side ^= 1) {
+        cnb = cip + k + 1;
+        cwt = (double *)(cnb + 2 * r);
+        cf = (double *)facs[side];
+        if ((t = pairsphere_aggregate(cn, ip, nb, wt, labels, k, cip, cnb, cwt, awork, aw)) < 0) {
+            info[10] = -1 - t;
+            return -4;
+        }
+        memset(cf, 0, (size_t)(K * k) * sizeof *cf);
+        for (t = 0; t < K; t++)
+            for (i = 0; i < cn; i++)
+                cf[t * k + labels[i]] += f[t * cn + i];
+        rules = pairsphere_rules(k, K, coefs, cf);
+        for (t = 0; t < K; t++)
+            for (a = 0; a < ld; a++)
+                U[t * ld + a] = a < k ? cf[t * k + a] + 0.0 : 0.0;
+        for (a = 0; a < k; a++) {
+            lab[a] = a;
+            dirty[a] = 1;
+        }
+        lv[0] = k + 1;
+        lv[1] = rules > 0;
+        lv[2] = rules > 1;
+        lv[3] = info[3];
+        lv[4] = info[4];
+        objective = 0.0;
+        moves = pairsphere_level(k, K, coefs, cf, cip, cnb, cwt, lab, U, ld, lv, dirty, half_eps, &objective,
+                                 rng_state, next_uint32, lwork);
+        if (moves < 0) {
+            info[10] = lv[10];
+            return moves;
+        }
+        info[0]++;
+        for (t = 5; t < 10; t++)
+            info[t] += lv[t];
+        if (!moves)
+            break;
+        *gain += objective;
+        for (i = 0; i < n; i++)
+            memb[i] = lab[memb[i]];
+        ip = cip;
+        nb = cnb;
+        wt = cwt;
+        f = cf;
+        cn = k;
+        k = lv[0] - 1;
+    }
+    return 0;
 }
 
 /* Row i of the strict upper triangle of the product A B (pairsphere_upper_*):

@@ -3,8 +3,8 @@
 Subcommands: generate, detect, evaluate, experiment, grid-search, ring-demo.
 Exit codes: 0 success, 1 domain error (bad data/degenerate inputs, or an
 experiment whose every run failed), 2 usage or config error. Every subcommand
-honors --seed; omitting it draws one and prints it so any run can be
-reproduced after the fact.
+honors --seed, an integer in [0, 2^32); omitting it draws one and prints it
+so any run can be reproduced after the fact.
 
 Experiment/grid-search plans are flat `key = value` config files with sections
 (configparser syntax). Schema:
@@ -59,6 +59,13 @@ from .tune import (
 
 class UsageError(Exception):
     """Bad flags or config: exit code 2."""
+
+
+def _seed(text: str) -> int:
+    """Every --seed: an integer in [0, 2^32), as numpy takes and derive_seed keeps it; else a usage error."""
+    if not (text.isascii() and text.isdigit() and int(text) < 2**32):
+        raise argparse.ArgumentTypeError(f"seed must be an integer in [0, 2^32), not {text!r}")
+    return int(text)
 
 
 def _resolve_seed(args) -> int:
@@ -335,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--smin", dest="s_min", type=int)
     gen.add_argument("--smax", dest="s_max", type=int)
     gen.add_argument("--tau", type=float)
-    gen.add_argument("--seed", type=int, default=None)
+    gen.add_argument("--seed", type=_seed, default=None)
     gen.add_argument("--out", default=".")
     gen.add_argument("--name", default="sample")
     gen.set_defaults(func=cmd_generate)
@@ -353,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     det.add_argument("--planted", default=None, help="membership file with the reference partition")
     det.add_argument("--heuristic", help="off | exact | fixed:<lat>,<theta> | means:<k>")
     det.add_argument("--latitude-rule", dest="rule", choices=list(LATITUDE_RULES))
-    det.add_argument("--seed", type=int, default=None)
+    det.add_argument("--seed", type=_seed, default=None)
     det.add_argument("--out", default=".")
     det.add_argument("--name", default="detected")
     det.set_defaults(func=cmd_detect)
@@ -368,21 +375,21 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--config", required=True)
     exp.add_argument("--out", default="experiment_out")
     exp.add_argument("--workers", type=int, default=None)
-    exp.add_argument("--seed", type=int, default=None)
+    exp.add_argument("--seed", type=_seed, default=None)
     exp.set_defaults(func=cmd_experiment)
 
     gs = sub.add_parser("grid-search", help="tune linear-combination coefficients on a generator")
     gs.add_argument("--config", required=True)
     gs.add_argument("--out", default="gridsearch_out")
     gs.add_argument("--workers", type=int, default=None)
-    gs.add_argument("--seed", type=int, default=None)
+    gs.add_argument("--seed", type=_seed, default=None)
     gs.set_defaults(func=cmd_grid_search)
 
     ring = sub.add_parser("ring-demo", help="granularity-fix strategies on the ring of cliques")
     ring.add_argument("--k", type=int, nargs="+", default=[20], help="one or more clique counts, run in order")
     ring.add_argument("--s", type=int, default=5)
     ring.add_argument("--gamma", type=float)
-    ring.add_argument("--seed", type=int, default=None)
+    ring.add_argument("--seed", type=_seed, default=None)
     ring.set_defaults(func=cmd_ring_demo)
 
     return top

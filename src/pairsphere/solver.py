@@ -12,26 +12,27 @@ sparse row's weights summed by slot, a self-term subtraction and an argmax.
 Under the narrow rule (below) the compiled sweep evaluates only a short
 row's candidate slots, so a visit costs O(row), not O(k).
 
-A level's local moves run in one call to a C kernel, _sweep.c, compiled on
-first use and cached (see _kernel), which also builds the levels (below);
-where it cannot be built or loaded, a solve raises OSError naming the reason.
-The call draws each sweep's order from the solve's numpy bit generator as
-Generator.permutation(n) does (a Fisher-Yates shuffle by numpy's
+A cycle makes two calls to a C library, _sweep.c, compiled on first use and
+cached (see _kernel): one runs the fine level's local moves, one the
+coarsening pass, which builds each coarse level (below) and runs its local
+moves; where it cannot be built or loaded, a solve raises OSError naming the
+reason. Each level draws its sweeps' orders from the solve's numpy bit
+generator as Generator.permutation(n) does (a Fisher-Yates shuffle by numpy's
 random_interval on next_uint32), so the generator keeps numpy's stream; a
 numpy release that changes that draw fails the level equivalence test. The
 kernel follows one summation rule: the rank-one part is W = 0 + s_1 U_1 +
 s_2 U_2 + ..., added in term order with every product rounded on its own (no
-fused multiply-add); the row sums are added to it and the self term, summed
-by the same rule, is subtracted. _node_gain_vector, which the oracles call,
-follows it too and gives the kernel's bits; a BLAS gemv follows no fixed
-order and differs in the last bit.
+fused multiply-add); the row sums are added to it and the self term, summed by
+the same rule, is subtracted. _node_gain_vector, which the oracles call,
+follows it too and gives the kernel's bits; a BLAS gemv follows no fixed order
+and differs in the last bit.
 
 Dirty-set sweeps skip visits that provably cannot move. The skip is exact
 under the sign rule: every rank-one coefficient (the constant's included) is
 <= 0 and every factor is >= 0, so every pair outside the sparse rows holds a
 value <= 0, and a slot holding none of node i's row neighbours has W_i <= 0,
 the fresh slot's value. The rule is checked once per level; coarse factors
-are sums of fine ones, so coarse levels inherit it. Modularity, ppm-likelihood
+are sums of fine ones, so coarse levels keep it. Modularity, ppm-likelihood
 and walk queries, raw or exact-corrected, satisfy it; a positive corrected
 constant breaks it (73-76 of the desk grid search's 143 cells on PPM n=200
 samples). When node j moves from slot b to slot c, the nodes whose best gain
@@ -66,18 +67,18 @@ against a full scan, and SolverState.narrow counts them.
 
 A level's sparse part is its CSR rows, columns ascending; its pairs are the
 rows' upper entries (column > row), in row order. The same library builds
-every level. _rows turns the query's sorted pair list into the fine rows by
-a counting sort in two passes, first each pair's lower entry and then its
-upper one, so the columns of every row ascend and no value is summed. A
-coarse level maps the pairs below through the community labels and sums
-them by one rule (_aggregate): coarse pair a < b gets M[a, b] + M[b, a],
-where M[a, b] is the sum, from 0 and in row order, of the fine pairs whose
-ends carry labels (a, b); zero sums are dropped. When the k supernodes give
+every level. _rows turns the query's sorted pair list into the fine rows by a
+counting sort in two passes, first each pair's lower entry and then its upper
+one, so the columns of every row ascend and no value is summed. A coarse level
+maps the pairs below through the community labels and sums them by one rule
+(pairsphere_aggregate): coarse pair a < b gets M[a, b] + M[b, a], where
+M[a, b] is the sum, from 0 and in row order, of the fine pairs whose ends
+carry labels (a, b); zero sums are dropped. When the k supernodes give
 k * (k - 1) at most the CSR entry count of the level below, one pass sums the
-pairs into a dense k x k block, no larger than that level; otherwise a
-stable counting sort by label lines each cell's pairs up in row order,
-without k * k memory. The same call turns the coarse pairs into the coarse
-rows.
+pairs into a dense k x k block, no larger than that level; otherwise a stable
+counting sort by label lines each cell's pairs up in row order, without k * k
+memory. The same call turns the coarse pairs into the coarse rows, and the
+pass sums the coarse factors from 0 in node order.
 
 For small instances an exhaustive enumerator over set partitions provides an
 exact reference optimum.
@@ -115,7 +116,8 @@ class _Instance:
     <= 0. narrow_rule: does the sign rule hold with a last term of
     coefficient < 0 and positive integer factors (such as the query constant:
     ones, summed to supernode sizes at coarse levels), so that the compiled
-    sweep may visit a node's candidate slots only."""
+    sweep may visit a node's candidate slots only. The compiled library
+    checks both, here and at every coarse level (pairsphere_rules)."""
 
     n: int
     indptr: np.ndarray
@@ -134,12 +136,8 @@ class _Instance:
             raise ValueError("factors must be (K, n) and indptr (n + 1,)")
         if not self.nbr.size == self.wts.size == self.indptr[-1]:
             raise ValueError("the rows must hold indptr[-1] neighbours and weights")
-        self.sign_rule = bool(np.all(self.coefs <= 0.0) and np.all(self.factors >= 0.0))
-        counts = self.factors[-1] if self.coefs.size else None
-        self.narrow_rule = bool(
-            self.sign_rule and counts is not None and self.coefs[-1] < 0.0 and np.all(counts >= 1.0)
-            and np.all(counts == np.floor(counts)) and counts.sum() < 2.0**53
-        )
+        rules = _compiled().pairsphere_rules(self.n, self.coefs.size, _address(self.coefs), _address(self.factors))
+        self.sign_rule, self.narrow_rule = rules > 0, rules > 1
 
     @classmethod
     def from_pair_vector(cls, q: PairVector) -> "_Instance":
@@ -248,6 +246,11 @@ def _node_gain_vector(state: SolverState, i: int) -> tuple[np.ndarray, float]:
     return W, W.item(cur)
 
 
+# a compiled level's or pass's negative return, with the node in info[10]
+_FAULTS = {-1: "skipped node {} would move", -3: "narrow visit of node {} differs from the full scan",
+           -5: "the pass's work is shorter than its layout"}
+
+
 def _local_moves(state: SolverState, rng, eps: float) -> int:
     """Sweeps of best-gain relabelings until one makes no move (no single-node
     relabel then improves by more than eps), in one call to the compiled
@@ -259,22 +262,19 @@ def _local_moves(state: SolverState, rng, eps: float) -> int:
     ld = -(-(2 * inst.n + 1) // 4) * 4  # the kernel's blocks of 4
     U = np.zeros((K, ld))
     U[:, :k] = state.U
-    work = np.zeros(2 * inst.n + 4 * ld + 2 * K)  # the order, then the sweep's B, S, neg, cand, head, next, mark
+    work = np.empty(2 * inst.n + 4 * ld + 2 * K)  # the order, then the sweep's B, S, neg, cand, head, next, mark
     memb = state.membership = np.ascontiguousarray(state.membership, dtype=np.int64)
-    flags = [k, inst.sign_rule, inst.narrow_rule, state.check_skips, MAX_SWEEPS]  # see pairsphere_level
-    info = np.array(flags + [0] * 6, dtype=np.int64)
+    info = np.array([k, inst.sign_rule, inst.narrow_rule, state.check_skips, MAX_SWEEPS] + [0] * 6, dtype=np.int64)
     objective = np.array([state.objective])
     bitgen = rng.bit_generator
     with bitgen.lock:
         moves = _compiled().pairsphere_level(
             inst.n, K, *map(_address, (inst.coefs, inst.factors, inst.indptr, inst.nbr, inst.wts)), _address(memb),
             _address(U), ld, _address(info), _address(state.dirty), eps / 2.0, _address(objective),
-            bitgen.ctypes.state_address, ctypes.cast(bitgen.ctypes.next_uint32, ctypes.c_void_p).value, _address(work),
+            bitgen.ctypes.state_address, ctypes.c_void_p.from_buffer(bitgen.ctypes.next_uint32).value, _address(work),
         )
-    if moves == -1:
-        raise AssertionError(f"skipped node {info[10]} would move")
-    if moves == -3:
-        raise AssertionError(f"narrow visit of node {info[10]} differs from the full scan")
+    if moves < 0:
+        raise AssertionError(_FAULTS[moves].format(info[10]))
     state.U = U[:, : info[0]].copy()  # not the whole table
     state.objective = objective.item()
     sweeps, visits, skipped, narrow, capped = info[5:10].tolist()
@@ -287,52 +287,40 @@ def _local_moves(state: SolverState, rng, eps: float) -> int:
     return moves
 
 
-def _aggregate(inst: _Instance, membership: np.ndarray) -> _Instance:
-    """Collapse communities to supernodes; the labels must be compact (0..k-1,
-    each used), as every sweep leaves them, and label a becomes supernode a.
-
-    Sparse entries sum between supernode pairs; rank-one factors sum within
-    supernodes, so an all-ones factor counts each supernode's members.
-    Pairs inside a supernode contribute a fixed amount that is dropped, so
-    coarse-level gains equal fine-level gains.
-
-    One call to the compiled library sums the level's pairs (its rows' upper
-    entries) by the one rule (see the module docstring) and writes the coarse
-    rows. A label outside 0..k-1 raises ValueError in the compiled library.
-    """
-    lib = _compiled()
-    labels = np.ascontiguousarray(membership, dtype=np.int64)
+def _coarsening_pass(inst: _Instance, memb: np.ndarray, rng, eps: float, debug_checks: bool) -> tuple:
+    """Coarse levels on a fine solution `memb` (compact labels), in one call
+    to the compiled library (pairsphere_coarsen, which lays out the work
+    allocated here): each level aggregates the communities of the one below
+    and runs local moves on the supernodes, until a level has nothing to
+    merge or no move. Returns the fine membership reached, the levels' summed
+    gain (0.0 if none moved) and the pass's record: [0] the levels run, [5]
+    to [8] their sweeps and visits made, skipped and narrow, [9] how many the
+    sweep cap ended, each of which warns."""
+    labels = np.array(memb, dtype=np.int64)  # the call composes the fine membership in it
     if labels.shape != (inst.n,):
         raise ValueError("labels must label every node of the level")
-    k = int(labels.max()) + 1
-    m = inst.nbr.size // 2
-    room = min(m, k * (k - 1) // 2)  # every coarse pair, at most
-    indptr, nbr, wts = np.zeros(k + 1, dtype=np.int64), np.empty(2 * room, dtype=np.int64), np.empty(2 * room)
-    # the coarse pairs, then the k x k block or the buckets' work; the kernel zeroes what it reads
-    work = np.empty(3 * room + (k * k if k * (k - 1) <= 2 * m else 4 * m + 2 * k + 2), dtype=np.int64)
-    fine = map(_address, (inst.indptr, inst.nbr, inst.wts, labels))
-    size = lib.pairsphere_aggregate(inst.n, *fine, k, *map(_address, (indptr, nbr, wts, work)))
-    if size < 0:
-        raise ValueError(f"node {-1 - size} carries a label outside 0..{k - 1}")
-    factors = _slot_sums(inst.factors, labels, k)  # after the check: bincount would raise its own error
-    return _Instance(k, indptr, nbr[: 2 * size], wts[: 2 * size], inst.coefs, factors)
-
-
-def _coarsen(inst: _Instance, memb: np.ndarray, rng, eps: float, debug_checks: bool) -> tuple[np.ndarray, float]:
-    """Coarse levels on a fine solution `memb` (compact labels): each level
-    aggregates the communities of the one below and runs local moves on the
-    supernodes, until a level has nothing to merge or no move. Returns the
-    fine membership reached and the levels' summed gain (0.0 if none moved)."""
-    gain = 0.0
-    level = memb  # the current level's membership; memb maps fine nodes to its labels
-    while (coarse := _aggregate(inst, level)).n < inst.n:
-        state = SolverState(coarse, None, 0.0, debug_checks)  # coarse levels track gains only
-        if not _local_moves(state, rng, eps):
-            break
-        gain += state.objective
-        inst, level = coarse, state.membership
-        memb = level[memb]
-    return memb, gain
+    K, k, m = inst.coefs.size, int(labels.max()) + 1, inst.nbr.size // 2
+    room, ld = min(m, k * (k - 1) // 2), -(-(2 * k + 1) // 4) * 4
+    # the rows, two factor sets and the labels; then the aggregate's work or the level's table, sweep work and marks
+    aggregate = 3 * room + (k * k if k * (k - 1) <= 2 * m else 4 * m + 2 * k + 2)  # the block or the buckets
+    words = k + 1 + 4 * room + 2 * K * k + k + max(aggregate, K * ld + 2 * k + 4 * ld + 2 * K + (k + 7) // 8)
+    work = np.empty(words if k < inst.n else 0, dtype=np.int64)  # nothing to merge: no level
+    info = np.array([k, 0, 0, debug_checks, MAX_SWEEPS] + [0] * 6, dtype=np.int64)
+    gain = np.zeros(1)
+    bitgen = rng.bit_generator
+    with bitgen.lock:
+        code = _compiled().pairsphere_coarsen(
+            inst.n, K, work.size, *map(_address, (inst.coefs, inst.factors, inst.indptr, inst.nbr, inst.wts)),
+            *map(_address, (labels, info, gain)), bitgen.ctypes.state_address,
+            ctypes.c_void_p.from_buffer(bitgen.ctypes.next_uint32).value, _address(work), eps / 2.0,
+        )
+    if code == -4:
+        raise ValueError(f"node {info[10]} carries a label outside 0..{k - 1}")
+    if code < 0:
+        raise AssertionError(_FAULTS[code].format(info[10]))
+    for _ in range(info[9]):
+        warnings.warn("sweep cap reached before local convergence")
+    return labels, gain.item(), info
 
 
 def louvain_project(
@@ -343,9 +331,9 @@ def louvain_project(
     Starts from singletons; sweeps best-gain single-node relabelings in a
     seeded random order (each sweep's order is rng.permutation(n), drawn in
     the compiled level call; ties to the lowest slot), then builds coarse
-    levels of supernodes (see _coarsen), and repeats the cycle until the
-    objective stops improving. The returned partition admits
-    no improving single-node relabel at the finest level.
+    levels of supernodes (see _coarsening_pass), and repeats the cycle until
+    the objective stops improving. The returned partition admits no
+    improving single-node relabel at the finest level.
 
     restarts > 1 runs that many independent greedy passes (seed streams
     derived from the given seed) and keeps the best objective; the result is
@@ -356,6 +344,8 @@ def louvain_project(
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
     eps = EPS_SCALE * q.norm() * math.sqrt(q.N)
+    if not math.isfinite(eps):  # no move could pass an infinite threshold: the solve would return singletons
+        raise ValueError(f"the query's norm {q.norm()} is not finite, so no move threshold can be set")
     inst = _Instance.from_pair_vector(q)
     rngs = (np.random.default_rng([seed, r] if restarts > 1 else seed) for r in range(restarts))
     states = (_project_once(inst, q, rng, debug_checks, eps) for rng in rngs)
@@ -367,7 +357,7 @@ def _project_once(inst: _Instance, q: PairVector, rng, debug_checks: bool, eps: 
     for _ in range(MAX_CYCLES):
         obj_before = state.objective
         _local_moves(state, rng, eps)
-        node_memb, gained = _coarsen(inst, state.membership, rng, eps, debug_checks)
+        node_memb, gained, _ = _coarsening_pass(inst, state.membership, rng, eps, debug_checks)
         if gained > 0.0:  # the fine level starts again with every node dirty
             state = SolverState(inst, node_memb, state.objective + gained, debug_checks)
         if debug_checks:

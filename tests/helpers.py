@@ -249,8 +249,7 @@ def compiled_sweep(state, order, eps, tracking=False, fill=0x00) -> int:
     """One sweep over `order` in _sweep.c's pairsphere_sweep, which ends with
     compact labels and the empty slot last; returns the moves. Each sweep of
     solver._local_moves runs this call in C, tracking under the sign rule.
-    The work's S, neg, cand, head and next hold the byte `fill` on entry, B
-    and mark zero (its contract)."""
+    Every byte of the work holds `fill` on entry."""
     inst = state.inst
     order = np.ascontiguousarray(order, dtype=np.int64)
     memb = state.membership = np.ascontiguousarray(state.membership, dtype=np.int64)
@@ -259,7 +258,7 @@ def compiled_sweep(state, order, eps, tracking=False, fill=0x00) -> int:
     U = np.zeros((K, ld))
     U[:, :k] = state.U
     work = np.zeros(4 * ld + 2 * K + inst.n)  # B, S, neg, cand, head, next and mark
-    work.view(np.uint8)[8 * ld : 8 * (3 * ld + 2 * K + inst.n)] = fill  # S to next
+    work.view(np.uint8)[:] = fill
     info = np.array([k, tracking, inst.narrow_rule, state.check_skips] + [0] * 7, dtype=np.int64)
     objective = np.array([state.objective])
     moves = _compiled().pairsphere_sweep(
@@ -294,3 +293,59 @@ def reference_local_moves(state, rng, eps) -> int:
             return total
     warnings.warn("sweep cap reached before local convergence")
     return total
+
+
+def reference_aggregate(inst, membership):
+    """The level above `inst` as a solver._Instance, in one compiled
+    pairsphere_aggregate call and numpy's slot sums: the coarse level that
+    solver._coarsening_pass builds in C. The labels must be compact (0..k-1,
+    each used), as every sweep leaves them, and label a becomes supernode a.
+
+    Sparse entries sum between supernode pairs; rank-one factors sum within
+    supernodes, so an all-ones factor counts each supernode's members.
+    Pairs inside a supernode contribute a fixed amount that is dropped, so
+    coarse-level gains equal fine-level gains.
+
+    One call to the compiled library sums the level's pairs (its rows' upper
+    entries) by the one rule (see the solver's docstring) and writes the
+    coarse rows. A label outside 0..k-1 raises ValueError in the compiled
+    library.
+    """
+    lib = _compiled()
+    labels = np.ascontiguousarray(membership, dtype=np.int64)
+    if labels.shape != (inst.n,):
+        raise ValueError("labels must label every node of the level")
+    k = int(labels.max()) + 1
+    m = inst.nbr.size // 2
+    room = min(m, k * (k - 1) // 2)  # every coarse pair, at most
+    indptr, nbr, wts = np.zeros(k + 1, dtype=np.int64), np.empty(2 * room, dtype=np.int64), np.empty(2 * room)
+    # the coarse pairs, then the k x k block or the buckets' work; the kernel zeroes what it reads
+    work = np.empty(3 * room + (k * k if k * (k - 1) <= 2 * m else 4 * m + 2 * k + 2), dtype=np.int64)
+    fine = map(_address, (inst.indptr, inst.nbr, inst.wts, labels))
+    size = lib.pairsphere_aggregate(inst.n, *fine, k, *map(_address, (indptr, nbr, wts, work)), work.size)
+    if size < 0:
+        raise ValueError(f"node {-1 - size} carries a label outside 0..{k - 1}")
+    factors = solver._slot_sums(inst.factors, labels, k)  # after the check: bincount would raise its own error
+    return solver._Instance(k, indptr, nbr[: 2 * size], wts[: 2 * size], inst.coefs, factors)
+
+
+def reference_coarsen(inst, memb, rng, eps, debug_checks):
+    """solver._coarsening_pass as a Python loop: coarse levels on a fine
+    solution `memb` (compact labels), each aggregating the communities of the
+    one below (reference_aggregate) and running solver._local_moves on the
+    supernodes, until a level has nothing to merge or no move. Returns the
+    fine membership reached, the levels' summed gain (0.0 if none moved) and
+    the counters the pass's record sums: levels run, sweeps, visits,
+    skipped, narrow."""
+    gain, counts = 0.0, [0] * 5
+    level = memb  # the current level's membership; memb maps fine nodes to its labels
+    while (coarse := reference_aggregate(inst, level)).n < inst.n:
+        state = solver.SolverState(coarse, None, 0.0, debug_checks)  # coarse levels track gains only
+        moves = solver._local_moves(state, rng, eps)
+        counts = [a + b for a, b in zip(counts, (1, state.sweeps, state.visits, state.skipped, state.narrow))]
+        if not moves:
+            break
+        gain += state.objective
+        inst, level = coarse, state.membership
+        memb = level[memb]
+    return memb, gain, counts

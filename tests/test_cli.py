@@ -3,15 +3,17 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from pairsphere import _kernel, cli
+from pairsphere import _kernel, cli, tune
 from pairsphere.cli import main
 from pairsphere.clustering import read_membership
 from pairsphere.generators import GeneratorSpec, generate
+from pairsphere.geometry import PairVector
 from pairsphere.graph import read_edges
 from pairsphere.queries import QuerySpec
 
@@ -101,6 +103,19 @@ def test_detect_without_the_library_exits_1(tmp_path, monkeypatch, capsys):
     code = run(["detect", "--graph", str(edges), "--method", "er-modularity", "--out", str(tmp_path), "--name", "det"])
     assert code == 1
     assert f"error: {NO_LIBRARY}" in capsys.readouterr().err
+    assert not (tmp_path / "det.membership").exists()
+
+
+def test_detect_exits_1_when_the_query_norm_overflows(tmp_path, monkeypatch, capsys):
+    edges, _ = _two_triangles(tmp_path)
+    overflowing = PairVector.from_pairs(6, {(0, 1): 1e300, (2, 3): 1e300})
+    monkeypatch.setattr(tune, "build_query", lambda *args, **kwargs: overflowing)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow in the norm
+        code = run(["detect", "--graph", str(edges), "--method", "er-modularity", "--seed", "0",
+                    "--out", str(tmp_path), "--name", "det"])
+    assert code == 1
+    assert "error: the query's norm inf is not finite" in capsys.readouterr().err
     assert not (tmp_path / "det.membership").exists()
 
 
@@ -547,3 +562,32 @@ def test_ring_demo_bad_gamma_is_usage_error(capsys):
         assert run(["ring-demo", "--k", "5", "--gamma", gamma, "--seed", "7"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "usage error" in captured.err
+
+
+SEEDED_COMMANDS = {
+    "generate": ["generate", "--family", "ppm", "--n", "60", "--k", "3", "--out", "out"],
+    "detect": ["detect", "--graph", "g.edges", "--method", "er-modularity", "--out", "out"],
+    "experiment": ["experiment", "--config", "exp.ini", "--out", "out"],
+    "grid-search": ["grid-search", "--config", "grid.ini", "--out", "out"],
+    "ring-demo": ["ring-demo", "--k", "5"],
+}
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**32), "1.5"])
+@pytest.mark.parametrize("command", SEEDED_COMMANDS)
+def test_a_seed_outside_the_range_is_a_usage_error(command, seed, tmp_path, monkeypatch, capsys):
+    """Every --seed takes an integer in [0, 2^32) and nothing else: a usage
+    error (exit 2) that names the range, before any file is read or written."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run([*SEEDED_COMMANDS[command], "--seed", seed])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "seed must be an integer in [0, 2^32)" in captured.err
+    assert not any(tmp_path.iterdir())
+
+
+def test_the_largest_seed_is_taken(tmp_path):
+    code = run(["generate", "--family", "ppm", "--n", "60", "--k", "3", "--seed", str(2**32 - 1),
+                "--out", str(tmp_path), "--name", "g"])
+    assert code == 0 and f"seed = {2**32 - 1}" in (tmp_path / "g.meta").read_text()

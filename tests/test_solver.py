@@ -19,7 +19,7 @@ from pairsphere.graph import Graph, jaccard_vector, walk_distribution
 from pairsphere.queries import QuerySpec, build_query, er_modularity_query
 from pairsphere.solver import (
     SolverState,
-    _aggregate,
+    _coarsening_pass,
     _Instance,
     _local_moves,
     _node_gain_vector,
@@ -39,6 +39,8 @@ from helpers import (
     dense_of,
     random_membership,
     random_sl_vector,
+    reference_aggregate,
+    reference_coarsen,
     reference_local_moves,
     reference_sweep,
 )
@@ -108,8 +110,8 @@ QUERY_KINDS = {
 
 
 def _assert_compact(state):
-    """Labels 0..k-1, each used (what _aggregate relies on), and a slot table
-    of the k live slots plus one empty slot."""
+    """Labels 0..k-1, each used (what the coarsening pass relies on), and a
+    slot table of the k live slots plus one empty slot."""
     k = state.U.shape[1] - 1
     np.testing.assert_array_equal(np.unique(state.membership), np.arange(k))
     assert state.U.shape[0] == state.inst.factors.shape[0]
@@ -327,23 +329,39 @@ def test_one_and_two_nodes_and_the_zero_vector_keep_their_partitions(q, expected
 
 def test_the_sweep_cap_warns_and_still_returns_a_partition(monkeypatch):
     """MAX_SWEEPS, read when each level is called: with a cap of 1, every
-    level makes one sweep, the cap warns, and the solve returns a partition."""
+    level makes one sweep, the cap warns, and the solve returns a partition.
+    The coarse levels read it too: each pass's record holds one sweep per
+    level, and the solve warns once per capped level, fine (one that moved
+    in its sweep) and coarse (counted in the record)."""
     G, T = _ppm200()
     q = build_query(G, QuerySpec("cl-modularity", heuristic="exact"), T)
-    local_moves, sweeps = solver._local_moves, []
+    local_moves, coarsening_pass = solver._local_moves, solver._coarsening_pass
+    sweeps, capped, records = [], [], []
 
     def counting(state, rng, eps):
         before = state.sweeps
         moves = local_moves(state, rng, eps)
         sweeps.append(state.sweeps - before)
+        capped.append(moves > 0)
         return moves
 
+    def recording(*args):
+        result = coarsening_pass(*args)
+        records.append(result[2])
+        return result
+
     monkeypatch.setattr(solver, "_local_moves", counting)
+    monkeypatch.setattr(solver, "_coarsening_pass", recording)
     monkeypatch.setattr(solver, "MAX_SWEEPS", 1)
-    with pytest.warns(UserWarning, match="sweep cap reached before local convergence"):
+    with pytest.warns(UserWarning, match="sweep cap reached before local convergence") as caught:
         C = louvain_project(q, seed=3)
     assert C.n == q.n and 1 <= C.k < q.n
     assert sweeps and set(sweeps) == {1}
+    assert records and all(info[5] == info[0] for info in records)
+    coarse_caps = sum(int(info[9]) for info in records)
+    assert coarse_caps > 0
+    cap_warnings = [w for w in caught if "sweep cap reached" in str(w.message)]
+    assert len(cap_warnings) == sum(capped) + coarse_caps
 
 
 def test_the_cycle_cap_warns_and_still_returns_a_partition(monkeypatch):
@@ -439,6 +457,16 @@ def test_restarts_deterministic_and_not_worse():
     again = louvain_project(q, seed=4, restarts=4)
     assert multi == again
     assert query_alignment(q, multi) >= query_alignment(q, single) - 1e-12
+
+
+def test_a_query_whose_norm_overflows_is_rejected():
+    """Squared, 1e300 overflows: the norm, and with it the move threshold,
+    is inf, and a solve would return singletons without a move."""
+    q = PairVector.from_pairs(4, {(0, 1): 1e300, (2, 3): 1e300})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow in the norm
+        with pytest.raises(ValueError, match="the query's norm inf is not finite"):
+            louvain_project(q, seed=0)
 
 
 def test_restarts_below_one_rejected():
@@ -595,7 +623,7 @@ def test_sign_rule_fails_for_positive_smooth_parts():
 def test_coarse_instance_keeps_the_sign_rule():
     G, T = _ppm200()
     inst = _Instance.from_pair_vector(build_query(G, QuerySpec("cl-modularity", heuristic="exact"), T))
-    coarse = _aggregate(inst, T.membership)  # Partition labels are compact
+    coarse = reference_aggregate(inst, T.membership)  # Partition labels are compact
     assert inst.sign_rule and coarse.sign_rule and coarse.n == T.k
     assert inst.narrow_rule and coarse.narrow_rule  # coarse constant factors: supernode sizes
 
@@ -662,11 +690,10 @@ def test_compiled_sweep_checks_its_skips(monkeypatch):
 
 
 def test_a_sweep_does_not_depend_on_its_scratch_contents():
-    """pairsphere_sweep sets up the scratch that it reads: with S, neg, cand,
-    head and next filled with 0xFF bytes (NaN as doubles, -1 as slots) and B
-    and mark zero, as it asks, tracking sweeps under the narrow rule give the
-    bytes of zero-filled ones: membership, slot table, objective, counters
-    and marks."""
+    """pairsphere_sweep sets up the scratch that it reads: with its whole
+    work filled with 0xFF bytes (NaN as doubles, -1 as slots, 255 as marks),
+    tracking sweeps under the narrow rule give the bytes of zero-filled ones:
+    membership, slot table, objective, counters and marks."""
     rng = np.random.default_rng(48)
     narrow = skipped = moved = 0
     for _ in range(6):
@@ -1123,7 +1150,7 @@ def test_aggregate_matches_dense_block_sums(case):
             memb = random_membership(rng, n)
         memb = np.unique(memb, return_inverse=True)[1]  # compact labels, as every sweep leaves them
         inst = _Instance.from_pair_vector(q)
-        coarse = _aggregate(inst, memb)
+        coarse = reference_aggregate(inst, memb)
         k = coarse.n
         paths.add(k * (k - 1) <= inst.nbr.size)
         fine = np.zeros((n, n))
@@ -1173,7 +1200,7 @@ def test_coarse_levels_are_the_same_bytes_on_both_kernels(shape):
         k = int(rng.integers(2, k_block + 1) if shape == "block" else rng.integers(k_block + 1, n + 1))
         memb = np.empty(n, dtype=np.int64)
         memb[rng.permutation(n)] = np.arange(n) % k  # k labels, each used
-        coarse = _aggregate(inst, memb)
+        coarse = reference_aggregate(inst, memb)
         assert coarse.n == k and (k * (k - 1) <= inst.nbr.size) == (shape == "block")
         _assert_coarse_bytes(inst, memb, coarse)
 
@@ -1195,7 +1222,7 @@ def test_coarse_level_edge_cases(case):
     the two; one supernode, one node and no sparse pair give no coarse pair."""
     n, pairs, labels, want = COARSE_EDGE_CASES[case]
     q = PairVector.from_pairs(n, pairs, (LowRankTerm(-0.5, np.ones(n)),), -0.25)
-    coarse = _aggregate(_Instance.from_pair_vector(q), np.array(labels))
+    coarse = reference_aggregate(_Instance.from_pair_vector(q), np.array(labels))
     assert coarse.n == max(labels) + 1 and _upper_pairs(coarse) == want
     assert _row_bytes(coarse) == _rows_of(coarse.n, want)
 
@@ -1228,7 +1255,7 @@ def test_compiled_aggregate_rejects_a_label_outside_the_supernodes(pairs, consta
     inst = _Instance.from_pair_vector(PairVector.from_pairs(3, pairs, (), constant))
     assert inst.coefs.size == (constant != 0.0)
     with pytest.raises(ValueError, match=message):
-        _aggregate(inst, np.array(labels))
+        reference_aggregate(inst, np.array(labels))
 
 
 @pytest.mark.parametrize(
@@ -1255,11 +1282,11 @@ def _compiled_coarse_rows(inst, labels, fill):
     k = int(labels.max()) + 1
     m = inst.nbr.size // 2
     room = min(m, k * (k - 1) // 2)
-    indptr = np.zeros(k + 1, dtype=np.int64)
-    words = (2 * room, 2 * room, 3 * room + (k * k if k * (k - 1) <= 2 * m else 4 * m + 2 * k + 2))
-    nbr, wts, work = (np.full(8 * w, fill, dtype=np.uint8) for w in words)
+    words = (k + 1, 2 * room, 2 * room, 3 * room + (k * k if k * (k - 1) <= 2 * m else 4 * m + 2 * k + 2))
+    indptr, nbr, wts, work = (np.full(8 * w, fill, dtype=np.uint8) for w in words)
     fine = map(_kernel._address, (inst.indptr, inst.nbr, inst.wts, labels))
-    size = _kernel._compiled().pairsphere_aggregate(inst.n, *fine, k, *map(_kernel._address, (indptr, nbr, wts, work)))
+    args = (indptr, nbr, wts, work)
+    size = _kernel._compiled().pairsphere_aggregate(inst.n, *fine, k, *map(_kernel._address, args), words[3])
     assert size >= 0
     return indptr.tobytes(), nbr[: 16 * size].tobytes(), wts[: 16 * size].tobytes()
 
@@ -1283,20 +1310,111 @@ def test_coarse_rows_do_not_depend_on_the_work_contents(shape):
 
 
 def test_a_block_level_takes_no_bucket_work():
-    """On the block side the aggregate's work is the coarse pairs and the
-    k x k block alone: the t=5 walk of a PPM n=400 sample holds nearly every
-    pair, and summing it into the 20 planted communities traces under 64 KB,
-    where work for the buckets would take 4 words per fine pair (2.5 MB)."""
+    """On the block side the coarsening pass's aggregate work is the coarse
+    pairs and the k x k block alone: the t=5 walk of a PPM n=400 sample holds
+    nearly every pair, and one pass from the 20 planted communities traces
+    under 64 KB plus its coarse rows, where work for the buckets would take 4
+    words per fine pair (2.5 MB)."""
     G, T = generate(GeneratorSpec("ppm", n=400, k=20), 1)
-    inst = _Instance.from_pair_vector(walk_distribution(G, 5, isolated="zero"))
+    q = walk_distribution(G, 5, isolated="zero")
+    inst = _Instance.from_pair_vector(q)
     assert T.k * (T.k - 1) <= inst.nbr.size and inst.nbr.size // 2 > 75_000
+    rows = 8 * (T.k + 1 + 4 * (T.k * (T.k - 1) // 2))  # room for every pair of the 20
     tracemalloc.start()
     try:
-        coarse = _aggregate(inst, T.membership)
+        memb, _, info = _coarsening_pass(inst, T.membership, np.random.default_rng(3), _eps(q), False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert coarse.n == T.k and peak < 64 * 1024
+    assert memb.shape == (G.n,) and info[0] >= 1 and peak < 64 * 1024 + rows
+
+
+def _eps(q):
+    return 1e-12 * q.norm() * math.sqrt(q.N)
+
+
+# query kinds of the coarsening pass: (random_sl_vector's arguments, the
+# fine level's sign and narrow rules, the term counts K drawn). The sign rule
+# alone has a last rank-one term that counts nothing; "neither" has
+# constants of both signs.
+PASS_KINDS = {
+    "narrow-rule": (dict(n_terms=2, with_constant=True, sign_rule=True), (True, True), {1, 2, 3}),
+    "sign-rule": (dict(n_terms=3, with_constant=False, sign_rule=True), (True, False), {0, 1, 2, 3}),
+    "neither": (dict(n_terms=2, with_constant=True), (False, False), {1, 2, 3}),
+    "sparse-only": (dict(n_terms=0, with_constant=False), (True, False), {0}),
+}
+
+
+@pytest.mark.parametrize("kind", PASS_KINDS)
+def test_a_coarsening_pass_matches_the_python_levels(kind):
+    """_coarsening_pass, one compiled call, against helpers.reference_coarsen,
+    a Python loop of aggregations and level calls, from the same fine
+    solution and seed: the same composed membership bytes, gain bits, bit
+    generator state and summed counters (levels, sweeps, visits, skipped,
+    narrow), from the fine level's local moves, from random labels (the
+    bucket side of the first aggregation among them) and from singletons,
+    which cannot merge; n = 1 and 2 included."""
+    rng = np.random.default_rng(150 + list(PASS_KINDS).index(kind))
+    kwargs, rule, terms = PASS_KINDS[kind]
+    paths, merged, rules, Ks = set(), 0, set(), set()
+    for n in (1, 2, 3, 5, 8, 13, 30, 60, 120):
+        for _ in range(4):
+            density = float(rng.choice([0.02, 0.1, 0.4]))
+            q = random_sl_vector(rng, n, **{"sparse_density": density, **kwargs})
+            inst, eps = _Instance.from_pair_vector(q), _eps(q)
+            rules.add((inst.sign_rule, inst.narrow_rule))
+            Ks.add(inst.coefs.size)
+            fine = SolverState(inst, None, -q.total())
+            _local_moves(fine, rng, eps)
+            labels = np.unique(rng.integers(0, max(1, n // 2), n), return_inverse=True)[1]
+            for start in (fine.membership, labels, np.arange(n)):
+                k, m = int(start.max()) + 1, inst.nbr.size // 2
+                if k < n:
+                    paths.add(k * (k - 1) <= 2 * m)
+                seed, check = int(rng.integers(2**32)), bool(rng.integers(2))
+                new_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                memb, gain, info = _coarsening_pass(inst, start.astype(np.int64), new_rng, eps, check)
+                ref_memb, ref_gain, counts = reference_coarsen(inst, start.astype(np.int64), ref_rng, eps, check)
+                assert memb.dtype == ref_memb.dtype and memb.tobytes() == ref_memb.tobytes()
+                assert np.float64(gain).tobytes() == np.float64(ref_gain).tobytes()
+                assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+                assert info[[0, 5, 6, 7, 8]].tolist() == counts and info[9] == 0
+                merged += gain > 0.0
+    assert paths == {True, False} and merged > 0
+    assert rule in rules and Ks == terms
+
+
+def test_a_coarsening_pass_allocates_the_layout_it_needs(monkeypatch):
+    """The pass allocates exactly the words pairsphere_coarsen lays out: one
+    word fewer returns -5 before anything is written, and the call with the
+    whole work then gives the partitions of an unpatched solve."""
+    lib, calls = _kernel._compiled(), []
+
+    class OneShort:
+        def __getattr__(self, name):
+            return getattr(lib, name)
+
+        def pairsphere_coarsen(self, n, K, words, *args):
+            if words:
+                assert lib.pairsphere_coarsen(n, K, words - 1, *args) == -5
+                calls.append(words)
+            return lib.pairsphere_coarsen(n, K, words, *args)
+
+    rng = np.random.default_rng(160)
+    queries = [random_sl_vector(rng, n, sparse_density=d) for n, d in ((40, 0.02), (60, 0.3), (120, 0.05))]
+    want = [louvain_project(q, seed=1).membership.tobytes() for q in queries]
+    monkeypatch.setattr(solver, "_compiled", OneShort)
+    assert [louvain_project(q, seed=1).membership.tobytes() for q in queries] == want
+    assert calls
+
+
+@pytest.mark.parametrize(
+    "labels, message", [([0, -1, 1], "node 1 carries a label outside 0..1"), ([0, 1], "every node")]
+)
+def test_a_coarsening_pass_rejects_a_label_outside_the_supernodes(labels, message):
+    q = PairVector.from_pairs(3, {(0, 1): 1.0, (1, 2): 1.0}, (), -0.5)
+    with pytest.raises(ValueError, match=message):
+        _coarsening_pass(_Instance.from_pair_vector(q), np.array(labels), np.random.default_rng(0), 0.0, False)
 
 
 def test_explicit_zero_pairs_are_left_out():
