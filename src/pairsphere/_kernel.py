@@ -1,6 +1,6 @@
 """The package's compiled library: _sweep.c, built on first use and cached.
 
-One library serves the solver (a level's sweeps and the level builders) and
+One library serves the solver (a whole solve, and the level builders) and
 graph (the upper triangle of a sparse product, for walk and Jaccard pairs).
 _compiled() loads it once per process and returns its ctypes.CDLL; callers
 name its functions as _sweep.c does. The library is a requirement: where it
@@ -24,6 +24,9 @@ from pathlib import Path
 # and sum rounded on its own, as numpy rounds them).
 _SOURCE = Path(__file__).with_name("_sweep.c")
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+# _sweep.c's pairsphere_work: words in, the address of that many int64 out,
+# or None; a Python function of this type must catch its own errors.
+_WORK = ctypes.CFUNCTYPE(ctypes.c_void_p, ctypes.c_int64)
 # The parameters of _sweep.c's functions, as it lists them. A function left
 # out would still resolve on the CDLL, untyped, and ctypes would pass its
 # 64-bit pointers as C ints. Keep each under 20 parameters: with 20, each call
@@ -38,7 +41,11 @@ _KERNEL_ARGS = {
         (ctypes.c_int64,) * 2 + (ctypes.c_void_p,) * 7 + (ctypes.c_int64,) + (ctypes.c_void_p,) * 2
         + (ctypes.c_double,) + (ctypes.c_void_p,) * 4
     ),
-    "pairsphere_coarsen": (ctypes.c_int64,) * 3 + (ctypes.c_void_p,) * 11 + (ctypes.c_double,),
+    "pairsphere_coarsen": (ctypes.c_int64,) * 2 + (ctypes.c_void_p,) * 10 + (_WORK, ctypes.c_double),
+    "pairsphere_solve": (
+        (ctypes.c_int64,) * 2 + (ctypes.c_void_p,) * 7 + (ctypes.c_int64,) + (ctypes.c_void_p,) * 2
+        + (ctypes.c_double,) + (ctypes.c_void_p,) * 4 + (_WORK,)
+    ),
     "pairsphere_rows": (ctypes.c_int64,) * 2 + (ctypes.c_void_p,) * 6,
     "pairsphere_rules": (ctypes.c_int64,) * 2 + (ctypes.c_void_p,) * 2,
     "pairsphere_aggregate": (ctypes.c_int64,) + ((ctypes.c_void_p,) * 4 + (ctypes.c_int64,)) * 2,

@@ -1,15 +1,15 @@
-/* The package's compiled library: the solver's levels, in C. A solve's
-   cycle makes two calls. pairsphere_level runs the fine level's sweeps
-   (pairsphere.solver._local_moves): it draws each sweep's order from the
-   solve's numpy bit generator as Generator.permutation(n) does, and
-   pairsphere_sweep visits it and relabels the slots. pairsphere_coarsen
-   runs the coarsening pass (solver._coarsening_pass): level after level, it
-   builds the rows of the level above from the rows below
+/* The package's compiled library: the solver, in C. A solve's restart is
+   one call, pairsphere_solve (pairsphere.solver._solve), which runs the
+   whole cycle loop. Each cycle runs the fine level's sweeps
+   (pairsphere_level): it draws each sweep's order from the solve's numpy bit
+   generator as Generator.permutation(n) does, and pairsphere_sweep visits it
+   and relabels the slots. Then a coarsening pass (pairsphere_coarsen), level
+   after level, builds the rows of the level above from the rows below
    (pairsphere_aggregate), sums its factors and runs its sweeps
-   (pairsphere_level), in buffers the caller allocates once per pass.
-   pairsphere_rows makes CSR rows from a sorted pair list (the query's, for
-   the fine level, and the coarse pairs). A level is its rows alone. For
-   graph's walk and Jaccard vectors, pairsphere_upper_count and
+   (pairsphere_level), in work that it asks of the caller's callback, sized
+   for the pass. pairsphere_rows makes CSR rows from a sorted pair list (the
+   query's, for the fine level, and the coarse pairs). A level is its rows
+   alone. For graph's walk and Jaccard vectors, pairsphere_upper_count and
    pairsphere_upper_fill form the strict upper triangle of a sparse product,
    and nothing below it.
 
@@ -318,7 +318,26 @@ static void permutation(int64_t n, int64_t *order, void *state, uint32_t (*next_
     }
 }
 
-/* The local moves of one level (the fine one's in solver._local_moves, each
+/* A level's start on the compact labels memb (0..k-1, each used) of its n
+   nodes: U (K x ld) holds each slot's factor sums, from 0 in node order as
+   np.bincount sums them, then zeros, and every node is dirty. Returns k + 1,
+   the slots in use. */
+static int64_t start_level(int64_t n, int64_t K, const double *factors, const int64_t *memb, double *U,
+                           int64_t ld, uint8_t *dirty)
+{
+    int64_t i, t, k = 0;
+    for (i = 0; i < n; i++)
+        if (memb[i] >= k)
+            k = memb[i] + 1;
+    memset(U, 0, (size_t)(K * ld) * sizeof *U);
+    for (t = 0; t < K; t++)
+        for (i = 0; i < n; i++)
+            U[t * ld + memb[i]] += factors[t * n + i];
+    memset(dirty, 1, (size_t)n);
+    return k + 1;
+}
+
+/* The local moves of one level (the fine one's in pairsphere_solve, each
    coarse one's in pairsphere_coarsen): up to info[4] sweeps, until one
    makes no move. Each runs pairsphere_sweep on the order that
    permutation draws from a numpy bit generator (its state and next_uint32;
@@ -524,53 +543,66 @@ int64_t pairsphere_rules(int64_t n, int64_t K, const double *coefs, const double
     return total < 9007199254740992.0 ? 2 : 1;
 }
 
-/* One coarsening pass of the solver (solver._coarsening_pass) over a fine
-   level of n nodes whose solution memb labels them 0..k-1, k = info[0].
-   Each coarse level aggregates the level below by its labels
-   (pairsphere_aggregate), sums its factors from 0 in node order, as
-   np.bincount sums them, checks its own rules, and runs its sweeps
-   (pairsphere_level) from singletons: slot table factors + 0, every node
-   dirty, objective 0. The pass stops at a level with nothing to merge (k
-   labels on k nodes) or whose sweeps make no move; after each level that
-   moved, its objective is added to *gain (from 0, in level order) and memb
-   is composed with its labels, so memb ends as the fine membership reached.
-   The orders come from the bit generator as pairsphere_level draws them (the
-   caller holds its lock).
+/* The work of a pass (pairsphere_coarsen and pairsphere_solve): the address
+   of `words` int64 of any contents, which the caller owns and keeps until its
+   next call, or NULL when it has none (the call then ends with -6). */
+typedef int64_t *(*pairsphere_work)(int64_t words);
+
+/* One coarsening pass of the solver over a fine level of n nodes whose
+   solution memb labels them 0..k-1, k = info[0]. Each coarse level
+   aggregates the level below by its labels (pairsphere_aggregate), sums its
+   factors from 0 in node order, as np.bincount sums them, checks its own
+   rules, and runs its sweeps (pairsphere_level) from singletons
+   (start_level), objective 0. The pass stops at a level with nothing to
+   merge (k labels on k nodes) or whose sweeps make no move; after each level
+   that moved, its objective is added to *gain (from 0, in level order) and
+   memb is composed with its labels, so memb ends as the fine membership
+   reached. The orders come from the bit generator as pairsphere_level draws
+   them (the caller holds its lock).
 
    info is the level record of pairsphere_level, summed over the pass: on
    entry [0] k, [3] check_skips and [4] the sweep cap; on return [0] the
    coarse levels that ran sweeps, [5] to [8] their sweeps and visits made,
    skipped and narrow, [9] how many the cap ended, and [10] the node of a
    negative return: pairsphere_level's -1 or -3, -4 when memb holds a label
-   outside 0..k-1, -5 when work is shorter than the layout below (found
-   before anything is written). Returns 0 or that negative code.
+   outside 0..k-1, -6 when work_of gives no work (before anything is
+   written). Returns 0 or that negative code.
 
-   work holds `words` int64, of any contents, laid out for the first coarse
-   level, whose k supernodes and room r = min(m, k(k-1)/2) pairs bound every
-   later level (m: the fine level's pairs): the coarse rows (k + 1 + 4r),
-   which each level writes over the rows of the one below, two sets of
-   factors (Kk each), used in turn, and the level's labels (k); then, in the
-   same words, the aggregate's work, 3r + k^2 when the fine level takes the
-   block, else 3r + 4m + 2k + 2, and the level's slot table (K x ld, ld =
-   2k + 1 rounded up to 4), its sweeps' work (2k + 4ld + 2K) and its dirty
-   marks ((k + 7) / 8), whichever is longer. A later level, of
+   When k < n, the pass asks work_of once for its work, laid out for the
+   first coarse level, whose k supernodes and room r = min(m, k(k-1)/2)
+   pairs bound every later level (m: the fine level's pairs): the coarse
+   rows (k + 1 + 4r), which each level writes over the rows of the one below,
+   two sets of factors (Kk each), used in turn, and the level's labels (k);
+   then, in the same words, the aggregate's work, 3r + k^2 when the fine
+   level takes the block, else 3r + 4m + 2k + 2, and the level's slot table
+   (K x ld, ld = 2k + 1 rounded up to 4), its sweeps' work (2k + 4ld + 2K)
+   and its dirty marks ((k + 7) / 8), whichever is longer. A later level, of
    k' < k supernodes and at most r pairs, fits there: its block after a fine
    block, either path after fine buckets; pairsphere_aggregate takes the
    block when its buckets do not fit. */
-int64_t pairsphere_coarsen(int64_t n, int64_t K, int64_t words, const double *coefs, const double *factors,
+int64_t pairsphere_coarsen(int64_t n, int64_t K, const double *coefs, const double *factors,
                            const int64_t *indptr, const int64_t *nbr, const double *wts, int64_t *memb,
-                           int64_t *info, double *gain, void *rng_state, void *next_uint32, int64_t *work,
-                           double half_eps)
+                           int64_t *info, double *gain, void *rng_state, void *next_uint32,
+                           pairsphere_work work_of, double half_eps)
 {
     int64_t k = info[0], cn = n, m = indptr[n] / 2, r, ld, aw, i, a, t, side, moves, rules;
-    int64_t *facs[2], *labels, *lab, *lwork, *awork, *cip = work, *cnb, lv[11];
+    int64_t *work, *facs[2], *labels, *lab, *lwork, *awork, *cip, *cnb, lv[11];
     const int64_t *ip = indptr, *nb = nbr;
     const double *wt = wts, *f = factors;
     double *U, *cf, *cwt, objective;
     uint8_t *dirty;
+    info[0] = info[5] = info[6] = info[7] = info[8] = info[9] = 0;
+    *gain = 0.0;
+    if (k >= n)
+        return 0; /* nothing to merge: no level */
     r = m < k * (k - 1) / 2 ? m : k * (k - 1) / 2;
     ld = (2 * k + 4) / 4 * 4;
     aw = 3 * r + (k * (k - 1) <= 2 * m ? k * k : 4 * m + 2 * k + 2);
+    if (aw < K * ld + 2 * k + 4 * ld + 2 * K + (k + 7) / 8)
+        aw = K * ld + 2 * k + 4 * ld + 2 * K + (k + 7) / 8;
+    if (!(work = work_of(k + 1 + 4 * r + 2 * K * k + k + aw)))
+        return -6;
+    cip = work;
     facs[0] = cip + k + 1 + 4 * r;
     facs[1] = facs[0] + K * k;
     lab = facs[1] + K * k;
@@ -578,12 +610,6 @@ int64_t pairsphere_coarsen(int64_t n, int64_t K, int64_t words, const double *co
     U = (double *)awork;
     lwork = (int64_t *)(U + K * ld);
     dirty = (uint8_t *)(lwork + 2 * k + 4 * ld + 2 * K);
-    if (aw < K * ld + 2 * k + 4 * ld + 2 * K + (k + 7) / 8)
-        aw = K * ld + 2 * k + 4 * ld + 2 * K + (k + 7) / 8;
-    if (k < n && awork - work + aw > words)
-        return -5;
-    info[0] = info[5] = info[6] = info[7] = info[8] = info[9] = 0;
-    *gain = 0.0;
     for (labels = memb, side = 0; k < cn; labels = lab, side ^= 1) {
         cnb = cip + k + 1;
         cwt = (double *)(cnb + 2 * r);
@@ -597,14 +623,9 @@ int64_t pairsphere_coarsen(int64_t n, int64_t K, int64_t words, const double *co
             for (i = 0; i < cn; i++)
                 cf[t * k + labels[i]] += f[t * cn + i];
         rules = pairsphere_rules(k, K, coefs, cf);
-        for (t = 0; t < K; t++)
-            for (a = 0; a < ld; a++)
-                U[t * ld + a] = a < k ? cf[t * k + a] + 0.0 : 0.0;
-        for (a = 0; a < k; a++) {
+        for (a = 0; a < k; a++)
             lab[a] = a;
-            dirty[a] = 1;
-        }
-        lv[0] = k + 1;
+        lv[0] = start_level(k, K, cf, lab, U, ld, dirty);
         lv[1] = rules > 0;
         lv[2] = rules > 1;
         lv[3] = info[3];
@@ -630,6 +651,76 @@ int64_t pairsphere_coarsen(int64_t n, int64_t K, int64_t words, const double *co
         f = cf;
         cn = k;
         k = lv[0] - 1;
+    }
+    return 0;
+}
+
+/* One restart of the solver's greedy projection (solver._solve) on a fine
+   level of n nodes, from singletons, whose objective *objective holds on
+   entry. Each cycle runs the fine level's local moves (pairsphere_level) and
+   a coarsening pass (pairsphere_coarsen); after a pass that merged, the fine
+   level starts again (start_level) on the composed membership, whose labels
+   are already compact, and the pass's gain is added to the objective.
+   Cycles repeat until one gains no more than eps, for at most info[22]. The
+   caller holds the bit generator's lock.
+
+   On entry info[1] to [4] hold the fine level's sign rule, narrow rule,
+   check_skips and sweep cap; memb (n), U (K x ld, ld >= 2n + 1 a multiple of
+   4), dirty (n bytes) and work (2n + 4ld + 2K words, pairsphere_level's)
+   have any contents. On return memb holds the partition reached and U its
+   slot table, and info the solve's record: [0] to [10] pairsphere_level's
+   for the fine level, [11] to [21] pairsphere_coarsen's for the passes,
+   with the counters of both summed over the cycles, [23] the cycles run and
+   [24] whether the cap ended them. Each pass asks work_of for its work;
+   under check_skips the solve also calls work_of(0) after each cycle.
+   Returns 0 or the negative code of a level or pass. */
+int64_t pairsphere_solve(int64_t n, int64_t K, const double *coefs, const double *factors,
+                         const int64_t *indptr, const int64_t *nbr, const double *wts, int64_t *memb,
+                         double *U, int64_t ld, int64_t *info, uint8_t *dirty, double eps, double *objective,
+                         void *rng_state, void *next_uint32, int64_t *work, pairsphere_work work_of)
+{
+    int64_t i, t, code, lv[11], pass[11];
+    double before, gain;
+    for (i = 0; i < n; i++)
+        memb[i] = i;
+    info[0] = start_level(n, K, factors, memb, U, ld, dirty);
+    for (t = 5; t < 22; t++)
+        info[t] = 0;
+    for (info[23] = 0, info[24] = 1; info[23] < info[22];) {
+        before = *objective;
+        memcpy(lv, info, 5 * sizeof *lv);
+        code = pairsphere_level(n, K, coefs, factors, indptr, nbr, wts, memb, U, ld, lv, dirty, eps / 2.0,
+                                objective, rng_state, next_uint32, work);
+        info[0] = lv[0];
+        for (t = 5; t < 10; t++)
+            info[t] += lv[t];
+        if (code < 0) {
+            info[10] = lv[10];
+            return code;
+        }
+        pass[0] = lv[0] - 1;
+        pass[3] = info[3];
+        pass[4] = info[4];
+        code = pairsphere_coarsen(n, K, coefs, factors, indptr, nbr, wts, memb, pass, &gain, rng_state,
+                                  next_uint32, work_of, eps / 2.0);
+        info[11] += pass[0];
+        for (t = 5; t < 10; t++)
+            info[11 + t] += pass[t];
+        if (code < 0) {
+            info[10] = pass[10];
+            return code;
+        }
+        if (gain > 0.0) { /* the pass composed memb */
+            info[0] = start_level(n, K, factors, memb, U, ld, dirty);
+            *objective += gain;
+        }
+        info[23]++;
+        if (info[3] && !work_of(0))
+            return -6;
+        if (*objective - before <= eps) {
+            info[24] = 0;
+            break;
+        }
     }
     return 0;
 }

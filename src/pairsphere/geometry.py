@@ -183,7 +183,12 @@ def combine(parts) -> PairVector:
         raise ValueError("dimension mismatch in combination")
     ids = np.concatenate([v.pair_ids for _, v in parts])
     vals = np.concatenate([c * v.values for c, v in parts])
-    uniq, inv = np.unique(ids, return_inverse=True)
+    order = np.argsort(ids, kind="stable")  # each part's ids ascend: this merges sorted runs, in linear time
+    ranked = ids[order]
+    new = np.diff(ranked, prepend=-1) != 0  # ids are >= 0
+    inv = np.empty(ids.size, dtype=np.int64)
+    inv[order] = np.cumsum(new) - 1
+    uniq = ranked[new]
     summed = np.bincount(inv, weights=vals, minlength=uniq.size)
     terms = []
     const = 0.0

@@ -12,20 +12,23 @@ sparse row's weights summed by slot, a self-term subtraction and an argmax.
 Under the narrow rule (below) the compiled sweep evaluates only a short
 row's candidate slots, so a visit costs O(row), not O(k).
 
-A cycle makes two calls to a C library, _sweep.c, compiled on first use and
-cached (see _kernel): one runs the fine level's local moves, one the
-coarsening pass, which builds each coarse level (below) and runs its local
-moves; where it cannot be built or loaded, a solve raises OSError naming the
-reason. Each level draws its sweeps' orders from the solve's numpy bit
-generator as Generator.permutation(n) does (a Fisher-Yates shuffle by numpy's
-random_interval on next_uint32), so the generator keeps numpy's stream; a
-numpy release that changes that draw fails the level equivalence test. The
-kernel follows one summation rule: the rank-one part is W = 0 + s_1 U_1 +
-s_2 U_2 + ..., added in term order with every product rounded on its own (no
-fused multiply-add); the row sums are added to it and the self term, summed by
-the same rule, is subtracted. _node_gain_vector, which the oracles call,
-follows it too and gives the kernel's bits; a BLAS gemv follows no fixed order
-and differs in the last bit.
+A solve makes one call per restart to a C library, _sweep.c, compiled on
+first use and cached (see _kernel): the call runs every cycle, the fine
+level's local moves and then a coarsening pass, which builds each coarse
+level (below) and runs its local moves, and rebuilds the fine state after a
+pass that merged; where the library cannot be built or loaded, a solve raises
+OSError naming the reason. Each pass asks a Python callback for its work, so
+Python allocates every buffer of a solve. Each level draws its sweeps' orders
+from the solve's numpy bit generator as Generator.permutation(n) does (a
+Fisher-Yates shuffle by numpy's random_interval on next_uint32), so the
+generator keeps numpy's stream; a numpy release that changes that draw fails
+the level equivalence test. The kernel follows one summation rule: the
+rank-one part is W = 0 + s_1 U_1 + s_2 U_2 + ..., added in term order with
+every product rounded on its own (no fused multiply-add); the row sums are
+added to it and the self term, summed by the same rule, is subtracted.
+_node_gain_vector, which the oracles call, follows it too and gives the
+kernel's bits; a BLAS gemv follows no fixed order and differs in the last
+bit.
 
 Dirty-set sweeps skip visits that provably cannot move. The skip is exact
 under the sign rule: every rank-one coefficient (the constant's included) is
@@ -63,7 +66,7 @@ keep that true in floating point. Round-off can leave a slot sum of factors
 could lift a non-candidate to 0 scans every slot. A slot emptied during the
 sweep holds W of about 0: while one exists, a narrow top that does not beat
 their bound is redone as a full scan. debug_checks checks every narrow visit
-against a full scan, and SolverState.narrow counts them.
+against a full scan, and the solve's record counts them.
 
 A level's sparse part is its CSR rows, columns ascending; its pairs are the
 rows' upper entries (column > row), in row order. The same library builds
@@ -95,7 +98,7 @@ from functools import reduce
 
 import numpy as np
 
-from ._kernel import _address, _compiled
+from ._kernel import _WORK, _address, _compiled
 from .clustering import Partition, query_alignment
 from .geometry import PairVector, _smooth_terms_with_constant
 
@@ -181,38 +184,24 @@ def _rows(n: int, pi: np.ndarray, pj: np.ndarray, pv: np.ndarray) -> tuple:
 
 
 class SolverState:
-    """Mutable solve state: membership plus per-community aggregates.
+    """A membership plus per-community aggregates, for the oracles
+    (move_gain, max_single_move_gain); a solve keeps its state in the
+    buffers of its one compiled call (_solve).
 
     For every rank-one term k and compact slot a, U[k, a] holds the sum of the
     term's factor over the slot's members; the last slot is empty and zero.
     The tracked objective is the inner product with the clustering vector of
     the current membership: the caller passes its starting value, and moves
-    add their gains. dirty[i] is set while node i may have an improving move
-    (every node at first); sweeps, visits and skipped count the sweeps run
-    and the node visits made and skipped, and narrow the visits that scanned
-    only their candidate slots. check_skips evaluates every skipped visit and
-    asserts that it would not move, and checks every narrow visit against a
-    scan of every slot. membership None: singletons.
+    add their gains.
     """
 
-    def __init__(self, inst: _Instance, membership, objective: float, check_skips: bool = False):
+    def __init__(self, inst: _Instance, membership, objective: float):
         self.inst = inst
-        if membership is None:  # each slot sums one node's factors: from 0.0, as _slot_sums, so -0.0 reads 0.0
-            self.membership = np.arange(inst.n)
-            self.U = np.zeros((inst.factors.shape[0], inst.n + 1))
-            np.add(inst.factors, 0.0, out=self.U[:, :-1])
-        else:
-            labels, self.membership = np.unique(membership, return_inverse=True)
-            if self.membership.shape != (inst.n,):
-                raise ValueError("membership must assign every node")
-            self.U = _slot_sums(inst.factors, self.membership, labels.size + 1)
+        labels, self.membership = np.unique(membership, return_inverse=True)
+        if self.membership.shape != (inst.n,):
+            raise ValueError("membership must assign every node")
+        self.U = _slot_sums(inst.factors, self.membership, labels.size + 1)
         self.objective = objective
-        self.dirty = np.ones(inst.n, dtype=np.uint8)
-        self.check_skips = check_skips
-        self.sweeps = 0
-        self.visits = 0
-        self.skipped = 0
-        self.narrow = 0
 
     @classmethod
     def from_partition(cls, q: PairVector, C: Partition) -> "SolverState":
@@ -246,81 +235,8 @@ def _node_gain_vector(state: SolverState, i: int) -> tuple[np.ndarray, float]:
     return W, W.item(cur)
 
 
-# a compiled level's or pass's negative return, with the node in info[10]
-_FAULTS = {-1: "skipped node {} would move", -3: "narrow visit of node {} differs from the full scan",
-           -5: "the pass's work is shorter than its layout"}
-
-
-def _local_moves(state: SolverState, rng, eps: float) -> int:
-    """Sweeps of best-gain relabelings until one makes no move (no single-node
-    relabel then improves by more than eps), in one call to the compiled
-    library; returns the moves. Each sweep's order is rng.permutation(n),
-    drawn in C under the bit generator's lock; each sweep ends with compact
-    labels and the empty slot last. Between sweeps at most n + 1 slots are in
-    use and a visit adds at most one, so 2n + 1 columns hold every sweep."""
-    inst, (K, k) = state.inst, state.U.shape
-    ld = -(-(2 * inst.n + 1) // 4) * 4  # the kernel's blocks of 4
-    U = np.zeros((K, ld))
-    U[:, :k] = state.U
-    work = np.empty(2 * inst.n + 4 * ld + 2 * K)  # the order, then the sweep's B, S, neg, cand, head, next, mark
-    memb = state.membership = np.ascontiguousarray(state.membership, dtype=np.int64)
-    info = np.array([k, inst.sign_rule, inst.narrow_rule, state.check_skips, MAX_SWEEPS] + [0] * 6, dtype=np.int64)
-    objective = np.array([state.objective])
-    bitgen = rng.bit_generator
-    with bitgen.lock:
-        moves = _compiled().pairsphere_level(
-            inst.n, K, *map(_address, (inst.coefs, inst.factors, inst.indptr, inst.nbr, inst.wts)), _address(memb),
-            _address(U), ld, _address(info), _address(state.dirty), eps / 2.0, _address(objective),
-            bitgen.ctypes.state_address, ctypes.c_void_p.from_buffer(bitgen.ctypes.next_uint32).value, _address(work),
-        )
-    if moves < 0:
-        raise AssertionError(_FAULTS[moves].format(info[10]))
-    state.U = U[:, : info[0]].copy()  # not the whole table
-    state.objective = objective.item()
-    sweeps, visits, skipped, narrow, capped = info[5:10].tolist()
-    state.sweeps += sweeps
-    state.visits += visits
-    state.skipped += skipped
-    state.narrow += narrow
-    if capped:
-        warnings.warn("sweep cap reached before local convergence")
-    return moves
-
-
-def _coarsening_pass(inst: _Instance, memb: np.ndarray, rng, eps: float, debug_checks: bool) -> tuple:
-    """Coarse levels on a fine solution `memb` (compact labels), in one call
-    to the compiled library (pairsphere_coarsen, which lays out the work
-    allocated here): each level aggregates the communities of the one below
-    and runs local moves on the supernodes, until a level has nothing to
-    merge or no move. Returns the fine membership reached, the levels' summed
-    gain (0.0 if none moved) and the pass's record: [0] the levels run, [5]
-    to [8] their sweeps and visits made, skipped and narrow, [9] how many the
-    sweep cap ended, each of which warns."""
-    labels = np.array(memb, dtype=np.int64)  # the call composes the fine membership in it
-    if labels.shape != (inst.n,):
-        raise ValueError("labels must label every node of the level")
-    K, k, m = inst.coefs.size, int(labels.max()) + 1, inst.nbr.size // 2
-    room, ld = min(m, k * (k - 1) // 2), -(-(2 * k + 1) // 4) * 4
-    # the rows, two factor sets and the labels; then the aggregate's work or the level's table, sweep work and marks
-    aggregate = 3 * room + (k * k if k * (k - 1) <= 2 * m else 4 * m + 2 * k + 2)  # the block or the buckets
-    words = k + 1 + 4 * room + 2 * K * k + k + max(aggregate, K * ld + 2 * k + 4 * ld + 2 * K + (k + 7) // 8)
-    work = np.empty(words if k < inst.n else 0, dtype=np.int64)  # nothing to merge: no level
-    info = np.array([k, 0, 0, debug_checks, MAX_SWEEPS] + [0] * 6, dtype=np.int64)
-    gain = np.zeros(1)
-    bitgen = rng.bit_generator
-    with bitgen.lock:
-        code = _compiled().pairsphere_coarsen(
-            inst.n, K, work.size, *map(_address, (inst.coefs, inst.factors, inst.indptr, inst.nbr, inst.wts)),
-            *map(_address, (labels, info, gain)), bitgen.ctypes.state_address,
-            ctypes.c_void_p.from_buffer(bitgen.ctypes.next_uint32).value, _address(work), eps / 2.0,
-        )
-    if code == -4:
-        raise ValueError(f"node {info[10]} carries a label outside 0..{k - 1}")
-    if code < 0:
-        raise AssertionError(_FAULTS[code].format(info[10]))
-    for _ in range(info[9]):
-        warnings.warn("sweep cap reached before local convergence")
-    return labels, gain.item(), info
+# a compiled solve's negative return, with the node in info[10]
+_FAULTS = {-1: "skipped node {} would move", -3: "narrow visit of node {} differs from the full scan"}
 
 
 def louvain_project(
@@ -330,10 +246,10 @@ def louvain_project(
 
     Starts from singletons; sweeps best-gain single-node relabelings in a
     seeded random order (each sweep's order is rng.permutation(n), drawn in
-    the compiled level call; ties to the lowest slot), then builds coarse
-    levels of supernodes (see _coarsening_pass), and repeats the cycle until
-    the objective stops improving. The returned partition admits no
-    improving single-node relabel at the finest level.
+    the compiled library; ties to the lowest slot), then builds coarse levels
+    of supernodes, and repeats the cycle until the objective stops improving
+    (see _solve). The returned partition admits no improving single-node
+    relabel at the finest level.
 
     restarts > 1 runs that many independent greedy passes (seed streams
     derived from the given seed) and keeps the best objective; the result is
@@ -348,30 +264,73 @@ def louvain_project(
         raise ValueError(f"the query's norm {q.norm()} is not finite, so no move threshold can be set")
     inst = _Instance.from_pair_vector(q)
     rngs = (np.random.default_rng([seed, r] if restarts > 1 else seed) for r in range(restarts))
-    states = (_project_once(inst, q, rng, debug_checks, eps) for rng in rngs)
-    return Partition(max(states, key=lambda state: state.objective).membership)  # first best wins
+    solves = (_solve(inst, q, rng, eps, debug_checks) for rng in rngs)
+    return Partition(max(solves, key=lambda solve: solve[1])[0])  # first best wins
 
 
-def _project_once(inst: _Instance, q: PairVector, rng, debug_checks: bool, eps: float) -> SolverState:
-    state = SolverState(inst, None, -q.total(), debug_checks)  # singletons: no intra pair
-    for _ in range(MAX_CYCLES):
-        obj_before = state.objective
-        _local_moves(state, rng, eps)
-        node_memb, gained, _ = _coarsening_pass(inst, state.membership, rng, eps, debug_checks)
-        if gained > 0.0:  # the fine level starts again with every node dirty
-            state = SolverState(inst, node_memb, state.objective + gained, debug_checks)
-        if debug_checks:
-            drift = abs(query_alignment(q, Partition(state.membership)) - state.objective)
-            if drift > 1e-6 * max(1.0, abs(state.objective)):
-                raise AssertionError(f"tracked objective drifted by {drift:.3e}")
-            fresh = _slot_sums(inst.factors, state.membership, state.U.shape[1])
-            scale = np.abs(inst.factors).sum(axis=1, keepdims=True)  # bounds every slot sum
-            if state.U[:, -1].any() or np.any(np.abs(state.U - fresh) > 1e-9 * scale):
-                raise AssertionError("slot table drifted from the membership")
-        if state.objective - obj_before <= eps:
-            return state
-    warnings.warn("cycle cap reached before convergence")
-    return state
+def _solve(inst: _Instance, q: PairVector, rng, eps: float, debug_checks: bool) -> tuple:
+    """One restart from singletons in one call to the compiled library
+    (pairsphere_solve), which runs every cycle. Returns the membership
+    reached (compact labels), its tracked objective and the call's record:
+    [5] to [8] the fine levels' sweeps and visits made, skipped and narrow,
+    [9] and [20] the fine and coarse levels that the sweep cap ended, [11]
+    the coarse levels, [23] the cycles. The call asks each pass's work of a
+    callback, which holds it until the next request; under debug_checks the
+    call also calls it after each cycle, and each call first runs
+    _check_cycle. An error in the callback reaches the library as a null
+    pointer, and is raised here once the call returns."""
+    n, K = inst.n, inst.coefs.size
+    ld = -(-(2 * n + 1) // 4) * 4  # n + 1 slots between sweeps, one more per visit, in the kernel's blocks of 4
+    memb, U, dirty = np.empty(n, dtype=np.int64), np.empty((K, ld)), np.empty(n, dtype=np.uint8)
+    work = np.empty(2 * n + 4 * ld + 2 * K)  # the level's order, then its sweeps' B, S, neg, cand, head, next, mark
+    info = np.zeros(25, dtype=np.int64)
+    info[1:5] = inst.sign_rule, inst.narrow_rule, debug_checks, MAX_SWEEPS
+    info[22] = MAX_CYCLES
+    objective = np.array([-q.total()])  # singletons: no intra pair
+    held, raised = [], []
+
+    def pass_work(words: int):
+        try:
+            if debug_checks:
+                _check_cycle(q, inst, memb, U[:, : info[0]], objective.item())
+            held[:] = [np.empty(words, dtype=np.int64)]
+        except MemoryError:
+            raised.append(MemoryError(f"cannot allocate the {words} words of work of a coarsening pass"))
+            return None
+        except BaseException as exc:  # raised below, once the call returns
+            raised.append(exc)
+            return None
+        return held[0].ctypes.data
+
+    bitgen = rng.bit_generator
+    with bitgen.lock:
+        code = _compiled().pairsphere_solve(
+            n, K, *map(_address, (inst.coefs, inst.factors, inst.indptr, inst.nbr, inst.wts, memb, U)), ld,
+            _address(info), _address(dirty), eps, _address(objective), bitgen.ctypes.state_address,
+            ctypes.c_void_p.from_buffer(bitgen.ctypes.next_uint32).value, _address(work), _WORK(pass_work),
+        )
+    if raised:
+        raise raised[0]
+    if code < 0:
+        raise AssertionError(_FAULTS[code].format(info[10]))
+    for _ in range(info[9] + info[20]):
+        warnings.warn("sweep cap reached before local convergence")
+    if info[24]:
+        warnings.warn("cycle cap reached before convergence")
+    return memb, objective.item(), info
+
+
+def _check_cycle(q: PairVector, inst: _Instance, memb: np.ndarray, U: np.ndarray, objective: float) -> None:
+    """debug_checks' test of a solve's fine state: the tracked objective
+    against the alignment of the membership, and the slot table (live slots,
+    then the empty one) against fresh slot sums."""
+    drift = abs(query_alignment(q, Partition(memb)) - objective)
+    if drift > 1e-6 * max(1.0, abs(objective)):
+        raise AssertionError(f"tracked objective drifted by {drift:.3e}")
+    fresh = _slot_sums(inst.factors, memb, U.shape[1])
+    scale = np.abs(inst.factors).sum(axis=1, keepdims=True)  # bounds every slot sum
+    if U[:, -1].any() or np.any(np.abs(U - fresh) > 1e-9 * scale):
+        raise AssertionError("slot table drifted from the membership")
 
 
 def exact_project(q: PairVector, cap: int = 12) -> Partition:

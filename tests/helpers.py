@@ -7,6 +7,7 @@ it is test-only and gated to small n.
 
 from __future__ import annotations
 
+import ctypes
 import warnings
 from functools import lru_cache
 
@@ -14,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from pairsphere import solver
-from pairsphere._kernel import _address, _compiled
+from pairsphere._kernel import _WORK, _address, _compiled
 from pairsphere.geometry import LowRankTerm, PairVector
 
 
@@ -187,6 +188,22 @@ def same_ranking(key1, key2, tol1=None, tol2=None) -> bool:
 # -- the solver's numpy references ----------------------------------------------------
 
 
+class LevelState(solver.SolverState):
+    """A solver.SolverState with what a level's compiled sweeps keep beside
+    it: dirty[i] is set while node i may have an improving move (every node
+    at first); sweeps, visits and skipped count the sweeps run and the node
+    visits made and skipped, and narrow the visits that scanned only their
+    candidate slots. check_skips evaluates every skipped visit and asserts
+    that it would not move, and checks every narrow visit against a scan of
+    every slot."""
+
+    def __init__(self, inst, membership, objective, check_skips=False):
+        super().__init__(inst, membership, objective)
+        self.dirty = np.ones(inst.n, dtype=np.uint8)
+        self.check_skips = check_skips
+        self.sweeps = self.visits = self.skipped = self.narrow = 0
+
+
 def build_csr(n, ii, jj, values):
     """Rows of the symmetric n x n matrix holding each value at (i, j) and
     (j, i), in scipy, as int64 indptr and columns: the reference for
@@ -248,7 +265,7 @@ def reference_sweep(state, order, eps, tracking=False) -> int:
 def compiled_sweep(state, order, eps, tracking=False, fill=0x00) -> int:
     """One sweep over `order` in _sweep.c's pairsphere_sweep, which ends with
     compact labels and the empty slot last; returns the moves. Each sweep of
-    solver._local_moves runs this call in C, tracking under the sign rule.
+    level_call runs this call in C, tracking under the sign rule.
     Every byte of the work holds `fill` on entry."""
     inst = state.inst
     order = np.ascontiguousarray(order, dtype=np.int64)
@@ -280,10 +297,49 @@ def compiled_sweep(state, order, eps, tracking=False, fill=0x00) -> int:
     return moves
 
 
+def level_call(state, rng, eps) -> int:
+    """The local moves of one level on a LevelState in one
+    pairsphere_level call, as every level of a solve runs them: sweeps of
+    best-gain relabelings until one makes no move, or solver.MAX_SWEEPS of
+    them (the cap warns); returns the moves. Each sweep's order is
+    rng.permutation(n), drawn in C under the bit generator's lock; each sweep
+    ends with compact labels and the empty slot last. Between sweeps at most
+    n + 1 slots are in use and a visit adds at most one, so 2n + 1 columns
+    hold every sweep."""
+    inst, (K, k) = state.inst, state.U.shape
+    ld = -(-(2 * inst.n + 1) // 4) * 4  # the kernel's blocks of 4
+    U = np.zeros((K, ld))
+    U[:, :k] = state.U
+    work = np.empty(2 * inst.n + 4 * ld + 2 * K)  # the order, then the sweep's B, S, neg, cand, head, next, mark
+    memb = state.membership = np.ascontiguousarray(state.membership, dtype=np.int64)
+    info = np.zeros(11, dtype=np.int64)
+    info[:5] = k, inst.sign_rule, inst.narrow_rule, state.check_skips, solver.MAX_SWEEPS
+    objective = np.array([state.objective])
+    bitgen = rng.bit_generator
+    with bitgen.lock:
+        moves = _compiled().pairsphere_level(
+            inst.n, K, *map(_address, (inst.coefs, inst.factors, inst.indptr, inst.nbr, inst.wts)), _address(memb),
+            _address(U), ld, _address(info), _address(state.dirty), eps / 2.0, _address(objective),
+            bitgen.ctypes.state_address, ctypes.c_void_p.from_buffer(bitgen.ctypes.next_uint32).value, _address(work),
+        )
+    if moves < 0:
+        raise AssertionError(solver._FAULTS[moves].format(info[10]))
+    state.U = U[:, : info[0]].copy()
+    state.objective = objective.item()
+    sweeps, visits, skipped, narrow, capped = info[5:10].tolist()
+    state.sweeps += sweeps
+    state.visits += visits
+    state.skipped += skipped
+    state.narrow += narrow
+    if capped:
+        warnings.warn("sweep cap reached before local convergence")
+    return moves
+
+
 def reference_local_moves(state, rng, eps) -> int:
-    """solver._local_moves as a Python loop: compiled_sweep over
-    rng.permutation(n) until a sweep makes no move, every sweep tracking
-    under the sign rule, and the sweep cap's warning."""
+    """level_call as a Python loop: compiled_sweep over rng.permutation(n)
+    until a sweep makes no move, every sweep tracking under the sign rule,
+    and the sweep cap's warning."""
     total, n = 0, state.inst.n
     for _ in range(solver.MAX_SWEEPS):
         moves = compiled_sweep(state, rng.permutation(n), eps, tracking=state.inst.sign_rule)
@@ -298,8 +354,8 @@ def reference_local_moves(state, rng, eps) -> int:
 def reference_aggregate(inst, membership):
     """The level above `inst` as a solver._Instance, in one compiled
     pairsphere_aggregate call and numpy's slot sums: the coarse level that
-    solver._coarsening_pass builds in C. The labels must be compact (0..k-1,
-    each used), as every sweep leaves them, and label a becomes supernode a.
+    pass_call builds in C. The labels must be compact (0..k-1, each used), as
+    every sweep leaves them, and label a becomes supernode a.
 
     Sparse entries sum between supernode pairs; rank-one factors sum within
     supernodes, so an all-ones factor counts each supernode's members.
@@ -329,19 +385,59 @@ def reference_aggregate(inst, membership):
     return solver._Instance(k, indptr, nbr[: 2 * size], wts[: 2 * size], inst.coefs, factors)
 
 
-def reference_coarsen(inst, memb, rng, eps, debug_checks):
-    """solver._coarsening_pass as a Python loop: coarse levels on a fine
-    solution `memb` (compact labels), each aggregating the communities of the
-    one below (reference_aggregate) and running solver._local_moves on the
+def pass_call(inst, memb, rng, eps, debug_checks, work=None):
+    """One coarsening pass on a fine solution `memb` (compact labels) in one
+    pairsphere_coarsen call, as each cycle of a solve runs it: each level
+    aggregates the communities of the one below and runs local moves on the
     supernodes, until a level has nothing to merge or no move. Returns the
     fine membership reached, the levels' summed gain (0.0 if none moved) and
-    the counters the pass's record sums: levels run, sweeps, visits,
-    skipped, narrow."""
+    the pass's record: [0] the levels run, [5] to [8] their sweeps and visits
+    made, skipped and narrow, [9] how many the sweep cap ended, each of which
+    warns. The pass asks `work` (a function of the words, returning the
+    address of that many int64, or None) for its work; by default each
+    request gets a fresh array."""
+    labels = np.array(memb, dtype=np.int64)  # the call composes the fine membership in it
+    if labels.shape != (inst.n,):
+        raise ValueError("labels must label every node of the level")
+    held = []
+
+    def fresh(words):
+        held.append(np.empty(words, dtype=np.int64))
+        return held[-1].ctypes.data
+
+    k = int(labels.max()) + 1
+    info = np.array([k, 0, 0, debug_checks, solver.MAX_SWEEPS] + [0] * 6, dtype=np.int64)
+    gain = np.zeros(1)
+    bitgen = rng.bit_generator
+    with bitgen.lock:
+        code = _compiled().pairsphere_coarsen(
+            inst.n, inst.coefs.size, *map(_address, (inst.coefs, inst.factors, inst.indptr, inst.nbr, inst.wts)),
+            *map(_address, (labels, info, gain)), bitgen.ctypes.state_address,
+            ctypes.c_void_p.from_buffer(bitgen.ctypes.next_uint32).value, _WORK(work or fresh), eps / 2.0,
+        )
+    if code == -4:
+        raise ValueError(f"node {info[10]} carries a label outside 0..{k - 1}")
+    if code == -6:
+        raise MemoryError("the pass got no work")
+    if code < 0:
+        raise AssertionError(solver._FAULTS[code].format(info[10]))
+    for _ in range(info[9]):
+        warnings.warn("sweep cap reached before local convergence")
+    return labels, gain.item(), info
+
+
+def reference_coarsen(inst, memb, rng, eps, debug_checks):
+    """pass_call as a Python loop: coarse levels on a fine solution `memb`
+    (compact labels), each aggregating the communities of the one below
+    (reference_aggregate) and running level_call on the supernodes, until a
+    level has nothing to merge or no move. Returns the fine membership
+    reached, the levels' summed gain (0.0 if none moved) and the counters the
+    pass's record sums: levels run, sweeps, visits, skipped, narrow."""
     gain, counts = 0.0, [0] * 5
     level = memb  # the current level's membership; memb maps fine nodes to its labels
     while (coarse := reference_aggregate(inst, level)).n < inst.n:
-        state = solver.SolverState(coarse, None, 0.0, debug_checks)  # coarse levels track gains only
-        moves = solver._local_moves(state, rng, eps)
+        state = LevelState(coarse, np.arange(coarse.n), 0.0, debug_checks)  # coarse levels track gains only
+        moves = level_call(state, rng, eps)
         counts = [a + b for a, b in zip(counts, (1, state.sweeps, state.visits, state.skipped, state.narrow))]
         if not moves:
             break
@@ -349,3 +445,33 @@ def reference_coarsen(inst, memb, rng, eps, debug_checks):
         inst, level = coarse, state.membership
         memb = level[memb]
     return memb, gain, counts
+
+
+FINE_COUNTERS = ("sweeps", "visits", "skipped", "narrow")
+
+
+def reference_project(inst, q, rng, eps, debug_checks=False):
+    """One restart of solver.louvain_project (solver._solve, one compiled
+    call) as the Python cycle loop: level_call on the fine level, then
+    pass_call on its solution; after a pass that merged, a fresh LevelState
+    on the membership reached, its objective plus the
+    pass's gain, every node dirty; until a cycle gains no more than eps, or
+    solver.MAX_CYCLES of them (the cap warns). Under debug_checks every cycle
+    ends with solver._check_cycle. Returns the last state, its FINE_COUNTERS
+    summed over the cycles."""
+    state = LevelState(inst, np.arange(inst.n), -q.total(), debug_checks)  # singletons: no intra pair
+    for _ in range(solver.MAX_CYCLES):
+        before = state.objective
+        level_call(state, rng, eps)
+        memb, gained, _ = pass_call(inst, state.membership, rng, eps, debug_checks)
+        if gained > 0.0:
+            fresh = LevelState(inst, memb, state.objective + gained, debug_checks)
+            for counter in FINE_COUNTERS:
+                setattr(fresh, counter, getattr(state, counter))
+            state = fresh
+        if debug_checks:
+            solver._check_cycle(q, inst, state.membership, state.U, state.objective)
+        if state.objective - before <= eps:
+            return state
+    warnings.warn("cycle cap reached before convergence")
+    return state

@@ -41,6 +41,32 @@ def test_canonical_labels():
     assert C.sizes.tolist() == [2, 2, 1]
 
 
+def _sorted_canonical(labels):
+    """First-appearance labels through np.unique: the sort path."""
+    uniq, first_idx, inv = np.unique(labels, return_index=True, return_inverse=True)
+    rank = np.empty(uniq.size, dtype=np.int64)
+    rank[np.argsort(first_idx, kind="stable")] = np.arange(uniq.size)
+    return rank[inv.reshape(-1)].astype(np.int64)
+
+
+def test_canonical_labels_match_the_sort_path():
+    """Partition's labels are the arrays of the sort path, dtype included:
+    integer labels in 0..n-1 (with gaps and unused labels, of several
+    dtypes) take the O(n) path, and negative, large and string labels
+    np.unique."""
+    rng = np.random.default_rng(14)
+    cases = [np.array([0]), np.array([3, 3, 3, 3]), np.arange(7)[::-1], np.array([5, 5, 2, 9, 2, -1])]
+    for _ in range(60):
+        n = int(rng.integers(1, 300))
+        labels = rng.integers(0, int(rng.integers(1, n + 1)), n)  # gaps: labels that no node carries
+        cases += [labels, labels.astype(np.uint16), labels.astype(np.int32), labels - int(rng.integers(0, 3))]
+        cases += [labels * int(rng.integers(2, 10**12)), np.array([f"c{x}" for x in labels])]
+    for labels in cases:
+        got = Partition(labels).membership
+        want = _sorted_canonical(labels)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_from_communities_and_equality():
     a = Partition.from_communities(4, [[0, 1], [2, 3]])
     b = Partition(np.array([7, 7, 1, 1]))

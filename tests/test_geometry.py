@@ -273,6 +273,32 @@ def test_combine_merges_sparse_and_terms():
     assert c.entry(2, 3) == pytest.approx(2.0 + 6.0 + 1.5)
 
 
+@pytest.mark.parametrize("supports", ["overlapping", "disjoint", "empty", "one-empty"])
+def test_combine_unions_the_supports_as_np_unique_does(supports):
+    """combine's linear-time union of the parts' sorted supports gives the
+    ids and the value bytes of the np.unique form (values summed by
+    np.bincount in the parts' order)."""
+    rng = np.random.default_rng(26)
+    for _ in range(20):
+        n = int(rng.integers(8, 60))
+        N = n * (n - 1) // 2
+        owner = rng.integers(0, 3, N)  # the part of each pair, for disjoint supports
+        parts = []
+        for t in range(3):
+            keep = rng.random(N) < (0.0 if supports == "empty" or (supports == "one-empty" and t == 1) else 0.3)
+            ids = np.flatnonzero(keep & (owner == t) if supports == "disjoint" else keep)
+            parts.append((float(rng.normal()), PairVector(n, ids, rng.normal(size=ids.size))))
+        ids = np.concatenate([v.pair_ids for _, v in parts])
+        uniq, inv = np.unique(ids, return_inverse=True)
+        vals = np.bincount(inv, weights=np.concatenate([c * v.values for c, v in parts]), minlength=uniq.size)
+        got = combine(parts)
+        assert got.pair_ids.tobytes() == uniq.astype(np.int64).tobytes() and got.values.tobytes() == vals.tobytes()
+        if supports == "overlapping":
+            assert uniq.size < ids.size
+        elif supports == "disjoint":
+            assert uniq.size == ids.size
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=3, max_value=12), st.floats(min_value=0.05, max_value=20.0), st.integers())
 @example(n=3, alpha=1.19921875, seed=1979869)  # two constant vectors of opposite sign: theta = pi
