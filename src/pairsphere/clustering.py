@@ -43,6 +43,7 @@ class Partition:
         self.membership = _canonicalize(np.asarray(self.membership))
         self.sizes = np.bincount(self.membership)
         self.k = int(self.sizes.size)
+        self._intra = _pairs_within(self.sizes)
 
     @property
     def n(self) -> int:
@@ -73,8 +74,9 @@ class Partition:
         return cls(np.zeros(n, dtype=np.int64))
 
     def intra_pairs(self) -> int:
-        """Number of same-community pairs, as an exact Python int."""
-        return _pairs_within(self.sizes)
+        """Number of same-community pairs, as an exact Python int; counted
+        once, from the sizes, when the partition is made."""
+        return self._intra
 
     def __eq__(self, other):
         return isinstance(other, Partition) and np.array_equal(self.membership, other.membership)
@@ -218,10 +220,11 @@ def query_angular_distance(q: PairVector, C: Partition) -> float:
     return math.acos(_clamp_cos(query_alignment(q, C) / (nq * math.sqrt(q.N))))
 
 
-def query_correlation_distance(q: PairVector, C: Partition) -> float:
+def query_correlation_distance(q: PairVector, C: Partition, d_a: float | None = None) -> float:
     """Meridian angle between a query vector and a clustering vector: the law
     of cosines of `geometry.correlation_distance`, with the clustering's
-    latitude and angular distance taken from exact pair counts."""
+    latitude and angular distance taken from exact pair counts. A caller that
+    already holds query_angular_distance(q, C) passes it as `d_a`."""
     m_c = C.intra_pairs()
     if m_c == 0 or m_c == C.N:
         raise DegeneratePartitionError("correlation undefined for a trivial partition")
@@ -229,7 +232,9 @@ def query_correlation_distance(q: PairVector, C: Partition) -> float:
         _off_axis_norm(q)
     except DegenerateVectorError as exc:
         raise DegeneratePartitionError("query lies on the pole axis") from exc
-    return _vertex_angle(latitude(q), partition_latitude(C), query_angular_distance(q, C))
+    if d_a is None:
+        d_a = query_angular_distance(q, C)
+    return _vertex_angle(latitude(q), partition_latitude(C), d_a)
 
 
 # -- detection metrics ---------------------------------------------------------
@@ -286,7 +291,7 @@ def evaluate(
     except ValueError:
         pass
     try:
-        res.d_cc_qT = query_correlation_distance(q, planted)
+        res.d_cc_qT = query_correlation_distance(q, planted, res.d_a_qT)
     except (ValueError, DegeneratePartitionError):
         pass
     if res.d_a_qC is not None and res.d_a_qT is not None and res.d_a_qT > 0:

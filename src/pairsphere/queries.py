@@ -162,16 +162,21 @@ def rule_latitude(rule: str, lam_t: float, theta: float) -> float:
     match-planted -- lam = lam_t
     min-distance  -- tan(lam) = cos(theta) * tan(lam_t)
     """
+    check_latitude_rule(rule)
     if rule == "corrected":
         return heuristic_latitude(lam_t, theta)
     if rule == "match-planted":
         return lam_t
-    if rule == "min-distance":
-        lam = math.atan2(math.cos(theta) * math.sin(lam_t), math.cos(lam_t))
-        if not 0.0 < lam < math.pi:
-            raise ValueError("min-distance latitude degenerates to a pole")
-        return lam
-    raise ValueError(f"unknown latitude rule {rule!r}; pick one of {LATITUDE_RULES}")
+    lam = math.atan2(math.cos(theta) * math.sin(lam_t), math.cos(lam_t))
+    if not 0.0 < lam < math.pi:
+        raise ValueError("min-distance latitude degenerates to a pole")
+    return lam
+
+
+def check_latitude_rule(rule: str) -> None:
+    """Raise ValueError unless `rule` names one of LATITUDE_RULES."""
+    if rule not in LATITUDE_RULES:
+        raise ValueError(f"unknown latitude rule {rule!r}; pick one of {LATITUDE_RULES}")
 
 
 def apply_granularity_heuristic(
@@ -246,6 +251,7 @@ class QuerySpec:
             raise ValueError("fixed heuristic mode needs lam_t and theta")
         if self.heuristic == "means" and self.pilots < 1:
             raise ValueError("means heuristic mode needs at least one pilot sample")
+        check_latitude_rule(self.rule)
 
     @property
     def label(self) -> str:

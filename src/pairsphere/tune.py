@@ -30,7 +30,7 @@ from .clustering import (
 )
 from .generators import GeneratorSpec, generate
 from .graph import Graph
-from .queries import QuerySpec, build_base_query, build_query
+from .queries import QuerySpec, build_base_query, build_query, check_latitude_rule
 from .solver import louvain_project
 
 RESULT_COLUMNS = [
@@ -170,15 +170,17 @@ def _run_sample(args) -> list[RunRow]:
             RunRow(spec.label, sample, 0, error=f"generate: {exc}") for spec in queries
         ]
     connected, n_isolated = _graph_health(G)
+    # each base query is built once and dropped after the last spec that uses it
+    last_use = {spec.base_key(): qi for qi, spec in enumerate(queries)}
     base_cache: dict = {}
     for qi, spec in enumerate(queries):
         seed = derive_seed(plan.master_seed, "solve", sample, qi)
+        key = spec.base_key()
         try:
-            key = spec.base_key()
             if key not in base_cache:
                 t0 = time.perf_counter()
                 base_cache[key] = (build_base_query(G, spec), time.perf_counter() - t0)
-            base, base_secs = base_cache[key]
+            base, base_secs = base_cache.pop(key) if last_use[key] == qi else base_cache[key]
             _, res = detect_once(G, spec, T, seed=seed, base=base)
             res.query_ms += base_secs * 1e3  # row's query time: base plus correction
             rows.append(
@@ -190,6 +192,7 @@ def _run_sample(args) -> list[RunRow]:
                 RunRow(spec.label, sample, seed, error=str(exc),
                        connected=connected, n_isolated=n_isolated)
             )
+        base = None  # only the cache keeps a base, and only while a later spec needs it
     return rows
 
 
@@ -335,6 +338,7 @@ class GridSearchPlan:
             raise ValueError("need at least one training sample")
         if self.val_size < 1 and not self.val_files:
             raise ValueError("need at least one validation sample")
+        check_latitude_rule(self.rule)
 
 
 @dataclass
@@ -379,17 +383,25 @@ def _grid_rho(G: Graph, spec: QuerySpec, T: Partition, seed: int, base=None) -> 
 def _train_worker(args):
     """All grid cells for one training sample; one task per sample keeps
     pickling overhead proportional to the sample count. The sample's
-    adjacency, Jaccard and degree-product vectors are built once, and each
-    cell's base query is combined from them."""
+    adjacency, Jaccard and degree-product vectors are built once. The sparse
+    part, adjacency + c_j * Jaccard, is combined once per c_j, with its pair
+    members; each cell's base then carries it and the one degree term
+    c_d * d d^T / 2m (none at c_d = 0). That is, bit for bit, the vector
+    combine([(1, adj), (c_j, jac), (c_d, deg)]): the degree part adds no
+    sparse pair and a constant of 0."""
     G, T, seed, cj_grid, cd_grid, rule = args
-    from .geometry import combine
+    from .geometry import LowRankTerm, combine
     from .graph import adjacency_vector, degree_product_vector, jaccard_vector
 
     adj, jac, deg = adjacency_vector(G), jaccard_vector(G), degree_product_vector(G)
+    (deg_term,) = deg.terms
     out = []
     for c_j in cj_grid:
+        sparse = combine([(1.0, adj), (c_j, jac)])
+        sparse.sparse_members()  # cached, and carried by each cell's base
         for c_d in cd_grid:
-            base = combine([(1.0, adj), (c_j, jac), (c_d, deg)])
+            terms = (LowRankTerm(c_d * deg_term.coef, deg_term.factor),) if c_d != 0.0 else ()
+            base = sparse._on_same_support(sparse.values, terms, 0.0)
             out.append(_grid_rho(G, _grid_spec(c_j, c_d, rule), T, seed, base))
     return out
 

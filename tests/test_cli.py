@@ -418,10 +418,12 @@ def test_python_dash_m_runs_from_a_checkout():
         ("heuristic = exact", "heuristic = fixed:7,0.3", "[query ms1fix] fixed heuristic needs"),
         ("heuristic = exact", "heuristic = bogus", "[query ms1fix] unknown heuristic mode 'bogus'"),
         ("heuristic = exact", "heuristic = fixed:1", "[query ms1fix] fixed heuristic needs the form fixed:<lat>,<theta>"),
+        ("heuristic = exact", "heuristic = exact\nrule = nope",
+         "usage error: [query ms1fix] unknown latitude rule 'nope'"),
     ],
     ids=["p_in-above-1", "k-not-dividing-n", "means-without-pilots", "repeats-0", "repeats-not-int",
          "ring-k-below-3", "hppm", "experiment-unknown-key", "query-pilots-key", "ppm-without-p_in",
-         "cc-without-weights", "fixed-lat-past-pi", "unknown-heuristic", "fixed-one-number"],
+         "cc-without-weights", "fixed-lat-past-pi", "unknown-heuristic", "fixed-one-number", "unknown-rule"],
 )
 def test_experiment_config_that_cannot_run_exit_2(tmp_path, capsys, old, new, message):
     cfg = tmp_path / "bad.cfg"
@@ -519,6 +521,23 @@ def test_grid_search_unknown_key_exit_2(tmp_path, capsys):
     code = run(["grid-search", "--config", str(cfg), "--out", str(out_dir), "--seed", "2"])
     assert code == 2
     assert "unknown config key [grid] cj_grid" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_grid_search_unknown_rule_exit_2(tmp_path, capsys, monkeypatch):
+    """An unknown latitude rule is a usage error found before any training
+    sample is generated."""
+
+    def no_sample(*args):
+        raise AssertionError("a sample was generated")
+
+    monkeypatch.setattr(tune, "generate", no_sample)
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(GRID_CFG + "rule = nope\n")
+    out_dir = tmp_path / "gout"
+    code = run(["grid-search", "--config", str(cfg), "--out", str(out_dir), "--seed", "2"])
+    assert code == 2
+    assert "usage error: [grid] unknown latitude rule 'nope'" in capsys.readouterr().err
     assert not out_dir.exists()
 
 

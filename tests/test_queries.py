@@ -348,6 +348,9 @@ def test_query_spec_validation():
         for gamma in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="finite and nonnegative"):
                 QuerySpec(method, gamma=gamma)
+    for heuristic in ("off", "exact"):  # found when the spec is made, not when a sample runs
+        with pytest.raises(ValueError, match="unknown latitude rule 'nope'; pick one of"):
+            QuerySpec("markov", heuristic=heuristic, rule="nope")
     spec = QuerySpec("markov", t=2, heuristic="exact")
     assert "markov" in spec.label and "t=2" in spec.label
 

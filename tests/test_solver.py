@@ -12,7 +12,13 @@ import numpy as np
 import pytest
 
 from pairsphere import _kernel, solver
-from pairsphere.clustering import Partition, evaluate, query_alignment
+from pairsphere.clustering import (
+    Partition,
+    evaluate,
+    query_alignment,
+    query_angular_distance,
+    query_correlation_distance,
+)
 from pairsphere.generators import GeneratorSpec, generate
 from pairsphere.geometry import LowRankTerm, PairVector
 from pairsphere.graph import Graph, jaccard_vector, walk_distribution
@@ -1114,6 +1120,34 @@ def test_evaluate_handles_degenerate_metrics():
     assert res.d_cc_qT is None  # query on the pole axis
     res2 = evaluate(q, Partition.one_cluster(4), Partition.singletons(4))
     assert res2.granularity_error is None  # planted latitude 0
+
+
+def _bits(x):
+    return None if x is None else np.float64(x).tobytes()
+
+
+@pytest.mark.parametrize("heuristic", ["off", "exact"], ids=["raw", "exact-corrected"])
+def test_evaluate_reuses_the_planted_angle_exactly(heuristic):
+    """evaluate computes <q, b(T)> once: its d_a_qT and d_cc_qT are, bit for
+    bit, the two distances computed on their own."""
+    G, T = generate(GeneratorSpec("ppm", n=80, k=4, lambda_in=5, lambda_out=2), 3)
+    q = build_query(G, QuerySpec("markov", t=2, isolated="zero", heuristic=heuristic), T)
+    res = evaluate(q, louvain_project(q, seed=1), T)
+    assert res.d_a_qT is not None and res.d_cc_qT is not None
+    assert _bits(res.d_a_qT) == _bits(query_angular_distance(q, T))
+    assert _bits(res.d_cc_qT) == _bits(query_correlation_distance(q, T))
+
+
+def test_evaluate_on_the_pole_axis_keeps_its_none():
+    T = Partition(np.array([0, 0, 1, 1, 2]))
+    # a constant query has an angle to T but no meridian
+    q = PairVector.constant_vector(5, 1.0)
+    res = evaluate(q, Partition.one_cluster(5), T)
+    assert _bits(res.d_a_qT) == _bits(query_angular_distance(q, T))
+    assert res.d_cc_qT is None
+    # the zero query has neither
+    res = evaluate(PairVector.constant_vector(5, 0.0), Partition.one_cluster(5), T)
+    assert res.d_a_qT is None and res.d_cc_qT is None
 
 
 def test_evaluate_excess_sign():

@@ -1,12 +1,14 @@
+import hashlib
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pairsphere import tune
+from pairsphere import geometry, tune
 from pairsphere.clustering import DegeneratePartitionError, Partition
-from pairsphere.generators import GeneratorSpec
+from pairsphere.generators import GeneratorSpec, generate
 from pairsphere.queries import QuerySpec
 from pairsphere.tune import (
     ExperimentPlan,
@@ -106,8 +108,6 @@ def test_outputs_written_atomically(tmp_path):
 
 
 def test_detect_once_runs():
-    from pairsphere.generators import generate
-
     G, T = generate(GeneratorSpec("ppm", n=40, k=4, lambda_in=6, lambda_out=1), 3)
     C, res = detect_once(G, QuerySpec("er-modularity", gamma=1.0, heuristic="exact"), T, seed=1)
     assert res.rho is not None and res.query_ms is not None
@@ -199,6 +199,98 @@ def test_grid_undefined_rho_raises(monkeypatch, real_calls):
         grid_search(plan)
 
 
+def _f64(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def test_grid_bases_keep_the_bytes_of_combine(monkeypatch):
+    """Each training cell's base is combine([(1, adj), (c_j, jac), (c_d, deg)])
+    bit for bit, with the sparse part combined once per (sample, c_j); the
+    grid holds cells with no Jaccard part (c_j = 0) and no degree term
+    (c_d = 0)."""
+    from pairsphere.graph import adjacency_vector, degree_product_vector, jaccard_vector
+
+    combine, grid_rho = geometry.combine, tune._grid_rho
+    combines, bases = [], []
+
+    def counted_combine(parts):
+        combines.append([c for c, _ in parts])
+        return combine(parts)
+
+    def captured_rho(G, spec, T, seed, base=None):
+        bases.append((spec.c_j, spec.c_d, base))
+        return grid_rho(G, spec, T, seed, base)
+
+    monkeypatch.setattr(geometry, "combine", counted_combine)
+    monkeypatch.setattr(tune, "_grid_rho", captured_rho)
+    cj_grid, cd_grid = [0.0, 0.3, 1.0], [-1.5, 0.0]
+    gen = GeneratorSpec("ppm", n=40, k=4, lambda_in=5, lambda_out=2)
+    for sample in range(2):
+        G, T = generate(gen, sample)
+        combines.clear()
+        bases.clear()
+        tune._train_worker((G, T, 7, cj_grid, cd_grid, "corrected"))
+        assert combines == [[1.0, c_j] for c_j in cj_grid]
+        assert [(c_j, c_d) for c_j, c_d, _ in bases] == [(c_j, c_d) for c_j in cj_grid for c_d in cd_grid]
+        adj, jac, deg = adjacency_vector(G), jaccard_vector(G), degree_product_vector(G)
+        for c_j, c_d, base in bases:
+            want = combine([(1.0, adj), (c_j, jac), (c_d, deg)])
+            assert base.pair_ids.tobytes() == want.pair_ids.tobytes()
+            assert base.values.tobytes() == want.values.tobytes()
+            assert len(base.terms) == len(want.terms) == (c_d != 0.0)
+            for got, term in zip(base.terms, want.terms):
+                assert _f64(got.coef) == _f64(term.coef)
+                assert got.factor.tobytes() == term.factor.tobytes()
+            assert _f64(base.constant) == _f64(want.constant)
+
+
+# rows_to_csv(..., drop_timing=True) of the two samples below, as the harness
+# wrote them while every sample kept all its base queries to its end
+RUN_SAMPLE_CSV_SHA = "6bdbf988ff55aa0eb09407e4176fbbfd95d598533890df5b41b0123ec8669099"
+
+
+def test_run_sample_builds_each_base_once_and_frees_it_after_its_last_spec(monkeypatch):
+    queries = [
+        QuerySpec("markov", t=1, isolated="zero", name="raw_t1"),
+        QuerySpec("markov", t=2, isolated="zero", name="raw_t2"),
+        QuerySpec("markov", t=1, isolated="zero", heuristic="fixed", lam_t=1.4, theta=0.5, name="fix_t1"),
+        QuerySpec("markov", t=2, isolated="zero", heuristic="exact", name="exact_t2"),
+        QuerySpec("markov", t=3, isolated="zero", name="raw_t3"),
+    ]
+    plan = ExperimentPlan(GeneratorSpec("ppm", n=60, k=4, lambda_in=5, lambda_out=3), queries, master_seed=17)
+    build, detect = tune.build_base_query, tune.detect_once
+    built, detected = [], []
+
+    def only_needed_bases_live(spec):
+        later = {s.base_key() for s in queries[queries.index(spec):]}
+        live = {key for key, ref in built if ref() is not None}
+        assert live <= later, f"{spec.name}: a base outlived its last spec"
+
+    def counted_build(G, spec):
+        only_needed_bases_live(spec)
+        q = build(G, spec)
+        built.append((spec.base_key(), weakref.ref(q)))
+        return q
+
+    def checked_detect(G, spec, *args, **kwargs):
+        only_needed_bases_live(spec)
+        detected.append(spec.name)
+        return detect(G, spec, *args, **kwargs)
+
+    monkeypatch.setattr(tune, "build_base_query", counted_build)
+    monkeypatch.setattr(tune, "detect_once", checked_detect)
+    rows = []
+    for sample in range(2):
+        built.clear()
+        rows += tune._run_sample((plan, queries, sample))
+        assert [key for key, _ in built] == [queries[i].base_key() for i in (0, 1, 4)]
+        assert all(ref() is None for _, ref in built)
+    assert detected == [spec.name for spec in queries] * 2
+    assert all(row.error == "" for row in rows)
+    text = rows_to_csv(rows, drop_timing=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == RUN_SAMPLE_CSV_SHA
+
+
 def test_grid_outputs(tmp_path):
     plan = GridSearchPlan(
         generator=GeneratorSpec("ppm", n=30, k=3, lambda_in=6, lambda_out=1),
@@ -224,3 +316,5 @@ def test_plan_validation():
         GridSearchPlan(generator=gen, cj_grid=[], cd_grid=[0.0])
     with pytest.raises(ValueError, match="validation"):
         GridSearchPlan(generator=gen, val_size=0)
+    with pytest.raises(ValueError, match="unknown latitude rule 'nope'; pick one of"):
+        GridSearchPlan(generator=gen, rule="nope")
