@@ -2,8 +2,10 @@
 
 One library serves the solver (a whole solve, and the level builders) and
 graph (the upper triangle of a sparse product, for walk and Jaccard pairs).
-_compiled() loads it once per process and returns its ctypes.CDLL; callers
-name its functions as _sweep.c does. The library is a requirement: where it
+_rows, the one builder of symmetric CSR rows from a sorted pair list, makes
+every Graph's adjacency and every solve's fine rows. _compiled() loads the
+library once per process and returns its ctypes.CDLL; callers name its
+functions as _sweep.c does. The library is a requirement: where it
 cannot be built or loaded (no C compiler, say), each call of _compiled()
 raises OSError with the reason, and nothing runs the jobs in its place. The
 cache lives under the standard XDG_CACHE_HOME; there is no other setting.
@@ -19,6 +21,8 @@ import subprocess
 import sysconfig
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 # _sweep.c is built with these flags (-ffp-contract=off keeps every product
 # and sum rounded on its own, as numpy rounds them).
@@ -151,3 +155,22 @@ def _address(a) -> int:
         return ctypes.addressof(ctypes.c_char.from_buffer(a))
     except (TypeError, ValueError):  # read-only, or empty
         return a.ctypes.data
+
+
+def _rows(n: int, pi: np.ndarray, pj: np.ndarray, pv: np.ndarray) -> tuple:
+    """(indptr, nbr, wts): the CSR rows of the symmetric n x n matrix holding
+    pv[t] at (pi[t], pj[t]) and (pj[t], pi[t]), from a pair list sorted by
+    (pi, pj) with pi < pj and no repeats, nor zero values, by a counting
+    sort in the compiled library; no value is summed. A list out of that
+    order raises ValueError."""
+    lib = _compiled()
+    pi, pj = (np.ascontiguousarray(a, dtype=np.int64) for a in (pi, pj))
+    pv = np.ascontiguousarray(pv, dtype=np.float64)
+    if not pi.size == pj.size == pv.size:
+        raise ValueError("pi, pj and pv must have the same length")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    nbr, wts = np.empty(2 * pi.size, dtype=np.int64), np.empty(2 * pi.size)
+    code = lib.pairsphere_rows(n, pi.size, *map(_address, (pi, pj, pv, indptr, nbr, wts)))
+    if code < 0:
+        raise ValueError(f"pair {-1 - code} breaks the order (pi, pj), pi < pj < {n}, without repeats")
+    return indptr, nbr, wts

@@ -7,11 +7,11 @@
    after level, builds the rows of the level above from the rows below
    (pairsphere_aggregate), sums its factors and runs its sweeps
    (pairsphere_level), in work that it asks of the caller's callback, sized
-   for the pass. pairsphere_rows makes CSR rows from a sorted pair list (the
-   query's, for the fine level, and the coarse pairs). A level is its rows
-   alone. For graph's walk and Jaccard vectors, pairsphere_upper_count and
-   pairsphere_upper_fill form the strict upper triangle of a sparse product,
-   and nothing below it.
+   for the pass. pairsphere_rows makes CSR rows from a sorted pair list (a
+   graph's edges, the query's for the fine level, and the coarse pairs). A
+   level is its rows alone. For graph's walk and Jaccard vectors,
+   pairsphere_upper_count and pairsphere_upper_fill form the strict upper
+   triangle of a sparse product, and nothing below it.
 
    _kernel._load_kernel builds this file with -ffp-contract=off, so every
    product and sum below is rounded on its own, in the order written: the
@@ -372,7 +372,7 @@ int64_t pairsphere_level(int64_t n, int64_t K, const double *coefs, const double
 }
 
 /* The CSR rows of the symmetric n x n matrix holding pv[t] at (pi[t], pj[t])
-   and (pj[t], pi[t]) (solver._rows), from m pairs sorted by (pi, pj) with
+   and (pj[t], pi[t]) (_kernel._rows), from m pairs sorted by (pi, pj) with
    pi < pj < n and no repeats. A counting sort in two passes: first each
    pair's lower entry (row pj gets pi), then its upper one (row pi gets pj),
    so the columns of every row ascend and no value is summed. indptr holds

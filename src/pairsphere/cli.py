@@ -77,8 +77,8 @@ def _resolve_seed(args) -> int:
 
 
 def _parse_heuristic(text: str) -> dict:
-    """Expand a heuristic value (a flag's or a config key's); a bad one is a
-    ValueError, which _read_spec reports as a usage error."""
+    """Expand a heuristic value (a flag's or a config key's) into the fields
+    QuerySpec checks; a bad form is a ValueError, reported as a usage error."""
     if text == "off" or text == "exact":
         return {"heuristic": text}
     if text.startswith("fixed:"):
@@ -86,8 +86,6 @@ def _parse_heuristic(text: str) -> dict:
             lat, theta = (float(x) for x in text[len("fixed:") :].split(","))
         except ValueError as exc:
             raise ValueError(f"fixed heuristic needs the form fixed:<lat>,<theta>, not {text!r}") from exc
-        if not (0.0 < lat < math.pi and 0.0 <= theta <= math.pi / 2):
-            raise ValueError(f"fixed heuristic needs 0 < lat < pi and 0 <= theta <= pi/2, not {lat:g},{theta:g}")
         return {"heuristic": "fixed", "lam_t": lat, "theta": theta}
     if text.startswith("means:"):
         try:

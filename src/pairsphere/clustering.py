@@ -90,22 +90,20 @@ def _pairs_within(counts: np.ndarray) -> int:
 
 
 def _canonicalize(labels: np.ndarray) -> np.ndarray:
-    """Labels renamed 0..k-1 in order of first appearance, as int64. Labels
-    in 0..n-1 (every solver membership) take an O(n) path: each label's
-    first position by np.minimum.at, ranked by a cumsum; others np.unique."""
+    """Labels renamed 0..k-1 in order of first appearance, as int64, in O(n):
+    each label's first position by np.minimum.at, ranked by a cumsum. Labels
+    other than integers in 0..n-1 (every solver membership is such) are first
+    made so by np.unique's inverse."""
     n = labels.size
-    if labels.ndim == 1 and labels.dtype.kind in "iu" and n and 0 <= labels.min() and labels.max() < n:
-        pos = np.arange(n, dtype=np.int64)
-        first = np.full(n, n, dtype=np.int64)
-        np.minimum.at(first, labels, pos)
-        at = first[labels]
-        rank = np.cumsum(at == pos, dtype=np.int64)
-        rank -= 1
-        return rank[at]
-    uniq, first_idx, inv = np.unique(labels, return_index=True, return_inverse=True)
-    rank = np.empty(uniq.size, dtype=np.int64)
-    rank[np.argsort(first_idx, kind="stable")] = np.arange(uniq.size)
-    return rank[inv.reshape(-1)].astype(np.int64)
+    if not (labels.ndim == 1 and labels.dtype.kind in "iu" and n and 0 <= labels.min() and labels.max() < n):
+        labels = np.unique(labels, return_inverse=True)[1].reshape(-1)
+    pos = np.arange(n, dtype=np.int64)
+    first = np.full(n, n, dtype=np.int64)
+    np.minimum.at(first, labels, pos)
+    at = first[labels]
+    rank = np.cumsum(at == pos, dtype=np.int64)
+    rank -= 1
+    return rank[at]
 
 
 @dataclass(frozen=True)

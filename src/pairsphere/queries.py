@@ -247,8 +247,10 @@ class QuerySpec:
             raise ValueError("resolution parameter must be finite and nonnegative")
         if self.method == "ppm" and not all(p is not None and 0.0 < p < 1.0 for p in (self.p_in, self.p_out)):
             raise ValueError("ppm method needs p_in and p_out strictly inside (0, 1)")
-        if self.heuristic == "fixed" and (self.lam_t is None or self.theta is None):
-            raise ValueError("fixed heuristic mode needs lam_t and theta")
+        if self.heuristic == "fixed" and not (
+            None not in (self.lam_t, self.theta) and 0.0 < self.lam_t < math.pi and 0.0 <= self.theta <= math.pi / 2
+        ):
+            raise ValueError(f"fixed heuristic needs 0 < lam_t < pi and 0 <= theta <= pi/2, not {self.lam_t}, {self.theta}")
         if self.heuristic == "means" and self.pilots < 1:
             raise ValueError("means heuristic mode needs at least one pilot sample")
         check_latitude_rule(self.rule)

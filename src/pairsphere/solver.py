@@ -70,18 +70,18 @@ against a full scan, and the solve's record counts them.
 
 A level's sparse part is its CSR rows, columns ascending; its pairs are the
 rows' upper entries (column > row), in row order. The same library builds
-every level. _rows turns the query's sorted pair list into the fine rows by a
-counting sort in two passes, first each pair's lower entry and then its upper
-one, so the columns of every row ascend and no value is summed. A coarse level
-maps the pairs below through the community labels and sums them by one rule
-(pairsphere_aggregate): coarse pair a < b gets M[a, b] + M[b, a], where
-M[a, b] is the sum, from 0 and in row order, of the fine pairs whose ends
-carry labels (a, b); zero sums are dropped. When the k supernodes give
-k * (k - 1) at most the CSR entry count of the level below, one pass sums the
-pairs into a dense k x k block, no larger than that level; otherwise a stable
-counting sort by label lines each cell's pairs up in row order, without k * k
-memory. The same call turns the coarse pairs into the coarse rows, and the
-pass sums the coarse factors from 0 in node order.
+every level. _kernel._rows (every Graph's too) turns the query's sorted pair
+list into the fine rows by a counting sort in two passes, first each pair's
+lower entry and then its upper one, so the columns of every row ascend and no
+value is summed. A coarse level maps the pairs below through the community
+labels and sums them by one rule (pairsphere_aggregate): coarse pair a < b
+gets M[a, b] + M[b, a], where M[a, b] is the sum, from 0 and in row order, of
+the fine pairs whose ends carry labels (a, b); zero sums are dropped. When the
+k supernodes give k * (k - 1) at most the CSR entry count of the level below,
+one pass sums the pairs into a dense k x k block, no larger than that level;
+otherwise a stable counting sort by label lines each cell's pairs up in row
+order, without k * k memory. The same call turns the coarse pairs into the
+coarse rows, and the pass sums the coarse factors from 0 in node order.
 
 For small instances an exhaustive enumerator over set partitions provides an
 exact reference optimum.
@@ -98,7 +98,7 @@ from functools import reduce
 
 import numpy as np
 
-from ._kernel import _WORK, _address, _compiled
+from ._kernel import _WORK, _address, _compiled, _rows
 from .clustering import Partition, query_alignment
 from .geometry import PairVector, _smooth_terms_with_constant
 
@@ -150,37 +150,17 @@ class _Instance:
         if not vals.all():  # the rows hold no explicit zero
             nz = vals != 0.0
             ii, jj, vals = ii[nz], jj[nz], vals[nz]
-        indptr, tails, wts = _rows(n, ii, jj, vals)
+        indptr, nbr, wts = _rows(n, ii, jj, vals)
         terms = list(_smooth_terms_with_constant(q))  # a constant c is the term c * 11^T, last
         coefs = np.array([c for c, _ in terms], dtype=np.float64)
         factors = np.array([u for _, u in terms], dtype=np.float64).reshape(len(terms), n)
-        return cls(n, indptr, tails, wts, coefs, factors)
+        return cls(n, indptr, nbr, wts, coefs, factors)
 
 
 def _slot_sums(factors: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     """(K, k) sums of every factor row over the nodes carrying each label."""
     sums = [np.bincount(labels, weights=f, minlength=k) for f in factors]
     return np.array(sums).reshape(len(factors), k)
-
-
-def _rows(n: int, pi: np.ndarray, pj: np.ndarray, pv: np.ndarray) -> tuple:
-    """(indptr, nbr, wts): the CSR rows of the symmetric n x n matrix holding
-    pv[t] at (pi[t], pj[t]) and (pj[t], pi[t]), from a pair list sorted by
-    (pi, pj) with pi < pj and no repeats, nor zero values, by a counting
-    sort in the compiled library; no value is summed. A list out of that
-    order raises ValueError."""
-    lib = _compiled()
-    pi, pj = (np.ascontiguousarray(a, dtype=np.int64) for a in (pi, pj))
-    pv = np.ascontiguousarray(pv, dtype=np.float64)
-    if not pi.size == pj.size == pv.size:
-        raise ValueError("pi, pj and pv must have the same length")
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    nbr, wts = np.empty(2 * pi.size, dtype=np.int64), np.empty(2 * pi.size)
-    if pi.size:
-        code = lib.pairsphere_rows(n, pi.size, *map(_address, (pi, pj, pv, indptr, nbr, wts)))
-        if code < 0:
-            raise ValueError(f"pair {-1 - code} breaks the order (pi, pj), pi < pj < {n}, without repeats")
-    return indptr, nbr, wts
 
 
 class SolverState:

@@ -207,7 +207,7 @@ class LevelState(solver.SolverState):
 def build_csr(n, ii, jj, values):
     """Rows of the symmetric n x n matrix holding each value at (i, j) and
     (j, i), in scipy, as int64 indptr and columns: the reference for
-    solver._rows."""
+    _kernel._rows."""
     U = sp.csr_array((values, (ii, jj)), shape=(n, n))
     A = U + U.T
     return A.indptr.astype(np.int64), A.indices.astype(np.int64), A.data

@@ -303,7 +303,17 @@ def test_experiment_without_the_library_records_the_reason(tmp_path, monkeypatch
     assert code == 1
     with open(tmp_path / "out" / "results.csv", newline="") as f:
         rows = list(csv.DictReader(f))
-    assert len(rows) == 4 and all(row["error"] == NO_LIBRARY for row in rows)
+    assert len(rows) == 4 and all(row["error"] == f"generate: {NO_LIBRARY}" for row in rows)
+
+
+def test_generate_without_the_library_exits_1(tmp_path, monkeypatch, capsys):
+    """Every graph's adjacency is built by the compiled library."""
+    monkeypatch.setattr(_kernel, "_loaded", (None, "no C compiler (cc) on PATH"))
+    code = run(["generate", "--family", "ppm", "--n", "40", "--k", "4", "--lin", "6", "--lout", "1",
+                "--seed", "5", "--out", str(tmp_path), "--name", "g"])
+    assert code == 1
+    assert f"error: {NO_LIBRARY}" in capsys.readouterr().err
+    assert not (tmp_path / "g.edges").exists()
 
 
 def test_experiment_worker_count_does_not_change_content(tmp_path):

@@ -21,7 +21,7 @@ from pairsphere.geometry import latitude
 from pairsphere.pairs import pair_id, pair_members
 from pairsphere.queries import markov_stability_query
 
-from helpers import dense_adjacency, dense_of, random_graph_edges
+from helpers import build_csr, dense_adjacency, dense_of, random_graph_edges
 
 
 def test_graph_basics():
@@ -57,6 +57,53 @@ def test_graph_from_edge_array_equals_from_tuples():
         H = Graph.from_edges(5, np.array(tuples, dtype=np.int32))
     assert H.n == G.n and H.edges.dtype == G.edges.dtype and H.edges.tobytes() == G.edges.tobytes()
     assert Graph.from_edges(5, iter(tuples[:2])).edges.tolist() == [[0, 2], [1, 3]]
+
+
+def test_adjacency_is_the_bytes_of_build_csr():
+    """A graph's CSR adjacency holds the bytes of the scipy reference, with
+    scipy's int32 indices: on shuffled random edge lists with isolated nodes,
+    on no edges, and at n = 1 and n = 2."""
+    rng = np.random.default_rng(29)
+    cases = [(1, []), (2, []), (2, [(0, 1)]), (5, [])]
+    for _ in range(30):
+        n = int(rng.integers(3, 80))  # nodes n - 2 and n - 1 isolated
+        cases.append((n, random_graph_edges(rng, n - 2, float(rng.choice([0.05, 0.3, 1.0])))))
+    for n, edges in cases:
+        given = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+        G = Graph.from_edges(n, [given[t] for t in rng.permutation(len(given))])
+        ii, jj = (np.array([e[c] for e in edges], dtype=np.int64) for c in (0, 1))
+        want = build_csr(n, ii, jj, np.ones(len(edges)))
+        A = G.adjacency_csr()
+        for got, ref in zip((A.indptr, A.indices, A.data), want):
+            ref = ref.astype(np.int32) if ref.dtype == np.int64 else ref
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        assert G.degrees.dtype == np.int64 and G.degrees.tolist() == np.diff(want[0]).tolist()
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [[[2, 0]], [[0, 1], [0, 1]], [[0, 2], [0, 1]], [[1, 2], [0, 1]], [[0, 3]], [[-1, 1]], [[1, 1]]],
+    ids=["u-above-v", "repeat", "columns-descend", "rows-descend", "past-n", "negative", "self-loop"],
+)
+def test_graph_rejects_edges_that_break_its_invariant(edges):
+    """Graph(n, edges) takes only sorted edges u < v < n without repeats;
+    from_edges makes such a list from any edges."""
+    with pytest.raises(ValueError, match="breaks the order"):
+        Graph(3, edges)
+
+
+def test_from_edges_traces_a_bounded_peak_per_edge():
+    # about 800k edges; the build traces about 99 bytes per edge
+    G, _ = generate(GeneratorSpec("ppm", n=200_000, k=10_000), 1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        H = Graph.from_edges(G.n, G.edges)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert H.m == G.m and peak <= 128 * G.m
 
 
 def test_adjacency_vector():

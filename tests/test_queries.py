@@ -339,6 +339,13 @@ def test_query_spec_validation():
         QuerySpec("markov", t=0)
     with pytest.raises(ValueError):
         QuerySpec("er-modularity", heuristic="fixed")
+    bad_fixed = [(4.0, 0.1), (0.0, 0.1), (math.pi, 0.1), (1.0, -0.1), (1.0, 1.6), (None, 0.1), (1.0, None)]
+    bad_fixed += [(x, 0.1) for x in (math.nan, math.inf, -math.inf)] + [(1.0, x) for x in (math.nan, math.inf)]
+    for lam_t, theta in bad_fixed:  # found when the spec is made, not in every row of an experiment
+        with pytest.raises(ValueError, match="fixed heuristic needs"):
+            QuerySpec("cl-modularity", heuristic="fixed", lam_t=lam_t, theta=theta)
+    for lam_t, theta in ((1e-9, 0.0), (math.pi - 1e-9, math.pi / 2)):
+        assert QuerySpec("cl-modularity", heuristic="fixed", lam_t=lam_t, theta=theta).theta == theta
     with pytest.raises(ValueError, match="pilot"):
         QuerySpec("markov", heuristic="means", pilots=0)
     for p_in, p_out in ((None, 0.1), (0.3, None), (1.0, 0.1), (0.3, 0.0)):

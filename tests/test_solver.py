@@ -955,12 +955,12 @@ def test_a_second_load_reuses_the_library(kernel_cache, monkeypatch):
 
 
 def test_without_a_compiler_solves_and_products_raise_the_reason(kernel_cache, monkeypatch):
-    """The library is required: with no compiler, the solver, the walk and
-    the Jaccard vector raise OSError naming the reason. The failed load is
-    kept, so the next call does not try again."""
+    """The library is required: with no compiler, the solver, a graph's
+    adjacency, the walk and the Jaccard vector raise OSError naming the
+    reason. The failed load is kept, so the next call does not try again."""
+    G = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     monkeypatch.setattr(shutil, "which", lambda *args, **kwargs: None)
     monkeypatch.setattr(_kernel, "_loaded", None)
-    G = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     message = "the compiled library did not load: no C compiler \\(cc\\) on PATH"
     with pytest.raises(OSError, match=message):
         louvain_project(PairVector.constant_vector(4, -1.0))
@@ -971,7 +971,13 @@ def test_without_a_compiler_solves_and_products_raise_the_reason(kernel_cache, m
 
     monkeypatch.setattr(_kernel, "_load_kernel", load_again)
     q = er_modularity_query(G, 1.0)
-    for call in (lambda: louvain_project(q), lambda: walk_distribution(G, 2), lambda: jaccard_vector(G)):
+    calls = (
+        lambda: louvain_project(q),
+        lambda: Graph.from_edges(4, [(0, 1)]),
+        lambda: walk_distribution(G, 2),
+        lambda: jaccard_vector(G),
+    )
+    for call in calls:
         with pytest.raises(OSError, match=message):
             call()
 
@@ -1251,15 +1257,15 @@ def test_aggregate_matches_dense_block_sums(case):
 
 
 def test_rows_are_the_bytes_of_build_csr():
-    """_rows gives helpers.build_csr's bytes on random sorted pair lists, from
-    empty to complete, n = 1 included."""
+    """_kernel._rows gives helpers.build_csr's bytes on random sorted pair
+    lists, from empty to complete, n = 1 included."""
     rng = np.random.default_rng(40)
     for _ in range(40):
         n = int(rng.integers(1, 60))
         iu, ju = np.triu_indices(n, k=1)
         keep = rng.random(iu.size) < rng.choice([0.0, 0.05, 0.3, 1.0])
         pi, pj, pv = iu[keep].astype(np.int64), ju[keep].astype(np.int64), rng.normal(size=int(keep.sum()))
-        for got, want in zip(solver._rows(n, pi, pj, pv), build_csr(n, pi, pj, pv)):
+        for got, want in zip(_kernel._rows(n, pi, pj, pv), build_csr(n, pi, pj, pv)):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
@@ -1312,7 +1318,7 @@ def test_coarse_level_edge_cases(case):
 def test_compiled_rows_reject_a_list_out_of_order(pi, pj):
     pi, pj = np.array(pi, dtype=np.int64), np.array(pj, dtype=np.int64)
     with pytest.raises(ValueError, match="breaks the order"):
-        solver._rows(3, pi, pj, np.ones(pi.size))
+        _kernel._rows(3, pi, pj, np.ones(pi.size))
 
 
 @pytest.mark.parametrize(
@@ -1342,7 +1348,7 @@ def test_compiled_aggregate_rejects_a_label_outside_the_supernodes(pairs, consta
         (lambda: _Instance(3, np.zeros(3), [], [], [-1.0], np.ones((1, 3))), "and indptr (n + 1,)"),
         (lambda: _Instance(3, [0, 1, 2, 2], [1], [1.0], [], np.ones((0, 3))), "the rows must hold indptr[-1]"),
         (lambda: SolverState(_Instance(3, [0, 0, 0, 0], [], [], [], np.ones((0, 3))), [0, 1], 0.0), "every node"),
-        (lambda: solver._rows(3, [0], [1, 2], [1.0]), "pi, pj and pv must have the same length"),
+        (lambda: _kernel._rows(3, [0], [1, 2], [1.0]), "pi, pj and pv must have the same length"),
     ],
     ids=["factors", "indptr", "rows", "membership", "pairs"],
 )
