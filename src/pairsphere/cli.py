@@ -150,7 +150,7 @@ def cmd_generate(args) -> int:
     write_edges(stem + ".edges", G)
     write_membership(stem + ".membership", T)
     meta = dict(spec.to_flat(), seed=seed, n=G.n, m=G.m, communities=T.k)
-    atomic_write_text(stem + ".meta", "".join(f"{k} = {v}\n" for k, v in meta.items()))
+    atomic_write_text(stem + ".meta", [f"{k} = {v}\n" for k, v in meta.items()])
     print(f"wrote {stem}.edges ({G.n} nodes, {G.m} edges), .membership, .meta")
     return 0
 
@@ -170,7 +170,7 @@ def cmd_detect(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     stem = os.path.join(args.out, args.name)
     write_membership(stem + ".membership", detected, id_map)
-    atomic_write_text(stem + ".result.json", json.dumps(asdict(res), indent=1) + "\n")
+    atomic_write_text(stem + ".result.json", [json.dumps(asdict(res), indent=1) + "\n"])
     print(f"detected {detected.k} communities (seed {seed})")
     for key, val in asdict(res).items():
         if val is not None and key not in ("seed",):

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import atomic_write_text, read_records
 from .geometry import (
     DegenerateVectorError,
     LowRankTerm,
@@ -301,46 +302,40 @@ def evaluate(
 
 
 def write_membership(path, C: Partition, id_map: dict | None = None) -> None:
-    """One line per node: `<node_id> <label>` with canonical integer labels.
+    """One line per node: `<node_id> <label>` with canonical integer labels,
+    written line by line.
 
     Node ids are the dense ids 0..n-1, or the external tokens of an id_map
-    (token -> dense id, as returned by `read_edges`).
+    (token -> dense id, as returned by `read_edges`), which must hold one
+    token per node.
     """
-    from ._util import atomic_write_text
-
-    names = {i: tok for tok, i in id_map.items()} if id_map is not None else range(C.n)
-    lines = [f"{names[i]} {int(C.membership[i])}" for i in range(C.n)]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    if id_map is not None and len(id_map) != C.n:
+        raise ValueError(f"id_map holds {len(id_map)} node ids for a partition of {C.n} nodes")
+    names = range(C.n) if id_map is None else sorted(id_map, key=id_map.__getitem__)
+    atomic_write_text(path, (f"{name} {label}\n" for name, label in zip(names, C.membership.tolist())))
 
 
 def read_membership(path, n: int | None = None, id_map: dict | None = None) -> Partition:
-    """Read a membership file; labels may be arbitrary tokens.
+    """Read a membership file; labels may be arbitrary tokens, and a token
+    starting with `#` begins a comment (_util.read_records).
 
     Node ids must be 0-based and contiguous unless an id_map from external
     tokens to dense ids is supplied.
     """
     raw: dict[int, str] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected '<node> <label>'")
-            tok, lab = parts
-            if id_map is not None:
-                if tok not in id_map:
-                    raise ValueError(f"{path}:{lineno}: unknown node id {tok!r}")
-                node = id_map[tok]
-            else:
-                try:
-                    node = int(tok)
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: non-integer node id {tok!r}") from exc
-            if node in raw:
-                raise ValueError(f"{path}: duplicate assignment for node {tok}")
-            raw[node] = lab
+    for lineno, (tok, lab) in read_records(path, (2,), "'<node> <label>'"):
+        if id_map is not None:
+            if tok not in id_map:
+                raise ValueError(f"{path}:{lineno}: unknown node id {tok!r}")
+            node = id_map[tok]
+        else:
+            try:
+                node = int(tok)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: non-integer node id {tok!r}") from exc
+        if node in raw:
+            raise ValueError(f"{path}: duplicate assignment for node {tok}")
+        raw[node] = lab
     if not raw:
         raise ValueError(f"{path}: empty membership file")
     count = n if n is not None else max(raw) + 1

@@ -17,13 +17,14 @@ carry the bytes of scipy's whole product's upper triangle.
 from __future__ import annotations
 
 import warnings
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from ._kernel import _address, _compiled, _rows
-from ._util import atomic_write_text
+from ._util import atomic_write_text, read_records
 from .geometry import LowRankTerm, PairVector
 from .pairs import num_pairs, pair_id, pair_members
 
@@ -180,44 +181,48 @@ def walk_distribution(G: Graph, t: int, isolated: str = "error") -> PairVector:
 
 # -- edge-list file format -----------------------------------------------------
 
+# lines per chunk a writer formats: a whole file's text at n = 10^6 would set the peak
+_CHUNK_LINES = 1 << 16
+
 
 def write_edges(path, G: Graph) -> None:
-    """One `<u> <v>` line per edge, then one `<u>` line per isolated node."""
-    lines = [f"{int(u)} {int(v)}" for u, v in G.edges]
-    lines += [str(int(u)) for u in np.flatnonzero(G.degrees == 0)]
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+    """One `<u> <v>` line per edge, then one `<u>` line per isolated node,
+    formatted and written _CHUNK_LINES lines at a time."""
+    isolated = np.flatnonzero(G.degrees == 0)
+
+    def chunks():
+        for rows, form in ((G.edges, "%d %d\n"), (isolated, "%d\n")):
+            for s in range(0, len(rows), _CHUNK_LINES):
+                block = rows[s : s + _CHUNK_LINES]
+                yield (form * len(block)) % tuple(block.ravel().tolist())
+
+    atomic_write_text(path, chunks())
 
 
 def read_edges(path) -> tuple[Graph, dict | None]:
-    """Read an edge list; `#` comments ignored.
+    """Read an edge list (_util.read_records: a token starting with `#` begins
+    a comment).
 
-    A line is an edge `<u> <v>` or a node with no edges `<u>`. Node ids that
-    are 0-based contiguous integers are used directly; any other tokens are
-    mapped to dense ids in file order and the mapping is returned.
+    A line is an edge `<u> <v>` or a node with no edges `<u>`. Tokens get
+    dense ids in file order in one pass. If every token is an integer and the
+    integers are exactly 0..n-1, they are the node ids (compared as integers,
+    so `01` and `1` are one node) and no mapping is returned; otherwise the
+    token -> dense id mapping is returned.
     """
-    tokens: list[list[str]] = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) > 2:
-                raise ValueError(f"{path}:{lineno}: expected '<u> <v>' or '<u>'")
-            tokens.append(parts)
-    if not tokens:
-        raise ValueError(f"{path}: no edges")
-    try:
-        ints = [[int(u) for u in parts] for parts in tokens]
-    except ValueError:
-        ints = None
-    if ints is not None:
-        flat = {u for parts in ints for u in parts}
-        if flat == set(range(len(flat))):
-            return Graph.from_edges(len(flat), [p for p in ints if len(p) == 2]), None
     id_map: dict[str, int] = {}
-    for parts in tokens:
-        for u in parts:
-            id_map.setdefault(u, len(id_map))
-    mapped = [(id_map[p[0]], id_map[p[1]]) for p in tokens if len(p) == 2]
-    return Graph.from_edges(len(id_map), mapped), id_map
+    ends = array("q")  # each edge's two dense ids
+    for _, parts in read_records(path, (1, 2), "'<u> <v>' or '<u>'"):
+        u = id_map.setdefault(parts[0], len(id_map))
+        if len(parts) == 2:
+            ends.extend((u, id_map.setdefault(parts[1], len(id_map))))
+    if not id_map:
+        raise ValueError(f"{path}: no edges")
+    edges = np.frombuffer(ends, dtype=np.int64).reshape(-1, 2)
+    try:
+        values = np.fromiter(map(int, id_map), dtype=np.int64, count=len(id_map))
+    except (ValueError, OverflowError):  # a token that is no int64 integer
+        return Graph.from_edges(len(id_map), edges), id_map
+    n = np.unique(values).size
+    if values.min() == 0 and values.max() == n - 1:  # the integers 0..n-1: the node ids
+        return Graph.from_edges(n, values[edges]), None
+    return Graph.from_edges(len(id_map), edges), id_map

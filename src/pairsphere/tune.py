@@ -68,6 +68,11 @@ class ExperimentPlan:
             raise ValueError("repeats must be at least 1")
         if not self.queries:
             raise ValueError("plan needs at least one query spec")
+        labels = set()
+        for spec in self.queries:  # rows and summaries are keyed by label
+            if spec.label in labels:
+                raise ValueError(f"two queries share the label {spec.label!r}; set name to tell them apart")
+            labels.add(spec.label)
 
 
 @dataclass
@@ -220,7 +225,7 @@ def _write_files(out_dir, files: dict) -> dict:
     paths = {}
     for key, (name, text) in files.items():
         paths[key] = os.path.join(out_dir, name)
-        atomic_write_text(paths[key], text)
+        atomic_write_text(paths[key], [text])
     return paths
 
 

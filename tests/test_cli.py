@@ -430,10 +430,12 @@ def test_python_dash_m_runs_from_a_checkout():
         ("heuristic = exact", "heuristic = fixed:1", "[query ms1fix] fixed heuristic needs the form fixed:<lat>,<theta>"),
         ("heuristic = exact", "heuristic = exact\nrule = nope",
          "usage error: [query ms1fix] unknown latitude rule 'nope'"),
+        ("[query ms1fix]", "[query  ms1]", "two queries share the label 'ms1'; set name"),
     ],
     ids=["p_in-above-1", "k-not-dividing-n", "means-without-pilots", "repeats-0", "repeats-not-int",
          "ring-k-below-3", "hppm", "experiment-unknown-key", "query-pilots-key", "ppm-without-p_in",
-         "cc-without-weights", "fixed-lat-past-pi", "unknown-heuristic", "fixed-one-number", "unknown-rule"],
+         "cc-without-weights", "fixed-lat-past-pi", "unknown-heuristic", "fixed-one-number", "unknown-rule",
+         "query-name-twice"],
 )
 def test_experiment_config_that_cannot_run_exit_2(tmp_path, capsys, old, new, message):
     cfg = tmp_path / "bad.cfg"

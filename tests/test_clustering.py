@@ -317,3 +317,54 @@ def test_membership_file_validates_lines(tmp_path):
     path.write_text("0 a extra\n")
     with pytest.raises(ValueError, match="expected"):
         read_membership(path)
+
+
+def test_membership_file_text_is_pinned(tmp_path):
+    path = tmp_path / "memb.txt"
+    C = Partition(np.array([5, 5, 2, 7]))
+    write_membership(path, C)
+    assert path.read_bytes() == b"0 0\n1 0\n2 1\n3 2\n"
+    write_membership(path, C, {"d": 3, "a": 0, "c": 2, "b": 1})
+    assert path.read_bytes() == b"a 0\nb 0\nc 1\nd 2\n"
+
+
+def test_membership_file_rejects_an_id_map_of_another_size(tmp_path):
+    path = tmp_path / "memb.txt"
+    with pytest.raises(ValueError, match="id_map holds 2 node ids for a partition of 3 nodes"):
+        write_membership(path, Partition(np.array([0, 1, 0])), {"a": 0, "b": 1})
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "text, labels",
+    [
+        ("# header\n0 a  # note\n1 b\n", [0, 1]),
+        ("0 a#1\n1 a\n2 a#1 # a#1 is a label\n", [0, 1, 0]),
+    ],
+    ids=["comments", "hash-inside-label"],
+)
+def test_membership_file_comment_rule(tmp_path, text, labels):
+    """A token that starts with `#` begins a comment; a `#` inside a token is part of it."""
+    path = tmp_path / "memb.txt"
+    path.write_text(text)
+    assert read_membership(path).membership.tolist() == labels
+
+
+@pytest.mark.parametrize(
+    "text, kwargs, message",
+    [
+        ("0 a\n1 #b\n", {}, r"memb.txt:2: expected '<node> <label>'"),
+        ("0 a\nx b\n", {}, r"memb.txt:2: non-integer node id 'x'"),
+        ("0 a\nc b\n", {"id_map": {"0": 0, "1": 1}}, r"memb.txt:2: unknown node id 'c'"),
+        ("0 a\n0 b\n", {}, "duplicate assignment for node 0"),
+        ("0 a\n2 b\n", {"n": 3}, "missing membership line for node 1"),
+        ("0 a\n1 b\n", {"n": 1}, "node id 1 out of range for n=1"),
+        ("# nothing\n\n", {}, "empty membership file"),
+    ],
+    ids=["width", "non-integer", "unknown", "duplicate", "missing", "out-of-range", "empty"],
+)
+def test_membership_file_errors(tmp_path, text, kwargs, message):
+    path = tmp_path / "memb.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        read_membership(path, **kwargs)

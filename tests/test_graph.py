@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from pairsphere import graph
 from pairsphere.cli import main
@@ -457,3 +458,90 @@ def test_edge_file_bad_line(tmp_path):
     path.write_text("1 2 3\n")
     with pytest.raises(ValueError, match="expected"):
         read_edges(path)
+
+
+# node id forms of an edge file: contiguous and zero-padded ints are the ids
+# themselves, gapped ints and tokens get dense ids in file order
+ID_FORMS = {
+    "contiguous": str,
+    "zero-padded": lambda i: f"{i:04d}",
+    "gapped": lambda i: str(3 * i + 1),
+    "token": lambda i: f"v{i}",
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 30), st.floats(0.0, 0.5), st.sampled_from(sorted(ID_FORMS)), st.integers(0, 2**32 - 1))
+def test_edge_file_roundtrip_property(tmp_path_factory, n, p, form, seed):
+    G = Graph.from_edges(n, random_graph_edges(np.random.default_rng(seed), n, p))
+    path = tmp_path_factory.mktemp("roundtrip") / "g.edges"
+    write_edges(path, G)
+    name = ID_FORMS[form]
+    lines = path.read_text().splitlines()
+    path.write_text("".join(" ".join(name(int(tok)) for tok in line.split()) + "\n" for line in lines))
+    back, mapping = read_edges(path)
+    if form in ("contiguous", "zero-padded"):
+        assert mapping is None
+        dense = np.arange(n)
+    else:
+        assert list(mapping) == list(dict.fromkeys(path.read_text().split()))  # file order
+        assert sorted(mapping.values()) == list(range(n))
+        dense = np.array([mapping[name(i)] for i in range(n)])
+    assert back.n == n
+    assert np.array_equal(back.degrees[dense], G.degrees)
+    assert np.array_equal(back.edges, Graph.from_edges(n, dense[G.edges]).edges)
+
+
+def test_edge_file_text_is_pinned(tmp_path):
+    path = tmp_path / "g.edges"
+    write_edges(path, Graph.from_edges(6, [(3, 1), (0, 2), (1, 0)]))  # nodes 4 and 5 have no edges
+    assert path.read_bytes() == b"0 1\n0 2\n1 3\n4\n5\n"
+
+
+@pytest.mark.parametrize(
+    "text, edges, mapping",
+    [
+        ("1 2  # note\n# whole line\n0 1\n", [[0, 1], [1, 2]], None),
+        ("1 2 #\n0 1 # 5 6\n", [[0, 1], [1, 2]], None),
+        ("u#1 v\nu w\n", [[0, 1], [2, 3]], {"u#1": 0, "v": 1, "u": 2, "w": 3}),
+        ("a b\n#a c\n", [[0, 1]], {"a": 0, "b": 1}),
+    ],
+    ids=["trailing", "trailing-numbers", "hash-inside-token", "hash-starts-token"],
+)
+def test_edge_file_comment_rule(tmp_path, text, edges, mapping):
+    """A token that starts with `#` begins a comment; a `#` inside a token is part of it."""
+    path = tmp_path / "c.edges"
+    path.write_text(text)
+    G, got = read_edges(path)
+    assert got == mapping
+    assert G.edges.tolist() == edges
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("# c\n1 2 3 # x\n", r"c.edges:2: expected '<u> <v>' or '<u>'"), ("# only\n\n  # a note\n", "c.edges: no edges")],
+)
+def test_edge_file_errors(tmp_path, text, message):
+    path = tmp_path / "c.edges"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        read_edges(path)
+
+
+def test_edge_file_io_traces_a_bounded_peak_per_edge(tmp_path):
+    # about 800k edges; writing traces about 8 bytes per edge and reading about 166
+    G, _ = generate(GeneratorSpec("ppm", n=200_000, k=10_000), 1)
+    path = tmp_path / "g.edges"
+    peaks = {}
+    for step, call in (("write", lambda: write_edges(path, G)), ("read", lambda: read_edges(path))):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = call()
+            peaks[step] = (tracemalloc.get_traced_memory()[1] - before) / G.m
+        finally:
+            tracemalloc.stop()
+    back, mapping = result
+    assert mapping is None and np.array_equal(back.edges, G.edges)
+    assert peaks["write"] <= 48 and peaks["read"] <= 256, peaks

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -312,6 +313,14 @@ def test_plan_validation():
         ExperimentPlan(gen, [], repeats=1)
     with pytest.raises(ValueError):
         ExperimentPlan(gen, [QuerySpec("markov")], repeats=0)
+    twins = [
+        [QuerySpec("ppm", p_in=0.3, p_out=0.1), QuerySpec("ppm", p_in=0.4, p_out=0.1)],
+        [QuerySpec("cl-modularity", heuristic="fixed", lam_t=lam, theta=0.3) for lam in (1.0, 1.2)],
+    ]
+    for pair in twins:  # rows and summaries are keyed by label, so these would merge
+        with pytest.raises(ValueError, match=f"two queries share the label '{pair[0].label}'; set name"):
+            ExperimentPlan(gen, pair)
+        ExperimentPlan(gen, [replace(spec, name=f"q{i}") for i, spec in enumerate(pair)])
     with pytest.raises(ValueError):
         GridSearchPlan(generator=gen, cj_grid=[], cd_grid=[0.0])
     with pytest.raises(ValueError, match="validation"):
