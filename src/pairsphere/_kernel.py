@@ -2,8 +2,10 @@
 
 One library serves the solver (a whole solve, and the level builders) and
 graph (the upper triangle of a sparse product, for walk and Jaccard pairs).
-_rows, the one builder of symmetric CSR rows from a sorted pair list, makes
-every Graph's adjacency and every solve's fine rows. _compiled() loads the
+_rows, the one builder of symmetric CSR rows from sorted pair ids, makes
+every Graph's adjacency and the layout of every query's sparse support;
+_smooth_at and _same_label read sorted pair ids for geometry's inner
+products and a partition's alignment. _compiled() loads the
 library once per process and returns its ctypes.CDLL; callers name its
 functions as _sweep.c does. The library is a requirement: where it
 cannot be built or loaded (no C compiler, say), each call of _compiled()
@@ -50,7 +52,10 @@ _KERNEL_ARGS = {
         (ctypes.c_int64,) * 2 + (ctypes.c_void_p,) * 7 + (ctypes.c_int64,) + (ctypes.c_void_p,) * 2
         + (ctypes.c_double,) + (ctypes.c_void_p,) * 4 + (_WORK,)
     ),
-    "pairsphere_rows": (ctypes.c_int64,) * 2 + (ctypes.c_void_p,) * 6,
+    "pairsphere_rows": (ctypes.c_int64,) * 2 + (ctypes.c_void_p,) * 4,
+    "pairsphere_smooth": (ctypes.c_int64,) * 2 + (ctypes.c_void_p, ctypes.c_int64) + (ctypes.c_void_p,) * 2
+    + (ctypes.c_double, ctypes.c_void_p),
+    "pairsphere_same_label": (ctypes.c_int64,) * 2 + (ctypes.c_void_p,) * 3,
     "pairsphere_rules": (ctypes.c_int64,) * 2 + (ctypes.c_void_p,) * 2,
     "pairsphere_aggregate": (ctypes.c_int64,) + ((ctypes.c_void_p,) * 4 + (ctypes.c_int64,)) * 2,
     "pairsphere_upper_count": (ctypes.c_int64,) + (ctypes.c_void_p,) * 6,
@@ -157,20 +162,40 @@ def _address(a) -> int:
         return a.ctypes.data
 
 
-def _rows(n: int, pi: np.ndarray, pj: np.ndarray, pv: np.ndarray) -> tuple:
-    """(indptr, nbr, wts): the CSR rows of the symmetric n x n matrix holding
-    pv[t] at (pi[t], pj[t]) and (pj[t], pi[t]), from a pair list sorted by
-    (pi, pj) with pi < pj and no repeats, nor zero values, by a counting
-    sort in the compiled library; no value is summed. A list out of that
-    order raises ValueError."""
-    lib = _compiled()
-    pi, pj = (np.ascontiguousarray(a, dtype=np.int64) for a in (pi, pj))
-    pv = np.ascontiguousarray(pv, dtype=np.float64)
-    if not pi.size == pj.size == pv.size:
-        raise ValueError("pi, pj and pv must have the same length")
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    nbr, wts = np.empty(2 * pi.size, dtype=np.int64), np.empty(2 * pi.size)
-    code = lib.pairsphere_rows(n, pi.size, *map(_address, (pi, pj, pv, indptr, nbr, wts)))
+def _rows(n: int, ids) -> tuple:
+    """(indptr, nbr, pos): the CSR rows of the symmetric n x n pattern with
+    entries at (i, j) and (j, i) for each pair id, columns ascending in every
+    row, and each entry's pair index into ids, by a counting sort in the
+    compiled library. The ids must ascend strictly in [0, n(n - 1)/2); a
+    list out of that order raises ValueError naming the pair."""
+    ids = np.ascontiguousarray(ids, dtype=np.int64)
+    if ids.ndim != 1:
+        raise ValueError("pair ids must be one-dimensional")
+    indptr = np.empty(n + 1, dtype=np.int64)
+    nbr, pos = np.empty(2 * ids.size, dtype=np.int64), np.empty(2 * ids.size, dtype=np.int64)
+    code = _compiled().pairsphere_rows(n, ids.size, *map(_address, (ids, indptr, nbr, pos)))
     if code < 0:
-        raise ValueError(f"pair {-1 - code} breaks the order (pi, pj), pi < pj < {n}, without repeats")
-    return indptr, nbr, wts
+        t = -1 - code
+        raise ValueError(f"pair {t} (id {ids[t]}) breaks the order: ids must ascend strictly in [0, {n * (n - 1) // 2})")
+    return indptr, nbr, pos
+
+
+def _smooth_at(n: int, ids: np.ndarray, coefs: np.ndarray, factors: np.ndarray, constant: float) -> np.ndarray:
+    """constant + sum_k coefs[k] * factors[k, i] * factors[k, j] at each pair
+    (i, j) of the sorted, in-range int64 ids (a PairVector's), summed in term
+    order with every product rounded, the bits of numpy's
+    `out += coef * factor[ii] * factor[jj]`; factors is K x n."""
+    coefs, factors = (np.ascontiguousarray(a, dtype=np.float64) for a in (coefs, factors))
+    out = np.empty(ids.size)
+    args = (_address(ids), coefs.size, _address(coefs), _address(factors), constant, _address(out))
+    _compiled().pairsphere_smooth(n, ids.size, *args)
+    return out
+
+
+def _same_label(n: int, ids: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Whether both ends of each pair of the sorted, in-range int64 ids (a
+    PairVector's) carry one of the n labels."""
+    labels = np.ascontiguousarray(labels, dtype=np.int64)
+    same = np.empty(ids.size, dtype=bool)
+    _compiled().pairsphere_same_label(n, ids.size, *map(_address, (ids, labels, same)))
+    return same

@@ -7,9 +7,12 @@
    after level, builds the rows of the level above from the rows below
    (pairsphere_aggregate), sums its factors and runs its sweeps
    (pairsphere_level), in work that it asks of the caller's callback, sized
-   for the pass. pairsphere_rows makes CSR rows from a sorted pair list (a
-   graph's edges, the query's for the fine level, and the coarse pairs). A
-   level is its rows alone. For graph's walk and Jaccard vectors,
+   for the pass. pairsphere_rows makes CSR rows from sorted pair ids (a
+   graph's edges, a query's sparse support, and the coarse pairs), with each
+   entry's pair, so that the vectors on one support share one layout. A level
+   is its rows alone. pairsphere_smooth and pairsphere_same_label read a pair
+   vector's sorted ids row by row, for its inner products and its alignment
+   with a partition. For graph's walk and Jaccard vectors,
    pairsphere_upper_count and pairsphere_upper_fill form the strict upper
    triangle of a sparse product, and nothing below it.
 
@@ -127,8 +130,11 @@ static int64_t gains(int64_t i, int64_t n, int64_t K, int64_t ns, int64_t ld,
         for (t = indptr[i]; t < indptr[i + 1]; t++)
             B[memb[nbr[t]]] += wts[t];
         best = scan_all(cur, K, ns, ld, U, S, B, self, top, own);
-        for (t = indptr[i]; t < indptr[i + 1]; t++)
-            B[memb[nbr[t]]] = 0.0;
+        if (indptr[i + 1] - indptr[i] > ns) /* a row longer than the slots: each touched slot is below ns */
+            memset(B, 0, (size_t)ns * sizeof *B);
+        else
+            for (t = indptr[i]; t < indptr[i + 1]; t++)
+                B[memb[nbr[t]]] = 0.0;
         return best;
     }
     for (t = indptr[i]; t < indptr[i + 1]; t++) {
@@ -371,34 +377,63 @@ int64_t pairsphere_level(int64_t n, int64_t K, const double *coefs, const double
     return total;
 }
 
-/* The CSR rows of the symmetric n x n matrix holding pv[t] at (pi[t], pj[t])
-   and (pj[t], pi[t]) (_kernel._rows), from m pairs sorted by (pi, pj) with
-   pi < pj < n and no repeats. A counting sort in two passes: first each
-   pair's lower entry (row pj gets pi), then its upper one (row pi gets pj),
-   so the columns of every row ascend and no value is summed. indptr holds
-   n + 1 zeros on entry, nbr and wts room for 2m. Returns 0, or -1 - t when
-   pair t breaks the order or the bounds. */
-int64_t pairsphere_rows(int64_t n, int64_t m, const int64_t *pi, const int64_t *pj, const double *pv,
-                        int64_t *indptr, int64_t *nbr, double *wts)
+/* The sorted pair ids of n nodes, row by row: row i holds the ids
+   [rs(i), rs(i + 1)), rs(i) = i(2n - i - 1)/2, and id p of row i is the pair
+   (i, p - rs(i) + i + 1). A walk starts at row 0 (walk_start), and walk_to
+   moves it to the row of an id at least as large as the last one's (and
+   below n(n - 1)/2); it returns the id's j, the walk's i its i. */
+typedef struct {
+    int64_t n, i, lo, hi; /* row i holds [lo, hi) */
+} pair_walk;
+
+static pair_walk walk_start(int64_t n)
 {
-    int64_t t, r;
+    pair_walk w = {n, 0, 0, n - 1};
+    return w;
+}
+
+static int64_t walk_to(pair_walk *w, int64_t id)
+{
+    while (id >= w->hi) {
+        w->i++;
+        w->lo = w->hi;
+        w->hi += w->n - w->i - 1;
+    }
+    return id - w->lo + w->i + 1;
+}
+
+/* The CSR rows of the symmetric n x n matrix with an entry at (i, j) and
+   (j, i) for each of the m pair ids (_kernel._rows), which must ascend
+   strictly in [0, n(n - 1)/2): in each row the columns ascend, and pos holds
+   each entry's pair index (its place in ids). A counting sort in two passes:
+   first each pair's lower entry (row j gets i), then its upper one (row i
+   gets j), the pairs of row i being ids' run of that row. indptr holds
+   n + 1 words, nbr and pos room for 2m, of any contents. Returns 0, or
+   -1 - t when pair t breaks the order or the bounds. */
+int64_t pairsphere_rows(int64_t n, int64_t m, const int64_t *ids, int64_t *indptr, int64_t *nbr, int64_t *pos)
+{
+    int64_t t, r, j;
+    pair_walk w = walk_start(n);
+    memset(indptr, 0, (size_t)(n + 1) * sizeof *indptr);
     for (t = 0; t < m; t++) {
-        if (pi[t] < 0 || pi[t] >= pj[t] || pj[t] >= n
-            || (t > 0 && (pi[t] < pi[t - 1] || (pi[t] == pi[t - 1] && pj[t] <= pj[t - 1]))))
+        if (ids[t] < (t > 0 ? ids[t - 1] + 1 : 0) || ids[t] >= n * (n - 1) / 2)
             return -1 - t;
-        indptr[pi[t] + 1]++;
-        indptr[pj[t] + 1]++;
+        j = walk_to(&w, ids[t]);
+        indptr[w.i + 1]++;
+        indptr[j + 1]++;
     }
     for (r = 0; r < n; r++)
         indptr[r + 1] += indptr[r];
     /* indptr[r] is row r's cursor while the rows fill, then its end */
-    for (t = 0; t < m; t++) {
-        nbr[indptr[pj[t]]] = pi[t];
-        wts[indptr[pj[t]]++] = pv[t];
+    for (w = walk_start(n), t = 0; t < m; t++) {
+        j = walk_to(&w, ids[t]);
+        nbr[indptr[j]] = w.i;
+        pos[indptr[j]++] = t;
     }
-    for (t = 0; t < m; t++) {
-        nbr[indptr[pi[t]]] = pj[t];
-        wts[indptr[pi[t]]++] = pv[t];
+    for (w = walk_start(n), t = 0; t < m; t++) {
+        j = walk_to(&w, ids[t]);
+        nbr[indptr[w.i]] = j;
+        pos[indptr[w.i]++] = t;
     }
     for (r = n; r > 0; r--)
         indptr[r] = indptr[r - 1];
@@ -406,14 +441,47 @@ int64_t pairsphere_rows(int64_t n, int64_t m, const int64_t *pi, const int64_t *
     return 0;
 }
 
+/* The smooth part of a pair vector at its m sorted pair ids
+   (geometry._sparse_dot_smooth): out[t] = c + s_1 + s_2 + ..., added in term
+   order, with s_k = coefs[k] * factors[k][i] * factors[k][j] rounded product
+   by product, as numpy sums `out += coef * factor[ii] * factor[jj]`.
+   factors is K x n. Returns 0. */
+int64_t pairsphere_smooth(int64_t n, int64_t m, const int64_t *ids, int64_t K, const double *coefs,
+                          const double *factors, double c, double *out)
+{
+    int64_t t, k, j;
+    double v;
+    pair_walk w = walk_start(n);
+    for (t = 0; t < m; t++) {
+        j = walk_to(&w, ids[t]);
+        v = c;
+        for (k = 0; k < K; k++)
+            v += coefs[k] * factors[k * n + w.i] * factors[k * n + j];
+        out[t] = v;
+    }
+    return 0;
+}
+
+/* same[t] = 1 when both ends of the pair of sorted id ids[t] carry one label
+   in labels (n), else 0 (clustering.query_alignment). Returns 0. */
+int64_t pairsphere_same_label(int64_t n, int64_t m, const int64_t *ids, const int64_t *labels, uint8_t *same)
+{
+    int64_t t, j;
+    pair_walk w = walk_start(n);
+    for (t = 0; t < m; t++) {
+        j = walk_to(&w, ids[t]);
+        same[t] = labels[w.i] == labels[j];
+    }
+    return 0;
+}
+
 /* The coarse pairs of pairsphere_aggregate, lined up by a stable counting
-   sort by the larger label and then by the smaller, into qi, qj and qv;
-   returns their count. work holds 4m + 2k + 2 words: the counts by each
-   label, each upper entry's row, and two orders of the pairs that cross
-   supernodes (in row order first, in by_lo). */
+   sort by the larger label and then by the smaller, into qid (their pair ids
+   among k nodes) and qv; returns their count. work holds 4m + 2k + 2 words:
+   the counts by each label, each upper entry's row, and two orders of the
+   pairs that cross supernodes (in row order first, in by_lo). */
 static int64_t sum_in_buckets(int64_t n, const int64_t *indptr, const int64_t *nbr, const double *wts,
-                              const int64_t *labels, int64_t k, int64_t *qi, int64_t *qj, double *qv,
-                              int64_t *work)
+                              const int64_t *labels, int64_t k, int64_t *qid, double *qv, int64_t *work)
 {
     int64_t i, t, e, u = 0, a, b, lo, hi, c = 0, m = indptr[n] / 2;
     int64_t *at_hi = work, *at_lo = at_hi + k + 1, *row = at_lo + k + 1, *by_hi = row + 2 * m, *by_lo = by_hi + m;
@@ -461,8 +529,7 @@ static int64_t sum_in_buckets(int64_t n, const int64_t *indptr, const int64_t *n
                 break;
         }
         if ((f += g) != 0.0) {
-            qi[c] = lo;
-            qj[c] = hi;
+            qid[c] = lo * (2 * k - lo - 1) / 2 + hi - lo - 1;
             qv[c++] = f;
         }
     }
@@ -478,26 +545,28 @@ static int64_t sum_in_buckets(int64_t n, const int64_t *indptr, const int64_t *n
    entries, or when the buckets do not fit in work, one pass sums the pairs
    into a k x k block; otherwise sum_in_buckets lines each cell's pairs up in
    row order, without k * k memory. Both sum by the one rule and give the
-   same bits. The coarse pairs, sorted by (a, b), are built at the start of
-   work, and pairsphere_rows turns them into the coarse rows: cindptr holds
-   k + 1 words, cnbr and cwts room for 2r, r = min(m, k(k-1)/2), of any
-   contents, and they may be the level's own rows, which are read before
-   they are written. work holds `words`, of any contents: 3r and then k * k
-   for the block or 4m + 2k + 2 for the buckets. Returns the count of coarse
-   pairs, or -1 - i when node i carries a label outside 0..k-1. */
+   same bits. The coarse pairs, their ids ascending, are built at the start
+   of work, and pairsphere_rows turns them into the coarse rows, whose
+   weights are then gathered by pair: cindptr holds k + 1 words, cnbr and
+   cwts room for 2r, r = min(m, k(k-1)/2), of any contents, and they may be
+   the level's own rows, which are read before they are written. work holds
+   `words`, of any contents: 2r and then k * k for the block or 4m + 2k + 2
+   for the buckets, either of which holds the 2r pair indices of the rows.
+   Returns the count of coarse pairs, or -1 - i when node i carries a label
+   outside 0..k-1. */
 int64_t pairsphere_aggregate(int64_t n, const int64_t *indptr, const int64_t *nbr, const double *wts,
                              const int64_t *labels, int64_t k, int64_t *cindptr, int64_t *cnbr,
                              double *cwts, int64_t *work, int64_t words)
 {
     int64_t i, t, a, b, c = 0, m = indptr[n] / 2, r = m < k * (k - 1) / 2 ? m : k * (k - 1) / 2;
-    int64_t *qi = work, *qj = qi + r;
-    double *qv = (double *)(qj + r), *block = qv + r, f;
+    int64_t *qid = work, *rest = qid + 2 * r;
+    double *qv = (double *)(qid + r), *block = (double *)rest, f;
     for (i = 0; i < n; i++)
         if (labels[i] < 0 || labels[i] >= k)
             return -1 - i;
     /* buckets alone: a markov-batch round's 63 block levels 34.8 -> 198.6 ms, grid-desk's 1,131 20.6 -> 50.4 */
-    if (k * (k - 1) > 2 * m && 3 * r + 4 * m + 2 * k + 2 <= words)
-        c = sum_in_buckets(n, indptr, nbr, wts, labels, k, qi, qj, qv, qj + 2 * r);
+    if (k * (k - 1) > 2 * m && 2 * r + 4 * m + 2 * k + 2 <= words)
+        c = sum_in_buckets(n, indptr, nbr, wts, labels, k, qid, qv, rest);
     else {
         memset(block, 0, (size_t)(k * k) * sizeof *block);
         for (i = 0; i < n; i++)
@@ -507,13 +576,13 @@ int64_t pairsphere_aggregate(int64_t n, const int64_t *indptr, const int64_t *nb
         for (a = 0; a < k; a++)
             for (b = a + 1; b < k; b++)
                 if ((f = block[a * k + b] + block[b * k + a]) != 0.0) {
-                    qi[c] = a;
-                    qj[c] = b;
+                    qid[c] = a * (2 * k - a - 1) / 2 + b - a - 1;
                     qv[c++] = f;
                 }
     }
-    memset(cindptr, 0, (size_t)(k + 1) * sizeof *cindptr);
-    pairsphere_rows(k, c, qi, qj, qv, cindptr, cnbr, cwts);
+    pairsphere_rows(k, c, qid, cindptr, cnbr, rest); /* rest: each entry's pair */
+    for (t = 0; t < 2 * c; t++)
+        cwts[t] = qv[rest[t]];
     return c;
 }
 
@@ -573,8 +642,8 @@ typedef int64_t *(*pairsphere_work)(int64_t words);
    pairs bound every later level (m: the fine level's pairs): the coarse
    rows (k + 1 + 4r), which each level writes over the rows of the one below,
    two sets of factors (Kk each), used in turn, and the level's labels (k);
-   then, in the same words, the aggregate's work, 3r + k^2 when the fine
-   level takes the block, else 3r + 4m + 2k + 2, and the level's slot table
+   then, in the same words, the aggregate's work, 2r + k^2 when the fine
+   level takes the block, else 2r + 4m + 2k + 2, and the level's slot table
    (K x ld, ld = 2k + 1 rounded up to 4), its sweeps' work (2k + 4ld + 2K)
    and its dirty marks ((k + 7) / 8), whichever is longer. A later level, of
    k' < k supernodes and at most r pairs, fits there: its block after a fine
@@ -597,7 +666,7 @@ int64_t pairsphere_coarsen(int64_t n, int64_t K, const double *coefs, const doub
         return 0; /* nothing to merge: no level */
     r = m < k * (k - 1) / 2 ? m : k * (k - 1) / 2;
     ld = (2 * k + 4) / 4 * 4;
-    aw = 3 * r + (k * (k - 1) <= 2 * m ? k * k : 4 * m + 2 * k + 2);
+    aw = 2 * r + (k * (k - 1) <= 2 * m ? k * k : 4 * m + 2 * k + 2);
     if (aw < K * ld + 2 * k + 4 * ld + 2 * K + (k + 7) / 8)
         aw = K * ld + 2 * k + 4 * ld + 2 * K + (k + 7) / 8;
     if (!(work = work_of(k + 1 + 4 * r + 2 * K * k + k + aw)))

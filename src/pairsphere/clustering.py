@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernel import _same_label
 from ._util import atomic_write_text, read_records
 from .geometry import (
     DegenerateVectorError,
@@ -201,9 +202,7 @@ def query_alignment(q: PairVector, C: Partition) -> float:
     memb = C.membership
     intra = 0.0
     if q.pair_ids.size:
-        ii, jj = q.sparse_members()
-        mask = memb[ii] == memb[jj]
-        intra += float(q.values[mask].sum())
+        intra += float(q.values[_same_label(q.n, q.pair_ids, memb)].sum())
     for t in q.terms:
         per_comm = np.bincount(memb, weights=t.factor, minlength=C.k)
         intra += t.coef * (float(per_comm @ per_comm) - float(t.factor @ t.factor)) / 2.0

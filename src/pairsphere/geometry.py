@@ -14,6 +14,11 @@ correlation distance, parallel projection) work on this representation in
 closed form. The key identity for rank-one cross terms is
 
     sum_{i<j} w_i * w_j = ((sum_i w_i)^2 - sum_i w_i^2) / 2.
+
+The sparse part's pairs are never unpacked into (i, j) arrays: the compiled
+library (_kernel) reads the sorted pair ids row by row, for the smooth part
+at every sparse pair of an inner product, and for the solver's CSR rows of
+the support, which every vector on that support shares.
 """
 
 from __future__ import annotations
@@ -23,7 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pairs import num_pairs, pair_id, pair_members
+from ._kernel import _rows, _smooth_at
+from .pairs import num_pairs, pair_id
 
 # Squared-relative threshold below which a vector's component orthogonal to
 # the all-ones direction is treated as zero (vector lies on the pole axis).
@@ -46,7 +52,13 @@ class LowRankTerm:
 
 @dataclass(eq=False)
 class PairVector:
-    """Sparse-plus-low-rank vector over node pairs. Treated as immutable."""
+    """Sparse-plus-low-rank vector over node pairs. Treated as immutable.
+
+    pair_ids ascend strictly; values holds the sparse value at each. The
+    vectors that scaled and parallel_projection return (_on_same_support)
+    share the pair ids and one support record with their source: the CSR
+    layout of the support (support_rows), built at first use, so every
+    vector on one support reads one layout."""
 
     n: int
     pair_ids: np.ndarray
@@ -58,17 +70,22 @@ class PairVector:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("need at least one node")
-        self.pair_ids = np.asarray(self.pair_ids, dtype=np.int64)
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.pair_ids.shape != self.values.shape:
-            raise ValueError("pair_ids and values must have the same length")
+        self.pair_ids = np.ascontiguousarray(self.pair_ids, dtype=np.int64)  # the compiled library reads them
         if self.pair_ids.size:
             if self.pair_ids[0] < 0 or self.pair_ids[-1] >= self.N:
                 raise ValueError("pair id out of range")
             if np.any(np.diff(self.pair_ids) <= 0):
                 raise ValueError("pair_ids must be sorted and unique")
-            if not np.all(np.isfinite(self.values)):
-                raise ValueError("non-finite sparse value")
+        self._check_values()
+
+    def _check_values(self) -> None:
+        """Checks and converts the values, terms and constant (all but the
+        pair ids)."""
+        self.values = np.asarray(self.values, dtype=np.float64)
+        if self.pair_ids.shape != self.values.shape:
+            raise ValueError("pair_ids and values must have the same length")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("non-finite sparse value")
         clean = []
         for t in self.terms:
             f = np.asarray(t.factor, dtype=np.float64)
@@ -129,18 +146,15 @@ class PairVector:
             val += float(self.values[pos])
         return float(val)
 
-    def smooth_at(self, ii, jj) -> np.ndarray:
-        """Low-rank + constant part evaluated at pairs given by index arrays."""
-        out = np.full(len(ii), self.constant, dtype=np.float64)
-        for t in self.terms:
-            out += t.coef * t.factor[ii] * t.factor[jj]
-        return out
-
-    def sparse_members(self):
-        """(i, j) arrays of the sparse support, cached."""
-        if "ij" not in self._cache:
-            self._cache["ij"] = pair_members(self.pair_ids, self.n)
-        return self._cache["ij"]
+    def support_rows(self) -> tuple:
+        """(indptr, nbr, pos): the symmetric CSR rows of the sparse support,
+        columns ascending, with each entry's index into pair_ids
+        (_kernel._rows); built at first use and shared by every vector on
+        this support. Shared: callers must not modify them."""
+        support = self._cache.setdefault("support", {})
+        if "rows" not in support:
+            support["rows"] = _rows(self.n, self.pair_ids)
+        return support["rows"]
 
     # -- cached scalars ------------------------------------------------------
 
@@ -166,10 +180,14 @@ class PairVector:
         return self._on_same_support(a * self.values, terms, a * self.constant)
 
     def _on_same_support(self, values, terms, constant) -> "PairVector":
-        """A vector over the same sparse pairs, carrying the cached (i, j) members."""
-        out = PairVector(self.n, self.pair_ids, values, terms, constant)
-        if "ij" in self._cache:
-            out._cache["ij"] = self._cache["ij"]
+        """A vector over the same sparse pairs, sharing their support record
+        (support_rows). The shared ids were checked when this vector was
+        made; the new values, terms and constant are checked (a scaled value
+        can overflow)."""
+        out = object.__new__(PairVector)
+        out.n, out.pair_ids, out.values, out.terms, out.constant = self.n, self.pair_ids, values, terms, constant
+        out._cache = {"support": self._cache.setdefault("support", {})}
+        out._check_values()
         return out
 
 
@@ -211,10 +229,14 @@ def _smooth_terms_with_constant(x: PairVector):
 
 
 def _sparse_dot_smooth(xs: PairVector, ys: PairVector) -> float:
+    """The sparse part of xs against the smooth part of ys: xs's values dot
+    ys's low-rank terms and constant at xs's pairs, read in the compiled
+    library from xs's pair ids."""
     if xs.pair_ids.size == 0 or (not ys.terms and ys.constant == 0.0):
         return 0.0
-    ii, jj = xs.sparse_members()
-    return float(xs.values @ ys.smooth_at(ii, jj))
+    coefs = [t.coef for t in ys.terms]
+    factors = np.array([t.factor for t in ys.terms]).reshape(len(coefs), ys.n)
+    return float(xs.values @ _smooth_at(xs.n, xs.pair_ids, coefs, factors, ys.constant))
 
 
 def inner(x: PairVector, y: PairVector) -> float:

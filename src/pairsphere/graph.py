@@ -29,10 +29,12 @@ from .geometry import LowRankTerm, PairVector
 from .pairs import num_pairs, pair_id, pair_members
 
 # The most pairs a walk vector may hold. A whole exact-corrected detection
-# peaks at about 96 traced bytes per walk pair (PPM n=1000, t=5 and n=2000,
-# t=4), so 25 million pairs (a dense walk at n ~ 7,000) take about 2.4 GB.
-# The largest walk of any test, config or bench workload has about 0.5
-# million (n=1000, t=5), 50 times fewer. Like MAX_SWEEPS, it is no user option.
+# peaks at about 65 traced bytes per walk pair (PPM n=1000, t=5 and n=2000,
+# t=4: the pair ids and the corrected values, 8 bytes each, the support's
+# rows, 32, and the solve's weights, 16), so 25 million pairs (a dense walk at
+# n ~ 7,000) take about 1.6 GB. The largest walk of any test, config or bench
+# workload has about 0.5 million (n=1000, t=5), 50 times fewer. Like
+# MAX_SWEEPS, it is no user option.
 MAX_WALK_PAIRS = 25_000_000
 
 
@@ -40,7 +42,8 @@ MAX_WALK_PAIRS = 25_000_000
 class Graph:
     """Simple undirected graph: sorted edges u < v < n, none repeated (from_edges
     takes any). Every graph needs the compiled library: _kernel._rows builds
-    its rows and raises ValueError on edges out of that order."""
+    its rows from the edges' pair ids and raises ValueError on edges out of
+    that order."""
 
     n: int
     edges: np.ndarray  # (m, 2) int64 with edges[:,0] < edges[:,1], sorted
@@ -48,14 +51,22 @@ class Graph:
     def __post_init__(self):
         self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
         self.m = int(self.edges.shape[0])
-        indptr, nbr, wts = _rows(self.n, self.edges[:, 0], self.edges[:, 1], np.ones(self.m))
-        self._adj = sp.csr_matrix((wts, nbr, indptr), shape=(self.n, self.n))  # int32 indices where they fit
+        u, v = self.edges.T
+        bad = np.flatnonzero((u < 0) | (u >= v) | (v >= self.n))
+        if bad.size:
+            raise ValueError(f"edge {bad[0]} ({u[bad[0]]}, {v[bad[0]]}) breaks the order u < v < {self.n}")
+        indptr, nbr, pos = _rows(self.n, pair_id(u, v, self.n))
+        pos = pos.view(np.float64)  # its words become the entries' ones: no second 2m-word array
+        pos.fill(1.0)
+        self._adj = sp.csr_matrix((pos, nbr, indptr), shape=(self.n, self.n))  # int32 indices where they fit
         self.degrees = np.diff(indptr)
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
         """Build from an (m, 2) array or an iterable of (u, v); drops self-loops
-        and duplicate edges."""
+        and duplicate edges. Edges already sorted u < v without repeats (one
+        pass over their pair ids tells) are kept as given, not sorted
+        again."""
         arr = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64).reshape(-1, 2)
         if arr.size and (arr.min() < 0 or arr.max() >= n):
             raise ValueError("edge endpoint out of range")
@@ -64,6 +75,8 @@ class Graph:
             warnings.warn(f"dropping {int(loops.sum())} self-loop(s)")
             arr = arr[~loops]
         ids = pair_id(np.minimum(*arr.T), np.maximum(*arr.T), n)
+        if (arr[:, 0] < arr[:, 1]).all() and (ids[1:] > ids[:-1]).all():  # already sorted u < v, no repeat
+            return cls(n, arr)
         # counts keep numpy 2.4 on its sort: its hash-table unique took 0.7 s on 800k ids, against 0.02 s
         uniq, counts = np.unique(ids, return_counts=True)
         if np.any(counts > 1):

@@ -16,6 +16,7 @@ import numpy as np
 from .clustering import Partition, partition_latitude, query_correlation_distance
 from .geometry import LowRankTerm, PairVector, combine, parallel_projection
 from .graph import Graph, adjacency_vector, degree_product_vector, jaccard_vector, walk_distribution
+from .pairs import pair_members
 
 
 def er_modularity_query(G: Graph, gamma: float) -> PairVector:
@@ -76,7 +77,7 @@ def query_to_weights(q: PairVector) -> tuple[dict, dict]:
     """
     if q.terms or q.constant != 0.0:
         raise ValueError("weight split requires a purely sparse query")
-    ii, jj = q.sparse_members()
+    ii, jj = pair_members(q.pair_ids, q.n)
     w_plus: dict = {}
     w_minus: dict = {}
     for i, j, v in zip(ii.tolist(), jj.tolist(), q.values.tolist()):

@@ -70,18 +70,25 @@ against a full scan, and the solve's record counts them.
 
 A level's sparse part is its CSR rows, columns ascending; its pairs are the
 rows' upper entries (column > row), in row order. The same library builds
-every level. _kernel._rows (every Graph's too) turns the query's sorted pair
-list into the fine rows by a counting sort in two passes, first each pair's
-lower entry and then its upper one, so the columns of every row ascend and no
-value is summed. A coarse level maps the pairs below through the community
-labels and sums them by one rule (pairsphere_aggregate): coarse pair a < b
-gets M[a, b] + M[b, a], where M[a, b] is the sum, from 0 and in row order, of
-the fine pairs whose ends carry labels (a, b); zero sums are dropped. When the
-k supernodes give k * (k - 1) at most the CSR entry count of the level below,
-one pass sums the pairs into a dense k x k block, no larger than that level;
-otherwise a stable counting sort by label lines each cell's pairs up in row
-order, without k * k memory. The same call turns the coarse pairs into the
-coarse rows, and the pass sums the coarse factors from 0 in node order.
+every level. The fine rows are the query's support layout
+(PairVector.support_rows, from _kernel._rows, which builds every Graph's
+rows too): a counting sort of the sorted pair ids in two passes, first each
+pair's lower entry and then its upper one, so the columns of every row
+ascend, with each entry's pair index. Every vector on one support (a query,
+its scaled and corrected copies, the grid's cells on one sparse part) shares
+that layout, built once; a solve gathers its weights, values[pos]. A query
+that holds an exact zero (an underflowed scaled value) gets rows of its
+nonzero pairs alone, built for that solve and not shared. A coarse level
+maps the pairs below through the community labels and sums them by one rule
+(pairsphere_aggregate): coarse pair a < b gets M[a, b] + M[b, a], where
+M[a, b] is the sum, from 0 and in row order, of the fine pairs whose ends
+carry labels (a, b); zero sums are dropped. When the k supernodes give
+k * (k - 1) at most the CSR entry count of the level below, one pass sums
+the pairs into a dense k x k block, no larger than that level; otherwise a
+stable counting sort by label lines each cell's pairs up in row order,
+without k * k memory. The same call turns the coarse pairs' ids into the
+coarse rows by the same counting sort and gathers their weights, and the
+pass sums the coarse factors from 0 in node order.
 
 For small instances an exhaustive enumerator over set partitions provides an
 exact reference optimum.
@@ -144,13 +151,14 @@ class _Instance:
 
     @classmethod
     def from_pair_vector(cls, q: PairVector) -> "_Instance":
-        n = q.n
-        ii, jj = q.sparse_members()
-        vals = q.values
-        if not vals.all():  # the rows hold no explicit zero
-            nz = vals != 0.0
-            ii, jj, vals = ii[nz], jj[nz], vals[nz]
-        indptr, nbr, wts = _rows(n, ii, jj, vals)
+        n, vals = q.n, q.values
+        if vals.all():
+            indptr, nbr, pos = q.support_rows()
+        else:  # the rows hold no explicit zero
+            nz = np.flatnonzero(vals)
+            vals = vals[nz]
+            indptr, nbr, pos = _rows(n, q.pair_ids[nz])
+        wts = vals[pos]
         terms = list(_smooth_terms_with_constant(q))  # a constant c is the term c * 11^T, last
         coefs = np.array([c for c, _ in terms], dtype=np.float64)
         factors = np.array([u for _, u in terms], dtype=np.float64).reshape(len(terms), n)
@@ -273,7 +281,8 @@ def _solve(inst: _Instance, q: PairVector, rng, eps: float, debug_checks: bool) 
         try:
             if debug_checks:
                 _check_cycle(q, inst, memb, U[:, : info[0]], objective.item())
-            held[:] = [np.empty(words, dtype=np.int64)]
+            held.clear()  # the last pass's work goes before the next is allocated
+            held.append(np.empty(words, dtype=np.int64))
         except MemoryError:
             raised.append(MemoryError(f"cannot allocate the {words} words of work of a coarsening pass"))
             return None

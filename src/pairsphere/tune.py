@@ -389,8 +389,9 @@ def _train_worker(args):
     """All grid cells for one training sample; one task per sample keeps
     pickling overhead proportional to the sample count. The sample's
     adjacency, Jaccard and degree-product vectors are built once. The sparse
-    part, adjacency + c_j * Jaccard, is combined once per c_j, with its pair
-    members; each cell's base then carries it and the one degree term
+    part, adjacency + c_j * Jaccard, is combined once per c_j; each cell's
+    base shares its support, and so the CSR layout that the first solve on it
+    builds (PairVector.support_rows), and carries the one degree term
     c_d * d d^T / 2m (none at c_d = 0). That is, bit for bit, the vector
     combine([(1, adj), (c_j, jac), (c_d, deg)]): the degree part adds no
     sparse pair and a constant of 0."""
@@ -403,7 +404,6 @@ def _train_worker(args):
     out = []
     for c_j in cj_grid:
         sparse = combine([(1.0, adj), (c_j, jac)])
-        sparse.sparse_members()  # cached, and carried by each cell's base
         for c_d in cd_grid:
             terms = (LowRankTerm(c_d * deg_term.coef, deg_term.factor),) if c_d != 0.0 else ()
             base = sparse._on_same_support(sparse.values, terms, 0.0)

@@ -207,7 +207,7 @@ class LevelState(solver.SolverState):
 def build_csr(n, ii, jj, values):
     """Rows of the symmetric n x n matrix holding each value at (i, j) and
     (j, i), in scipy, as int64 indptr and columns: the reference for
-    _kernel._rows."""
+    _kernel._rows (whose pair indices gather the values)."""
     U = sp.csr_array((values, (ii, jj)), shape=(n, n))
     A = U + U.T
     return A.indptr.astype(np.int64), A.indices.astype(np.int64), A.data
@@ -374,9 +374,9 @@ def reference_aggregate(inst, membership):
     k = int(labels.max()) + 1
     m = inst.nbr.size // 2
     room = min(m, k * (k - 1) // 2)  # every coarse pair, at most
-    indptr, nbr, wts = np.zeros(k + 1, dtype=np.int64), np.empty(2 * room, dtype=np.int64), np.empty(2 * room)
+    indptr, nbr, wts = np.empty(k + 1, dtype=np.int64), np.empty(2 * room, dtype=np.int64), np.empty(2 * room)
     # the coarse pairs, then the k x k block or the buckets' work; the kernel zeroes what it reads
-    work = np.empty(3 * room + (k * k if k * (k - 1) <= 2 * m else 4 * m + 2 * k + 2), dtype=np.int64)
+    work = np.empty(2 * room + (k * k if k * (k - 1) <= 2 * m else 4 * m + 2 * k + 2), dtype=np.int64)
     fine = map(_address, (inst.indptr, inst.nbr, inst.wts, labels))
     size = lib.pairsphere_aggregate(inst.n, *fine, k, *map(_address, (indptr, nbr, wts, work)), work.size)
     if size < 0:

@@ -21,8 +21,10 @@ from pairsphere.clustering import (
     relative_granularity_error,
     write_membership,
 )
+from pairsphere._kernel import _same_label
 from pairsphere.generators import ring_of_cliques
 from pairsphere.geometry import correlation_distance, inner, latitude
+from pairsphere.pairs import pair_members
 
 from helpers import (
     all_partitions,
@@ -368,3 +370,22 @@ def test_membership_file_errors(tmp_path, text, kwargs, message):
     path.write_text(text)
     with pytest.raises(ValueError, match=message):
         read_membership(path, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "n, ids",
+    [(5, []), (1, []), (2, [0]), (7, [20]), (7, [0, 5, 6, 20]), (60, None)],
+    ids=["empty-support", "n=1", "n=2", "last-row", "row-ends", "random"],
+)
+def test_same_label_kernel_is_numpys_mask(n, ids):
+    """_kernel._same_label marks the pairs whose ends share a label, as
+    numpy's memb[ii] == memb[jj] does, on singletons, one cluster and
+    random memberships."""
+    rng = np.random.default_rng(n)
+    if ids is None:
+        ids = np.flatnonzero(rng.random(n * (n - 1) // 2) < 0.3)
+    ids = np.asarray(ids, dtype=np.int64)
+    ii, jj = pair_members(ids, n)
+    for memb in (np.arange(n), np.zeros(n, dtype=np.int64), rng.integers(0, max(1, n // 4), size=n)):
+        got = _same_label(n, ids, memb)
+        assert got.dtype == bool and np.array_equal(got, memb[ii] == memb[jj])

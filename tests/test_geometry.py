@@ -16,7 +16,9 @@ from pairsphere.geometry import (
     parallel_projection,
     spherical_angle,
 )
+from pairsphere._kernel import _rows, _smooth_at
 from pairsphere.clustering import Partition, as_pair_vector
+from pairsphere.pairs import pair_members
 
 from helpers import dense_of, dense_partition_vector, nontrivial_membership, random_sl_vector
 
@@ -339,3 +341,63 @@ def test_triangle_inequality(seed):
     if min(x.norm(), y.norm(), z.norm()) == 0:
         return
     assert angular_distance(x, z) <= angular_distance(x, y) + angular_distance(y, z) + 1e-12
+
+
+# -- the compiled pair kernels and the shared support layout ---------------------
+
+SMOOTH_CASES = {
+    # name: (n, pair ids, term count, constant)
+    "empty-support": (5, [], 2, 0.5),
+    "n=1": (1, [], 3, -1.0),
+    "n=2": (2, [0], 3, 0.25),
+    "last-row": (7, [20], 2, 0.0),  # id 20 = (5, 6)
+    "K=0-with-constant": (6, [0, 4, 9, 14], 0, -0.3),
+    "K>=3": (40, None, 4, 1.7),
+}
+
+
+@pytest.mark.parametrize("case", SMOOTH_CASES)
+def test_smooth_kernel_is_the_bits_of_numpy(case):
+    """_kernel._smooth_at gives the bytes of numpy's constant plus
+    `coef * factor[ii] * factor[jj]`, added term by term, at every pair."""
+    rng = np.random.default_rng(list(SMOOTH_CASES).index(case))
+    n, ids, K, c = SMOOTH_CASES[case]
+    if ids is None:
+        ids = np.flatnonzero(rng.random(n * (n - 1) // 2) < 0.4)
+    ids = np.asarray(ids, dtype=np.int64)
+    coefs = rng.normal(size=K) * 10.0 ** rng.uniform(-3, 3, size=K)
+    factors = rng.normal(size=(K, n)) * 10.0 ** rng.uniform(-3, 3, size=(K, n))
+    ii, jj = pair_members(ids, n)
+    want = np.full(ids.size, c)
+    for coef, f in zip(coefs.tolist(), factors):
+        want += coef * f[ii] * f[jj]
+    got = _smooth_at(n, ids, coefs, factors, c)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_vectors_on_one_support_share_one_layout():
+    """A vector's scaled copies and parallel projections share its support
+    layout, whichever of them builds it, and it is the layout of _rows."""
+    rng = np.random.default_rng(50)
+    q = random_sl_vector(rng, 30, sparse_density=0.3)
+    copies = [q.scaled(2.0), parallel_projection(q, 1.1), parallel_projection(q.scaled(-0.5), 2.0)]
+    layout = copies[2].support_rows()
+    assert all(v.support_rows() is layout for v in [q, *copies])
+    for got, want in zip(layout, _rows(q.n, q.pair_ids)):
+        assert got.tobytes() == want.tobytes()
+    fresh = PairVector(q.n, q.pair_ids, q.values, q.terms, q.constant)
+    assert fresh.support_rows() is not layout  # another vector made on the same ids builds its own
+
+
+def test_an_overflowing_scaled_vector_still_raises():
+    """A copy on the same support skips the check of the shared ids, but
+    not that of its own values, terms and constant."""
+    q = PairVector.from_pairs(4, {(0, 1): 1e300, (2, 3): 1.0}, (LowRankTerm(1.0, np.ones(4)),), 0.5)
+    for a in (1e10, np.inf):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite sparse value"):
+            q.scaled(a)
+    r = PairVector(4, np.empty(0, np.int64), np.empty(0), (LowRankTerm(1e300, np.ones(4)),))
+    with pytest.raises(ValueError, match="non-finite rank-one term"):
+        r.scaled(1e10)
+    with pytest.raises(ValueError, match="non-finite constant"):
+        PairVector.constant_vector(4, 1e300).scaled(1e10)

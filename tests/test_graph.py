@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,40 @@ def test_from_edges_traces_a_bounded_peak_per_edge():
     finally:
         tracemalloc.stop()
     assert H.m == G.m and peak <= 128 * G.m
+
+
+def test_from_edges_keeps_sorted_edges_without_a_sort(monkeypatch):
+    """Edges already sorted u < v without repeats are the graph's edges as
+    given: no np.unique, no warning, the same bytes."""
+    rng = np.random.default_rng(31)
+    edges = np.array(random_graph_edges(rng, 30, 0.2), dtype=np.int64)
+    want = Graph(30, edges.copy())
+
+    def no_sort(*args, **kwargs):
+        raise AssertionError("sorted edges were sorted again")
+
+    monkeypatch.setattr(graph.np, "unique", no_sort)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        G = Graph.from_edges(30, edges)
+    assert G.edges.tobytes() == edges.tobytes()
+    A, B = G.adjacency_csr(), want.adjacency_csr()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip((A.indptr, A.indices, A.data), (B.indptr, B.indices, B.data)))
+
+
+def test_from_edges_sorts_and_dedups_other_edges():
+    """Shuffled or flipped edges come out sorted without a warning; repeats
+    are dropped with one."""
+    rng = np.random.default_rng(32)
+    edges = np.array(random_graph_edges(rng, 30, 0.2), dtype=np.int64)
+    flipped = edges[:, ::-1]  # pair ids still ascend, but u > v
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for given in (edges[rng.permutation(len(edges))], flipped):
+            assert Graph.from_edges(30, given).edges.tobytes() == edges.tobytes()
+    with pytest.warns(UserWarning, match="dropping 3 duplicate edge"):
+        G = Graph.from_edges(30, np.concatenate([edges, edges[:3]]))
+    assert G.edges.tobytes() == edges.tobytes()
 
 
 def test_adjacency_vector():

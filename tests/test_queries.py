@@ -24,6 +24,7 @@ from pairsphere.queries import (
     query_to_weights,
     rule_latitude,
 )
+from pairsphere.solver import _Instance
 
 from helpers import (
     all_partitions,
@@ -275,21 +276,25 @@ def test_apply_heuristic_fixed_values():
 
 def test_corrected_query_keeps_the_sparse_members(monkeypatch):
     """Scaling and parallel projection keep the sparse pairs, so the vectors
-    they return carry the cached (i, j) members: no second id inversion."""
+    they return share the source's support layout (support_rows): one
+    object, built once by whichever vector asks first, and read by the
+    solver's rows of each of them."""
     rng = np.random.default_rng(13)
     G = _random_graph(rng, 12, 0.4)
     T = Partition(nontrivial_membership(rng, 12))
     q = build_query(G, QuerySpec("markov", t=2), T)
-    members = q.sparse_members()
-    outs = [build_query(G, QuerySpec("markov", t=2, heuristic="exact"), T), q.scaled(2.0)]
+    outs = [build_query(G, QuerySpec("markov", t=2, heuristic="exact"), T, base=q), q.scaled(2.0)]
+    layout = outs[0].support_rows()
 
-    def inverted_again(ids, n):
-        raise AssertionError("pair ids inverted again")
+    def built_again(n, ids):
+        raise AssertionError("support layout built again")
 
-    monkeypatch.setattr(geometry, "pair_members", inverted_again)
-    for out in outs:
-        got = out.sparse_members()
-        assert all(np.array_equal(a, b) for a, b in zip(got, members))
+    monkeypatch.setattr(geometry, "_rows", built_again)
+    for v in [q, *outs, outs[0].scaled(0.5)]:
+        assert v.support_rows() is layout
+        inst = _Instance.from_pair_vector(v)
+        assert inst.indptr is layout[0] and inst.nbr is layout[1]
+        assert inst.wts.tobytes() == v.values[layout[2]].tobytes()
 
 
 def test_positive_scaling_leaves_argmin_unchanged():

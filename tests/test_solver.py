@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pairsphere import _kernel, solver
+from pairsphere import _kernel, geometry, solver
 from pairsphere.clustering import (
     Partition,
     evaluate,
@@ -22,6 +22,7 @@ from pairsphere.clustering import (
 from pairsphere.generators import GeneratorSpec, generate
 from pairsphere.geometry import LowRankTerm, PairVector
 from pairsphere.graph import Graph, jaccard_vector, walk_distribution
+from pairsphere.pairs import pair_members
 from pairsphere.queries import QuerySpec, build_query, er_modularity_query
 from pairsphere.solver import (
     SolverState,
@@ -1257,15 +1258,22 @@ def test_aggregate_matches_dense_block_sums(case):
 
 
 def test_rows_are_the_bytes_of_build_csr():
-    """_kernel._rows gives helpers.build_csr's bytes on random sorted pair
-    lists, from empty to complete, n = 1 included."""
+    """_kernel._rows of sorted pair ids gives helpers.build_csr's indptr and
+    columns, and its pair indices gather build_csr's values, on random
+    supports from empty to complete, on n = 1 and 2, and on a support whose
+    only pair is in the last row."""
     rng = np.random.default_rng(40)
+    cases = [(1, []), (2, []), (2, [0]), (7, [20]), (7, [0, 20])]  # pair id 20 = (5, 6), the last row's
     for _ in range(40):
         n = int(rng.integers(1, 60))
-        iu, ju = np.triu_indices(n, k=1)
-        keep = rng.random(iu.size) < rng.choice([0.0, 0.05, 0.3, 1.0])
-        pi, pj, pv = iu[keep].astype(np.int64), ju[keep].astype(np.int64), rng.normal(size=int(keep.sum()))
-        for got, want in zip(_kernel._rows(n, pi, pj, pv), build_csr(n, pi, pj, pv)):
+        keep = rng.random(n * (n - 1) // 2) < rng.choice([0.0, 0.05, 0.3, 1.0])
+        cases.append((n, np.flatnonzero(keep)))
+    for n, ids in cases:
+        ids = np.asarray(ids, dtype=np.int64)
+        pi, pj = pair_members(ids, n)
+        pv = rng.normal(size=ids.size)
+        indptr, nbr, pos = _kernel._rows(n, ids)
+        for got, want in zip((indptr, nbr, pv[pos]), build_csr(n, pi, pj, pv)):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
@@ -1311,14 +1319,16 @@ def test_coarse_level_edge_cases(case):
 
 
 @pytest.mark.parametrize(
-    "pi, pj",
-    [([0, 0], [2, 1]), ([1, 0], [2, 2]), ([0, 0], [1, 1]), ([1], [1]), ([0], [3]), ([-1], [1])],
+    "n, ids, bad",
+    [(3, [1, 0], 1), (3, [2, 1], 1), (3, [0, 0], 1), (1, [0], 0), (3, [0, 3], 1), (3, [-1], 0)],
     ids=["columns-descend", "rows-descend", "repeat", "diagonal", "past-n", "negative"],
 )
-def test_compiled_rows_reject_a_list_out_of_order(pi, pj):
-    pi, pj = np.array(pi, dtype=np.int64), np.array(pj, dtype=np.int64)
-    with pytest.raises(ValueError, match="breaks the order"):
-        _kernel._rows(3, pi, pj, np.ones(pi.size))
+def test_compiled_rows_reject_a_list_out_of_order(n, ids, bad):
+    """Pair ids must ascend strictly in [0, n(n - 1)/2), and the error names
+    the first pair that does not. With n = 3, ids 0, 1, 2 are the pairs (0, 1),
+    (0, 2), (1, 2); one node has no pair, not even the diagonal (0, 0)."""
+    with pytest.raises(ValueError, match=rf"pair {bad} \(id {ids[bad]}\) breaks the order"):
+        _kernel._rows(n, np.array(ids, dtype=np.int64))
 
 
 @pytest.mark.parametrize(
@@ -1348,7 +1358,7 @@ def test_compiled_aggregate_rejects_a_label_outside_the_supernodes(pairs, consta
         (lambda: _Instance(3, np.zeros(3), [], [], [-1.0], np.ones((1, 3))), "and indptr (n + 1,)"),
         (lambda: _Instance(3, [0, 1, 2, 2], [1], [1.0], [], np.ones((0, 3))), "the rows must hold indptr[-1]"),
         (lambda: SolverState(_Instance(3, [0, 0, 0, 0], [], [], [], np.ones((0, 3))), [0, 1], 0.0), "every node"),
-        (lambda: _kernel._rows(3, [0], [1, 2], [1.0]), "pi, pj and pv must have the same length"),
+        (lambda: _kernel._rows(3, [[0, 1]]), "pair ids must be one-dimensional"),
     ],
     ids=["factors", "indptr", "rows", "membership", "pairs"],
 )
@@ -1365,7 +1375,7 @@ def _compiled_coarse_rows(inst, labels, fill):
     k = int(labels.max()) + 1
     m = inst.nbr.size // 2
     room = min(m, k * (k - 1) // 2)
-    words = (k + 1, 2 * room, 2 * room, 3 * room + (k * k if k * (k - 1) <= 2 * m else 4 * m + 2 * k + 2))
+    words = (k + 1, 2 * room, 2 * room, 2 * room + (k * k if k * (k - 1) <= 2 * m else 4 * m + 2 * k + 2))
     indptr, nbr, wts, work = (np.full(8 * w, fill, dtype=np.uint8) for w in words)
     fine = map(_kernel._address, (inst.indptr, inst.nbr, inst.wts, labels))
     args = (indptr, nbr, wts, work)
@@ -1594,7 +1604,7 @@ def test_explicit_zero_pairs_are_left_out():
     rng = np.random.default_rng(31)
     n = 60
     q = _sign_rule_query(rng, n)
-    ii, jj = q.sparse_members()
+    ii, jj = pair_members(q.pair_ids, n)
     pairs = {(int(i), int(j)): v for i, j, v in zip(ii, jj, q.values) if (i, j) != (0, 1)}
     absent = [(int(i), int(j)) for i, j in zip(*np.triu_indices(n, k=1)) if (int(i), int(j)) not in pairs]
     zeros = {pair: 0.0 for pair in [(0, 1)] + [absent[i] for i in rng.choice(len(absent), 40, replace=False)]}
@@ -1608,3 +1618,59 @@ def test_explicit_zero_pairs_are_left_out():
     (a, _, a_info), (b, _, b_info) = states
     assert a_info[7] > 0
     assert np.array_equal(a, b) and a_info[6:8].tolist() == b_info[6:8].tolist()
+
+
+def test_an_underflowed_zero_leaves_the_shared_layout_untouched(monkeypatch):
+    """A scaled copy whose value underflows to an exact 0 gets rows of its
+    nonzero pairs alone; the layout it shares with its source is neither
+    changed nor, when not yet built, built."""
+    rng = np.random.default_rng(52)
+    n = 25
+    q = random_sl_vector(rng, n, sparse_density=0.4)
+    tiny = PairVector(n, q.pair_ids, np.where(np.arange(q.values.size) % 3 == 0, 1e-300, q.values), q.terms)
+    layout = tiny.support_rows()
+    before = [a.tobytes() for a in layout]
+    s = tiny.scaled(1e-30)  # 1e-330 underflows to 0.0
+    nz = np.flatnonzero(s.values)
+    assert 0 < nz.size < s.values.size
+    inst = _Instance.from_pair_vector(s)
+    ii, jj = pair_members(s.pair_ids[nz], n)
+    for got, want in zip((inst.indptr, inst.nbr, inst.wts), build_csr(n, ii, jj, s.values[nz])):
+        assert got.tobytes() == want.tobytes()
+    assert s.support_rows() is layout and [a.tobytes() for a in layout] == before
+
+    def built(n, ids):
+        raise AssertionError("the shared layout was built")
+
+    fresh = PairVector(n, tiny.pair_ids, tiny.values, tiny.terms).scaled(1e-30)
+    monkeypatch.setattr(geometry, "_rows", built)
+    assert _Instance.from_pair_vector(fresh).wts.tobytes() == inst.wts.tobytes()
+
+
+@pytest.mark.parametrize(
+    "spec, n, first, again",
+    [(QuerySpec("markov", t=5, isolated="zero", heuristic="exact"), 1000, 56, 24),
+     (QuerySpec("cl-modularity", heuristic="exact"), 20_000, None, 160)],
+    ids=["walk-t5", "cl-modularity"],
+)
+def test_a_solve_traces_a_bounded_peak_per_support_pair(spec, n, first, again):
+    """A solve's traced peak per support pair. The first solve on a support
+    builds its rows (32 bytes a pair) and the weights (16): 48.5 measured on
+    the t=5 walk (490,627 pairs). A later one gathers only the weights: 16.5
+    there, and 132 on the sparse cl-modularity query (80,155 pairs), where
+    the coarsening passes' work sets the peak; a pass's work is released
+    before the next is allocated (246 while both were held)."""
+    G, T = generate(GeneratorSpec("ppm", n=n, k=n // 20, lambda_in=6.0, lambda_out=2.0), 1)
+    q = build_query(G, spec, T)
+    P = q.pair_ids.size
+    peaks = []
+    tracemalloc.start()
+    try:
+        for _ in range(2):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            louvain_project(q, seed=3)
+            peaks.append((tracemalloc.get_traced_memory()[1] - before) / P)
+    finally:
+        tracemalloc.stop()
+    assert (first is None or peaks[0] <= first) and peaks[1] <= again, peaks

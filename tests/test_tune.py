@@ -245,6 +245,32 @@ def test_grid_bases_keep_the_bytes_of_combine(monkeypatch):
             assert _f64(base.constant) == _f64(want.constant)
 
 
+def test_grid_cells_share_one_layout_per_c_j(monkeypatch):
+    """The cells of one c_j share the support layout of its sparse part, so
+    a training sample builds one layout per c_j, whichever cell solves first."""
+    rows, grid_rho = geometry._rows, tune._grid_rho
+    built, bases = [], []
+
+    def counted_rows(n, ids):
+        built.append(ids.size)
+        return rows(n, ids)
+
+    def captured_rho(G, spec, T, seed, base=None):
+        bases.append((spec.c_j, base))
+        return grid_rho(G, spec, T, seed, base)
+
+    monkeypatch.setattr(geometry, "_rows", counted_rows)
+    monkeypatch.setattr(tune, "_grid_rho", captured_rho)
+    cj_grid, cd_grid = [0.0, 0.3, 1.0], [-1.5, 0.0, 0.5]
+    G, T = generate(GeneratorSpec("ppm", n=40, k=4, lambda_in=5, lambda_out=2), 0)
+    tune._train_worker((G, T, 7, cj_grid, cd_grid, "corrected"))
+    assert len(built) == len(cj_grid)
+    for c_j in cj_grid:
+        layouts = {id(base.support_rows()) for cj, base in bases if cj == c_j}
+        assert len(layouts) == 1
+    assert len(built) == len(cj_grid)  # asking the bases again built nothing
+
+
 # rows_to_csv(..., drop_timing=True) of the two samples below, as the harness
 # wrote them while every sample kept all its base queries to its end
 RUN_SAMPLE_CSV_SHA = "6bdbf988ff55aa0eb09407e4176fbbfd95d598533890df5b41b0123ec8669099"
