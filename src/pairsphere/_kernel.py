@@ -3,7 +3,7 @@
 One library serves the solver (a whole solve, and the level builders) and
 graph (the upper triangle of a sparse product, for walk and Jaccard pairs).
 _rows, the one builder of symmetric CSR rows from sorted pair ids, makes
-every Graph's adjacency and the layout of every query's sparse support;
+every Graph's rows (its queries' too) and every other sparse support's;
 _smooth_at and _same_label read sorted pair ids for geometry's inner
 products and a partition's alignment. _compiled() loads the
 library once per process and returns its ctypes.CDLL; callers name its

@@ -60,6 +60,8 @@ class Partition:
         memb = np.full(n, -1, dtype=np.int64)
         for label, comm in enumerate(communities):
             for i in comm:
+                if not 0 <= i < n:
+                    raise ValueError(f"node {i} is outside 0..{n - 1}")
                 if memb[i] != -1:
                     raise ValueError(f"node {i} assigned twice")
                 memb[i] = label

@@ -59,6 +59,8 @@ class GeneratorSpec:
             _ppm_probabilities(self)
         elif self.family == "dcppm":
             _block_size(self.n, self.k)
+            if self.tau <= 2:
+                raise ValueError("weight exponent must exceed 2 for a finite mean")
         elif self.family == "hppm" and not 2 <= self.s_min <= self.s_max:
             raise ValueError("community sizes need 2 <= s_min <= s_max")
 
@@ -120,21 +122,14 @@ def _bernoulli_pair_ids(rng: np.random.Generator, n_pairs: int, p: float) -> np.
 
 def _sample_block_pairs(rng, members: np.ndarray, p: float) -> np.ndarray:
     """Edges inside one community (all pairs of `members` at probability p)."""
-    s = members.size
-    hits = _bernoulli_pair_ids(rng, num_pairs(s), p)
-    if hits.size == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    a, b = pair_members(hits, s)
+    a, b = pair_members(_bernoulli_pair_ids(rng, num_pairs(members.size), p), members.size)
     return np.stack([members[a], members[b]], axis=1)
 
 
 def _sample_inter_pairs(rng, n: int, p: float, membership: np.ndarray) -> np.ndarray:
     """Inter-community edges at uniform probability p: sample over all N pairs
     and discard intra hits (exact thinning of the complement blocks)."""
-    hits = _bernoulli_pair_ids(rng, num_pairs(n), p)
-    if hits.size == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    a, b = pair_members(hits, n)
+    a, b = pair_members(_bernoulli_pair_ids(rng, num_pairs(n), p), n)
     keep = membership[a] != membership[b]
     return np.stack([a[keep], b[keep]], axis=1)
 
@@ -227,9 +222,7 @@ def generate_hppm(spec: GeneratorSpec, seed) -> tuple[Graph, Partition]:
 
 
 def _pareto_weights(rng, n: int, tau: float, mean: float) -> np.ndarray:
-    """Continuous Pareto(tau) weights with the floor set so E[w] = mean."""
-    if tau <= 2:
-        raise ValueError("weight exponent must exceed 2 for a finite mean")
+    """Continuous Pareto(tau > 2) weights with the floor set so E[w] = mean."""
     floor = mean * (tau - 2.0) / (tau - 1.0)
     return floor * rng.random(n) ** (-1.0 / (tau - 1.0))
 

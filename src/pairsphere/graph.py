@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import warnings
 from array import array
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,35 +37,30 @@ from .pairs import num_pairs, pair_id, pair_members
 MAX_WALK_PAIRS = 25_000_000
 
 
-@dataclass(eq=False)
 class Graph:
     """Simple undirected graph: sorted edges u < v < n, none repeated (from_edges
-    takes any). Every graph needs the compiled library: _kernel._rows builds
-    its rows from the edges' pair ids and raises ValueError on edges out of
-    that order."""
+    takes any), held as their ascending pair ids and the rows _kernel._rows
+    builds from them once (raising ValueError on ids out of order); all else
+    is read from those rows, which the edge-set queries share (adjacency_vector)."""
 
-    n: int
-    edges: np.ndarray  # (m, 2) int64 with edges[:,0] < edges[:,1], sorted
-
-    def __post_init__(self):
-        self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
-        self.m = int(self.edges.shape[0])
-        u, v = self.edges.T
-        bad = np.flatnonzero((u < 0) | (u >= v) | (v >= self.n))
+    def __init__(self, n: int, edges):
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        u, v = edges.T
+        bad = np.flatnonzero((u < 0) | (u >= v) | (v >= n))
         if bad.size:
-            raise ValueError(f"edge {bad[0]} ({u[bad[0]]}, {v[bad[0]]}) breaks the order u < v < {self.n}")
-        indptr, nbr, pos = _rows(self.n, pair_id(u, v, self.n))
-        pos = pos.view(np.float64)  # its words become the entries' ones: no second 2m-word array
-        pos.fill(1.0)
-        self._adj = sp.csr_matrix((pos, nbr, indptr), shape=(self.n, self.n))  # int32 indices where they fit
-        self.degrees = np.diff(indptr)
+            raise ValueError(f"edge {bad[0]} ({u[bad[0]]}, {v[bad[0]]}) breaks the order u < v < {n}")
+        self._take_ids(n, pair_id(u, v, n))
+
+    def _take_ids(self, n: int, ids: np.ndarray) -> None:
+        self.n, self._ids, self.m = n, ids, int(ids.size)
+        self._support = {"rows": _rows(n, ids)}  # the record PairVector shares (support_rows)
+        self.degrees = np.diff(self._support["rows"][0])
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
         """Build from an (m, 2) array or an iterable of (u, v); drops self-loops
-        and duplicate edges. Edges already sorted u < v without repeats (one
-        pass over their pair ids tells) are kept as given, not sorted
-        again."""
+        and duplicate edges. Edges whose pair ids already ascend strictly are
+        not sorted again."""
         arr = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64).reshape(-1, 2)
         if arr.size and (arr.min() < 0 or arr.max() >= n):
             raise ValueError("edge endpoint out of range")
@@ -75,29 +69,37 @@ class Graph:
             warnings.warn(f"dropping {int(loops.sum())} self-loop(s)")
             arr = arr[~loops]
         ids = pair_id(np.minimum(*arr.T), np.maximum(*arr.T), n)
-        if (arr[:, 0] < arr[:, 1]).all() and (ids[1:] > ids[:-1]).all():  # already sorted u < v, no repeat
-            return cls(n, arr)
-        # counts keep numpy 2.4 on its sort: its hash-table unique took 0.7 s on 800k ids, against 0.02 s
-        uniq, counts = np.unique(ids, return_counts=True)
-        if np.any(counts > 1):
-            warnings.warn(f"dropping {int((counts - 1).sum())} duplicate edge(s)")
-        return cls(n, np.stack(pair_members(uniq, n), axis=1))
+        if not (ids[1:] > ids[:-1]).all():
+            # counts keep numpy 2.4 on its sort: its hash-table unique took 0.7 s on 800k ids, against 0.02 s
+            ids, counts = np.unique(ids, return_counts=True)
+            if np.any(counts > 1):
+                warnings.warn(f"dropping {int((counts - 1).sum())} duplicate edge(s)")
+        G = cls.__new__(cls)
+        G._take_ids(n, ids)
+        return G
 
     @property
     def N(self) -> int:
         return num_pairs(self.n)
 
+    @property
+    def edges(self) -> np.ndarray:
+        """(m, 2) int64 edges u < v, sorted; a fresh array per call."""
+        return np.stack(pair_members(self._ids, self.n), axis=1)
+
     def neighbors(self, i: int) -> np.ndarray:
-        return self._adj.indices[self._adj.indptr[i] : self._adj.indptr[i + 1]]
+        indptr, nbr, _ = self._support["rows"]
+        return nbr[indptr[i] : indptr[i + 1]]
 
     def adjacency_csr(self) -> sp.csr_matrix:
-        """Symmetric 0/1 adjacency matrix; shared, so callers must not modify it."""
-        return self._adj
+        """Symmetric 0/1 adjacency matrix (int32 indices where they fit), made anew per call."""
+        indptr, nbr, _ = self._support["rows"]
+        return sp.csr_matrix((np.ones(nbr.size), nbr, indptr), shape=(self.n, self.n), copy=True)
 
 
 def adjacency_vector(G: Graph) -> PairVector:
-    """Sparse pair vector with entry 1 on every edge."""
-    return PairVector(G.n, pair_id(G.edges[:, 0], G.edges[:, 1], G.n), np.ones(G.m))
+    """Sparse pair vector with entry 1 on every edge, on the graph's support record."""
+    return PairVector(G.n, G._ids, np.ones(G.m), _cache={"support": G._support})
 
 
 def degree_product_vector(G: Graph) -> PairVector:
@@ -204,10 +206,12 @@ def write_edges(path, G: Graph) -> None:
     isolated = np.flatnonzero(G.degrees == 0)
 
     def chunks():
-        for rows, form in ((G.edges, "%d %d\n"), (isolated, "%d\n")):
-            for s in range(0, len(rows), _CHUNK_LINES):
-                block = rows[s : s + _CHUNK_LINES]
-                yield (form * len(block)) % tuple(block.ravel().tolist())
+        for s in range(0, G.m, _CHUNK_LINES):
+            block = np.stack(pair_members(G._ids[s : s + _CHUNK_LINES], G.n), axis=1)
+            yield ("%d %d\n" * len(block)) % tuple(block.ravel().tolist())
+        for s in range(0, isolated.size, _CHUNK_LINES):
+            block = isolated[s : s + _CHUNK_LINES]
+            yield ("%d\n" * len(block)) % tuple(block.tolist())
 
     atomic_write_text(path, chunks())
 

@@ -27,7 +27,7 @@ def er_modularity_query(G: Graph, gamma: float) -> PairVector:
     if G.m == 0:
         raise ValueError("modularity query undefined for an empty graph")
     base = adjacency_vector(G)
-    return PairVector(G.n, base.pair_ids, base.values, (), -gamma * G.m / G.N)
+    return base._on_same_support(base.values, (), -gamma * G.m / G.N)
 
 
 def cl_modularity_query(G: Graph, gamma: float) -> PairVector:
@@ -38,7 +38,7 @@ def cl_modularity_query(G: Graph, gamma: float) -> PairVector:
     if gamma == 0.0:
         return base
     term = LowRankTerm(-gamma / (2.0 * G.m), G.degrees.astype(np.float64))
-    return PairVector(G.n, base.pair_ids, base.values, (term,))
+    return base._on_same_support(base.values, (term,), 0.0)
 
 
 def er_modularity_latitude(G: Graph, gamma: float) -> float:
@@ -116,8 +116,7 @@ def binary_ppm_query(G: Graph, p_in: float, p_out: float) -> PairVector:
             raise ValueError("edge probabilities must lie strictly inside (0, 1)")
     const = math.log((1.0 - p_in) / (1.0 - p_out))
     edge_val = math.log(p_in / p_out) - const
-    base = adjacency_vector(G)
-    return PairVector(G.n, base.pair_ids, np.full(G.m, edge_val), (), const)
+    return adjacency_vector(G)._on_same_support(np.full(G.m, edge_val), (), const)
 
 
 def linear_combination_query(
@@ -246,6 +245,8 @@ class QuerySpec:
             raise ValueError("isolated must be 'error' or 'zero'")
         if self.method in ("er-modularity", "cl-modularity") and not (math.isfinite(self.gamma) and self.gamma >= 0):
             raise ValueError("resolution parameter must be finite and nonnegative")
+        if self.method == "linear" and not all(map(math.isfinite, (self.c_a, self.c_j, self.c_d, self.c_1))):
+            raise ValueError("linear coefficients c_a, c_j, c_d and c_1 must be finite")
         if self.method == "ppm" and not all(p is not None and 0.0 < p < 1.0 for p in (self.p_in, self.p_out)):
             raise ValueError("ppm method needs p_in and p_out strictly inside (0, 1)")
         if self.heuristic == "fixed" and not (

@@ -71,12 +71,12 @@ against a full scan, and the solve's record counts them.
 A level's sparse part is its CSR rows, columns ascending; its pairs are the
 rows' upper entries (column > row), in row order. The same library builds
 every level. The fine rows are the query's support layout
-(PairVector.support_rows, from _kernel._rows, which builds every Graph's
-rows too): a counting sort of the sorted pair ids in two passes, first each
-pair's lower entry and then its upper one, so the columns of every row
-ascend, with each entry's pair index. Every vector on one support (a query,
-its scaled and corrected copies, the grid's cells on one sparse part) shares
-that layout, built once; a solve gathers its weights, values[pos]. A query
+(PairVector.support_rows, from _kernel._rows): a counting sort of the
+sorted pair ids in two passes, first each pair's lower entry and then its
+upper one, so the columns of every row ascend, with each entry's pair
+index. Every vector on one support (a query, its scaled and corrected
+copies, the grid's cells on one sparse part, a graph's edge-set queries
+and the graph) shares that layout, built once; a solve gathers values[pos]. A query
 that holds an exact zero (an underflowed scaled value) gets rows of its
 nonzero pairs alone, built for that solve and not shared. A coarse level
 maps the pairs below through the community labels and sums them by one rule

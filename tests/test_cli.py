@@ -64,11 +64,12 @@ def test_generate_meta_takes_spec_defaults(tmp_path):
 
 def test_generate_bad_params_exit_code(tmp_path, capsys):
     out = tmp_path / "out"
-    code = run(["generate", "--family", "ppm", "--n", "10", "--k", "3",
-                "--seed", "0", "--out", str(out)])
-    assert code == 2
-    assert "usage error" in capsys.readouterr().err
-    assert not out.exists()
+    # k not dividing n; a dcppm weight exponent of 2, whose weights have no finite mean
+    for flags in (["--family", "ppm", "--n", "10", "--k", "3"], ["--family", "dcppm", "--n", "60", "--k", "3", "--tau", "2"]):
+        code = run(["generate", *flags, "--seed", "0", "--out", str(out)])
+        assert code == 2
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def _two_triangles(tmp_path):
@@ -179,8 +180,10 @@ def test_detect_means_mode_is_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "flags",
     [["--method", "ppm"], ["--method", "markov", "--t", "0"], ["--method", "cl-modularity", "--gamma", "nan"]]
-    + [["--method", "markov", "--heuristic", fixed] for fixed in ("fixed:5,0.3", "fixed:nan,0.3", "fixed:1,2.5")],
-    ids=["ppm-without-pin", "t-0", "gamma-nan", "fixed-lat-past-pi", "fixed-lat-nan", "fixed-theta-past-half-pi"],
+    + [["--method", "markov", "--heuristic", fixed] for fixed in ("fixed:5,0.3", "fixed:nan,0.3", "fixed:1,2.5")]
+    + [["--method", "linear", "--cj", "nan"], ["--method", "linear", "--cd", "inf"]],
+    ids=["ppm-without-pin", "t-0", "gamma-nan", "fixed-lat-past-pi", "fixed-lat-nan", "fixed-theta-past-half-pi",
+         "linear-cj-nan", "linear-cd-inf"],
 )
 def test_detect_flag_breaking_a_spec_rule_is_usage_error(tmp_path, capsys, flags):
     """Exit 2 before the graph is read: the graph path does not exist."""
@@ -431,11 +434,13 @@ def test_python_dash_m_runs_from_a_checkout():
         ("heuristic = exact", "heuristic = exact\nrule = nope",
          "usage error: [query ms1fix] unknown latitude rule 'nope'"),
         ("[query ms1fix]", "[query  ms1]", "two queries share the label 'ms1'; set name"),
+        ("family = ppm\nn = 40\nk = 4", "family = dcppm\nn = 40\nk = 4\ntau = 2",
+         "usage error: [generator] weight exponent must exceed 2"),
     ],
     ids=["p_in-above-1", "k-not-dividing-n", "means-without-pilots", "repeats-0", "repeats-not-int",
          "ring-k-below-3", "hppm", "experiment-unknown-key", "query-pilots-key", "ppm-without-p_in",
          "cc-without-weights", "fixed-lat-past-pi", "unknown-heuristic", "fixed-one-number", "unknown-rule",
-         "query-name-twice"],
+         "query-name-twice", "dcppm-tau-2"],
 )
 def test_experiment_config_that_cannot_run_exit_2(tmp_path, capsys, old, new, message):
     cfg = tmp_path / "bad.cfg"

@@ -77,6 +77,9 @@ def test_from_communities_and_equality():
         Partition.from_communities(4, [[0, 1], [1, 2, 3]])
     with pytest.raises(ValueError):
         Partition.from_communities(4, [[0, 1]])
+    for bad in (-1, 3):  # a node outside 0..n-1 is named, not wrapped or an IndexError
+        with pytest.raises(ValueError, match=rf"node {bad} is outside 0\.\.2"):
+            Partition.from_communities(3, [[0, 1], [bad]])
 
 
 def test_intra_pairs_identity():

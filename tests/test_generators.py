@@ -43,6 +43,9 @@ def test_spec_validation():
         with pytest.raises(ValueError, match="s_min"):
             GeneratorSpec("hppm", n=200, s_min=s_min, s_max=s_max)
     GeneratorSpec("hppm", n=200, s_min=2, s_max=2)
+    for tau in (2.0, 1.5):  # no weight of finite mean to sample
+        with pytest.raises(ValueError, match="weight exponent must exceed 2"):
+            GeneratorSpec("dcppm", n=60, k=3, tau=tau)
     assert GeneratorSpec(n=40, k=4).family == "ppm"
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -140,6 +141,44 @@ def test_from_edges_sorts_and_dedups_other_edges():
     with pytest.warns(UserWarning, match="dropping 3 duplicate edge"):
         G = Graph.from_edges(30, np.concatenate([edges, edges[:3]]))
     assert G.edges.tobytes() == edges.tobytes()
+
+
+def test_adjacency_csr_is_a_fresh_matrix_with_the_pinned_bytes():
+    """adjacency_csr() keeps the bytes (int32 indices) that a PPM sample's
+    adjacency had when the graph held a scipy matrix, and each call returns
+    a new one: writing into it changes neither the degrees, nor neighbors,
+    nor a later call."""
+    G, _ = generate(GeneratorSpec("ppm", n=2000, k=100), 1)
+
+    def digest(A):
+        h = hashlib.sha256()
+        for a in (A.indptr, A.indices, A.data):
+            h.update(a.dtype.str.encode() + a.tobytes())
+        return h.hexdigest()
+
+    A = G.adjacency_csr()
+    assert digest(A) == "103a317711684d889404c4a3cd0e2a872ba78fa43082247e9302acb1b667734c"
+    degrees, first = G.degrees.copy(), [G.neighbors(i).copy() for i in range(G.n)]
+    A.data[:] = 7.0
+    A.indices[:] = 0
+    A.indptr[:] = 0
+    assert np.array_equal(G.degrees, degrees) and all(np.array_equal(G.neighbors(i), first[i]) for i in range(G.n))
+    assert digest(G.adjacency_csr()) == "103a317711684d889404c4a3cd0e2a872ba78fa43082247e9302acb1b667734c"
+
+
+def test_edge_file_bytes_hold_across_chunks(tmp_path, monkeypatch):
+    """With 7 lines a chunk, the 208 edge lines and 72 isolated-node lines
+    of a sparse PPM sample cross chunk boundaries in both parts and keep the
+    bytes one whole-file format gave."""
+    G, _ = generate(GeneratorSpec("ppm", n=300, k=15, lambda_in=1.0, lambda_out=0.5), 2)
+    assert G.m == 208 and int((G.degrees == 0).sum()) == 72
+    monkeypatch.setattr(graph, "_CHUNK_LINES", 7)
+    path = tmp_path / "g.edges"
+    write_edges(path, G)
+    text = path.read_bytes()
+    want = "".join(f"{u} {v}\n" for u, v in G.edges.tolist()) + "".join(f"{i}\n" for i in np.flatnonzero(G.degrees == 0))
+    assert text == want.encode()
+    assert hashlib.sha256(text).hexdigest() == "82c69174a5fd6f3b9514d4e00820e7841cd32804c787db655afaf23c392de1f5"
 
 
 def test_adjacency_vector():

@@ -360,6 +360,10 @@ def test_query_spec_validation():
         for gamma in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="finite and nonnegative"):
                 QuerySpec(method, gamma=gamma)
+    for coef in ("c_a", "c_j", "c_d", "c_1"):  # before any graph is read
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="linear coefficients .* must be finite"):
+                QuerySpec("linear", **{coef: value})
     for heuristic in ("off", "exact"):  # found when the spec is made, not when a sample runs
         with pytest.raises(ValueError, match="unknown latitude rule 'nope'; pick one of"):
             QuerySpec("markov", heuristic=heuristic, rule="nope")
