@@ -53,7 +53,7 @@ def markov_stability_query(G: Graph, t: int, isolated: str = "error") -> PairVec
     stationary law s = d/(2m), which is 0 on isolated nodes."""
     walk = walk_distribution(G, t, isolated=isolated)
     term = LowRankTerm(-1.0, G.degrees / (2.0 * G.m))
-    return PairVector(G.n, walk.pair_ids, walk.values, (term,))
+    return walk._on_same_support(walk.values, (term,), 0.0)
 
 
 def correlation_clustering_query(w_plus: dict, w_minus: dict, n: int) -> PairVector:
@@ -104,6 +104,8 @@ def ppm_likelihood_query(interactions: dict, f_in, f_out, n: int, default_value=
         if fi <= 0 or fo <= 0:
             raise ValueError(f"density not positive at observed value {a!r}")
         key = (i, j) if i < j else (j, i)
+        if key in entries:
+            raise ValueError(f"interactions give the pair {key} twice")
         entries[key] = math.log(fi / fo) - const
     return PairVector.from_pairs(n, entries, (), const)
 
@@ -119,22 +121,34 @@ def binary_ppm_query(G: Graph, p_in: float, p_out: float) -> PairVector:
     return adjacency_vector(G)._on_same_support(np.full(G.m, edge_val), (), const)
 
 
+def linear_combination_queries(G: Graph, cj_grid, cd_grid, c_a: float = 1.0, c_1: float = 0.0):
+    """Yield (c_j, c_d, query) for each grid cell, c_j-major: the query
+    c_a * adjacency + c_j * jaccard + c_d * degree-product + c_1 * ones.
+
+    The Jaccard vector and the degree term are built once, and only if some
+    c_j, or c_d, needs them. Each c_j's sparse part is combined once; its
+    cells share its support record, so the first solve on one builds the row
+    layout for all. Each cell has, bit for bit, the fields of
+    combine([(c_a, adj), (c_j, jac), (c_d, deg), (c_1, ones)]), or of the
+    zero constant vector when every coefficient is 0."""
+    adj = adjacency_vector(G) if c_a != 0.0 else None
+    jac = jaccard_vector(G) if any(cj_grid) else None
+    deg_term = degree_product_vector(G).terms[0] if any(cd_grid) else None
+    for c_j in cj_grid:
+        parts = [(c, v) for c, v in ((c_a, adj), (c_j, jac)) if c != 0.0]
+        sparse = combine(parts) if parts else PairVector.constant_vector(G.n, 0.0)
+        for c_d in cd_grid:
+            terms = (LowRankTerm(c_d * deg_term.coef, deg_term.factor),) if c_d != 0.0 else ()
+            yield c_j, c_d, sparse._on_same_support(sparse.values, terms, c_1 or 0.0)
+
+
 def linear_combination_query(
     G: Graph, c_a: float = 1.0, c_j: float = 0.0, c_d: float = 0.0, c_1: float = 0.0
 ) -> PairVector:
-    """c_a * adjacency + c_j * jaccard + c_d * degree-product + c_1 * ones."""
-    parts = []
-    if c_a != 0.0:
-        parts.append((c_a, adjacency_vector(G)))
-    if c_j != 0.0:
-        parts.append((c_j, jaccard_vector(G)))
-    if c_d != 0.0:
-        parts.append((c_d, degree_product_vector(G)))
-    if c_1 != 0.0:
-        parts.append((c_1, PairVector.constant_vector(G.n, 1.0)))
-    if not parts:
-        return PairVector.constant_vector(G.n, 0.0)
-    return combine(parts)
+    """c_a * adjacency + c_j * jaccard + c_d * degree-product + c_1 * ones: the
+    one cell of linear_combination_queries."""
+    ((_, _, q),) = linear_combination_queries(G, [c_j], [c_d], c_a, c_1)
+    return q
 
 
 # -- granularity correction -----------------------------------------------------

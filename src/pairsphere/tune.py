@@ -30,7 +30,7 @@ from .clustering import (
 )
 from .generators import GeneratorSpec, generate
 from .graph import Graph
-from .queries import QuerySpec, build_base_query, build_query, check_latitude_rule
+from .queries import QuerySpec, build_base_query, build_query, check_latitude_rule, linear_combination_queries
 from .solver import louvain_project
 
 RESULT_COLUMNS = [
@@ -386,29 +386,14 @@ def _grid_rho(G: Graph, spec: QuerySpec, T: Partition, seed: int, base=None) -> 
 
 
 def _train_worker(args):
-    """All grid cells for one training sample; one task per sample keeps
-    pickling overhead proportional to the sample count. The sample's
-    adjacency, Jaccard and degree-product vectors are built once. The sparse
-    part, adjacency + c_j * Jaccard, is combined once per c_j; each cell's
-    base shares its support, and so the CSR layout that the first solve on it
-    builds (PairVector.support_rows), and carries the one degree term
-    c_d * d d^T / 2m (none at c_d = 0). That is, bit for bit, the vector
-    combine([(1, adj), (c_j, jac), (c_d, deg)]): the degree part adds no
-    sparse pair and a constant of 0."""
+    """All grid cells for one training sample, in grid order, on the cells of
+    linear_combination_queries; one task per sample keeps pickling overhead
+    proportional to the sample count."""
     G, T, seed, cj_grid, cd_grid, rule = args
-    from .geometry import LowRankTerm, combine
-    from .graph import adjacency_vector, degree_product_vector, jaccard_vector
-
-    adj, jac, deg = adjacency_vector(G), jaccard_vector(G), degree_product_vector(G)
-    (deg_term,) = deg.terms
-    out = []
-    for c_j in cj_grid:
-        sparse = combine([(1.0, adj), (c_j, jac)])
-        for c_d in cd_grid:
-            terms = (LowRankTerm(c_d * deg_term.coef, deg_term.factor),) if c_d != 0.0 else ()
-            base = sparse._on_same_support(sparse.values, terms, 0.0)
-            out.append(_grid_rho(G, _grid_spec(c_j, c_d, rule), T, seed, base))
-    return out
+    return [
+        _grid_rho(G, _grid_spec(c_j, c_d, rule), T, seed, base)
+        for c_j, c_d, base in linear_combination_queries(G, cj_grid, cd_grid)
+    ]
 
 
 def grid_search(plan: GridSearchPlan) -> GridSearchResult:

@@ -18,6 +18,7 @@ from pairsphere.queries import (
     er_modularity_latitude,
     er_modularity_query,
     heuristic_latitude,
+    linear_combination_queries,
     linear_combination_query,
     markov_stability_query,
     ppm_likelihood_query,
@@ -192,6 +193,9 @@ def test_general_ppm_query_matches_binary():
             assert general.entry(i, j) == pytest.approx(binary.entry(i, j), abs=1e-12)
     with pytest.raises(ValueError):
         ppm_likelihood_query(interactions, lambda a: 0.0, f_out, 4)
+    for twice in ({(0, 1): 1.0, (1, 0): 0.0}, {(1, 0): 0.0, (0, 1): 1.0}):
+        with pytest.raises(ValueError, match=r"interactions give the pair \(0, 1\) twice"):
+            ppm_likelihood_query(twice, f_in, f_out, 4)
 
 
 def test_linear_combination_special_cases():
@@ -207,6 +211,60 @@ def test_linear_combination_special_cases():
     for i in range(8):
         for j in range(i + 1, 8):
             assert q_cl.entry(i, j) == pytest.approx(ref_cl.entry(i, j), abs=1e-12)
+
+
+def _assert_same_bytes(got, want):
+    assert got.n == want.n
+    assert got.pair_ids.tobytes() == want.pair_ids.tobytes()
+    assert got.values.tobytes() == want.values.tobytes()
+    assert len(got.terms) == len(want.terms)
+    for a, b in zip(got.terms, want.terms):
+        assert np.float64(a.coef).tobytes() == np.float64(b.coef).tobytes()
+        assert a.factor.tobytes() == b.factor.tobytes()
+    assert np.float64(got.constant).tobytes() == np.float64(want.constant).tobytes()
+
+
+@pytest.mark.parametrize(
+    "c_a, cj_grid, cd_grid, c_1",
+    [
+        (1.0, [0.0, 0.3, 1.0], [-1.5, 0.0, 0.5], 0.0),
+        (0.0, [0.0, 0.4], [0.0, -2.0], 0.7),
+        (0.0, [0.0, 0.4], [0.0, -2.0], 0.0),  # cell (0, 0) has every coefficient 0
+        (-1.0, [0.0], [0.0], -0.3),  # no Jaccard vector, no degree term
+    ],
+)
+def test_linear_combination_queries_keep_the_bytes_of_combine(monkeypatch, c_a, cj_grid, cd_grid, c_1):
+    """Each cell is combine([(c_a, adj), (c_j, jac), (c_d, deg), (c_1, ones)])
+    bit for bit, and linear_combination_query's one cell; one call builds the
+    Jaccard vector at most once and combines each c_j's sparse part once."""
+    from pairsphere import queries
+    from pairsphere.graph import adjacency_vector, degree_product_vector, jaccard_vector
+
+    G = _random_graph(np.random.default_rng(8), 12, p=0.3)
+    combines, jaccards = [], []
+    monkeypatch.setattr(queries, "combine", lambda parts: combines.append(parts) or geometry.combine(parts))
+    monkeypatch.setattr(queries, "jaccard_vector", lambda G: jaccards.append(G) or jaccard_vector(G))
+    cells = list(queries.linear_combination_queries(G, cj_grid, cd_grid, c_a, c_1))
+    assert len(jaccards) == any(cj_grid)
+    assert len(combines) == sum(1 for c_j in cj_grid if c_a or c_j)
+    assert [(c_j, c_d) for c_j, c_d, _ in cells] == [(c_j, c_d) for c_j in cj_grid for c_d in cd_grid]
+
+    adj, jac, deg = adjacency_vector(G), jaccard_vector(G), degree_product_vector(G)
+    ones = geometry.PairVector.constant_vector(G.n, 1.0)
+    for c_j, c_d, q in cells:
+        parts = [(c, v) for c, v in ((c_a, adj), (c_j, jac), (c_d, deg), (c_1, ones)) if c != 0.0]
+        want = geometry.combine(parts) if parts else geometry.PairVector.constant_vector(G.n, 0.0)
+        _assert_same_bytes(q, want)
+        _assert_same_bytes(linear_combination_query(G, c_a, c_j, c_d, c_1), want)
+        same_c_j = [cell for cj, _, cell in cells if cj == c_j]
+        assert all(cell._cache["support"] is q._cache["support"] for cell in same_c_j)
+
+
+def test_linear_combination_queries_need_the_degree_term_only_for_a_nonzero_c_d():
+    G = Graph.from_edges(4, [])
+    assert [c_d for _, c_d, _ in linear_combination_queries(G, [0.0, 1.0], [0.0])] == [0.0, 0.0]
+    with pytest.raises(ValueError, match="degree-product vector undefined for an empty graph"):
+        list(linear_combination_queries(G, [0.0], [0.0, -1.0]))
 
 
 def test_heuristic_latitude_endpoints():

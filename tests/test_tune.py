@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from pairsphere import geometry, tune
-from pairsphere.clustering import DegeneratePartitionError, Partition
+from pairsphere._util import derive_seed
+from pairsphere.clustering import DegeneratePartitionError, Partition, write_membership
 from pairsphere.generators import GeneratorSpec, generate
+from pairsphere.graph import write_edges
 from pairsphere.queries import QuerySpec
 from pairsphere.tune import (
     ExperimentPlan,
@@ -200,51 +202,6 @@ def test_grid_undefined_rho_raises(monkeypatch, real_calls):
         grid_search(plan)
 
 
-def _f64(x) -> bytes:
-    return np.float64(x).tobytes()
-
-
-def test_grid_bases_keep_the_bytes_of_combine(monkeypatch):
-    """Each training cell's base is combine([(1, adj), (c_j, jac), (c_d, deg)])
-    bit for bit, with the sparse part combined once per (sample, c_j); the
-    grid holds cells with no Jaccard part (c_j = 0) and no degree term
-    (c_d = 0)."""
-    from pairsphere.graph import adjacency_vector, degree_product_vector, jaccard_vector
-
-    combine, grid_rho = geometry.combine, tune._grid_rho
-    combines, bases = [], []
-
-    def counted_combine(parts):
-        combines.append([c for c, _ in parts])
-        return combine(parts)
-
-    def captured_rho(G, spec, T, seed, base=None):
-        bases.append((spec.c_j, spec.c_d, base))
-        return grid_rho(G, spec, T, seed, base)
-
-    monkeypatch.setattr(geometry, "combine", counted_combine)
-    monkeypatch.setattr(tune, "_grid_rho", captured_rho)
-    cj_grid, cd_grid = [0.0, 0.3, 1.0], [-1.5, 0.0]
-    gen = GeneratorSpec("ppm", n=40, k=4, lambda_in=5, lambda_out=2)
-    for sample in range(2):
-        G, T = generate(gen, sample)
-        combines.clear()
-        bases.clear()
-        tune._train_worker((G, T, 7, cj_grid, cd_grid, "corrected"))
-        assert combines == [[1.0, c_j] for c_j in cj_grid]
-        assert [(c_j, c_d) for c_j, c_d, _ in bases] == [(c_j, c_d) for c_j in cj_grid for c_d in cd_grid]
-        adj, jac, deg = adjacency_vector(G), jaccard_vector(G), degree_product_vector(G)
-        for c_j, c_d, base in bases:
-            want = combine([(1.0, adj), (c_j, jac), (c_d, deg)])
-            assert base.pair_ids.tobytes() == want.pair_ids.tobytes()
-            assert base.values.tobytes() == want.values.tobytes()
-            assert len(base.terms) == len(want.terms) == (c_d != 0.0)
-            for got, term in zip(base.terms, want.terms):
-                assert _f64(got.coef) == _f64(term.coef)
-                assert got.factor.tobytes() == term.factor.tobytes()
-            assert _f64(base.constant) == _f64(want.constant)
-
-
 def test_grid_cells_share_one_layout_per_c_j(monkeypatch):
     """The cells of one c_j share the support layout of its sparse part, so
     a training sample builds one layout per c_j, whichever cell solves first."""
@@ -316,6 +273,54 @@ def test_run_sample_builds_each_base_once_and_frees_it_after_its_last_spec(monke
     assert all(row.error == "" for row in rows)
     text = rows_to_csv(rows, drop_timing=True)
     assert hashlib.sha256(text.encode()).hexdigest() == RUN_SAMPLE_CSV_SHA
+
+
+# sha256 of heatmap_csv + repr(validation_rhos) for the plan below, recorded
+# while each grid cell's training query was built by hand in tune
+GRID_PIN_SHA = "abeb66a30e58605720fea036c85568655bd1ea3fb5aabf2b48dccb89fe5bc4dc"
+
+
+def test_grid_pinned():
+    plan = GridSearchPlan(
+        generator=GeneratorSpec("ppm", n=40, k=4, lambda_in=4, lambda_out=3),
+        cj_grid=[0.0, 0.3, 1.0],
+        cd_grid=[-1.5, 0.0, 0.5],
+        train_size=2,
+        val_size=2,
+        master_seed=7,
+    )
+    res = grid_search(plan)
+    text = heatmap_csv(res) + repr(res.validation_rhos)
+    assert hashlib.sha256(text.encode()).hexdigest() == GRID_PIN_SHA
+
+
+def test_grid_on_files_matches_the_generator(tmp_path):
+    """The grid fed the files of its generator's samples gives the grid's
+    bytes, and an external spec loads one graph whatever the seed."""
+    gen = GeneratorSpec("ppm", n=60, k=3, lambda_in=6, lambda_out=2)
+    plan = GridSearchPlan(gen, cj_grid=[0.0, 0.5], cd_grid=[-1.0, 0.0], train_size=2, val_size=2, master_seed=5)
+    files = {}
+    for key in ("train", "val"):
+        files[key] = []
+        for i in range(2):
+            G, T = generate(gen, derive_seed(plan.master_seed, key, i))
+            paths = (str(tmp_path / f"{key}{i}.edges"), str(tmp_path / f"{key}{i}.membership"))
+            write_edges(paths[0], G)
+            write_membership(paths[1], T)
+            files[key].append(paths)
+    res = grid_search(plan)
+    on_files = grid_search(replace(plan, train_files=files["train"], val_files=files["val"]))
+    assert heatmap_csv(on_files) == heatmap_csv(res)
+    assert on_files.validation_rhos == res.validation_rhos
+
+    edge_file, membership_file = files["val"][1]
+    spec = GeneratorSpec("external", edge_file=edge_file, membership_file=membership_file)
+    assert spec.to_flat() == {"family": "external", "edge_file": edge_file, "membership_file": membership_file}
+    want, T = generate(gen, derive_seed(plan.master_seed, "val", 1))
+    for seed in (0, 9):
+        G, planted = generate(spec, seed)
+        assert G.n == want.n and np.array_equal(G.edges, want.edges)
+        assert planted == T
 
 
 def test_grid_outputs(tmp_path):
