@@ -1,12 +1,12 @@
 """The package's compiled library: _sweep.c, built on first use and cached.
 
 One library serves the solver (a whole solve, and the level builders) and
-graph (the upper triangle of a sparse product, for walk and Jaccard pairs).
-_rows, the one builder of symmetric CSR rows from sorted pair ids, makes
-every Graph's rows (its queries' too) and every other sparse support's;
-_smooth_at and _same_label read sorted pair ids for geometry's inner
-products and a partition's alignment. _compiled() loads the
-library once per process and returns its ctypes.CDLL; callers name its
+graph (the upper triangle of a sparse product, for walk and Jaccard pairs,
+and a walk's CSR rows). _rows, the builder of symmetric CSR rows from sorted
+pair ids, makes every Graph's rows (its queries' too) and every other sparse
+support's but a walk's; _smooth_at and _same_label read sorted pair ids for
+geometry's inner products and a partition's alignment. _compiled() loads
+the library once per process and returns its ctypes.CDLL; callers name its
 functions as _sweep.c does. The library is a requirement: where it
 cannot be built or loaded (no C compiler, say), each call of _compiled()
 raises OSError with the reason, and nothing runs the jobs in its place. The
@@ -58,8 +58,8 @@ _KERNEL_ARGS = {
     "pairsphere_same_label": (ctypes.c_int64,) * 2 + (ctypes.c_void_p,) * 3,
     "pairsphere_rules": (ctypes.c_int64,) * 2 + (ctypes.c_void_p,) * 2,
     "pairsphere_aggregate": (ctypes.c_int64,) + ((ctypes.c_void_p,) * 4 + (ctypes.c_int64,)) * 2,
-    "pairsphere_upper_count": (ctypes.c_int64,) + (ctypes.c_void_p,) * 6,
-    "pairsphere_upper_fill": (ctypes.c_int64,) + (ctypes.c_void_p,) * 7 + (ctypes.c_double,) + (ctypes.c_void_p,) * 3,
+    "pairsphere_upper_count": (ctypes.c_int64,) + (ctypes.c_void_p,) * 7,
+    "pairsphere_upper_fill": (ctypes.c_int64,) + (ctypes.c_void_p,) * 7 + (ctypes.c_double,) + (ctypes.c_void_p,) * 6,
 }
 _loaded = None  # (the CDLL or None, why not), set by _compiled on first use
 
@@ -152,10 +152,12 @@ def _compiled() -> ctypes.CDLL:
     return dll
 
 
-def _address(a) -> int:
-    """The address of a C-contiguous array or writable buffer: for a
+def _address(a) -> int | None:
+    """The address of a C-contiguous array or writable buffer (for a
     writable, non-empty one at about a third of the cost of
-    ndarray.ctypes.data."""
+    ndarray.ctypes.data), or None, a null pointer, for None."""
+    if a is None:
+        return None
     try:
         return ctypes.addressof(ctypes.c_char.from_buffer(a))
     except (TypeError, ValueError):  # read-only, or empty

@@ -14,7 +14,8 @@
    vector's sorted ids row by row, for its inner products and its alignment
    with a partition. For graph's walk and Jaccard vectors,
    pairsphere_upper_count and pairsphere_upper_fill form the strict upper
-   triangle of a sparse product, and nothing below it.
+   triangle of a sparse product, and nothing below it; for a walk they also
+   write its pairs' rows, the layout pairsphere_rows would make of them.
 
    _kernel._load_kernel builds this file with -ffp-contract=off, so every
    product and sum below is rounded on its own, in the order written: the
@@ -24,20 +25,25 @@
    0..ns-1 in use, the last of them empty, and the columns past them zero.
 
    A visit scans every slot, or only its candidates: the slots of its row
-   neighbours, its own slot and the empty last one. The narrow scan runs when
-   the level's rule holds (solver._Instance.narrow_rule: the sign rule, and a
-   last term with coefficient c < 0 whose factors are positive integers, so
-   that its slot sums count members exactly, as the query constant's do) and
-   the row is short, 4 * (row + 2) < ns. It is exact: a live slot a holding
-   no row neighbour has W(a) <= s_last * count(a) < 0 = W(empty), so it can
-   neither be the argmax nor tie with it. Two bounds make that hold in
-   floating point, by the monotony of rounding. neg[k] bounds how far below
-   zero round-off has left any slot sum of term k (factors >= 0): the live
-   bound, the ordered sum of |s_k| * neg[k] and then s_last, must be < 0, else
-   the visit scans every slot. Each of the ndead slots the sweep has emptied
-   (count 0) holds W at most the dead bound, that sum without s_last (0
-   without round-off): while ndead > 0 the narrow top must exceed it, else
-   the visit scans every slot after all. */
+   neighbours, its own slot and the empty last one. The narrow scan runs on a
+   short row, 4 * (row + 2) < ns, when the level holds the sign rule (every
+   s_k = coefs[k] * factors[k][i] <= 0 and every factor >= 0; the level's
+   rules, pairsphere_rules, are 1 or 2). It is exact: a slot a holding no row
+   neighbour has W(a) = sum_k s_k U[k][a], and bounds keep it below the
+   candidates' top, by the monotony of rounding. neg[k] bounds how far below
+   zero round-off has left any slot sum of term k (factors >= 0), so that
+   W(a) <= the ordered sum from 0 of |s_k| * neg[k] (0 without round-off).
+   Under the sign rule alone (rules 1) that sum over every term is the
+   bound: a narrow top that does not exceed it is redone as a full scan, so
+   that ties at a top of 0 still go to the lowest slot. Under the narrow
+   rule too (rules 2: a last term with coefficient c < 0 whose factors are
+   positive integers, so that its slot sums count members exactly, as the
+   query constant's do), a live slot a holds W(a) <= s_last * count(a) < 0 =
+   W(empty): the live bound, the ordered sum of |s_k| * neg[k] over the
+   other terms and then s_last, must be < 0, else the visit scans every
+   slot. Each of the ndead slots the sweep has emptied (count 0) holds W at
+   most the dead bound, that sum without s_last: while ndead > 0 the narrow
+   top must exceed it, else the visit scans every slot after all. */
 
 #include <stdint.h>
 #include <stdlib.h>
@@ -98,33 +104,31 @@ static int64_t scan_cands(const int64_t *cand, int64_t nc, int64_t cur, int64_t 
 /* Node i's best slot, with its W and the own slot's in *top and *own, as
    scan_all finds them, with s_k = coefs[k] * factors[k][i], B[a] its row
    weights summed in row order by slot and self = sum_k s_k factors[k][i].
-   Takes the narrow scan when narrow_rule is set and the row is short, and
-   the bounds admit it (see the header; ndead counts the slots the sweep has
-   emptied); *narrowed tells whether it stood.
-   With verify, a narrow scan is checked against scan_all: -1 when they give
-   another slot or other bits. B (ld doubles) and mark (ld bytes) are all
-   zero between visits; S holds K doubles and cand ld slots. */
+   Takes the narrow scan when the level holds the sign rule (rules 1, or 2
+   with the narrow rule), the row is short and the bounds admit it (see the
+   header; ndead counts the slots the sweep has emptied); *narrowed tells
+   whether it stood. With verify, a narrow scan is checked against scan_all:
+   -1 when they give another slot or other bits. B (ld doubles) and mark (ld
+   bytes) are all zero between visits; S holds K doubles and cand ld slots. */
 static int64_t gains(int64_t i, int64_t n, int64_t K, int64_t ns, int64_t ld,
                      const double *coefs, const double *factors, const int64_t *indptr,
                      const int64_t *nbr, const double *wts, const int64_t *memb, const double *U,
-                     int32_t narrow_rule, const double *neg, int64_t ndead, int32_t verify, double *S, double *B,
+                     int32_t rules, const double *neg, int64_t ndead, int32_t verify, double *S, double *B,
                      int64_t *cand, uint8_t *mark, double *top, double *own, int *narrowed)
 {
     int64_t a, k, t, nc = 0, best, cur = memb[i];
-    double self = 0.0, live = 0.0, dead = 0.0, top_all, own_all;
+    double self = 0.0, bound = 0.0, top_all, own_all;
     for (k = 0; k < K; k++) {
         S[k] = coefs[k] * factors[k * n + i];
         self += S[k] * factors[k * n + i];
     }
     /* narrow whenever the rule held, PPM n=1000 walk solves ran 4% slower, PPM n=2000 ones 5% faster */
-    *narrowed = narrow_rule && 4 * (indptr[i + 1] - indptr[i] + 2) < ns;
+    *narrowed = rules && 4 * (indptr[i + 1] - indptr[i] + 2) < ns;
     if (*narrowed) {
-        for (k = 0; k < K - 1; k++) {
-            live += -S[k] * neg[k];
-            dead += -S[k] * neg[k];
-        }
-        live += S[K - 1];
-        *narrowed = live < 0.0;
+        for (k = 0; k < K - (rules > 1); k++) /* the dead bound, or the sign rule's over every term */
+            bound += -S[k] * neg[k];
+        if (rules > 1)
+            *narrowed = bound + S[K - 1] < 0.0; /* the live bound */
     }
     if (!*narrowed) {
         for (t = indptr[i]; t < indptr[i + 1]; t++)
@@ -149,7 +153,7 @@ static int64_t gains(int64_t i, int64_t n, int64_t K, int64_t ns, int64_t ld,
         cand[nc++] = cur;
     cand[nc++] = ns - 1; /* empty: no neighbour's, not the own slot */
     best = scan_cands(cand, nc, cur, K, ld, U, S, B, self, top, own);
-    if (ndead && !(*top > dead)) {
+    if ((rules == 1 || ndead) && !(*top > bound)) {
         *narrowed = 0;
         best = scan_all(cur, K, ns, ld, U, S, B, self, top, own);
     } else if (verify) {
@@ -193,13 +197,13 @@ static void mark_dirty(int64_t j, int64_t c, const int64_t *indptr, const int64_
    moves. info is the level's record (pairsphere_level): the sweep reads [0]
    the slots in use, and leaves there those after the relabel (a move into
    the empty last slot makes the next column the empty slot), [1] whether it
-   tracks dirty nodes, [2] the narrow rule and [3] check_skips, and adds its
-   visits made, skipped and narrow to [6], [7] and [8]. ld is a multiple of
-   4 and at least info[0] + n_order, so the table has room for every move. A
-   negative return is an error, with the node in info[10]: -1 when
-   check_skips finds that a skipped node would move, -2 for an order entry
-   outside 0..n-1, -3 when check_skips finds that a narrow scan differs from
-   the full one. work holds ld + 2K doubles, 2ld + n int64 and ld bytes: B,
+   tracks dirty nodes, [2] the level's rules (pairsphere_rules) and [3]
+   check_skips, and adds its visits made, skipped and narrow to [6], [7] and
+   [8]. ld is a multiple of 4 and at least info[0] + n_order, so the table
+   has room for every move. A negative return is an error, with the node in
+   info[10]: -1 when check_skips finds that a skipped node would move, -2
+   for an order entry outside 0..n-1, -3 when check_skips finds that a
+   narrow scan differs from the full one. work holds ld + 2K doubles, 2ld + n int64 and ld bytes: B,
    S, neg, cand, head, next and mark, of any contents. The sweep zeroes B
    and mark, which every visit leaves zero, and sets up the rest itself
    (neg, and head and next, the slots' member lists of mark_dirty, when it
@@ -214,12 +218,12 @@ int64_t pairsphere_sweep(int64_t n, int64_t K, const double *coefs, const double
     int64_t *cand = (int64_t *)(neg + K), *head = cand + ld, *next = head + ld;
     uint8_t *mark = (uint8_t *)(next + n);
     int64_t v, k, a, i, cur, best, ns = info[0], moves = 0, skipped = 0, narrow = 0, ndead = 0;
-    int32_t tracking = info[1] != 0, narrow_rule = info[2] != 0, check_skips = info[3] != 0;
+    int32_t tracking = info[1] != 0, rules = (int32_t)info[2], check_skips = info[3] != 0;
     int narrowed;
     memset(B, 0, (size_t)ld * sizeof *B);
     memset(mark, 0, (size_t)ld);
     memset(neg, 0, (size_t)K * sizeof *neg);
-    if (narrow_rule)
+    if (rules)
         for (k = 0; k < K; k++)
             for (a = 0; a < ns; a++)
                 if (U[k * ld + a] < -neg[k])
@@ -241,8 +245,8 @@ int64_t pairsphere_sweep(int64_t n, int64_t K, const double *coefs, const double
             if (!dirty[i]) {
                 skipped++;
                 if (check_skips) {
-                    best = gains(i, n, K, ns, ld, coefs, factors, indptr, nbr, wts, memb, U, narrow_rule,
-                                 neg, ndead, 1, S, B, cand, mark, &top, &own, &narrowed);
+                    best = gains(i, n, K, ns, ld, coefs, factors, indptr, nbr, wts, memb, U, rules, neg,
+                                 ndead, 1, S, B, cand, mark, &top, &own, &narrowed);
                     if (best < 0 || top - own > half_eps) {
                         info[10] = i;
                         return best < 0 ? -3 : -1;
@@ -253,7 +257,7 @@ int64_t pairsphere_sweep(int64_t n, int64_t K, const double *coefs, const double
             dirty[i] = 0;
         }
         cur = memb[i];
-        best = gains(i, n, K, ns, ld, coefs, factors, indptr, nbr, wts, memb, U, narrow_rule, neg,
+        best = gains(i, n, K, ns, ld, coefs, factors, indptr, nbr, wts, memb, U, rules, neg,
                      ndead, check_skips, S, B, cand, mark, &top, &own, &narrowed);
         if (best < 0) {
             info[10] = i;
@@ -265,7 +269,7 @@ int64_t pairsphere_sweep(int64_t n, int64_t K, const double *coefs, const double
                 mark_dirty(i, best, indptr, nbr, memb, head, next, dirty);
             if (best == ns - 1)
                 ns++;
-            else if (narrow_rule && U[(K - 1) * ld + best] == 0.0)
+            else if (rules > 1 && U[(K - 1) * ld + best] == 0.0)
                 ndead--;
             memb[i] = best;
             for (k = 0; k < K; k++) {
@@ -274,7 +278,7 @@ int64_t pairsphere_sweep(int64_t n, int64_t K, const double *coefs, const double
                 if (U[k * ld + cur] < -neg[k])
                     neg[k] = -U[k * ld + cur];
             }
-            if (narrow_rule && U[(K - 1) * ld + cur] == 0.0)
+            if (rules > 1 && U[(K - 1) * ld + cur] == 0.0)
                 ndead++;
             *objective += 2.0 * (top - own);
             moves++;
@@ -349,7 +353,7 @@ static int64_t start_level(int64_t n, int64_t K, const double *factors, const in
    permutation draws from a numpy bit generator (its state and next_uint32;
    the caller holds its lock). info is the record that the level and its
    sweeps share: on entry [0] the slots in use, [1] the sign rule, under
-   which every sweep tracks dirty nodes, [2] the narrow rule, [3]
+   which every sweep tracks dirty nodes, [2] the level's rules, [3]
    check_skips and [4] the sweep cap; on return [0] the slots in use, [5]
    the sweeps, [6] to [8] the visits made, skipped and narrow, [9] whether
    the cap ended the level and [10] the node of a negative return
@@ -588,9 +592,9 @@ int64_t pairsphere_aggregate(int64_t n, const int64_t *indptr, const int64_t *nb
 
 /* Does a level of n nodes hold the sign rule (every coefficient <= 0 and
    every factor >= 0), and the narrow rule too (a last coefficient < 0 whose
-   factors are positive integers summing below 2^53)? Returns 0, 1 or 2
-   (solver._Instance.sign_rule and narrow_rule; each coarse level's in
-   pairsphere_coarsen). */
+   factors are positive integers summing below 2^53)? Returns 0, 1 or 2, the
+   level's rules that its sweeps read (solver._Instance.sign_rule and
+   narrow_rule; each coarse level's in pairsphere_coarsen). */
 int64_t pairsphere_rules(int64_t n, int64_t K, const double *coefs, const double *factors)
 {
     int64_t k, i;
@@ -696,7 +700,7 @@ int64_t pairsphere_coarsen(int64_t n, int64_t K, const double *coefs, const doub
             lab[a] = a;
         lv[0] = start_level(k, K, cf, lab, U, ld, dirty);
         lv[1] = rules > 0;
-        lv[2] = rules > 1;
+        lv[2] = rules;
         lv[3] = info[3];
         lv[4] = info[4];
         objective = 0.0;
@@ -733,7 +737,7 @@ int64_t pairsphere_coarsen(int64_t n, int64_t K, const double *coefs, const doub
    Cycles repeat until one gains no more than eps, for at most info[22]. The
    caller holds the bit generator's lock.
 
-   On entry info[1] to [4] hold the fine level's sign rule, narrow rule,
+   On entry info[1] to [4] hold the fine level's sign rule, its rules,
    check_skips and sweep cap; memb (n), U (K x ld, ld >= 2n + 1 a multiple of
    4), dirty (n bytes) and work (2n + 4ld + 2K words, pairsphere_level's)
    have any contents. On return memb holds the partition reached and U its
@@ -799,10 +803,11 @@ int64_t pairsphere_solve(int64_t n, int64_t K, const double *coefs, const double
    B's first entry past column i - 1; B's rows ascend, so it only moves
    forward as i grows, and the entries at columns <= i cost no test each.
    With ax NULL, the columns are flagged by mark[j] == i + 1 and only
-   counted (cols is unused); the scan stops once the row is full. With ax,
-   acc[j] += B[k][j] * A[i][k] over row i of A, in its order, into acc as
-   the caller set it; with mark, a column's first term is added to 0 and the
-   column, flagged as above, goes into cols. */
+   counted, and cols, unless NULL, counts each flagged column j in cols[j];
+   the scan stops once the row is full. With ax, acc[j] += B[k][j] * A[i][k]
+   over row i of A, in its order, into acc as the caller set it; with mark, a
+   column's first term is added to 0 and the column, flagged as above, goes
+   into cols. */
 static int64_t upper_row(int64_t i, int64_t n, const int64_t *aptr, const int64_t *aidx, const double *ax,
                          const int64_t *bptr, const int64_t *bidx, const double *bx, int64_t *fp,
                          int64_t *mark, int64_t *cols, double *acc)
@@ -817,6 +822,8 @@ static int64_t upper_row(int64_t i, int64_t n, const int64_t *aptr, const int64_
                 if (mark[j = bidx[t]] != i + 1) {
                     mark[j] = i + 1;
                     c++;
+                    if (cols)
+                        cols[j]++;
                 }
             if (c == n - i - 1)
                 break;
@@ -842,18 +849,43 @@ static int ascending(const void *x, const void *y)
     return (a > b) - (a < b);
 }
 
+/* pairsphere_upper_fill's pair p = (i, j), id base + j and value v: into
+   ids and vals, and with nbr (else NULL) into the rows, as row i's upper
+   entry at *up and row j's lower entry at low[j]. Returns p + 1. */
+static inline int64_t put_pair(int64_t p, int64_t i, int64_t j, int64_t base, double v, int64_t *ids,
+                               double *vals, int64_t *nbr, int64_t *pos, int64_t *up, int64_t *low)
+{
+    ids[p] = base + j;
+    vals[p] = v;
+    if (nbr) {
+        nbr[*up] = j;
+        pos[(*up)++] = p;
+        nbr[low[j]] = i;
+        pos[low[j]++] = p;
+    }
+    return p + 1;
+}
+
 /* The support of the strict upper triangle of A B, for n x n CSR matrices
    whose rows of B ascend (graph._upper_pairs): the count of pairs i < j that
-   some A[i][k] B[k][j] reaches, row i's in rows[i]. work holds 2n words, of
-   any contents. */
+   some A[i][k] B[k][j] reaches, row i's in rows[i]. indptr, unless NULL,
+   gets the n + 1 offsets of the symmetric CSR rows of those pairs, row r
+   holding its lower entries (pairs (i, r), counted by column) and then its
+   upper ones (rows[r]), as pairsphere_rows lays them out. work holds 2n
+   words, of any contents. */
 int64_t pairsphere_upper_count(int64_t n, const int64_t *aptr, const int64_t *aidx, const int64_t *bptr,
-                               const int64_t *bidx, int64_t *rows, int64_t *work)
+                               const int64_t *bidx, int64_t *rows, int64_t *work, int64_t *indptr)
 {
-    int64_t i, total = 0, *fp = work, *mark = fp + n;
+    int64_t i, r, total = 0, *fp = work, *mark = fp + n, *lower = indptr ? indptr + 1 : NULL;
     memcpy(fp, bptr, (size_t)n * sizeof *fp);
     memset(mark, 0, (size_t)n * sizeof *mark);
+    if (indptr) /* row r's lower entries are counted in lower[r], indptr[r + 1] */
+        memset(indptr, 0, (size_t)(n + 1) * sizeof *indptr);
     for (i = 0; i < n; i++)
-        total += rows[i] = upper_row(i, n, aptr, aidx, NULL, bptr, bidx, NULL, fp, mark, NULL, NULL);
+        total += rows[i] = upper_row(i, n, aptr, aidx, NULL, bptr, bidx, NULL, fp, mark, lower, NULL);
+    if (indptr)
+        for (r = 0; r < n; r++)
+            indptr[r + 1] += indptr[r] + rows[r];
     return total;
 }
 
@@ -866,34 +898,42 @@ int64_t pairsphere_upper_count(int64_t n, const int64_t *aptr, const int64_t *ai
    (every other entry there reads 0); a shorter one flags its columns and
    comes out by a sort of them (walk fill times are flat for cut-offs from
    1/8 to 1/256 and rise on either side: sorting full rows costs twice the
-   time at t = 4..5). ids and vals have room for the count; work
-   holds 4n words, of any contents. Returns the pairs written. */
+   time at t = 4..5). ids and vals have room for the count; work holds 5n
+   words, of any contents. With nbr (else NULL), the rows of the pairs come
+   out too, in pairsphere_upper_count's offsets indptr: pair p = (i, j) is
+   the upper entry of row i and the lower entry of row j, each with column
+   (the other end) in nbr and pair index p in pos, so every row's columns
+   ascend, the bytes of pairsphere_rows on ids. That holds only when every
+   counted pair is written; otherwise the rows are of no use (though written
+   within their bounds). Returns the pairs written. */
 int64_t pairsphere_upper_fill(int64_t n, const int64_t *aptr, const int64_t *aidx, const double *ax,
                               const int64_t *bptr, const int64_t *bidx, const double *bx,
-                              const int64_t *rows, double scale, int64_t *ids, double *vals, int64_t *work)
+                              const int64_t *rows, double scale, int64_t *ids, double *vals, int64_t *work,
+                              const int64_t *indptr, int64_t *nbr, int64_t *pos)
 {
-    int64_t i, j, c, t, base, p = 0, *fp = work, *mark = fp + n, *cols = mark + n;
+    int64_t i, j, c, t, base, up = 0, p = 0, *fp = work, *mark = fp + n, *cols = mark + n;
     double *acc = (double *)(cols + n);
+    int64_t *low = (int64_t *)(acc + n);
     memcpy(fp, bptr, (size_t)n * sizeof *fp);
     memset(mark, 0, (size_t)n * sizeof *mark);
+    if (nbr) /* low[r]: where row r's next lower entry goes */
+        memcpy(low, indptr, (size_t)n * sizeof *low);
     for (i = 0; i < n; i++) {
         base = i * (2 * n - i - 1) / 2 - i - 1;
+        if (nbr) /* row i's upper entries follow its lower ones */
+            up = indptr[i + 1] - rows[i];
         if (16 * rows[i] > n - i - 1) {
             memset(acc + i + 1, 0, (size_t)(n - i - 1) * sizeof *acc);
             upper_row(i, n, aptr, aidx, ax, bptr, bidx, bx, fp, NULL, NULL, acc);
             for (j = i + 1; j < n; j++)
-                if (acc[j] != 0.0) {
-                    ids[p] = base + j;
-                    vals[p++] = acc[j] * scale;
-                }
+                if (acc[j] != 0.0)
+                    p = put_pair(p, i, j, base, acc[j] * scale, ids, vals, nbr, pos, &up, low);
         } else {
             c = upper_row(i, n, aptr, aidx, ax, bptr, bidx, bx, fp, mark, cols, acc);
             qsort(cols, (size_t)c, sizeof *cols, ascending);
             for (t = 0; t < c; t++)
-                if (acc[j = cols[t]] != 0.0) {
-                    ids[p] = base + j;
-                    vals[p++] = acc[j] * scale;
-                }
+                if (acc[j = cols[t]] != 0.0)
+                    p = put_pair(p, i, j, base, acc[j] * scale, ids, vals, nbr, pos, &up, low);
         }
     }
     return p;

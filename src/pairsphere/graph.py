@@ -6,12 +6,15 @@ computed with sparse products and holds only its nonzero pairs; no n x n
 array is ever allocated.
 
 The Jaccard and walk vectors are the strict upper triangle (j > i) of a
-symmetric sparse product, and only that triangle is computed (_upper_pairs),
-in the compiled library (_sweep.c, loaded by _kernel): one pass counts the
-support and one writes the pair ids, in pair-id order, and the values. Entry
-(i, j) of A @ B is 0 + the sum over k ascending of B[k, j] * A[i, k], the
-order of scipy's product, and a sum of exactly 0 is dropped, so the pairs
-carry the bytes of scipy's whole product's upper triangle.
+symmetric sparse product, and only that triangle is computed
+(_upper_product), in the compiled library (_sweep.c, loaded by _kernel): one
+pass counts the support and one writes the pair ids, in pair-id order, and
+the values. Entry (i, j) of A @ B is 0 + the sum over k ascending of
+B[k, j] * A[i, k], the order of scipy's product, and a sum of exactly 0 is
+dropped, so the pairs carry the bytes of scipy's whole product's upper
+triangle. For a walk the same passes also count and write the pairs' CSR
+rows, the support layout that every query and solve on the walk shares
+(PairVector.support_rows), so no solve of a walk sorts its pairs again.
 """
 
 from __future__ import annotations
@@ -28,12 +31,13 @@ from .geometry import LowRankTerm, PairVector
 from .pairs import num_pairs, pair_id, pair_members
 
 # The most pairs a walk vector may hold. A whole exact-corrected detection
-# peaks at about 65 traced bytes per walk pair (PPM n=1000, t=5 and n=2000,
-# t=4: the pair ids and the corrected values, 8 bytes each, the support's
-# rows, 32, and the solve's weights, 16), so 25 million pairs (a dense walk at
-# n ~ 7,000) take about 1.6 GB. The largest walk of any test, config or bench
-# workload has about 0.5 million (n=1000, t=5), 50 times fewer. Like
-# MAX_SWEEPS, it is no user option.
+# peaks at about 65 traced bytes per walk pair (64.5 at PPM n=1000, t=5 and
+# 64.7 at n=2000, t=4: the pair ids and the corrected values, 8 bytes each,
+# the support's rows, which the walk's product writes, 32, and the solve's
+# weights, 16), so 25 million pairs (a dense walk at n ~ 7,000) take about
+# 1.6 GB. The largest walk of any test, config or bench workload has about
+# 0.5 million (n=1000, t=5), 50 times fewer. Like MAX_SWEEPS, it is no user
+# option.
 MAX_WALK_PAIRS = 25_000_000
 
 
@@ -110,36 +114,54 @@ def degree_product_vector(G: Graph) -> PairVector:
     return PairVector(G.n, np.empty(0, np.int64), np.empty(0), (term,))
 
 
-def _upper_pairs(A: sp.spmatrix, B: sp.spmatrix, n: int, scale: float = 1.0, t: int | None = None):
+def _csr_arrays(M: sp.csr_matrix) -> tuple:
+    """A CSR matrix's (indptr, indices, data) as int64, int64 and float64, as
+    the compiled library reads them (the data not copied where it is float64
+    already)."""
+    kinds = ((M.indptr, np.int64), (M.indices, np.int64), (M.data, np.float64))
+    return tuple(np.ascontiguousarray(a, dtype=d) for a, d in kinds)
+
+
+def _upper_pairs(A: sp.spmatrix, B: sp.spmatrix, n: int, scale: float = 1.0):
     """(pair ids, values) of the strict upper triangle of the n x n sparse
-    product A @ B, in pair-id order, each value times scale.
+    product A @ B, in pair-id order, each value times scale (_upper_product).
 
     Entry (i, j) is 0 + the sum over k ascending of B[k, j] * A[i, k]: the
     order scipy's product follows when A comes from a CSC matrix with sorted
     indices (such as Y.T for a CSR matrix Y) or a CSR one with sorted rows.
-    The compiled library reads A's CSR rows in that order and B's with sorted
-    columns, and forms only the entries j > i: one pass counts the support,
-    the next writes the pairs. A sum of exactly 0 is dropped, as scipy drops
-    it. For a walk (t given), a support above MAX_WALK_PAIRS raises
-    ValueError before any pair array is allocated."""
-    lib = _compiled()
+    A's CSR rows are read in that order and B's with sorted columns."""
     if A.shape != (n, n) or B.shape != (n, n):
         raise ValueError(f"the product's factors must be {n} x {n}")
-    A, B = A.tocsr(), B.tocsc().tocsr()  # rows sorted by the counting sorts of the conversions
-    aptr, aidx, bptr, bidx = (
-        np.ascontiguousarray(a, dtype=np.int64) for a in (A.indptr, A.indices, B.indptr, B.indices)
-    )
-    ax, bx = (np.ascontiguousarray(M.data, dtype=np.float64) for M in (A, B))
-    rows, work = np.empty(n, dtype=np.int64), np.empty(4 * n, dtype=np.int64)
-    support = lib.pairsphere_upper_count(n, *map(_address, (aptr, aidx, bptr, bidx, rows, work)))
+    # rows sorted by the counting sorts of the conversions
+    return _upper_product(n, _csr_arrays(A.tocsr()), _csr_arrays(B.tocsc().tocsr()), scale)[:2]
+
+
+def _upper_product(n: int, a: tuple, b: tuple, scale: float, t: int | None = None, rows: bool = False):
+    """(pair ids, values, rows) of the strict upper triangle of A @ B, from
+    the _csr_arrays of A and of B (its columns ascending in every row): the
+    compiled library forms only the entries j > i, one pass counting the
+    support and the next writing the pairs. A sum of exactly 0 is dropped,
+    as scipy drops it. For a walk (t given), a support above MAX_WALK_PAIRS
+    raises ValueError before any pair array is allocated.
+
+    With rows, the fill writes each pair into its two rows as well: rows is
+    then (indptr, nbr, pos), the bytes of _kernel._rows on the ids, unless a
+    counted sum came out 0 (the layout then has a hole, and rows is None, as
+    it is without rows)."""
+    lib = _compiled()
+    (aptr, aidx, ax), (bptr, bidx, bx) = a, b
+    count, work = np.empty(n, dtype=np.int64), np.empty(5 * n, dtype=np.int64)
+    indptr = np.empty(n + 1, dtype=np.int64) if rows else None
+    support = lib.pairsphere_upper_count(n, *map(_address, (aptr, aidx, bptr, bidx, count, work, indptr)))
     if t is not None and support > MAX_WALK_PAIRS:
         raise ValueError(
             f"the t={t} walk reaches {support:,} pairs, over the budget of {MAX_WALK_PAIRS:,} (MAX_WALK_PAIRS)"
         )
     ids, values = np.empty(support, dtype=np.int64), np.empty(support)
-    args = map(_address, (aptr, aidx, ax, bptr, bidx, bx, rows))
-    size = lib.pairsphere_upper_fill(n, *args, scale, *map(_address, (ids, values, work)))
-    return ids[:size], values[:size]
+    nbr, pos = (np.empty(2 * support, dtype=np.int64) for _ in range(2)) if rows else (None, None)
+    args = map(_address, (aptr, aidx, ax, bptr, bidx, bx, count))
+    size = lib.pairsphere_upper_fill(n, *args, scale, *map(_address, (ids, values, work, indptr, nbr, pos)))
+    return ids[:size], values[:size], (indptr, nbr, pos) if rows and size == support else None
 
 
 def jaccard_vector(G: Graph) -> PairVector:
@@ -161,10 +183,11 @@ def walk_distribution(G: Graph, t: int, isolated: str = "error") -> PairVector:
     vector. With Y = P^(t//2), diag(s) P^t = Y^T C Y / (2m), where C is the
     adjacency A for odd t and the degree matrix D for even t; that product is
     symmetric by construction, so only its strict upper triangle is formed
-    (_upper_pairs): pair (i, j) gets the sum over k ascending of
+    (_upper_product): pair (i, j) gets the sum over k ascending of
     (CY)[k, j] * Y[k, i], times the reciprocal of 2m (the way scipy divides a
     sparse matrix by a scalar; dividing by 2m would differ in the last bit).
-    A support of more than MAX_WALK_PAIRS pairs raises ValueError.
+    A support of more than MAX_WALK_PAIRS pairs raises ValueError. The vector
+    comes with its support's rows (support_rows), written by the same pass.
 
     Isolated nodes leave P without a defined row; by default they raise.
     isolated="zero" instead assigns them zero stationary mass, which is the
@@ -190,8 +213,12 @@ def walk_distribution(G: Graph, t: int, isolated: str = "error") -> PairVector:
     for _ in range(t // 2):
         Y = Y @ P
     C = A if t % 2 else sp.diags(G.degrees.astype(np.float64))
-    ids, w = _upper_pairs(Y.T, C @ Y, G.n, 1.0 / (2.0 * G.m), t)
-    return PairVector(G.n, ids, w)
+    # of C @ Y and the converted factors, only the arrays the library reads
+    # live while the pairs and rows are allocated, and only for this call
+    ids, w, rows = _upper_product(
+        G.n, _csr_arrays(Y.T.tocsr()), _csr_arrays((C @ Y).tocsc().tocsr()), 1.0 / (2.0 * G.m), t, rows=True
+    )
+    return PairVector(G.n, ids, w, _cache={} if rows is None else {"support": {"rows": rows}})
 
 
 # -- edge-list file format -----------------------------------------------------

@@ -51,22 +51,28 @@ After a cycle whose coarse levels merged communities, the fine level starts
 again with every node dirty. The visit order and every computed visit are
 unchanged, so the partition is the same as with full sweeps.
 
-Narrow visits. _Instance.narrow_rule holds when the sign rule does and the
-last term has a coefficient c < 0 and positive integer factors, whose slot
-sums are then exact member counts: a negative query constant (factor 1, the
-supernode sizes at coarse levels), or raw cl-modularity's degree term on a
-graph without isolated nodes. Under it, the compiled sweep computes W for
-node i only at its candidate slots (those of its row neighbours, its own and
-the empty last one) whenever 4 * (row + 2) < the slots in use. Any other
-live slot a holds W(a) <= c * f_i * count(a) < 0 = W(empty), so it can be
-neither the argmax nor tied with it; each candidate's W is the same ordered
-sum, ties go to the lowest slot, and every move keeps its bits. Two bounds
-keep that true in floating point. Round-off can leave a slot sum of factors
->= 0 just below zero: the kernel tracks how far, and a visit whose bound
-could lift a non-candidate to 0 scans every slot. A slot emptied during the
-sweep holds W of about 0: while one exists, a narrow top that does not beat
-their bound is redone as a full scan. debug_checks checks every narrow visit
-against a full scan, and the solve's record counts them.
+Narrow visits. Under the sign rule the compiled sweep computes W for node i
+only at its candidate slots (those of its row neighbours, its own and the
+empty last one) whenever 4 * (row + 2) < the slots in use. Every other slot
+a holds no row neighbour, so W(a) is its rank-one part alone, at most 0;
+each candidate's W is the same ordered sum, ties go to the lowest slot, and
+every move keeps its bits, as long as the argmax cannot lie outside the
+candidates. Round-off can leave a slot sum of factors >= 0 just below zero:
+the kernel tracks how far, which bounds what any non-candidate can reach
+(0 without round-off), and a narrow top that does not exceed that bound is
+redone as a full scan, so ties at 0 still go to the lowest slot. Walk
+queries (their last factor, d / 2m, counts nothing) and raw cl-modularity on
+a graph with an isolated node take this path. _Instance.narrow_rule holds
+when, besides, the last term has a coefficient c < 0 and positive integer
+factors, whose slot sums are then exact member counts: a negative query
+constant (factor 1, the supernode sizes at coarse levels), or raw
+cl-modularity's degree term on a graph without isolated nodes. Under it any
+live non-candidate a holds W(a) <= c * f_i * count(a) < 0 = W(empty), so it
+can be neither the argmax nor tied with it, whatever the top: a visit whose
+bound could lift such a slot to 0 scans every slot, and only the slots
+emptied during the sweep (W of about 0) need the top to beat their bound.
+debug_checks checks every narrow visit against a full scan, and the solve's
+record counts them.
 
 A level's sparse part is its CSR rows, columns ascending; its pairs are the
 rows' upper entries (column > row), in row order. The same library builds
@@ -74,15 +80,17 @@ every level. The fine rows are the query's support layout
 (PairVector.support_rows, from _kernel._rows): a counting sort of the
 sorted pair ids in two passes, first each pair's lower entry and then its
 upper one, so the columns of every row ascend, with each entry's pair
-index. Every vector on one support (a query, its scaled and corrected
-copies, the grid's cells on one sparse part, a graph's edge-set queries
-and the graph) shares that layout, built once; a solve gathers values[pos]. A query
-that holds an exact zero (an underflowed scaled value) gets rows of its
-nonzero pairs alone, built for that solve and not shared. A coarse level
-maps the pairs below through the community labels and sums them by one rule
-(pairsphere_aggregate): coarse pair a < b gets M[a, b] + M[b, a], where
-M[a, b] is the sum, from 0 and in row order, of the fine pairs whose ends
-carry labels (a, b); zero sums are dropped. When the k supernodes give
+index. A walk's vector comes with that layout already, written by the pass
+of the walk product that finds its pairs (graph.walk_distribution), in the
+same bytes. Every vector on one support (a query, its scaled and corrected
+copies, the grid's cells on one sparse part, a graph's edge-set queries and
+the graph, a walk and its queries) shares that layout, built once; a solve
+gathers values[pos]. A query that holds an exact zero (an underflowed scaled
+value) gets rows of its nonzero pairs alone, built for that solve and not
+shared. A coarse level maps the pairs below through the community labels
+and sums them by one rule (pairsphere_aggregate): coarse pair a < b gets
+M[a, b] + M[b, a], where M[a, b] is the sum, from 0 and in row order, of the
+fine pairs whose ends carry labels (a, b); zero sums are dropped. When the k supernodes give
 k * (k - 1) at most the CSR entry count of the level below, one pass sums
 the pairs into a dense k x k block, no larger than that level; otherwise a
 stable counting sort by label lines each cell's pairs up in row order,
@@ -123,10 +131,11 @@ class _Instance:
     symmetric sparse part (columns ascending, no zero entry) and the smooth
     part as K rank-one terms coefs[k] * factors[k] factors[k]^T; the oracles
     slice them in place. sign_rule: is every pair outside the sparse rows
-    <= 0. narrow_rule: does the sign rule hold with a last term of
-    coefficient < 0 and positive integer factors (such as the query constant:
-    ones, summed to supernode sizes at coarse levels), so that the compiled
-    sweep may visit a node's candidate slots only. The compiled library
+    <= 0, so that the compiled sweep may skip nodes and visit a node's
+    candidate slots only. narrow_rule: does the sign rule hold with a last
+    term of coefficient < 0 and positive integer factors (such as the query
+    constant: ones, summed to supernode sizes at coarse levels), so that
+    fewer narrow visits need a full scan after all. The compiled library
     checks both, here and at every coarse level (pairsphere_rules)."""
 
     n: int
@@ -272,7 +281,7 @@ def _solve(inst: _Instance, q: PairVector, rng, eps: float, debug_checks: bool) 
     memb, U, dirty = np.empty(n, dtype=np.int64), np.empty((K, ld)), np.empty(n, dtype=np.uint8)
     work = np.empty(2 * n + 4 * ld + 2 * K)  # the level's order, then its sweeps' B, S, neg, cand, head, next, mark
     info = np.zeros(25, dtype=np.int64)
-    info[1:5] = inst.sign_rule, inst.narrow_rule, debug_checks, MAX_SWEEPS
+    info[1:5] = inst.sign_rule, inst.sign_rule + inst.narrow_rule, debug_checks, MAX_SWEEPS
     info[22] = MAX_CYCLES
     objective = np.array([-q.total()])  # singletons: no intra pair
     held, raised = [], []

@@ -276,7 +276,7 @@ def compiled_sweep(state, order, eps, tracking=False, fill=0x00) -> int:
     U[:, :k] = state.U
     work = np.zeros(4 * ld + 2 * K + inst.n)  # B, S, neg, cand, head, next and mark
     work.view(np.uint8)[:] = fill
-    info = np.array([k, tracking, inst.narrow_rule, state.check_skips] + [0] * 7, dtype=np.int64)
+    info = np.array([k, tracking, inst.sign_rule + inst.narrow_rule, state.check_skips] + [0] * 7, dtype=np.int64)
     objective = np.array([state.objective])
     moves = _compiled().pairsphere_sweep(
         inst.n, K, *map(_address, (inst.coefs, inst.factors, inst.indptr, inst.nbr, inst.wts)), _address(order),
@@ -313,7 +313,7 @@ def level_call(state, rng, eps) -> int:
     work = np.empty(2 * inst.n + 4 * ld + 2 * K)  # the order, then the sweep's B, S, neg, cand, head, next, mark
     memb = state.membership = np.ascontiguousarray(state.membership, dtype=np.int64)
     info = np.zeros(11, dtype=np.int64)
-    info[:5] = k, inst.sign_rule, inst.narrow_rule, state.check_skips, solver.MAX_SWEEPS
+    info[:5] = k, inst.sign_rule, inst.sign_rule + inst.narrow_rule, state.check_skips, solver.MAX_SWEEPS
     objective = np.array([state.objective])
     bitgen = rng.bit_generator
     with bitgen.lock:

@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from pairsphere import graph
+from pairsphere import _kernel, geometry, graph, solver
 from pairsphere.cli import main
 from pairsphere.graph import (
     Graph,
@@ -22,7 +22,7 @@ from pairsphere.graph import (
 from pairsphere.generators import GeneratorSpec, generate
 from pairsphere.geometry import latitude
 from pairsphere.pairs import pair_id, pair_members
-from pairsphere.queries import markov_stability_query
+from pairsphere.queries import QuerySpec, build_query, markov_stability_query
 
 from helpers import build_csr, dense_adjacency, dense_of, random_graph_edges
 
@@ -368,6 +368,24 @@ def test_walk_peak_memory_bounded_by_result(t):
     assert peak <= 5 * (w.pair_ids.nbytes + w.values.nbytes)
 
 
+@pytest.mark.parametrize("t", [4, 5])
+def test_walk_peak_memory_bounded_by_its_pairs_and_rows(t):
+    """The walk's traced peak at PPM n=1000 stays within 1.5x the bytes it
+    returns, its rows included: the scipy product C @ Y and the converted
+    factors' int32 indices are freed before the pairs and rows are allocated."""
+    G, _ = generate(GeneratorSpec("ppm", n=1000, k=50), 1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        w = walk_distribution(G, t, isolated="zero")
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    rows = w._cache["support"]["rows"]
+    assert peak <= 1.5 * (w.pair_ids.nbytes + w.values.nbytes + sum(a.nbytes for a in rows))
+
+
 # -- the upper-triangle product -------------------------------------------------------
 
 
@@ -437,6 +455,58 @@ def test_upper_product_is_the_bytes_of_the_scipy_expression(name):
         ids, vals = _scipy_walk(G, t)
         w = walk_distribution(G, t, isolated="zero")
         assert w.pair_ids.tobytes() == ids.tobytes() and w.values.tobytes() == vals.tobytes(), t
+
+
+@pytest.mark.parametrize("name", list(_parity_graphs()))
+def test_walk_rows_are_the_bytes_of_the_kernel_rows(name):
+    """A walk (t = 1..6, isolated nodes at zero mass) comes with its support
+    record filled by the product's pass, in the bytes of _kernel._rows on its
+    pair ids."""
+    G = _parity_graphs()[name]
+    if G.m == 0:
+        return
+    for t in range(1, 7):
+        w = walk_distribution(G, t, isolated="zero")
+        rows = w._cache["support"]["rows"]
+        want = _kernel._rows(G.n, w.pair_ids)
+        assert [a.tobytes() for a in rows] == [a.tobytes() for a in want], t
+
+
+def test_a_product_with_an_exact_zero_sum_falls_back_to_lazy_rows(monkeypatch):
+    """Entries of opposite sign make a counted sum of exactly 0, which the
+    fill drops: it then returns no rows, with the ids and values of scipy's
+    product. A walk given no rows builds them at first use, the bytes of
+    _kernel._rows on its kept ids."""
+    # (A @ B)[0, 2] = 1 * 1 + 1 * -1
+    A = sp.csr_matrix(np.array([[1.0, 1, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]]))
+    B = sp.csr_matrix(np.array([[0.0, 0, 1, 1], [0, 0, -1, 1], [0, 0, 0, 2], [0, 0, 0, 0]]))
+    ids, vals = _scipy_upper(A, B, 4, 1.0)
+    a, b = graph._csr_arrays(A.tocsr()), graph._csr_arrays(B.tocsc().tocsr())
+    got_ids, got_vals, rows = graph._upper_product(4, a, b, 1.0, rows=True)
+    assert rows is None and got_ids.tobytes() == ids.tobytes() and got_vals.tobytes() == vals.tobytes()
+    assert pair_id(0, 2, 4) not in got_ids  # counted, summed to 0, dropped
+    real = graph._upper_product
+    monkeypatch.setattr(graph, "_upper_product", lambda *args, **kw: real(*args, **kw)[:2] + (None,))
+    G = _parity_graphs()["random-1"]
+    w = walk_distribution(G, 3, isolated="zero")
+    assert "support" not in w._cache
+    want = _kernel._rows(G.n, w.pair_ids)
+    assert [a.tobytes() for a in w.support_rows()] == [a.tobytes() for a in want]
+
+
+@pytest.mark.parametrize("heuristic", ["off", "exact"])
+def test_walk_solves_sort_no_pairs(heuristic, monkeypatch):
+    """A raw and a corrected walk query, and their solves, read the rows the
+    walk's product wrote: _kernel._rows is never called."""
+    G, T = generate(GeneratorSpec("ppm", n=300, k=15), 2)
+    calls = []
+    for module in (_kernel, geometry, graph, solver):
+        real = module._rows
+        monkeypatch.setattr(module, "_rows", lambda n, ids, real=real: calls.append(n) or real(n, ids))
+    for t in (1, 2, 5):
+        q = build_query(G, QuerySpec("markov", t=t, isolated="zero", heuristic=heuristic), T)
+        solver.louvain_project(q, seed=t)
+    assert calls == []
 
 
 def test_parity_graphs_cover_isolated_nodes_and_dense_rows():

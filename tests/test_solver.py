@@ -788,25 +788,48 @@ def test_narrow_rule_needs_a_negative_counting_last_term():
 
 def test_most_fine_visits_are_narrow_under_a_negative_constant():
     """On a PPM n=2000 exact-corrected cl-modularity query most fine visits
-    take the narrow scan; with the constant made positive (no sign rule) or
-    on a walk query without a constant (its last factor, d / 2m, counts
-    nothing) none do."""
+    take the narrow scan; with the constant made positive (no sign rule) none
+    do. A walk query without a constant (its last factor, d / 2m, counts
+    nothing) keeps the sign rule, and most of its visits are narrow too."""
     G, T = generate(GeneratorSpec("ppm", n=2000, k=100), 1)
     q = build_query(G, QuerySpec("cl-modularity", heuristic="exact"), T)
     assert q.constant < 0.0
     visits, _, narrow, _ = _fine_level_counts(q, 3)
     assert narrow > visits / 2
     positive = PairVector(q.n, q.pair_ids, q.values, q.terms, -q.constant)
-    for other in (positive, build_query(G, QuerySpec("markov", t=2), T)):
-        assert _fine_level_counts(other, 3)[2] == 0
+    assert _fine_level_counts(positive, 3)[2] == 0
+    visits, _, narrow, _ = _fine_level_counts(build_query(G, QuerySpec("markov", t=2), T), 3)
+    assert narrow > visits / 2
+
+
+@pytest.mark.parametrize("kind", ["markov-t1", "cl-modularity-isolated"])
+def test_a_sign_rule_level_without_a_counting_term_visits_narrowly(kind):
+    """Raw walk queries and raw cl-modularity on a graph with an isolated node
+    hold the sign rule but not the narrow rule (their last term counts no
+    members). On PPM n=3000 most of their fine visits are narrow still; the
+    solve passes debug_checks, which checks every narrow visit against a full
+    scan, and its membership is helpers.reference_project's."""
+    G, T = generate(GeneratorSpec("ppm", n=3000, k=150), 1)
+    if kind == "markov-t1":
+        q = build_query(G, QuerySpec("markov", t=1, isolated="zero"), T)
+    else:  # node 0's edges removed: an isolated node
+        q = build_query(Graph.from_edges(G.n, G.edges[(G.edges != 0).all(axis=1)]), QuerySpec("cl-modularity"), T)
+    inst, eps = _Instance.from_pair_vector(q), _eps(q)
+    assert inst.sign_rule and not inst.narrow_rule
+    memb, _, info = _solve(inst, q, np.random.default_rng(3), eps, True)
+    assert info[8] > info[6] / 2
+    ref = reference_project(inst, q, np.random.default_rng(3), eps)
+    assert memb.tobytes() == ref.membership.tobytes()
 
 
 def test_an_isolated_node_without_a_constant_keeps_the_full_scan():
     """A degree term and no constant, with node 0 isolated: its degree factor
     is 0, so every slot gives it W = 0, and node 0's slot gives every node
     W = 0, tying live slots with the empty one. The degree term counts no
-    member there, so the narrow rule fails, no visit is narrow, and the
-    sweep matches helpers.reference_sweep bit for bit."""
+    member there, so the narrow rule fails; the sign rule holds, so short
+    rows take narrow visits (from singletons; the random starts leave too few
+    slots), a top of 0 goes to the full scan, and the sweep matches
+    helpers.reference_sweep bit for bit."""
     rng = np.random.default_rng(96)
     for trial in range(6):
         n = int(rng.integers(30, 60))
@@ -825,7 +848,7 @@ def test_an_isolated_node_without_a_constant_keeps_the_full_scan():
             assert new.U.tobytes() == ref.U.tobytes() and new.objective == ref.objective
             if moves == 0:
                 break
-        assert new.narrow == 0
+        assert (new.narrow > 0) == (trial % 2 == 0)
 
 
 def test_narrow_visits_break_ties_to_the_lowest_slot():
